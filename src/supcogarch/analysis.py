@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from .csvio import G17, csv_text
 from .price import PricePath
 from .superpos import Mixture, SupPathBundle, Variant
 
@@ -202,15 +203,15 @@ def estimate_moments(
 
 
 def reports_to_csv(reports: Sequence[MomentReport]) -> str:
-    fmt = lambda x: format(float(x), ".17g")
-    lines = ["name,analytic,estimate,std_error,n,k,pass"]
-    for r in reports:
-        analytic = "diverges" if r.analytic is None else fmt(r.analytic)
-        verdict = "undefined" if r.passed is None else str(r.passed)
-        lines.append(
-            f"{r.name},{analytic},{fmt(r.estimate)},{fmt(r.std_error)},{r.n},{fmt(r.k)},{verdict}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "name,analytic,estimate,std_error,n,k,pass",
+        f"%s,%s,{G17},{G17},%s,{G17},%s",
+        (
+            (r.name, "diverges" if r.analytic is None else G17 % r.analytic, r.estimate,
+             r.std_error, r.n, r.k, "undefined" if r.passed is None else r.passed)
+            for r in reports
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +433,7 @@ def histogram(values: Sequence[float], bins: int) -> list[tuple[float, float, in
 
 
 def histogram_to_csv(rows: Sequence[tuple[float, float, int]]) -> str:
-    fmt = lambda x: format(float(x), ".17g")
-    lines = ["bin_left,bin_right,count"]
-    for left, right, count in rows:
-        lines.append(f"{fmt(left)},{fmt(right)},{count}")
-    return "\n".join(lines) + "\n"
+    return csv_text("bin_left,bin_right,count", f"{G17},{G17},%s", map(tuple, rows))
 
 
 def has_interior_gap(counts: Sequence[int]) -> bool:

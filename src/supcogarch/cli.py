@@ -34,6 +34,7 @@ from .cogarch import (
     stationary_variance,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .csvio import G17, csv_text
 from .levy import jump_path_to_csv, substream
 from .price import increment_mean_and_variance, simulate_price, sq_increment_cov_closed, price_to_csv
 from .superpos import (
@@ -55,8 +56,6 @@ from .superpos import (
 from .verify import checks_to_csv, price_rows_to_csv, run_verification
 
 __all__ = ["main", "cmd_simulate", "cmd_analytics", "cmd_verify", "cmd_qstats"]
-
-_FMT = lambda x: format(float(x), ".17g")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -97,7 +96,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _fmt_or_diverges(fn, *args) -> str:
     try:
-        return _FMT(fn(*args))
+        return G17 % fn(*args)
     except MomentDivergesError:
         return "diverges"
 
@@ -111,11 +110,11 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
     ctx = charexp.ExponentContext(model, cfg.eta)
     rows: list[tuple[str, str]] = []
 
-    rows.append(("phi_max", _FMT(charexp.phi_max(ctx))))
+    rows.append(("phi_max", G17 % charexp.phi_max(ctx)))
     for kappa in (0.5, 1.0, 2.0):
-        rows.append((f"phi_max_kappa[{kappa:g}]", _FMT(charexp.phi_max_kappa(ctx, kappa))))
+        rows.append((f"phi_max_kappa[{kappa:g}]", G17 % charexp.phi_max_kappa(ctx, kappa)))
     if mix.phi_bar > 0.0:
-        rows.append(("kappa_bar", _FMT(charexp.kappa_of_phi(ctx, mix.phi_bar))))
+        rows.append(("kappa_bar", G17 % charexp.kappa_of_phi(ctx, mix.phi_bar)))
         for variant in cfg.variant_list():
             te = tail_exponent(variant, mix, ctx)
             rows.append((f"{variant.value}.tail_limit", te.limit_kind.value))
@@ -123,9 +122,9 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
     for phi, _ in mix.atoms():
         params = CogarchParams(cfg.beta, cfg.eta, phi)
         p = f"cogarch[{phi:g}]"
-        rows.append((f"{p}.log_moment", _FMT(charexp.log_moment(ctx, phi))))
-        rows.append((f"{p}.psi1", _FMT(charexp.psi(ctx, 1.0, phi))))
-        rows.append((f"{p}.psi2", _FMT(charexp.psi(ctx, 2.0, phi))))
+        rows.append((f"{p}.log_moment", G17 % charexp.log_moment(ctx, phi)))
+        rows.append((f"{p}.psi1", G17 % charexp.psi(ctx, 1.0, phi)))
+        rows.append((f"{p}.psi2", G17 % charexp.psi(ctx, 2.0, phi)))
         rows.append((f"{p}.mean", _fmt_or_diverges(stationary_mean, params, model)))
         rows.append((f"{p}.second_moment", _fmt_or_diverges(stationary_second_moment, params, model)))
         rows.append((f"{p}.variance", _fmt_or_diverges(stationary_variance, params, model)))
@@ -171,8 +170,7 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
                             ),
                         ))
 
-    lines = ["quantity,value"] + [f"{name},{value}" for name, value in rows]
-    (out / "analytics.csv").write_text("\n".join(lines) + "\n")
+    (out / "analytics.csv").write_text(csv_text("quantity,value", "%s,%s", rows))
     print(f"wrote {len(rows)} analytic quantities to {out / 'analytics.csv'}")
     return 0
 
@@ -214,11 +212,10 @@ def cmd_qstats(cfg: ExperimentConfig) -> int:
 
         results = run_replications(one, cfg.q_paths, cfg.threads)
         samples = [s for qs, _ in results for s in qs]
-        lines = ["time,q,chosen_phi"]
-        for s in samples:
-            chosen = "" if s.chosen_phi is None else _FMT(s.chosen_phi)
-            lines.append(f"{_FMT(s.time)},{_FMT(s.q)},{chosen}")
-        (out / f"{tag}_q.csv").write_text("\n".join(lines) + "\n")
+        (out / f"{tag}_q.csv").write_text(csv_text(
+            "time,q,chosen_phi", f"{G17},{G17},%s",
+            ((s.time, s.q, "" if s.chosen_phi is None else G17 % s.chosen_phi) for s in samples),
+        ))
         if samples:
             rows = histogram(np.log([s.q for s in samples]).tolist(), bins=50)
             (out / f"{tag}_logq_hist.csv").write_text(histogram_to_csv(rows))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import charexp
+from .csvio import columns_to_csv, event_columns
 from .levy import JumpPath, LevyModel, s_moments, simulate_levy_path, squared_jumps
 
 __all__ = [
@@ -158,41 +159,19 @@ class PathRecord:
         return min(lo, self.v0, self.final_value())
 
 
-def _evolve(
-    beta: float,
-    eta: float,
-    phi: float,
-    times: list[float],
-    sizes: list[float],
-    v: float,
-    t: float,
-) -> tuple[float, float, list[float], list[float]]:
-    """Run the exact recursion over a mark list; returns the post-jump value
-    at the last mark (plus its time) and the per-event left/post values."""
-    level = beta / eta
-    left_out: list[float] = []
-    post_out: list[float] = []
-    exp = math.exp
-    for T, ds in zip(times, sizes):
-        v = level + (v - level) * exp(-eta * (T - t))
-        left_out.append(v)
-        v = v * (1.0 + phi * ds)
-        post_out.append(v)
-        t = T
-    return v, t, left_out, post_out
-
-
 def evolve_value(
     params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float
 ) -> float:
     """Exact evolution through the marks of ``s_path`` from ``t_start``,
-    relaxed up to ``t_end``; returns V(t_end)."""
-    v, t, _, _ = _evolve(
-        params.beta, params.eta, params.phi,
-        s_path.times.tolist(), s_path.sizes.tolist(), v, t_start,
-    )
-    level = params.level
-    return level + (v - level) * math.exp(-params.eta * (t_end - t))
+    relaxed up to ``t_end``; returns V(t_end).  The same arithmetic as
+    :func:`simulate_cogarch`, without recording the per-event values."""
+    level, eta, phi = params.level, params.eta, params.phi
+    exp = math.exp
+    t = t_start
+    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
+        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
+        t = T
+    return level + (v - level) * exp(-eta * (t_end - t))
 
 
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:
@@ -203,24 +182,20 @@ def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> Path
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be > 0, got {v0}")
-    _, _, left, post = _evolve(
-        params.beta,
-        params.eta,
-        params.phi,
-        s_path.times.tolist(),
-        s_path.sizes.tolist(),
-        v0,
-        s_path.t0,
-    )
+    level, eta, phi = params.level, params.eta, params.phi
+    exp = math.exp
+    left: list[float] = []
+    post: list[float] = []
+    v, t = v0, s_path.t0
+    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
+        v = level + (v - level) * exp(-eta * (T - t))
+        left.append(v)
+        v = v * (1.0 + phi * ds)
+        post.append(v)
+        t = T
     return PathRecord(
-        t0=s_path.t0,
-        t1=s_path.t1,
-        v0=v0,
-        beta=params.beta,
-        eta=params.eta,
-        times=s_path.times.copy(),
-        left=np.array(left),
-        post=np.array(post),
+        s_path.t0, s_path.t1, v0, params.beta, params.eta,
+        s_path.times.copy(), np.array(left), np.array(post),
     )
 
 
@@ -343,29 +318,22 @@ def draw_stationary_v0(
 
 
 def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:
-    """CSV rows ``time,value,is_jump``; event times carry two rows (left
-    limit then post-jump value).  With ``grid_step`` set, values on the
-    uniform grid are interleaved with the events."""
-    rows: list[tuple[float, float, int]] = [(record.t0, record.v0, 0)]
-    grid: np.ndarray
+    """CSV rows ``time,value,is_jump``: t0, then the uniform grid (or t1
+    alone without ``grid_step``) except points that are event times, and the
+    events, each with two rows (left limit then post-jump value)."""
     if grid_step is not None:
         grid = np.arange(record.t0 + grid_step, record.t1 + 1e-12, grid_step)
     else:
         grid = np.array([record.t1])
-    gvals = record.values(grid)
-    event_set = set(record.times.tolist())
-    for t, v in zip(grid.tolist(), gvals.tolist()):
-        if t not in event_set:
-            rows.append((t, v, 0))
-    for t, vl, vp in zip(record.times.tolist(), record.left.tolist(), record.post.tolist()):
-        rows.append((t, vl, 1))
-        rows.append((t, vp, 1))
-    rows.sort(key=lambda r: r[0])
-    lines = ["time,value,is_jump"]
-    fmt = lambda x: format(float(x), ".17g")
-    for t, v, j in rows:
-        lines.append(f"{fmt(t)},{fmt(v)},{j}")
-    return "\n".join(lines) + "\n"
+    grid = grid[~np.isin(grid, record.times)]
+    n, ones = grid.size + 1, np.ones(len(record))
+    columns = event_columns(
+        np.concatenate([[record.t0], grid]),
+        record.times,
+        [(np.concatenate([[record.v0], record.values(grid)]), record.left, record.post),
+         (np.zeros(n), ones, ones)],
+    )
+    return columns_to_csv("time,value,is_jump", *columns)
 
 
 def rng_stationary_sample(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .levy import CompoundPoisson, DEFAULT_VG_GRID_STEP, LevyModel, STANDARD_NORMAL, VarianceGamma
@@ -84,6 +85,19 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check every module-level precondition up front; raises
         ConfigError naming the failing field."""
+        finite = {
+            "model.rate": [self.rate], "model.sigma": [self.sigma], "model.nu": [self.nu],
+            "model.grid_step": [self.vg_grid_step], "cogarch.beta": [self.beta],
+            "cogarch.eta": [self.eta], "mixture.phis": self.phis, "mixture.weights": self.weights,
+            "simulation.horizon": [self.horizon],
+            "simulation.burn_in": [] if self.burn_in is None else [self.burn_in],
+            "simulation.sample_grid_step": [self.sample_grid_step],
+            "analysis.increments": self.increments, "analysis.lags": self.lags,
+            "analysis.tolerance_k": [self.tolerance_k],
+        }
+        for name, values in finite.items():
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(name, f"must be finite, got {', '.join(map(str, values))}")
         if self.model_kind == "compound_poisson" and not self.rate > 0.0:
             raise ConfigError("model.rate", f"must be > 0, got {self.rate}")
         if self.model_kind == "variance_gamma":

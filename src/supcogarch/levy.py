@@ -23,6 +23,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .csvio import columns_to_csv
+
 __all__ = [
     "JumpDistribution",
     "STANDARD_NORMAL",
@@ -44,11 +46,6 @@ DEFAULT_VG_GRID_STEP = 2.0 ** -8
 # Raw moments E[Y^k], k = 1..8, needed for the moment-matched quadrature
 # used by the exponent module; order 8 covers E[S_1^4] sanity checks.
 _N_REQUIRED_MOMENTS = 8
-
-
-def _fmt(x: float) -> str:
-    """Full double precision (17 significant digits) for CSV output."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -283,7 +280,4 @@ def l_moments(model: LevyModel) -> tuple[float, float, float]:
 
 def jump_path_to_csv(path: JumpPath) -> str:
     """CSV export: header ``time,size``, ascending times, 17 significant digits."""
-    lines = ["time,size"]
-    for t, s in zip(path.times.tolist(), path.sizes.tolist()):
-        lines.append(f"{_fmt(t)},{_fmt(s)}")
-    return "\n".join(lines) + "\n"
+    return columns_to_csv("time,size", path.times, path.sizes)

@@ -48,6 +48,7 @@ from .cogarch import (
     stationary_variance,
 )
 from . import charexp
+from .csvio import columns_to_csv
 from .levy import LevyModel, l_moments, s_moments
 from .superpos import Mixture, SupPathBundle, Variant, sup1_mean
 
@@ -326,8 +327,6 @@ def sq_increment_cov_sup3(
 def price_to_csv(path: PricePath) -> str:
     """CSV rows ``time,G``: the initial level followed by the post-jump
     level at each driver mark."""
-    fmt = lambda x: format(float(x), ".17g")
-    lines = ["time,G", f"{fmt(path.t0)},{fmt(0.0)}"]
-    for t, g in zip(path.times.tolist(), path.values.tolist()):
-        lines.append(f"{fmt(t)},{fmt(g)}")
-    return "\n".join(lines) + "\n"
+    return columns_to_csv(
+        "time,G", np.concatenate([[path.t0], path.times]), np.concatenate([[0.0], path.values])
+    )

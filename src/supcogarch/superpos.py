@@ -45,6 +45,7 @@ from .cogarch import (
     stationary_mean,
     stationary_variance,
 )
+from .csvio import columns_to_csv, event_columns
 from .levy import JumpPath, LevyModel, rng_from, s_moments, simulate_levy_path, squared_jumps, substream
 
 __all__ = [
@@ -167,12 +168,6 @@ class SupPathBundle:
     components: tuple[PathRecord, ...]
     drivers: tuple[JumpPath, ...]
     chosen_phis: np.ndarray | None = None
-
-    @property
-    def chosen_marks(self) -> list[tuple[float, float]]:
-        if self.chosen_phis is None:
-            return []
-        return list(zip(self.drivers[0].times.tolist(), self.chosen_phis.tolist()))
 
 
 def _require_stationary(mixture: Mixture, eta: float, model: LevyModel) -> None:
@@ -304,6 +299,30 @@ def simulate_sup2(
     )
 
 
+def _sup3_marks(
+    eta: float, level: float, phis: Sequence[float], vbar: float, comps: list[float], t: float,
+    times: list[float], sizes: list[float], picks: list[int], trail: list | None = None,
+) -> tuple[float, list[float], float]:
+    """Exact variant-3 steps over shared marks for the aggregate and the
+    component family together: relax every state toward ``level``, give the
+    aggregate the scaled jump phi_j V^j_{T-} dS_T of the drawn atom
+    j = ``picks[k]``, and multiply each component by (1 + phi dS_T).  With
+    ``trail`` given, appends [aggregate left, aggregate post, component
+    lefts..., component posts...] per mark.  Returns the aggregate, the
+    components and the time after the last mark."""
+    exp = math.exp
+    for T, ds, j in zip(times, sizes, picks):
+        decay = exp(-eta * (T - t))
+        lefts = [level + (v - level) * decay for v in comps]
+        vbar_left = level + (vbar - level) * decay
+        vbar = vbar_left + phis[j] * lefts[j] * ds
+        comps = [vl * (1.0 + phi * ds) for vl, phi in zip(lefts, phis)]
+        if trail is not None:
+            trail.append([vbar_left, vbar, *lefts, *comps])
+        t = T
+    return vbar, comps, t
+
+
 def simulate_sup3(
     mixture: Mixture,
     beta: float,
@@ -332,46 +351,29 @@ def simulate_sup3(
     idx = rng.choice(len(mixture), size=n_marks, p=np.array(mixture.weights))
     idx_burn, idx_live = idx[: len(s_burn)], idx[len(s_burn):]
 
-    level = beta / eta
-    params_by_atom = [CogarchParams(beta, eta, phi) for phi, _ in mixture.atoms()]
-
-    # joint burn-in: one pass evolving the component family and the
-    # aggregate state together (the aggregate consumes component left limits)
-    vbar = _mean_or_level(mixture, beta, eta, model)
-    comp_vals = [_start_value(p, model) for p in params_by_atom]
-    t = t0 - b
-    for k, (T, ds) in enumerate(zip(s_burn.times.tolist(), s_burn.sizes.tolist())):
-        decay = math.exp(-eta * (T - t))
-        lefts = [level + (v - level) * decay for v in comp_vals]
-        j = int(idx_burn[k])
-        vbar = level + (vbar - level) * decay + mixture.phis[j] * lefts[j] * ds
-        comp_vals = [vl * (1.0 + p.phi * ds) for vl, p in zip(lefts, params_by_atom)]
-        t = T
+    # joint burn-in of the component family and the aggregate from their
+    # stationary means, then one relaxation of every state to t0
+    level, phis, m = beta / eta, mixture.phis, len(mixture)
+    vbar, comps, t = _sup3_marks(
+        eta, level, phis, _mean_or_level(mixture, beta, eta, model),
+        [_start_value(CogarchParams(beta, eta, phi), model) for phi in phis],
+        t0 - b, s_burn.times.tolist(), s_burn.sizes.tolist(), idx_burn.tolist(),
+    )
     end_decay = math.exp(-eta * (t0 - t))
     vbar0 = level + (vbar - level) * end_decay
-    components = [
-        simulate_cogarch(p, s_live, level + (v - level) * end_decay)
-        for p, v in zip(params_by_atom, comp_vals)
-    ]
-
-    # live window: component left limits are already recorded per mark
-    times = s_live.times
-    sizes = s_live.sizes
-    agg_left = np.empty(len(s_live))
-    agg_post = np.empty(len(s_live))
-    vbar = vbar0
-    t = t0
-    for k, (T, ds) in enumerate(zip(times.tolist(), sizes.tolist())):
-        vbar = level + (vbar - level) * math.exp(-eta * (T - t))
-        agg_left[k] = vbar
-        j = int(idx_live[k])
-        vbar = vbar + mixture.phis[j] * float(components[j].left[k]) * ds
-        agg_post[k] = vbar
-        t = T
-    aggregate = PathRecord(
-        t0=t0, t1=t1, v0=vbar0, beta=beta, eta=eta,
-        times=times.copy(), left=agg_left, post=agg_post,
+    comps0 = [level + (v - level) * end_decay for v in comps]
+    trail: list[list[float]] = []
+    _sup3_marks(
+        eta, level, phis, vbar0, comps0, t0,
+        s_live.times.tolist(), s_live.sizes.tolist(), idx_live.tolist(), trail,
     )
+    cols = np.array(trail, dtype=float).reshape(len(trail), 2 + 2 * m).T.copy()
+    times = s_live.times
+    components = [
+        PathRecord(t0, t1, comps0[i], beta, eta, times, cols[2 + i], cols[2 + m + i])
+        for i in range(m)
+    ]
+    aggregate = PathRecord(t0, t1, vbar0, beta, eta, times, cols[0], cols[1])
     chosen = np.array([mixture.phis[int(j)] for j in idx_live])
     return SupPathBundle(
         Variant.SUP3, mixture, beta, eta, aggregate, tuple(components), (l_live,), chosen
@@ -621,48 +623,24 @@ def check_stationarity(
 
 
 def bundle_to_csv(bundle: SupPathBundle, grid_step: float | None = None) -> str:
-    """Aggregate plus one column per component at the union of event times
-    and a uniform grid.  Event times carry two rows (left limits, then
-    post-jump values)."""
-    fmt = lambda x: format(float(x), ".17g")
+    """Aggregate plus one column per component at t0, the uniform grid
+    points that are not event times, and the events.  Event times carry two
+    rows (left limits, then post-jump values)."""
     agg = bundle.aggregate
-    header = ["time", "aggregate"] + [f"component_{phi:g}" for phi in bundle.mixture.phis]
-
-    query: list[tuple[float, bool]] = [(agg.t0, False)]
+    plain = np.array([agg.t0])
     if grid_step is not None:
-        event_set = set(agg.times.tolist())
-        for t in np.arange(agg.t0 + grid_step, agg.t1 + 1e-12, grid_step).tolist():
-            if t not in event_set:
-                query.append((t, False))
-    for t in agg.times.tolist():
-        query.append((t, True))
-    query.sort(key=lambda q: q[0])
-
-    lines = [",".join(header)]
-    for t, is_event in query:
-        if is_event:
-            k = int(np.searchsorted(agg.times, t))
-            row_l = [fmt(t), fmt(agg.left[k])]
-            row_p = [fmt(t), fmt(agg.post[k])]
-            for c in bundle.components:
-                row_l.append(fmt(c.left_limit_at(t)))
-                row_p.append(fmt(c.value_at(t)))
-            lines.append(",".join(row_l))
-            lines.append(",".join(row_p))
-        else:
-            row = [fmt(t), fmt(agg.value_at(t))]
-            for c in bundle.components:
-                row.append(fmt(c.value_at(t)))
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        grid = np.arange(agg.t0 + grid_step, agg.t1 + 1e-12, grid_step)
+        plain = np.concatenate([plain, grid[~np.isin(grid, agg.times)]])
+    columns = [(agg.values(plain), agg.left, agg.post)] + [
+        (c.values(plain), c.left_limits(agg.times), c.values(agg.times))
+        for c in bundle.components
+    ]
+    header = ",".join(["time", "aggregate"] + [f"component_{phi:g}" for phi in bundle.mixture.phis])
+    return columns_to_csv(header, *event_columns(plain, agg.times, columns))
 
 
 def chosen_marks_to_csv(bundle: SupPathBundle) -> str:
     """Variant-3 pi-draws: ``time,phi`` per shared mark."""
     if bundle.chosen_phis is None:
         raise ValueError("bundle has no chosen marks (not a variant-3 bundle)")
-    fmt = lambda x: format(float(x), ".17g")
-    lines = ["time,phi"]
-    for t, phi in bundle.chosen_marks:
-        lines.append(f"{fmt(t)},{fmt(phi)}")
-    return "\n".join(lines) + "\n"
+    return columns_to_csv("time,phi", bundle.drivers[0].times, bundle.chosen_phis)

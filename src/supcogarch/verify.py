@@ -51,6 +51,7 @@ from .cogarch import (
     stationary_variance_alt,
 )
 from .config import ExperimentConfig
+from .csvio import G17, csv_text
 from .levy import rng_from, simulate_levy_path, squared_jumps, substream
 from .price import (
     PricePath,
@@ -138,22 +139,23 @@ class VerificationResult:
 
 
 def checks_to_csv(checks: list[CheckRow]) -> str:
-    fmt = lambda x: format(float(x), ".17g")
-    lines = ["name,value,requirement,pass"]
-    for c in checks:
-        lines.append(f"{c.name},{fmt(c.value)},{c.requirement},{c.passed}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "name,value,requirement,pass", f"%s,{G17},%s,%s",
+        ((c.name, c.value, c.requirement, c.passed) for c in checks),
+    )
 
 
 def price_rows_to_csv(rows: list[PriceStatRow]) -> str:
-    fmt = lambda x: format(float(x), ".17g")
-    lines = ["r,h,stat,analytic,mc,se,pass"]
-    for row in rows:
-        h = "" if row.h is None else fmt(row.h)
-        analytic = "diverges" if row.analytic is None else fmt(row.analytic)
-        verdict = "undefined" if row.passed is None else str(row.passed)
-        lines.append(f"{fmt(row.r)},{h},{row.stat},{analytic},{fmt(row.mc)},{fmt(row.se)},{verdict}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "r,h,stat,analytic,mc,se,pass",
+        f"{G17},%s,%s,%s,{G17},{G17},%s",
+        (
+            (row.r, "" if row.h is None else G17 % row.h, row.stat,
+             "diverges" if row.analytic is None else G17 % row.analytic, row.mc, row.se,
+             "undefined" if row.passed is None else row.passed)
+            for row in rows
+        ),
+    )
 
 
 def _try(fn, *args):

@@ -72,6 +72,46 @@ def test_config_validation_names_field():
     assert exc.value.field == "simulation.replications"
 
 
+NON_FINITE_FIELDS = [
+    ("model", "rate", "model.rate"),
+    ("model", "sigma", "model.sigma"),
+    ("model", "nu", "model.nu"),
+    ("model", "grid_step", "model.grid_step"),
+    ("cogarch", "beta", "cogarch.beta"),
+    ("cogarch", "eta", "cogarch.eta"),
+    ("mixture", "phis", "mixture.phis"),
+    ("mixture", "weights", "mixture.weights"),
+    ("simulation", "horizon", "simulation.horizon"),
+    ("simulation", "burn_in", "simulation.burn_in"),
+    ("simulation", "sample_grid_step", "simulation.sample_grid_step"),
+    ("analysis", "increments", "analysis.increments"),
+    ("analysis", "lags", "analysis.lags"),
+    ("analysis", "tolerance_k", "analysis.tolerance_k"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,key,field", NON_FINITE_FIELDS)
+def test_config_rejects_non_finite_values(section, key, field, value):
+    text = f"[{section}]\n{key} = {value}\n"
+    if section == "mixture":
+        text += "weights = 1.0\n" if key == "phis" else "phis = 0.5\n"
+    if key in ("increments", "lags"):
+        text = f"[{section}]\n{key} = 1.0, {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytics"])
+def test_cli_non_finite_horizon_is_config_error(tmp_path, capsys, command):
+    bad = tmp_path / "inf.cfg"
+    bad.write_text("[simulation]\nhorizon = inf\n")
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "simulation.horizon" in err and "Traceback" not in err
+
+
 def test_config_burn_in_empty_means_auto():
     cfg = parse_config("[simulation]\nburn_in =\n")
     assert cfg.burn_in is None
