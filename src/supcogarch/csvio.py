@@ -2,7 +2,8 @@
 
 Every number is printed with 17 significant digits (``'%.17g'``, the same
 text as ``format(x, '.17g')``), enough to round-trip any double.  A table is
-rendered by one %-template applied row by row, never cell by cell.
+rendered by one %-template applied to each row; only optional cells (an
+empty lag, "diverges") are formatted on their own, with ``G17 % x``.
 """
 
 from __future__ import annotations
