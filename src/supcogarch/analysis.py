@@ -12,7 +12,6 @@ never as a float infinity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -322,13 +321,12 @@ def extract_q(bundle: SupPathBundle, price_path: PricePath) -> list[QSample]:
     chosen = bundle.chosen_phis
     if chosen is None:
         raise ValueError("variant-3 bundle lacks its chosen marks")
-    for k, (t, phi) in enumerate(zip(times.tolist(), chosen.tolist())):
-        if phi == 0.0:
-            continue
-        atom = bundle.mixture.phis.index(phi)
-        q = phi * float(bundle.components[atom].left[k]) / float(vbar_left[k])
-        out.append(QSample(bundle.variant, t, q, chosen_phi=phi))
-    return out
+    qs = chosen * bundle.chosen_lefts() / vbar_left
+    keep = chosen != 0.0
+    return [
+        QSample(bundle.variant, t, q, chosen_phi=phi)
+        for t, q, phi in zip(times[keep].tolist(), qs[keep].tolist(), chosen[keep].tolist())
+    ]
 
 
 def jump_tally(bundle: SupPathBundle, price_path: PricePath) -> JumpTally:
@@ -450,10 +448,11 @@ def has_interior_gap(counts: Sequence[int]) -> bool:
 
 
 def run_replications(fn: Callable[[int], _T], n: int, threads: int = 1) -> list[_T]:
-    """Evaluate fn(0..n-1) and return results in index order.  fn must be a
-    pure function of its index (seed streams split by index), so the result
-    is independent of the thread count."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+    """Evaluate fn(0..n-1) in index order and return the results.  fn must
+    be a pure function of its index (seed streams split by index).
+
+    ``threads`` has no effect; it is kept so callers and configs stay
+    valid.  The replications are pure Python, and a thread pool only added
+    interpreter-lock contention: slower, with the same bytes.
+    """
+    return [fn(i) for i in range(n)]

@@ -1,8 +1,9 @@
 """Configuration-driven command line: simulate | analytics | verify | qstats.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 I/O error.  All subcommands honor --seed/--threads/--out overrides and
-are fully deterministic given the effective configuration.
+3 I/O error.  All subcommands honor --seed/--out overrides and are fully
+deterministic given the effective configuration.  --threads is validated
+and recorded in the effective configuration but has no effect.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .cogarch import (
 )
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .csvio import G17, csv_text
-from .levy import jump_path_to_csv, substream
+from .levy import Stream, jump_path_to_csv, substream
 from .price import increment_mean_and_variance, simulate_price, sq_increment_cov_closed, price_to_csv
 from .superpos import (
     Variant,
@@ -80,7 +81,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     for vi, variant in enumerate(cfg.variant_list()):
         bundle = simulate_bundle(
             variant, mix, cfg.beta, cfg.eta, model, (0.0, cfg.horizon),
-            substream(cfg.seed, 0, vi), cfg.burn_in,
+            substream(cfg.seed, Stream.SIMULATE, vi), cfg.burn_in,
         )
         tag = variant.value
         (out / f"{tag}_bundle.csv").write_text(bundle_to_csv(bundle, cfg.sample_grid_step))
@@ -205,7 +206,7 @@ def cmd_qstats(cfg: ExperimentConfig) -> int:
         def one(rep: int, _variant=variant, _vi=vi):
             bundle = simulate_bundle(
                 _variant, mix, cfg.beta, cfg.eta, model, (0.0, cfg.horizon),
-                substream(cfg.seed, 5, _vi, rep), cfg.burn_in,
+                substream(cfg.seed, Stream.Q, _vi, rep), cfg.burn_in,
             )
             gp = simulate_price(bundle)
             return extract_q(bundle, gp), jump_tally(bundle, gp)
@@ -247,7 +248,8 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", default=None, help="config file (sectioned key=value)")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
-        p.add_argument("--threads", type=int, default=None, help="replication thread count")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and recorded in the config; has no effect")
         p.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 

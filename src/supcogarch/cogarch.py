@@ -159,19 +159,29 @@ class PathRecord:
         return min(lo, self.v0, self.final_value())
 
 
+def _evolve_marks(
+    eta: float, level: float, phi: float, v: float, t: float, times: list[float], sizes: list[float]
+) -> float:
+    """Exact steps from state v at time t through the subordinator marks
+    (times, sizes); returns the state right after the last mark."""
+    exp = math.exp
+    for T, ds in zip(times, sizes):
+        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
+        t = T
+    return v
+
+
 def evolve_value(
     params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float
 ) -> float:
     """Exact evolution through the marks of ``s_path`` from ``t_start``,
     relaxed up to ``t_end``; returns V(t_end).  The same arithmetic as
     :func:`simulate_cogarch`, without recording the per-event values."""
-    level, eta, phi = params.level, params.eta, params.phi
-    exp = math.exp
-    t = t_start
-    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
-        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
-        t = T
-    return level + (v - level) * exp(-eta * (t_end - t))
+    level, eta = params.level, params.eta
+    times = s_path.times.tolist()
+    v = _evolve_marks(eta, level, params.phi, v, t_start, times, s_path.sizes.tolist())
+    t = times[-1] if times else t_start
+    return level + (v - level) * math.exp(-eta * (t_end - t))
 
 
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:

@@ -50,7 +50,7 @@ class ExperimentConfig:
     seed: int = 20260810
     burn_in: float | None = None
     sample_grid_step: float = 0.5
-    threads: int = 1
+    threads: int = 1  # validated and serialized; has no effect
     # [analysis]
     increments: tuple[float, ...] = (1.0,)
     lags: tuple[float, ...] = (1.0, 2.0, 4.0)

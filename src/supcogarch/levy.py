@@ -11,12 +11,15 @@ Randomness contract
 Every simulation is a pure function of ``(model, horizon, seed)``.  Derived
 streams (replications, mixture atoms) are produced with :func:`substream`,
 which mixes integer key words into the root seed through
-``numpy.random.SeedSequence(entropy=root, spawn_key=key)``.  Serial and
-parallel runs therefore draw identical numbers.
+``numpy.random.SeedSequence(entropy=root, spawn_key=key)``, the first key
+word naming the consumer (:class:`Stream`).  A stream depends only on its
+key, so one bundle per replication and the batched engine draw identical
+numbers.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -32,6 +35,7 @@ __all__ = [
     "VarianceGamma",
     "LevyModel",
     "JumpPath",
+    "Stream",
     "substream",
     "rng_from",
     "simulate_levy_path",
@@ -180,14 +184,39 @@ def _normalize_seed(seed: int) -> int:
     return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
+class Stream(enum.IntEnum):
+    """Stream families: the first spawn-key word under the root seed, one
+    per consumer, so no two consumers ever draw the same numbers by
+    accident.  ``cli``, ``verify`` and the tests take the ids from here.
+
+    ``qstats`` and the verify q family share ``Q`` on purpose: for the same
+    config they simulate the same bundles, so the jump ratios that
+    ``qstats`` exports are the ones verify bounds.  Giving either its own id
+    would change the ``qstats`` output bytes.
+    """
+
+    SIMULATE = 0
+    COGARCH = 1
+    CROSS = 2
+    SUP = 3
+    PRICE = 4
+    Q = 5
+    TAIL = 6
+    PARETO = 7
+    IDENTITY = 8
+
+
 def substream(seed: int | np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
     """Deterministic derived stream: root seed plus integer key words.
 
     Splitting rule (documented contract): the replication index, and within a
     replication the atom/driver index, are appended to the SeedSequence
     ``spawn_key``.  Streams are identical no matter how work is scheduled.
+    A SeedSequence with no further key words is returned as it is.
     """
     if isinstance(seed, np.random.SeedSequence):
+        if not key:
+            return seed
         base_key = tuple(seed.spawn_key)
         return np.random.SeedSequence(entropy=seed.entropy, spawn_key=base_key + key)
     return np.random.SeedSequence(entropy=_normalize_seed(seed), spawn_key=key)
@@ -197,36 +226,30 @@ def rng_from(seed: int | np.random.SeedSequence, *key: int) -> np.random.Generat
     return np.random.default_rng(substream(seed, *key))
 
 
-def simulate_levy_path(
-    model: LevyModel,
-    horizon: tuple[float, float],
-    seed: int | np.random.SeedSequence,
-) -> JumpPath:
-    """Simulate the driver L on ``horizon`` as a stream of jump marks.
+def _draw_marks(
+    model: LevyModel, t0: float, t1: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The generator calls that draw the driver's marks on (t0, t1], in
+    their fixed order; :func:`simulate_levy_path` and the batch engine both
+    draw through here.
 
     Compound Poisson: exact (Poisson count, uniform order statistics for the
     times, i.i.d. sizes).  Variance gamma: one mark per grid increment of
     width ``model.grid_step`` (last increment may be shorter), each drawn as
-    a difference of two gamma variables.  Deterministic given
-    (model, horizon, seed).
+    a difference of two gamma variables.
     """
-    t0, t1 = float(horizon[0]), float(horizon[1])
-    if not t1 > t0:
-        raise ValueError(f"empty horizon [{t0}, {t1}]")
-    rng = np.random.default_rng(substream(seed))
     length = t1 - t0
-
     if isinstance(model, CompoundPoisson):
         n = int(rng.poisson(model.rate * length))
         times = np.sort(rng.uniform(t0, t1, size=n))
         sizes = np.asarray(model.jumps.sample(rng, n), dtype=float)
         keep = sizes != 0.0
-        if times.size and (np.any(~keep) or np.any(np.diff(times) <= 0.0)):
+        if times.size and (not keep.all() or (times[1:] <= times[:-1]).any()):
             # zero sizes / tied uniforms have probability 0; drop ties defensively
             times, sizes = times[keep], sizes[keep]
             keep2 = np.concatenate(([True], np.diff(times) > 0.0))
             times, sizes = times[keep2], sizes[keep2]
-        return JumpPath(t0, t1, times, sizes)
+        return times, sizes
 
     if isinstance(model, VarianceGamma):
         step = model.grid_step
@@ -242,9 +265,23 @@ def simulate_levy_path(
         # tiny-shape gamma differences underflow; drop increments whose
         # squared size would be subnormal (they carry no information)
         keep = np.abs(sizes) > 2.0**-511
-        return JumpPath(t0, t1, edges[keep], sizes[keep])
+        return edges[keep], sizes[keep]
 
     raise TypeError(f"unsupported Levy model: {model!r}")
+
+
+def simulate_levy_path(
+    model: LevyModel,
+    horizon: tuple[float, float],
+    seed: int | np.random.SeedSequence,
+) -> JumpPath:
+    """Simulate the driver L on ``horizon`` as a stream of jump marks (see
+    :func:`_draw_marks`).  Deterministic given (model, horizon, seed)."""
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    if not t1 > t0:
+        raise ValueError(f"empty horizon [{t0}, {t1}]")
+    times, sizes = _draw_marks(model, t0, t1, rng_from(seed))
+    return JumpPath(t0, t1, times, sizes)
 
 
 def squared_jumps(path: JumpPath) -> JumpPath:

@@ -169,6 +169,13 @@ class SupPathBundle:
     drivers: tuple[JumpPath, ...]
     chosen_phis: np.ndarray | None = None
 
+    def chosen_lefts(self) -> np.ndarray:
+        """Variant 3: the left limit V^{phi_T}_{T-} of the drawn atom's
+        component at each shared mark."""
+        atom = np.searchsorted(np.asarray(self.mixture.phis), self.chosen_phis)
+        lefts = np.array([c.left for c in self.components])
+        return lefts[atom, np.arange(atom.size)]
+
 
 def _require_stationary(mixture: Mixture, eta: float, model: LevyModel) -> None:
     ctx = charexp.ExponentContext(model, eta)
@@ -374,9 +381,9 @@ def simulate_sup3(
         for i in range(m)
     ]
     aggregate = PathRecord(t0, t1, vbar0, beta, eta, times, cols[0], cols[1])
-    chosen = np.array([mixture.phis[int(j)] for j in idx_live])
     return SupPathBundle(
-        Variant.SUP3, mixture, beta, eta, aggregate, tuple(components), (l_live,), chosen
+        Variant.SUP3, mixture, beta, eta, aggregate, tuple(components), (l_live,),
+        np.asarray(mixture.phis)[idx_live],
     )
 
 

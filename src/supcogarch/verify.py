@@ -2,9 +2,12 @@
 with a seeded Monte Carlo estimate, and every path-wise jump identity is
 checked on simulated bundles.
 
-The battery is a pure function of the experiment configuration.  Results
-are independent of the thread count because every replication derives its
-random stream from (root seed, family id, variant id, replication index).
+The battery is a pure function of the experiment configuration: every
+replication derives its random stream from (root seed, family id, variant
+id, replication index), with the family ids of ``levy.Stream``.  The
+cogarch, cross, sup and price families simulate their replications
+together on the batched engine (:mod:`supcogarch.batch`), which gives the
+numbers of one bundle per replication bit for bit.
 
 Tolerances: mean-type comparisons use the configured multiplier k (default
 4 standard errors); variance/covariance-type comparisons, which face heavy
@@ -37,6 +40,7 @@ from .analysis import (
     mc_variance,
     run_replications,
 )
+from .batch import chunked, simulate_batch, simulate_cogarch_batch
 from .cogarch import (
     CogarchParams,
     MomentDivergesError,
@@ -44,7 +48,6 @@ from .cogarch import (
     cross_acov,
     cross_cov,
     default_burn_in,
-    simulate_cogarch,
     stationary_acov,
     stationary_mean,
     stationary_variance,
@@ -52,7 +55,7 @@ from .cogarch import (
 )
 from .config import ExperimentConfig
 from .csvio import G17, csv_text
-from .levy import rng_from, simulate_levy_path, squared_jumps, substream
+from .levy import Stream, rng_from, simulate_levy_path, squared_jumps, substream
 from .price import (
     PricePath,
     increment_mean_and_variance,
@@ -85,9 +88,6 @@ __all__ = [
     "checks_to_csv",
     "price_rows_to_csv",
 ]
-
-# stream family ids (first spawn-key word under the root seed)
-_F_COGARCH, _F_CROSS, _F_SUP, _F_PRICE, _F_Q, _F_TAIL, _F_PARETO, _F_IDENT = range(1, 9)
 
 _IDENTITY_RTOL = 1e-12
 _AGG_RTOL = 1e-10
@@ -233,12 +233,8 @@ def bundle_identity_checks(bundle: SupPathBundle) -> list[CheckRow]:
         checks.append(CheckRow(f"{tag}_jump_identity", err, f"<= {_IDENTITY_RTOL}", err <= _IDENTITY_RTOL))
 
     if bundle.variant is Variant.SUP3:
-        chosen = bundle.chosen_phis
         ds = bundle.drivers[0].sizes**2
-        scale = np.zeros(len(agg))
-        for k, phi in enumerate(chosen.tolist()):
-            atom = bundle.mixture.phis.index(phi)
-            scale[k] = phi * bundle.components[atom].left[k]
+        scale = bundle.chosen_phis * bundle.chosen_lefts()
         err = _rel_err(agg.post - agg.left, scale * ds, agg.post)
         checks.append(CheckRow(f"{tag}_jump_identity", err, f"<= {_IDENTITY_RTOL}", err <= _IDENTITY_RTOL))
 
@@ -263,6 +259,72 @@ def price_identity_checks(bundle: SupPathBundle, price: PricePath) -> list[Check
 # replication families
 
 
+def _cogarch_samples(cfg: ExperimentConfig, atom: int, lags: list[float], mean: float) -> np.ndarray:
+    """Per replication: one COGARCH at atom ``atom`` started at its
+    stationary mean before the burn-in, queried at 0 and the lags."""
+    model = cfg.model()
+    params = CogarchParams(cfg.beta, cfg.eta, cfg.phis[atom])
+    burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
+    qs = np.array([0.0] + lags)
+    return chunked(
+        lambda first, n: simulate_cogarch_batch(
+            params, model, (0.0, max(lags)), mean, cfg.seed, (Stream.COGARCH, atom), n, burn, first,
+        ).values(qs),
+        cfg.replications,
+    )
+
+
+def _cross_samples(cfg: ExperimentConfig, phi_a: float, phi_b: float, lags: list[float]) -> np.ndarray:
+    """Per replication: both components of an equal-weight variant-2 pair
+    at 0, and the second one at the lags."""
+    mix = Mixture.from_atoms([(phi_a, 0.5), (phi_b, 0.5)])
+
+    def sample(first: int, n: int) -> np.ndarray:
+        batch = simulate_batch(
+            Variant.SUP2, mix, cfg.beta, cfg.eta, cfg.model(), (0.0, max(lags)),
+            cfg.seed, (Stream.CROSS,), n, cfg.burn_in, first,
+        )
+        ca, cb = batch.components
+        return np.column_stack([ca.v0, cb.v0, cb.values(np.array(lags))])
+
+    return chunked(sample, cfg.replications)
+
+
+def _sup_samples(cfg: ExperimentConfig, variant: Variant, vi: int, lags: list[float]) -> np.ndarray:
+    """Per replication: the aggregate at 0 and the lags."""
+    qs = np.array([0.0] + lags)
+    return chunked(
+        lambda first, n: simulate_batch(
+            variant, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (0.0, max(lags)),
+            cfg.seed, (Stream.SUP, vi), n, cfg.burn_in, first,
+        ).aggregate.values(qs),
+        cfg.replications,
+    )
+
+
+def _price_samples(
+    cfg: ExperimentConfig, variant: Variant, vi: int, r: float, hs: list[float]
+) -> np.ndarray:
+    """Per replication: the price increments over [t, t + r] at t = 0 and
+    at the lags ``hs``, then the aggregate and each component at r."""
+    starts = np.array([0.0] + hs)
+    at_r = np.array([r])
+
+    def sample(first: int, n: int) -> np.ndarray:
+        batch = simulate_batch(
+            variant, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (0.0, (max(hs) if hs else 0.0) + r),
+            cfg.seed, (Stream.PRICE, vi), n, cfg.burn_in, first,
+        )
+        levels = batch.price_levels(np.concatenate([starts, starts + r]))
+        return np.column_stack([
+            levels[:, len(starts):] - levels[:, : len(starts)],
+            batch.aggregate.values(at_r),
+            *(c.values(at_r) for c in batch.components),
+        ])
+
+    return chunked(sample, cfg.replications)
+
+
 def _cogarch_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     model = cfg.model()
     lags = sorted(set(cfg.lags))
@@ -273,16 +335,7 @@ def _cogarch_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
         if mean is None:
             reports.append(MomentReport(f"cogarch[{phi:g}].mean", None, math.nan, 0.0, 0, k))
             continue
-        burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
-        t_hi = max(lags) if lags else 1.0
-
-        def one(rep: int, _params=params, _burn=burn, _t=t_hi, _atom=atom, _v=mean) -> np.ndarray:
-            seed = substream(cfg.seed, _F_COGARCH, _atom, rep)
-            s = squared_jumps(simulate_levy_path(model, (-_burn, _t), seed))
-            rec = simulate_cogarch(_params, s, _v)
-            return rec.values(np.array([0.0] + lags))
-
-        vals = np.array(run_replications(one, cfg.replications, cfg.threads))
+        vals = _cogarch_samples(cfg, atom, lags, mean)
         v0 = vals[:, 0]
         est, se = mc_mean(v0)
         reports.append(MomentReport(f"cogarch[{phi:g}].mean", mean, est, se, v0.size, k))
@@ -314,19 +367,7 @@ def _cross_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     if target0 is None:
         reports.append(MomentReport(f"cross[{phi_a:g},{phi_b:g}].cov", None, math.nan, 0.0, 0, kv))
         return
-    mix = Mixture.from_atoms([(phi_a, 0.5), (phi_b, 0.5)])
-    t_hi = max(lags) if lags else 1.0
-
-    def one(rep: int) -> np.ndarray:
-        bundle = simulate_bundle(
-            Variant.SUP2, mix, cfg.beta, cfg.eta, model, (0.0, t_hi),
-            substream(cfg.seed, _F_CROSS, rep), cfg.burn_in,
-        )
-        ca, cb = bundle.components
-        qs = np.array(lags)
-        return np.concatenate(([ca.v0, cb.v0], cb.values(qs)))
-
-    vals = np.array(run_replications(one, cfg.replications, cfg.threads))
+    vals = _cross_samples(cfg, phi_a, phi_b, lags)
     est, se = mc_covariance(vals[:, 0], vals[:, 1])
     reports.append(MomentReport(f"cross[{phi_a:g},{phi_b:g}].cov", target0, est, se, vals.shape[0], kv))
     reports.append(
@@ -351,18 +392,9 @@ def _sup_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     mix = cfg.mixture()
     lags = sorted(set(cfg.lags))
     k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
-    t_hi = max(lags) if lags else 1.0
     for vi, variant in enumerate(cfg.variant_list()):
         mean_fn, var_fn, second_fn, acov_fn = _SUP_MOMENTS[variant]
-
-        def one(rep: int, _variant=variant, _vi=vi) -> np.ndarray:
-            bundle = simulate_bundle(
-                _variant, mix, cfg.beta, cfg.eta, model, (0.0, t_hi),
-                substream(cfg.seed, _F_SUP, _vi, rep), cfg.burn_in,
-            )
-            return bundle.aggregate.values(np.array([0.0] + lags))
-
-        vals = np.array(run_replications(one, cfg.replications, cfg.threads))
+        vals = _sup_samples(cfg, variant, vi, lags)
         v0 = vals[:, 0]
         tag = variant.value
 
@@ -404,21 +436,7 @@ def _price_family(
 
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
-        t_hi = (max(hs) if hs else 0.0) + r
-
-        def one(rep: int, _variant=variant, _vi=vi, _t=t_hi) -> np.ndarray:
-            bundle = simulate_bundle(
-                _variant, mix, cfg.beta, cfg.eta, model, (0.0, _t),
-                substream(cfg.seed, _F_PRICE, _vi, rep), cfg.burn_in,
-            )
-            gp = simulate_price(bundle)
-            inc0 = gp.increment(0.0, r)
-            incs = [gp.increment(h, r) for h in hs]
-            vbar_r = bundle.aggregate.value_at(r)
-            comps_r = [c.value_at(r) for c in bundle.components]
-            return np.array([inc0, *incs, vbar_r, *comps_r])
-
-        vals = np.array(run_replications(one, cfg.replications, cfg.threads))
+        vals = _price_samples(cfg, variant, vi, r, hs)
         inc0 = vals[:, 0]
         incs = {h: vals[:, 1 + j] for j, h in enumerate(hs)}
         vbar_r = vals[:, 1 + len(hs)]
@@ -487,7 +505,7 @@ def _q_family(
         def one(rep: int, _variant=variant, _vi=vi):
             bundle = simulate_bundle(
                 _variant, mix, cfg.beta, cfg.eta, model, (0.0, cfg.horizon),
-                substream(cfg.seed, _F_Q, _vi, rep), cfg.burn_in,
+                substream(cfg.seed, Stream.Q, _vi, rep), cfg.burn_in,
             )
             gp = simulate_price(bundle)
             return extract_q(bundle, gp), jump_tally(bundle, gp)
@@ -532,7 +550,7 @@ def _tail_family(
     # Hill calibration oracle: exact Pareto samples with known exponent.
     # Band is k-aware: the Hill standard error is alpha/sqrt(k), so small
     # configured sample counts get a correspondingly wider requirement.
-    rng = rng_from(substream(cfg.seed, _F_PARETO))
+    rng = rng_from(cfg.seed, Stream.PARETO)
     pareto = rng.uniform(size=cfg.tail_samples) ** (-1.0 / _PARETO_ALPHA)
     k_hill = default_hill_k(cfg.tail_samples)
     est = hill_estimator(pareto, k_hill)
@@ -549,7 +567,7 @@ def _tail_family(
         params = CogarchParams(cfg.beta, cfg.eta, phi_bar)
         burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
         draws = stationary_component_draws(params, model, cfg.seed, cfg.tail_samples, burn,
-                                           cfg.threads, family=_F_TAIL)
+                                           cfg.threads, family=Stream.TAIL)
         sweep = hill_sweep(draws)
         lo, hi = kappa_bar + _HILL_BAND[0], kappa_bar + _HILL_BAND[1]
         in_band = all(lo < est < hi for _, est in sweep)
@@ -566,7 +584,7 @@ def stationary_component_draws(
     n: int,
     burn_in: float,
     threads: int = 1,
-    family: int = _F_TAIL,
+    family: int = Stream.TAIL,
 ) -> np.ndarray:
     """n burned-in stationary draws of one COGARCH (stationarity checked
     once up front, not per draw)."""
@@ -591,7 +609,7 @@ def _identity_family(cfg: ExperimentConfig, checks: list[CheckRow]) -> None:
     for vi, variant in enumerate(cfg.variant_list()):
         bundle = simulate_bundle(
             variant, mix, cfg.beta, cfg.eta, model, (0.0, cfg.horizon),
-            substream(cfg.seed, _F_IDENT, vi), cfg.burn_in,
+            substream(cfg.seed, Stream.IDENTITY, vi), cfg.burn_in,
         )
         checks.extend(bundle_identity_checks(bundle))
         checks.extend(price_identity_checks(bundle, simulate_price(bundle)))
