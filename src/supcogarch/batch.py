@@ -27,7 +27,8 @@ burn-ins are drawn and burned in a chunk of replications at a time, on the
 scalar loops when a chunk would be too narrow for the per-rank numpy
 overhead to pay off.  Each replication's draws go through
 :func:`analysis.run_replications`, so tracing tools count one replication
-per replication, as on the serial path.
+per replication, as on the serial path; the recursions run outside it, so
+a replication's span times its draws alone.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 ROWS_PER_CALL = 1024
 #: drawn marks held at once; replications are drawn and burned in by chunks
 _CHUNK_MARKS = 1 << 15
-#: narrower chunks burn in row by row on the scalar loops: per rank, numpy
-#: costs about as much as the scalar step of 16 (variant 3) to 60 (single
-#: COGARCH) rows
-_MIN_BATCH_ROWS = 32
+#: narrower chunks burn in row by row on the scalar loops, where the per-rank
+#: numpy overhead would lose: components burn in on the padded arrays from
+#: 96 rows x components on, variant 3 from 16 rows (the measured crossovers
+#: on variance gamma draws of 1000 marks a row)
+_MIN_BATCH_STEPS = 96
+_MIN_BATCH_ROWS_SUP3 = 16
 
 
 def _rank(times: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -321,7 +324,6 @@ def _simulate(
     n_drivers = 1 + max(fam.driver for fam in families)
     per_rep = n_drivers * _expected_marks(model, t1 - t_start)
     step = max(1, int(_CHUNK_MARKS // max(per_rep, 1.0)))
-    batched = step >= _MIN_BATCH_ROWS
 
     def draw(r: int):
         paths = [_draw_marks(model, t_start, t1, np.random.default_rng(s)) for s in streams(r)]
@@ -354,7 +356,8 @@ def _simulate(
                 vbar = None if fam.vbar is None else np.full(rows, fam.vbar)
                 t = np.full(rows, t_start)
                 args = (eta, level, fam.phis, v, vbar, t, times, l_sizes**2, n_burn, pk)
-                if batched:
+                min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(fam.phis)
+                if rows >= min_rows:
                     v, vbar, t, _ = _recurse(*args, record=False)
                 else:
                     v, vbar, t = _burn_rows(*args)

@@ -204,7 +204,8 @@ def test_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
     serial numbers."""
     monkeypatch.setattr(batch, "ROWS_PER_CALL", rows)
     monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
-    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS", min_rows)
+    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
+    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
     cfg = CASES["cp_default_burn"]
     lags = _lags(cfg)
     for variant in Variant:
