@@ -54,11 +54,9 @@ from .superpos import (
     sup1_mean,
     sup1_var,
     sup2_acov,
-    sup2_mean,
     sup2_second_moment,
     sup2_var,
     sup3_acov,
-    sup3_mean,
     sup3_second_moment,
     tail_exponent,
 )

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import run_replications
-from .cogarch import CogarchParams, _evolve_marks
+from .cogarch import CogarchParams, _evolve_marks, stationary_start
 from .levy import CompoundPoisson, LevyModel, _draw_marks, substream
 from .superpos import (
     Mixture,
@@ -48,7 +48,6 @@ from .superpos import (
     _bundle_burn_in,
     _mean_or_level,
     _require_stationary,
-    _start_value,
     _sup3_marks,
 )
 
@@ -434,7 +433,7 @@ def simulate_batch(
     _check_window(t0 - b, t0)
     _check_window(t0, t1)
     level = beta / eta
-    starts = tuple(_start_value(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
+    starts = tuple(stationary_start(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
     picks = None
     if variant is Variant.SUP1:
         families = [_Family((phi,), i, (v,)) for i, (phi, v) in enumerate(zip(mixture.phis, starts))]

@@ -72,14 +72,6 @@ class ExponentContext:
         if not self.eta > 0.0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
 
-    @property
-    def s_mean(self) -> float:
-        return s_moments(self.model)[0]
-
-    @property
-    def s_var(self) -> float:
-        return s_moments(self.model)[1]
-
 
 @lru_cache(maxsize=None)
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

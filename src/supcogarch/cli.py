@@ -39,19 +39,11 @@ from .csvio import G17, csv_text
 from .levy import Stream, jump_path_to_csv, substream
 from .price import increment_mean_and_variance, simulate_price, sq_increment_cov_closed, price_to_csv
 from .superpos import (
+    SUP_MOMENTS,
     Variant,
     bundle_to_csv,
     chosen_marks_to_csv,
     simulate_bundle,
-    sup1_acov,
-    sup1_mean,
-    sup1_var,
-    sup2_acov,
-    sup2_second_moment,
-    sup2_var,
-    sup3_acov,
-    sup3_second_moment,
-    sup3_var,
     tail_exponent,
 )
 from .verify import checks_to_csv, price_rows_to_csv, run_verification
@@ -141,21 +133,15 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
             rows.append((f"{pair}.cov",
                          _fmt_or_diverges(cross_cov, cfg.beta, cfg.eta, phis[i], phis[j], model)))
 
-    per_variant = {
-        Variant.SUP1: (("mean", sup1_mean), ("variance", sup1_var)),
-        Variant.SUP2: (("mean", sup1_mean), ("variance", sup2_var),
-                       ("second_moment", sup2_second_moment)),
-        Variant.SUP3: (("mean", sup1_mean), ("variance", sup3_var),
-                       ("second_moment", sup3_second_moment)),
-    }
-    acov_fns = {Variant.SUP1: sup1_acov, Variant.SUP2: sup2_acov, Variant.SUP3: sup3_acov}
     for variant in cfg.variant_list():
         tag = variant.value
-        for name, fn in per_variant[variant]:
-            rows.append((f"{tag}.{name}", _fmt_or_diverges(fn, mix, cfg.beta, cfg.eta, model)))
+        moments = SUP_MOMENTS[variant]
+        for name, fn in moments.items():
+            if name != "acov":
+                rows.append((f"{tag}.{name}", _fmt_or_diverges(fn, mix, cfg.beta, cfg.eta, model)))
         for h in cfg.lags:
             rows.append((f"{tag}.acov[h={h:g}]",
-                         _fmt_or_diverges(acov_fns[variant], mix, cfg.beta, cfg.eta, model, h)))
+                         _fmt_or_diverges(moments["acov"], mix, cfg.beta, cfg.eta, model, h)))
         for r in cfg.increments:
             rows.append((f"{tag}.increment_second_moment[r={r:g}]",
                          _fmt_or_diverges(

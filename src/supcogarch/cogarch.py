@@ -20,13 +20,16 @@ and for two COGARCHes driven by the same subordinator,
     Cov[V^phi, V^phi~] = beta^2 phi phi~ Var[S_1] / (psi1 * psi1~ * (-h(phi, phi~)))
     Cov[V^phi_t, V^phi~_{t+h}] = exp(h * psi1~) * Cov[V^phi_0, V^phi~_0].
 
-Infinite moments surface as MomentDivergesError, never as float inf.
+The exponents psi1, psi2 and h come from :func:`charexp.psi` and
+:func:`charexp.h_cross`.  Infinite moments surface as MomentDivergesError
+(raised by :func:`moment_gate`), never as float inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +52,9 @@ __all__ = [
     "cross_moment",
     "cross_cov",
     "cross_acov",
+    "moment_gate",
     "default_burn_in",
+    "stationary_start",
     "draw_stationary_v0",
     "path_to_csv",
 ]
@@ -209,24 +214,27 @@ def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> Path
     )
 
 
-def _psi12(params: CogarchParams, model: LevyModel) -> tuple[float, float]:
-    m1, m2 = s_moments(model)
-    psi1 = params.phi * m1 - params.eta
-    psi2 = 2.0 * params.phi * m1 + params.phi**2 * m2 - 2.0 * params.eta
-    return psi1, psi2
+def moment_gate(model: LevyModel, eta: float, phis: Sequence[float], order: float) -> list[float]:
+    """psi(order, phi) for each scale in ``phis``; raises MomentDivergesError
+    when any scale lies outside the order-``order`` moment region (psi >= 0)."""
+    ctx = charexp.ExponentContext(model, eta)
+    values = [charexp.psi(ctx, order, phi) for phi in phis]
+    bad = [phi for phi, v in zip(phis, values) if v >= 0.0]
+    if bad:
+        raise MomentDivergesError(
+            f"order-{order:g} moments diverge: psi({order:g}, phi) >= 0 at phi = {bad}"
+        )
+    return values
 
 
 def stationary_mean(params: CogarchParams, model: LevyModel) -> float:
-    psi1, _ = _psi12(params, model)
-    if psi1 >= 0.0:
-        raise MomentDivergesError(f"first moment diverges: psi(1, {params.phi}) = {psi1} >= 0")
+    (psi1,) = moment_gate(model, params.eta, (params.phi,), 1.0)
     return -params.beta / psi1
 
 
 def stationary_second_moment(params: CogarchParams, model: LevyModel) -> float:
-    psi1, psi2 = _psi12(params, model)
-    if psi2 >= 0.0:
-        raise MomentDivergesError(f"second moment diverges: psi(2, {params.phi}) = {psi2} >= 0")
+    (psi2,) = moment_gate(model, params.eta, (params.phi,), 2.0)
+    psi1 = charexp.psi(charexp.ExponentContext(model, params.eta), 1.0, params.phi)
     return 2.0 * params.beta**2 / (psi1 * psi2)
 
 
@@ -238,48 +246,42 @@ def stationary_variance_alt(params: CogarchParams, model: LevyModel) -> float:
     """Equivalent algebraic form beta^2 phi^2 Var[S_1] /
     (psi1^2 * (2*eta - 2*phi*E[S_1] - phi^2*Var[S_1])); must agree with
     :func:`stationary_variance` to floating-point accuracy."""
-    m1, m2 = s_moments(model)
-    psi1, psi2 = _psi12(params, model)
-    if psi2 >= 0.0:
-        raise MomentDivergesError(f"second moment diverges: psi(2, {params.phi}) = {psi2} >= 0")
-    return params.beta**2 * params.phi**2 * m2 / (psi1**2 * (-psi2))
+    (psi2,) = moment_gate(model, params.eta, (params.phi,), 2.0)
+    psi1 = charexp.psi(charexp.ExponentContext(model, params.eta), 1.0, params.phi)
+    return params.beta**2 * params.phi**2 * s_moments(model)[1] / (psi1**2 * (-psi2))
 
 
 def stationary_acov(params: CogarchParams, model: LevyModel, h: float) -> float:
     """Cov[V_t, V_{t+h}] = exp(h * psi(1, phi)) * Var[V]."""
     if h < 0.0:
         raise ValueError(f"lag must be >= 0, got {h}")
-    psi1, _ = _psi12(params, model)
+    psi1 = charexp.psi(charexp.ExponentContext(model, params.eta), 1.0, params.phi)
     return math.exp(h * psi1) * stationary_variance(params, model)
 
 
-def _cross_gate(beta: float, eta: float, phi: float, phi_t: float, model: LevyModel):
-    m1, m2 = s_moments(model)
-    psi1a = phi * m1 - eta
-    psi1b = phi_t * m1 - eta
-    psi2a = 2.0 * phi * m1 + phi**2 * m2 - 2.0 * eta
-    psi2b = 2.0 * phi_t * m1 + phi_t**2 * m2 - 2.0 * eta
-    if psi2a >= 0.0 or psi2b >= 0.0:
-        raise MomentDivergesError(
-            f"cross moments diverge: psi(2, phi) must be < 0 for both scales "
-            f"(got {psi2a} at {phi}, {psi2b} at {phi_t})"
-        )
-    h = -2.0 * eta + (phi + phi_t) * m1 + phi * phi_t * m2
-    return m1, m2, psi1a, psi1b, h
+def _cross_gate(
+    eta: float, phi: float, phi_t: float, model: LevyModel
+) -> tuple[float, float, float]:
+    """(psi(1, phi), psi(1, phi~), h(phi, phi~)) once both scales lie in the
+    second-moment region."""
+    moment_gate(model, eta, (phi, phi_t), 2.0)
+    ctx = charexp.ExponentContext(model, eta)
+    psi1a, psi1b = charexp.psi(ctx, 1.0, phi), charexp.psi(ctx, 1.0, phi_t)
+    return psi1a, psi1b, charexp.h_cross(ctx, phi, phi_t)
 
 
 def cross_moment(
     beta: float, eta: float, phi: float, phi_t: float, model: LevyModel
 ) -> float:
     """E[V^phi_t V^phi~_t] for two COGARCHes sharing one driver."""
-    _, _, psi1a, psi1b, h = _cross_gate(beta, eta, phi, phi_t, model)
+    psi1a, psi1b, h = _cross_gate(eta, phi, phi_t, model)
     return beta**2 * (psi1a + psi1b) / (psi1a * psi1b * h)
 
 
 def cross_cov(beta: float, eta: float, phi: float, phi_t: float, model: LevyModel) -> float:
     """Cov[V^phi_t, V^phi~_t]; nonnegative."""
-    _, m2, psi1a, psi1b, h = _cross_gate(beta, eta, phi, phi_t, model)
-    return beta**2 * phi * phi_t * m2 / (psi1a * psi1b * (-h))
+    psi1a, psi1b, h = _cross_gate(eta, phi, phi_t, model)
+    return beta**2 * phi * phi_t * s_moments(model)[1] / (psi1a * psi1b * (-h))
 
 
 def cross_acov(
@@ -289,8 +291,7 @@ def cross_acov(
     (lagged) scale."""
     if h < 0.0:
         raise ValueError(f"lag must be >= 0, got {h}")
-    m1, _ = s_moments(model)
-    psi1b = phi_t * m1 - eta
+    psi1b = charexp.psi(charexp.ExponentContext(model, eta), 1.0, phi_t)
     return math.exp(h * psi1b) * cross_cov(beta, eta, phi, phi_t, model)
 
 
@@ -298,9 +299,17 @@ def default_burn_in(params: CogarchParams, model: LevyModel) -> float:
     """Burn-in long enough that the initialisation bias exp(-40) is far
     below Monte Carlo noise: 40 mean-reversion times of the mean recursion
     (rate |psi(1, phi)| when negative, else eta)."""
-    psi1, _ = _psi12(params, model)
+    psi1 = charexp.psi(charexp.ExponentContext(model, params.eta), 1.0, params.phi)
     rate = -psi1 if psi1 < 0.0 else params.eta
     return BURN_IN_FACTOR / rate
+
+
+def stationary_start(params: CogarchParams, model: LevyModel) -> float:
+    """Burn-in start: the stationary mean, or beta/eta where it diverges."""
+    try:
+        return stationary_mean(params, model)
+    except MomentDivergesError:
+        return params.level
 
 
 def draw_stationary_v0(
@@ -319,12 +328,8 @@ def draw_stationary_v0(
         raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
     if burn_in is None:
         burn_in = default_burn_in(params, model)
-    try:
-        v_start = stationary_mean(params, model)
-    except MomentDivergesError:
-        v_start = params.level
     s_path = squared_jumps(simulate_levy_path(model, (-burn_in, 0.0), seed))
-    return evolve_value(params, s_path, v_start, -burn_in, 0.0)
+    return evolve_value(params, s_path, stationary_start(params, model), -burn_in, 0.0)
 
 
 def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:
@@ -344,18 +349,3 @@ def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:
          (np.zeros(n), ones, ones)],
     )
     return columns_to_csv("time,value,is_jump", *columns)
-
-
-def rng_stationary_sample(
-    params: CogarchParams,
-    model: LevyModel,
-    seed: int | np.random.SeedSequence,
-    n: int,
-    burn_in: float | None = None,
-) -> np.ndarray:
-    """n independent stationary draws; replication i uses substream(seed, i)."""
-    from .levy import substream
-
-    return np.array(
-        [draw_stationary_v0(params, model, substream(seed, i), burn_in) for i in range(n)]
-    )

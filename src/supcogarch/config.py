@@ -132,8 +132,8 @@ class ExperimentConfig:
             raise ConfigError("simulation.threads", f"must be >= 1, got {self.threads}")
         if not self.increments or any(r <= 0.0 for r in self.increments):
             raise ConfigError("analysis.increments", "need positive increment lengths")
-        if not self.lags or any(h < 0.0 for h in self.lags):
-            raise ConfigError("analysis.lags", "need nonnegative lags")
+        if any(h < 0.0 for h in self.lags) or not any(h > 0.0 for h in self.lags):
+            raise ConfigError("analysis.lags", "need nonnegative lags, at least one positive")
         if not self.tolerance_k > 0.0:
             raise ConfigError("analysis.tolerance_k", f"must be > 0, got {self.tolerance_k}")
         return self

@@ -18,9 +18,10 @@ h >= r the lag, e2 = E[L_1^2], psi1 = psi(1, phi)):
 with kernel K(x; h, r) = (exp(h x) - exp((h-r) x)) / x and the inner
 covariance in closed form
 
-    Cov[(dG_r)^2, V_r^phi] = K(psi1; r, r)... precisely
-        (exp(r psi1) - 1)/psi1 * (e2 * Cov[V^phi, Vbar]
-                                  + [phi drives G] * phi * Var[S_1] * E[V^phi Vbar]).
+    Cov[(dG_r)^2, V_r^phi] = K(psi1; r, r)
+        * (e2 * Cov[V^phi, Vbar] + [phi drives G] * phi * Var[S_1] * E[V^phi Vbar]),
+
+where K(psi1; r, r) = (exp(r psi1) - 1) / psi1.
 
 For variant 1 the indicator selects the driving atom only and
 Cov[V^phi, Vbar] = p_phi Var[V^phi]; for variant 2 the shared driver keeps
@@ -44,6 +45,7 @@ from .cogarch import (
     MomentDivergesError,
     cross_cov,
     cross_moment,
+    moment_gate,
     stationary_mean,
     stationary_variance,
 )
@@ -155,15 +157,6 @@ def lattice_increments(path: PricePath, r: float) -> np.ndarray:
     return np.diff(path.values_at(edges))
 
 
-def _gate_mean(mixture: Mixture, eta: float, model: LevyModel) -> None:
-    ctx = charexp.ExponentContext(model, eta)
-    bad = [phi for phi, _ in mixture.atoms() if charexp.psi(ctx, 0.5, phi) >= 0.0]
-    if bad:
-        raise MomentDivergesError(
-            f"increment mean needs atoms in the half-moment region; {bad} are not"
-        )
-
-
 def increment_mean_and_variance(
     variant: Variant,
     mixture: Mixture,
@@ -176,7 +169,7 @@ def increment_mean_and_variance(
     formula is shared by all three variants."""
     if not r > 0.0:
         raise ValueError(f"increment length must be > 0, got {r}")
-    _gate_mean(mixture, eta, model)
+    moment_gate(model, eta, mixture.phis, 0.5)
     e2 = l_moments(model)[0]
     mean_bar = sup1_mean(mixture, beta, eta, model)  # same formula for all variants
     return 0.0, r * e2 * mean_bar
@@ -194,7 +187,7 @@ def increment_autocov(
     """Cov of increments over disjoint windows vanishes for every variant."""
     if not r > 0.0 or h < r:
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
-    _gate_mean(mixture, eta, model)
+    moment_gate(model, eta, mixture.phis, 0.5)
     return 0.0
 
 
@@ -207,21 +200,12 @@ def lag_kernel(x: float, h: float, r: float) -> float:
 
 
 def _sq_gates(mixture: Mixture, eta: float, model: LevyModel) -> None:
-    m1, m2 = s_moments(model)
     third = l_moments(model)[2]
     if third != 0.0:
         raise MomentDivergesError(
             f"squared-increment covariances need a vanishing third Levy moment, got {third}"
         )
-    bad = [
-        phi
-        for phi, _ in mixture.atoms()
-        if 2.0 * phi * m1 + phi * phi * m2 - 2.0 * eta >= 0.0
-    ]
-    if bad:
-        raise MomentDivergesError(
-            f"squared-increment covariances need atoms in the second-moment region; {bad} are not"
-        )
+    moment_gate(model, eta, mixture.phis, 2.0)
     if len(mixture) == 1 and mixture.phis[0] == 0.0:
         raise MomentDivergesError("squared-increment covariance vanishes for a point mass at 0")
 
@@ -242,12 +226,11 @@ def sq_increment_vol_cov(
     if not r > 0.0:
         raise ValueError(f"increment length must be > 0, got {r}")
     _sq_gates(mixture, eta, model)
-    m1, m2 = s_moments(model)
     e2 = l_moments(model)[0]
     phi_i = mixture.phis[atom_index]
     p_i = mixture.weights[atom_index]
     params_i = CogarchParams(beta, eta, phi_i)
-    psi1_i = phi_i * m1 - eta
+    psi1_i = charexp.psi(charexp.ExponentContext(model, eta), 1.0, phi_i)
     mean_bar = sup1_mean(mixture, beta, eta, model)
 
     if variant is Variant.SUP1:
@@ -264,7 +247,7 @@ def sq_increment_vol_cov(
             for phi_j, w_j in mixture.atoms()
         )
         drives = True
-    scale = e2 * cov_vbar + (phi_i * m2 * ev_vbar if drives else 0.0)
+    scale = e2 * cov_vbar + (phi_i * s_moments(model)[1] * ev_vbar if drives else 0.0)
     return lag_kernel(psi1_i, r, r) * scale
 
 
@@ -283,11 +266,11 @@ def sq_increment_cov_closed(
     if not r > 0.0 or h < r:
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
     _sq_gates(mixture, eta, model)
-    m1, _ = s_moments(model)
+    ctx = charexp.ExponentContext(model, eta)
     e2 = l_moments(model)[0]
     total = 0.0
     for i, (phi_i, w_i) in enumerate(mixture.atoms()):
-        psi1_i = phi_i * m1 - eta
+        psi1_i = charexp.psi(ctx, 1.0, phi_i)
         inner = sq_increment_vol_cov(
             variant, mixture, beta, eta, model, i, r, driver_atom
         )
@@ -314,13 +297,12 @@ def sq_increment_cov_sup3(
     if len(inner_atoms) != len(mixture):
         raise ValueError("need one inner covariance per atom")
     _sq_gates(mixture, eta, model)
-    m1, _ = s_moments(model)
+    ctx = charexp.ExponentContext(model, eta)
     e2 = l_moments(model)[0]
     k0 = lag_kernel(-eta, h, r)
     total = k0 * inner_agg
     for (phi_i, w_i), c_i in zip(mixture.atoms(), inner_atoms):
-        psi1_i = phi_i * m1 - eta
-        total += w_i * (lag_kernel(psi1_i, h, r) - k0) * float(c_i)
+        total += w_i * (lag_kernel(charexp.psi(ctx, 1.0, phi_i), h, r) - k0) * float(c_i)
     return e2 * total
 
 

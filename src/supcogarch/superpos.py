@@ -15,10 +15,14 @@ a finitely supported probability measure pi = {(phi_i, p_i)}, sharing one
 Between marks every aggregate relaxes along dV = (beta - eta*V) dt, exactly
 like a single COGARCH, so the same piecewise path record applies.
 
-Stationary starts are approximated by burn-in: components begin at their
-stationary means (beta/eta if the mean diverges) 40 mean-reversion times
-before the live window; shared-driver variants burn in jointly so that the
-cross-sectional dependence at time t0 is the stationary one.
+Stationary starts are approximated by burn-in: components begin at
+:func:`cogarch.stationary_start` (the stationary mean, or beta/eta if it
+diverges) 40 mean-reversion times before the live window; shared-driver
+variants burn in jointly so that the cross-sectional dependence at time t0
+is the stationary one.
+
+``SUP_MOMENTS`` maps each variant to its closed-form stationary moments;
+the analytics table and the verification battery both read it.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ from .cogarch import (
     cross_moment,
     default_burn_in,
     evolve_value,
+    moment_gate,
     simulate_cogarch,
     stationary_mean,
+    stationary_start,
     stationary_variance,
 )
 from .csvio import columns_to_csv, event_columns
-from .levy import JumpPath, LevyModel, rng_from, s_moments, simulate_levy_path, squared_jumps, substream
+from .levy import JumpPath, LevyModel, rng_from, simulate_levy_path, squared_jumps, substream
 
 __all__ = [
     "Variant",
@@ -60,14 +66,13 @@ __all__ = [
     "sup1_mean",
     "sup1_var",
     "sup1_acov",
-    "sup2_mean",
     "sup2_second_moment",
     "sup2_var",
     "sup2_acov",
-    "sup3_mean",
     "sup3_second_moment",
     "sup3_var",
     "sup3_acov",
+    "SUP_MOMENTS",
     "tail_exponent",
     "check_stationarity",
     "bundle_to_csv",
@@ -187,13 +192,6 @@ def _require_stationary(mixture: Mixture, eta: float, model: LevyModel) -> None:
             )
 
 
-def _start_value(params: CogarchParams, model: LevyModel) -> float:
-    try:
-        return stationary_mean(params, model)
-    except MomentDivergesError:
-        return params.level
-
-
 def _bundle_burn_in(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
     return max(
         default_burn_in(CogarchParams(beta, eta, phi), model) for phi, _ in mixture.atoms()
@@ -202,7 +200,7 @@ def _bundle_burn_in(mixture: Mixture, beta: float, eta: float, model: LevyModel)
 
 def _mean_or_level(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
     try:
-        return sup3_mean(mixture, beta, eta, model)
+        return sup1_mean(mixture, beta, eta, model)
     except MomentDivergesError:
         return beta / eta
 
@@ -233,7 +231,7 @@ def simulate_sup1(
         l_full = simulate_levy_path(model, (t0 - b, t1), substream(seed, i))
         s_full = squared_jumps(l_full)
         s_burn = s_full.restrict(t0 - b, t0)
-        v0 = evolve_value(params, s_burn, _start_value(params, model), t0 - b, t0)
+        v0 = evolve_value(params, s_burn, stationary_start(params, model), t0 - b, t0)
         record = simulate_cogarch(params, s_full.restrict(t0, t1), v0)
         components.append(record)
         drivers.append(l_full.restrict(t0, t1))
@@ -287,7 +285,7 @@ def simulate_sup2(
     components = []
     for phi, _ in mixture.atoms():
         params = CogarchParams(beta, eta, phi)
-        v0 = evolve_value(params, s_burn, _start_value(params, model), t0 - b, t0)
+        v0 = evolve_value(params, s_burn, stationary_start(params, model), t0 - b, t0)
         components.append(simulate_cogarch(params, s_live, v0))
     weights = np.array(mixture.weights)
     agg_left = np.zeros(len(s_live))
@@ -363,7 +361,7 @@ def simulate_sup3(
     level, phis, m = beta / eta, mixture.phis, len(mixture)
     vbar, comps, t = _sup3_marks(
         eta, level, phis, _mean_or_level(mixture, beta, eta, model),
-        [_start_value(CogarchParams(beta, eta, phi), model) for phi in phis],
+        [stationary_start(CogarchParams(beta, eta, phi), model) for phi in phis],
         t0 - b, s_burn.times.tolist(), s_burn.sizes.tolist(), idx_burn.tolist(),
     )
     end_decay = math.exp(-eta * (t0 - t))
@@ -411,29 +409,10 @@ def simulate_bundle(
 # stationary moments
 
 
-def _atom_psi(mixture: Mixture, eta: float, model: LevyModel, order: int) -> list[float]:
-    m1, m2 = s_moments(model)
-    if order == 1:
-        return [phi * m1 - eta for phi, _ in mixture.atoms()]
-    return [2.0 * phi * m1 + phi * phi * m2 - 2.0 * eta for phi, _ in mixture.atoms()]
-
-
-def _gate(mixture: Mixture, eta: float, model: LevyModel, order: int, what: str) -> None:
-    bad = [
-        phi
-        for (phi, _), p in zip(mixture.atoms(), _atom_psi(mixture, eta, model, order))
-        if p >= 0.0
-    ]
-    if bad:
-        raise MomentDivergesError(
-            f"{what} diverges: atoms {bad} lie outside the order-{order} moment region"
-        )
-
-
 def sup1_mean(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
     """E[Vbar] = beta * sum_i p_i / (eta - phi_i E[S_1]); shared by all
     three variants."""
-    _gate(mixture, eta, model, 1, "mean")
+    moment_gate(model, eta, mixture.phis, 1.0)
     return sum(
         w * stationary_mean(CogarchParams(beta, eta, phi), model)
         for phi, w in mixture.atoms()
@@ -442,7 +421,7 @@ def sup1_mean(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> fl
 
 def sup1_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
     """Var[Vbar^(1)] = sum_i p_i^2 Var[V^{phi_i}] (independent components)."""
-    _gate(mixture, eta, model, 2, "variance")
+    moment_gate(model, eta, mixture.phis, 2.0)
     return sum(
         w * w * stationary_variance(CogarchParams(beta, eta, phi), model)
         for phi, w in mixture.atoms()
@@ -451,21 +430,18 @@ def sup1_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> flo
 
 def sup1_acov(mixture: Mixture, beta: float, eta: float, model: LevyModel, h: float) -> float:
     """Cov[Vbar^(1)_t, Vbar^(1)_{t+h}] = sum_i p_i^2 exp(h psi1_i) Var[V^{phi_i}]."""
-    _gate(mixture, eta, model, 2, "autocovariance")
-    psi1 = _atom_psi(mixture, eta, model, 1)
+    moment_gate(model, eta, mixture.phis, 2.0)
+    ctx = charexp.ExponentContext(model, eta)
     return sum(
-        w * w * math.exp(h * p1) * stationary_variance(CogarchParams(beta, eta, phi), model)
-        for (phi, w), p1 in zip(mixture.atoms(), psi1)
+        w * w * math.exp(h * charexp.psi(ctx, 1.0, phi))
+        * stationary_variance(CogarchParams(beta, eta, phi), model)
+        for phi, w in mixture.atoms()
     )
-
-
-def sup2_mean(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    return sup1_mean(mixture, beta, eta, model)
 
 
 def sup2_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
     """E[(Vbar^(2))^2]: double sum of shared-driver product moments."""
-    _gate(mixture, eta, model, 2, "second moment")
+    moment_gate(model, eta, mixture.phis, 2.0)
     return sum(
         wi * wj * cross_moment(beta, eta, pi, pj, model)
         for pi, wi in mixture.atoms()
@@ -474,7 +450,7 @@ def sup2_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyMod
 
 
 def sup2_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    _gate(mixture, eta, model, 2, "variance")
+    moment_gate(model, eta, mixture.phis, 2.0)
     return sum(
         wi * wj * cross_cov(beta, eta, pi, pj, model)
         for pi, wi in mixture.atoms()
@@ -485,16 +461,12 @@ def sup2_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> flo
 def sup2_acov(mixture: Mixture, beta: float, eta: float, model: LevyModel, h: float) -> float:
     """Double sum of lagged cross-covariances; the lag decays at the rate of
     the second (lagged) atom."""
-    _gate(mixture, eta, model, 2, "autocovariance")
+    moment_gate(model, eta, mixture.phis, 2.0)
     return sum(
         wi * wj * cross_acov(beta, eta, pi, pj, model, h)
         for pi, wi in mixture.atoms()
         for pj, wj in mixture.atoms()
     )
-
-
-def sup3_mean(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    return sup1_mean(mixture, beta, eta, model)
 
 
 def _sup3_correction(
@@ -512,7 +484,7 @@ def sup3_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyMod
     (beta/eta)(Var[V^phi] - Cov[V^phi, V^phi~]) / E[V^phi], summed over
     atom pairs.  Degenerates to the single-COGARCH second moment under a
     point mass."""
-    _gate(mixture, eta, model, 2, "second moment")
+    moment_gate(model, eta, mixture.phis, 2.0)
     total = 0.0
     for pi, wi in mixture.atoms():
         for pj, wj in mixture.atoms():
@@ -524,7 +496,7 @@ def sup3_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyMod
 
 
 def sup3_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    mean = sup3_mean(mixture, beta, eta, model)
+    mean = sup1_mean(mixture, beta, eta, model)
     return sup3_second_moment(mixture, beta, eta, model) - mean * mean
 
 
@@ -533,15 +505,32 @@ def sup3_acov(mixture: Mixture, beta: float, eta: float, model: LevyModel, h: fl
     on the correction part."""
     if h < 0.0:
         raise ValueError(f"lag must be >= 0, got {h}")
-    _gate(mixture, eta, model, 2, "autocovariance")
-    psi1 = _atom_psi(mixture, eta, model, 1)
+    moment_gate(model, eta, mixture.phis, 2.0)
+    ctx = charexp.ExponentContext(model, eta)
     total = 0.0
-    for ((pi, wi), p1) in zip(mixture.atoms(), psi1):
+    for pi, wi in mixture.atoms():
+        p1 = charexp.psi(ctx, 1.0, pi)
         for pj, wj in mixture.atoms():
             cov_ij = cross_cov(beta, eta, pi, pj, model)
             corr = _sup3_correction(beta, eta, pi, pj, model)
             total += wi * wj * (math.exp(h * p1) * cov_ij + math.exp(-eta * h) * corr)
     return total
+
+
+#: the closed-form moments of each variant's stationary aggregate, keyed by
+#: quantity; "acov" takes the lag h as a fifth argument.  The mean formula is
+#: shared by all three variants.
+SUP_MOMENTS = {
+    Variant.SUP1: {"mean": sup1_mean, "variance": sup1_var, "acov": sup1_acov},
+    Variant.SUP2: {
+        "mean": sup1_mean, "variance": sup2_var, "second_moment": sup2_second_moment,
+        "acov": sup2_acov,
+    },
+    Variant.SUP3: {
+        "mean": sup1_mean, "variance": sup3_var, "second_moment": sup3_second_moment,
+        "acov": sup3_acov,
+    },
+}
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .cogarch import (
     default_burn_in,
     stationary_acov,
     stationary_mean,
+    stationary_start,
     stationary_variance,
     stationary_variance_alt,
 )
@@ -63,19 +64,7 @@ from .price import (
     sq_increment_cov_closed,
     sq_increment_cov_sup3,
 )
-from .superpos import (
-    Mixture,
-    SupPathBundle,
-    Variant,
-    simulate_bundle,
-    sup1_acov,
-    sup1_mean,
-    sup1_var,
-    sup2_acov,
-    sup2_var,
-    sup3_acov,
-    sup3_second_moment,
-)
+from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, simulate_bundle
 
 __all__ = [
     "CheckRow",
@@ -380,41 +369,28 @@ def _cross_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
         reports.append(MomentReport(f"cross[{phi_a:g},{phi_b:g}].acov[h={h:g}]", target, est, se, vals.shape[0], kv))
 
 
-_SUP_MOMENTS = {
-    Variant.SUP1: (sup1_mean, sup1_var, None, sup1_acov),
-    Variant.SUP2: (sup1_mean, sup2_var, None, sup2_acov),
-    Variant.SUP3: (sup1_mean, None, sup3_second_moment, sup3_acov),
-}
-
-
 def _sup_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     model = cfg.model()
     mix = cfg.mixture()
     lags = sorted(set(cfg.lags))
     k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
     for vi, variant in enumerate(cfg.variant_list()):
-        mean_fn, var_fn, second_fn, acov_fn = _SUP_MOMENTS[variant]
+        moments = SUP_MOMENTS[variant]
         vals = _sup_samples(cfg, variant, vi, lags)
         v0 = vals[:, 0]
         tag = variant.value
 
         est, se = mc_mean(v0)
-        reports.append(
-            MomentReport(f"{tag}.mean", _try(mean_fn, mix, cfg.beta, cfg.eta, model), est, se, v0.size, k)
-        )
-        if var_fn is not None:
-            est, se = mc_variance(v0)
-            reports.append(
-                MomentReport(f"{tag}.variance", _try(var_fn, mix, cfg.beta, cfg.eta, model), est, se, v0.size, kv)
-            )
-        if second_fn is not None:
-            est, se = mc_second_moment(v0)
-            reports.append(
-                MomentReport(f"{tag}.second_moment", _try(second_fn, mix, cfg.beta, cfg.eta, model),
-                             est, se, v0.size, kv)
-            )
+        target = _try(moments["mean"], mix, cfg.beta, cfg.eta, model)
+        reports.append(MomentReport(f"{tag}.mean", target, est, se, v0.size, k))
+        # variant 3 checks the second moment, the others the variance
+        name, estimator = (("second_moment", mc_second_moment) if variant is Variant.SUP3
+                           else ("variance", mc_variance))
+        est, se = estimator(v0)
+        target = _try(moments[name], mix, cfg.beta, cfg.eta, model)
+        reports.append(MomentReport(f"{tag}.{name}", target, est, se, v0.size, kv))
         for j, h in enumerate(lags):
-            target = _try(acov_fn, mix, cfg.beta, cfg.eta, model, h)
+            target = _try(moments["acov"], mix, cfg.beta, cfg.eta, model, h)
             est, se = mc_covariance(v0, vals[:, j + 1])
             reports.append(MomentReport(f"{tag}.acov[h={h:g}]", target, est, se, v0.size, kv))
 
@@ -592,7 +568,7 @@ def stationary_component_draws(
 
     if not params.is_stationary_admissible(model):
         raise NonStationaryError(f"phi={params.phi} is not stationary-admissible")
-    start = _try(stationary_mean, params, model) or params.level
+    start = stationary_start(params, model)
 
     def one(rep: int) -> float:
         s = squared_jumps(

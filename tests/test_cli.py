@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,20 @@ def test_cli_non_finite_horizon_is_config_error(tmp_path, capsys, command):
     assert "simulation.horizon" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lags", ["0.0", "0.0, 0.0"])
+@pytest.mark.parametrize("command", ["analytics", "verify"])
+def test_cli_lags_without_positive_entry_is_config_error(tmp_path, capsys, command, lags):
+    bad = tmp_path / "lags.cfg"
+    bad.write_text(f"[analysis]\nlags = {lags}\n")
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "analysis.lags" in err and "Traceback" not in err
+
+
+def test_config_allows_lag_zero_next_to_positive_lags():
+    assert parse_config("[analysis]\nlags = 0.0, 1.0\n").lags == (0.0, 1.0)
+
+
 def test_config_burn_in_empty_means_auto():
     cfg = parse_config("[simulation]\nburn_in =\n")
     assert cfg.burn_in is None
@@ -192,6 +207,24 @@ def test_verify_light_config_passes(cfg_file, tmp_path):
     assert (out / "verification_checks.csv").exists()
     price = (out / "price_increments.csv").read_text()
     assert price.startswith("r,h,stat,analytic,mc,se,pass")
+
+
+def test_verify_and_analytics_print_the_same_sup_targets(cfg_file, tmp_path):
+    out = tmp_path / "o"
+    assert main(["analytics", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(cfg_file), "--out", str(out)]) == 0
+    analytics = dict(
+        line.rsplit(",", 1) for line in (out / "analytics.csv").read_text().splitlines()[1:]
+    )
+    verification = dict(
+        line.rsplit(",", 6)[:2] for line in (out / "verification.csv").read_text().splitlines()[1:]
+    )
+    sup = re.compile(r"sup[123]\.(mean|variance|second_moment|acov\[h=[^\]]+\])")
+    shared = [name for name in verification if sup.fullmatch(name) and name in analytics]
+    # per variant: the mean, the variance (second moment for variant 3), two lags
+    assert len(shared) == 12
+    for name in shared:
+        assert verification[name] == analytics[name], name
 
 
 def test_verify_detects_wrong_target():

@@ -28,10 +28,8 @@ from supcogarch.superpos import (
     sup1_mean,
     sup1_var,
     sup2_acov,
-    sup2_mean,
     sup2_var,
     sup3_acov,
-    sup3_mean,
     sup3_second_moment,
     sup3_var,
     tail_exponent,
@@ -77,8 +75,6 @@ def test_sup1_var_diverges_for_fig1():
 
 def test_sup_moment_values_two_atom():
     assert sup1_mean(MOMENT_MIX, 1.0, 1.0, MODEL) == pytest.approx(1.7)
-    assert sup2_mean(MOMENT_MIX, 1.0, 1.0, MODEL) == pytest.approx(1.7)
-    assert sup3_mean(MOMENT_MIX, 1.0, 1.0, MODEL) == pytest.approx(1.7)
     assert sup1_var(MOMENT_MIX, 1.0, 1.0, MODEL) == pytest.approx(0.36 * 12.0 + 0.16 * VAR_02)
     assert sup2_var(MOMENT_MIX, 1.0, 1.0, MODEL) == pytest.approx(
         0.36 * 12.0 + 2.0 * 0.24 * 0.75 + 0.16 * VAR_02
