@@ -6,7 +6,9 @@ Lists the files present in only one directory and the files whose bytes
 differ.  For a differing CSV with the same header and row count it prints,
 per column, the largest relative difference |a - b| / max(|a|, |b|) over
 the rows where both cells are numbers, and the number of rows where the
-cells differ as text (verdicts, "diverges", empty cells).
+cells differ as text (verdicts, "diverges", empty cells).  ``config.cfg``
+is compared without its ``out_dir`` line, which echoes where the run wrote
+(``--out``), not what it wrote.
 
 Exit code: 0 when every file is byte-identical, 1 when files differ but
 every difference is numeric and within --rtol, 2 otherwise.  This checks
@@ -69,6 +71,13 @@ def compare_csv(text_a: str, text_b: str) -> tuple[list[str], bool, float]:
     return lines, not any(text_diffs), max(worst, default=0.0)
 
 
+def _without_out_dir(name: Path, data: bytes) -> bytes:
+    if name.name != "config.cfg":
+        return data
+    lines = data.splitlines(keepends=True)
+    return b"".join(line for line in lines if line.partition(b"=")[0].strip() != b"out_dir")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir_a", type=Path)
@@ -86,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"only in {args.dir_a if name in files_a else args.dir_b}: {name}")
         status = 2
     for name in sorted(files_a & files_b):
-        data_a, data_b = (args.dir_a / name).read_bytes(), (args.dir_b / name).read_bytes()
+        data_a, data_b = (_without_out_dir(name, (d / name).read_bytes()) for d in (args.dir_a, args.dir_b))
         if data_a == data_b:
             continue
         print(f"differs: {name}")

@@ -8,16 +8,19 @@ finite exactly when E[S_1^u] is finite.  Everything here reduces to
 integrals against the subordinator Levy measure nu_S, evaluated per driver:
 
 * compound Poisson with standard normal jumps: Gauss-Hermite quadrature,
-  node count doubled until the value is stable to ~1e-11 relative;
+  node count doubled until the value is stable to ~1e-11 relative (the
+  rules ship in ``hermite_rules.npy``, see scripts/make_hermite_rules.py);
 * compound Poisson with a custom jump law: a Gauss rule matched to the
   supplied raw moments (exact through polynomial degree 7, a documented
   approximation for non-integer u);
-* variance gamma: adaptive quadrature against the closed-form Levy density.
+* variance gamma: adaptive quadrature against the closed-form Levy density
+  (the only use of scipy, imported there).
 
 For u in {1, 2} the exact closed forms in (E[S_1], Var[S_1]) override
-quadrature.  Root finding is plain bisection after geometric bracket
-expansion; the bracketed functions are monotone or convex where roots are
-sought.
+quadrature.  The stationarity gate :func:`is_stationary` needs no
+integral inside the first-moment region.  Root finding is plain bisection
+after geometric bracket expansion; the bracketed functions are monotone or
+convex where roots are sought.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_hermite
 
 from .levy import CompoundPoisson, JumpDistribution, LevyModel, VarianceGamma, s_moments
 
@@ -39,6 +41,7 @@ __all__ = [
     "DivergentIntegralError",
     "psi",
     "log_moment",
+    "is_stationary",
     "phi_max",
     "kappa_of_phi",
     "phi_max_kappa",
@@ -51,6 +54,9 @@ _REFINE_RTOL = 1e-11
 _ROOT_XTOL_PHI = 1e-10
 _ROOT_XTOL_KAPPA = 1e-12
 _BRACKET_CAP = 2.0 ** 60
+#: raw scipy.special.roots_hermite(n) for n in _GH_LEVELS: shape (2, sum of
+#: levels), nodes then weights, written by scripts/make_hermite_rules.py
+HERMITE_RULES_FILE = Path(__file__).with_name("hermite_rules.npy")
 
 
 class NoRootError(ValueError):
@@ -74,9 +80,18 @@ class ExponentContext:
 
 
 @lru_cache(maxsize=None)
+def _hermite_table() -> np.ndarray:
+    table = np.load(HERMITE_RULES_FILE, allow_pickle=False)
+    if table.shape != (2, sum(_GH_LEVELS)) or table.dtype != np.float64:
+        raise ValueError(f"{HERMITE_RULES_FILE} holds {table.dtype} {table.shape}; regenerate it")
+    return table
+
+
+@lru_cache(maxsize=None)
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     # nodes/weights for weight exp(-x^2); y = sqrt(2) x maps to N(0,1)
-    x, w = roots_hermite(n)
+    start = sum(_GH_LEVELS[: _GH_LEVELS.index(n)])
+    x, w = _hermite_table()[:, start : start + n]
     return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
@@ -130,6 +145,8 @@ def _s_integral(model: LevyModel, f: Callable[[np.ndarray], np.ndarray]) -> floa
         return model.rate * float(np.sum(weights * f(nodes * nodes)))
 
     if isinstance(model, VarianceGamma):
+        from scipy import integrate
+
         # nu_L(dy) = (1/(nu |y|)) exp(-c |y|) dy with c = sqrt(2/nu)/sigma
         c = math.sqrt(2.0 / model.nu) / model.sigma
         scale = 2.0 / model.nu
@@ -187,6 +204,15 @@ def log_moment(ctx: ExponentContext, phi: float) -> float:
     return _log_moment_cached(ctx.model, phi)
 
 
+def is_stationary(ctx: ExponentContext, phi: float) -> bool:
+    """The stationarity condition log_moment(ctx, phi) < eta (Klueppelberg,
+    Lindner & Maller 2004).  log(1 + x) <= x makes psi(1, phi) < 0
+    sufficient, so the quadrature runs only outside the first-moment region."""
+    if phi == 0.0 or psi(ctx, 1.0, phi) < 0.0:
+        return True
+    return log_moment(ctx, phi) < ctx.eta
+
+
 def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
     # caller guarantees f(lo) < 0 <= f(hi)
     while hi - lo > xtol:
@@ -222,7 +248,7 @@ def kappa_of_phi(ctx: ExponentContext, phi: float) -> float:
     """
     if not phi > 0.0:
         raise ValueError(f"phi must be > 0, got {phi}")
-    if log_moment(ctx, phi) >= ctx.eta:
+    if not is_stationary(ctx, phi):
         raise NoRootError(
             f"phi={phi} is outside the stationarity region; psi(., phi) has no positive root"
         )

@@ -92,8 +92,7 @@ class CogarchParams:
         return self.beta / self.eta
 
     def is_stationary_admissible(self, model: LevyModel) -> bool:
-        ctx = charexp.ExponentContext(model, self.eta)
-        return charexp.log_moment(ctx, self.phi) < self.eta
+        return charexp.is_stationary(charexp.ExponentContext(model, self.eta), self.phi)
 
 
 @dataclass(frozen=True)
@@ -297,10 +296,17 @@ def cross_acov(
 
 def default_burn_in(params: CogarchParams, model: LevyModel) -> float:
     """Burn-in long enough that the initialisation bias exp(-40) is far
-    below Monte Carlo noise: 40 mean-reversion times of the mean recursion
-    (rate |psi(1, phi)| when negative, else eta)."""
-    psi1 = charexp.psi(charexp.ExponentContext(model, params.eta), 1.0, params.phi)
-    rate = -psi1 if psi1 < 0.0 else params.eta
+    below Monte Carlo noise: 40 forgetting times.  The rate is |psi(1, phi)|,
+    that of the mean recursion, where the mean exists; beyond that region it
+    is the Lyapunov rate eta - log_moment(phi) at which two paths on one
+    driver merge (Klueppelberg, Lindner & Maller 2004), which |psi(1, phi)|
+    never exceeds (log(1 + x) <= x).  Raises NonStationaryError outside the
+    stationarity region, where no rate is positive."""
+    ctx = charexp.ExponentContext(model, params.eta)
+    if not charexp.is_stationary(ctx, params.phi):
+        raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
+    psi1 = charexp.psi(ctx, 1.0, params.phi)
+    rate = -psi1 if psi1 < 0.0 else params.eta - charexp.log_moment(ctx, params.phi)
     return BURN_IN_FACTOR / rate
 
 

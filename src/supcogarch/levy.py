@@ -25,6 +25,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+# numpy loads these lazily on first use (default_rng, np.unique); load them
+# at import so that their cost stays in set-up, not in the first command.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .csvio import columns_to_csv
 

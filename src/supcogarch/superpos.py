@@ -185,7 +185,7 @@ class SupPathBundle:
 def _require_stationary(mixture: Mixture, eta: float, model: LevyModel) -> None:
     ctx = charexp.ExponentContext(model, eta)
     for phi, _ in mixture.atoms():
-        if phi > 0.0 and charexp.log_moment(ctx, phi) >= eta:
+        if not charexp.is_stationary(ctx, phi):
             raise NonStationaryError(
                 f"atom phi={phi} violates the stationarity condition "
                 f"(log-moment {charexp.log_moment(ctx, phi):.6g} >= eta={eta})"
@@ -605,7 +605,7 @@ def check_stationarity(
                 phi=phi,
                 weight=w,
                 log_moment=lm,
-                stationary=(phi == 0.0) or lm < ctx.eta,
+                stationary=charexp.is_stationary(ctx, phi),
                 in_half_moment_region=charexp.psi(ctx, 0.5, phi) < 0.0,
                 in_first_moment_region=charexp.psi(ctx, 1.0, phi) < 0.0,
                 in_second_moment_region=charexp.psi(ctx, 2.0, phi) < 0.0,

@@ -1,17 +1,21 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supcogarch.charexp import (
+    _GH_LEVELS,
     DivergentIntegralError,
     ExponentContext,
     NoRootError,
+    _hermite_rule,
     _refined,
     h_cross,
     h_kappa,
+    is_stationary,
     kappa_of_phi,
     log_moment,
     phi_max,
@@ -160,6 +164,32 @@ def test_custom_moment_rule_matches_hermite_for_low_degree():
     assert psi(ctx_custom, 3.0, 0.7) == pytest.approx(psi(CTX, 3.0, 0.7), abs=1e-9)
     # non-polynomial integrands are only approximated by the 4-node rule
     assert log_moment(ctx_custom, 0.5) == pytest.approx(log_moment(CTX, 0.5), abs=0.02)
+
+
+@pytest.mark.parametrize("n", _GH_LEVELS)
+def test_shipped_hermite_rules_match_scipy(n):
+    from scipy.special import roots_hermite
+
+    x, w = roots_hermite(n)
+    y, p = _hermite_rule(n)
+    assert np.array_equal(y, math.sqrt(2.0) * x)
+    assert np.array_equal(p, w / math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("ctx", [CTX, VG_CTX], ids=["cp_normal", "vg"])
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.5, exclude_min=True, exclude_max=True))
+@example(frac=0.2)  # psi(1, phi) < 0: closed form
+@example(frac=0.6)  # psi(1, phi) > 0, stationary: quadrature
+@example(frac=1.2)  # beyond phi_max
+def test_is_stationary_agrees_with_log_moment(ctx, frac):
+    phi = frac * _phi_max(ctx)
+    assert is_stationary(ctx, phi) == (log_moment(ctx, phi) < ctx.eta)
+
+
+@lru_cache(maxsize=None)
+def _phi_max(ctx: ExponentContext) -> float:
+    return phi_max(ctx)
 
 
 def test_refined_detects_blowup():

@@ -1,10 +1,15 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from supcogarch.cli import main
 from supcogarch.config import ConfigError, ExperimentConfig, parse_config, serialize_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 LIGHT_CFG = """
 [model]
@@ -157,6 +162,53 @@ def test_simulate_outputs_and_determinism(cfg_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     header = (out1 / "sup2_bundle.csv").read_text().splitlines()[0]
     assert header == "time,aggregate,component_0.06,component_0.12"
+
+
+def test_compare_outputs_ignores_out_dir(cfg_file, tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out2)]) == 0
+
+    def compare() -> int:
+        cmd = [sys.executable, str(REPO / "scripts" / "compare_outputs.py"), str(out1), str(out2)]
+        return subprocess.run(cmd, capture_output=True, timeout=120).returncode
+
+    assert compare() == 0
+    cfg2 = out2 / "config.cfg"
+    cfg2.write_text(cfg2.read_text().replace("seed = 77", "seed = 78"))
+    assert compare() == 2
+
+
+# Runs in a fresh interpreter: scipy must stay unimported through the
+# import of the CLI and through commands whose stationarity gates all lie
+# in the first-moment region (VG simulate, showcase qstats).
+_WITHOUT_SCIPY = """
+import dataclasses, sys
+import supcogarch.cli as cli
+from supcogarch.config import parse_config
+
+print(sorted(m for m in ("scipy", "numpy.random", "numpy.ma") if m in sys.modules))
+for command, name, scale in (
+    ("simulate", "vg_slow_reversion", {"horizon": 2.0, "burn_in": 16.0}),
+    ("qstats", "two_atom_showcase", {"q_paths": 4}),
+):
+    with open(f"{sys.argv[1]}/{name}.cfg") as fh:
+        cfg = parse_config(fh.read()).with_overrides(out_dir=name)
+    assert getattr(cli, "cmd_" + command)(dataclasses.replace(cfg, **scale).validate()) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(REPO / "configs")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("['numpy.ma', 'numpy.random']", "[]")
 
 
 def test_simulate_seed_override_changes_output(cfg_file, tmp_path):

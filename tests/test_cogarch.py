@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supcogarch.charexp import ExponentContext, log_moment, phi_max
 from supcogarch.cogarch import (
     CogarchParams,
     MomentDivergesError,
@@ -166,9 +167,22 @@ def test_draw_stationary_rejects_nonstationary():
 
 
 def test_default_burn_in_rates():
-    # rate |psi(1, phi)| when the mean exists, eta otherwise
+    # rate |psi(1, phi)| when the mean exists, else the Lyapunov rate
+    # eta - E[log(1 + 1.5 Y^2)] = 0.31399... (quadrature, Y ~ N(0, 1))
     assert default_burn_in(CogarchParams(1.0, 1.0, 0.5), MODEL) == pytest.approx(80.0)
-    assert default_burn_in(CogarchParams(1.0, 1.0, 1.5), MODEL) == pytest.approx(40.0)
+    assert default_burn_in(CogarchParams(1.0, 1.0, 1.5), MODEL) == pytest.approx(40.0 / 0.3139940688)
+    with pytest.raises(NonStationaryError):
+        default_burn_in(CogarchParams(1.0, 1.0, 3.5), MODEL)
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.3, 0.5, 0.9, 0.98])
+def test_default_burn_in_forgets_the_start(frac):
+    # two paths on one driver merge at the Lyapunov rate eta - log_moment,
+    # so the start's weight after the burn-in is exp(-rate * b) <= e^-40
+    ctx = ExponentContext(MODEL, 1.0)
+    phi = frac * phi_max(ctx)
+    b = default_burn_in(CogarchParams(1.0, 1.0, phi), MODEL)
+    assert math.exp(-(ctx.eta - log_moment(ctx, phi)) * b) <= math.exp(-40.0) * (1.0 + 1e-12)
 
 
 def test_draw_stationary_mean_light_tail():

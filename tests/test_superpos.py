@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from supcogarch.charexp import ExponentContext
+from supcogarch.charexp import ExponentContext, NoRootError, kappa_of_phi, phi_max
 from supcogarch.cogarch import (
     CogarchParams,
     MomentDivergesError,
     NonStationaryError,
+    draw_stationary_v0,
     simulate_cogarch,
     stationary_second_moment,
     stationary_variance,
 )
-from supcogarch.levy import CompoundPoisson, squared_jumps, substream
+from supcogarch.levy import CompoundPoisson, VarianceGamma, squared_jumps, substream
 from supcogarch.superpos import (
     Mixture,
+    _require_stationary,
     TailLimit,
     Variant,
     bundle_to_csv,
@@ -62,6 +64,24 @@ def test_nonstationary_atom_rejected():
     for sim in (simulate_sup1, simulate_sup2, simulate_sup3):
         with pytest.raises(NonStationaryError):
             sim(bad, 1.0, 1.0, MODEL, (0.0, 5.0), 0)
+
+
+@pytest.mark.parametrize("model", [MODEL, VarianceGamma(1.0, 1.0)], ids=["cp_normal", "vg"])
+def test_stationarity_gate_sites(model):
+    # the atom check, the COGARCH admissibility and the tail-root entry share
+    # charexp.is_stationary; each keeps its own way of refusing
+    ctx = ExponentContext(model, 1.0)
+    inside, outside = 0.6 * phi_max(ctx), 1.2 * phi_max(ctx)  # inside: psi(1, phi) > 0
+    _require_stationary(Mixture.from_atoms([(0.0, 0.5), (inside, 0.5)]), 1.0, model)
+    with pytest.raises(NonStationaryError):
+        _require_stationary(Mixture.from_atoms([(0.0, 0.5), (outside, 0.5)]), 1.0, model)
+    assert CogarchParams(1.0, 1.0, inside).is_stationary_admissible(model)
+    assert not CogarchParams(1.0, 1.0, outside).is_stationary_admissible(model)
+    with pytest.raises(NonStationaryError):
+        draw_stationary_v0(CogarchParams(1.0, 1.0, outside), model, 0)
+    assert 0.0 < kappa_of_phi(ctx, inside) < 1.0
+    with pytest.raises(NoRootError):
+        kappa_of_phi(ctx, outside)
 
 
 def test_sup1_mean_fig1():
