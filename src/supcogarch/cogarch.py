@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 BURN_IN_FACTOR = 40.0
+#: E[V^2] - E[V]^2 loses about log10(E[V^2] / Var[V]) digits; beyond this
+#: ratio stationary_variance subtracts nothing (see there)
+VARIANCE_CANCELLATION_LIMIT = 1e3
 
 
 class MomentDivergesError(ArithmeticError):
@@ -238,7 +241,17 @@ def stationary_second_moment(params: CogarchParams, model: LevyModel) -> float:
 
 
 def stationary_variance(params: CogarchParams, model: LevyModel) -> float:
-    return stationary_second_moment(params, model) - stationary_mean(params, model) ** 2
+    """Var[V] = E[V^2] - E[V]^2.  For small phi the two moments agree in
+    more than three digits and the difference is ill-conditioned; there the
+    variance is E[V]^2 * phi^2 Var[S_1] / (-psi(2, phi)), which takes
+    psi(2, phi) - 2 psi(1, phi) = phi^2 Var[S_1] in closed form."""
+    second = stationary_second_moment(params, model)
+    mean = stationary_mean(params, model)
+    var = second - mean**2
+    if var * VARIANCE_CANCELLATION_LIMIT >= second:
+        return var
+    psi2 = charexp.psi(charexp.ExponentContext(model, params.eta), 2.0, params.phi)
+    return mean**2 * (params.phi**2 * s_moments(model)[1] / (-psi2))
 
 
 def stationary_variance_alt(params: CogarchParams, model: LevyModel) -> float:
