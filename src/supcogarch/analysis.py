@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .csvio import G17, csv_text
 from .price import PricePath
 from .superpos import Mixture, SupPathBundle, Variant
+
+if TYPE_CHECKING:
+    from .batch import BundleBatch
 
 __all__ = [
     "MomentReport",
@@ -41,6 +44,8 @@ __all__ = [
     "jump_tally",
     "QBoundsReport",
     "check_q_bounds",
+    "QColumns",
+    "extract_q_batch",
     "histogram",
     "histogram_to_csv",
     "has_interior_gap",
@@ -381,6 +386,12 @@ class QBoundsReport:
         return not self.violations
 
 
+def _q_bounds(mixture: Mixture) -> tuple[float, float, float, float]:
+    """phi_bar, phi_low and the roundoff slack of the bounds at each."""
+    phi_bar, phi_low = mixture.phi_bar, mixture.phi_low
+    return phi_bar, phi_low, _Q_BOUND_RTOL * max(1.0, phi_bar), _Q_BOUND_RTOL * max(1.0, phi_low)
+
+
 def check_q_bounds(samples: Sequence[QSample], mixture: Mixture) -> QBoundsReport:
     """Path-wise bounds on the jump ratio:
 
@@ -388,10 +399,7 @@ def check_q_bounds(samples: Sequence[QSample], mixture: Mixture) -> QBoundsRepor
     variant 3: q >= phi_bar when the draw hit the top atom and q <= phi_low
     when it hit the lowest positive atom.  Exact algebra up to roundoff.
     """
-    phi_bar = mixture.phi_bar
-    phi_low = mixture.phi_low
-    up_tol = _Q_BOUND_RTOL * max(1.0, phi_bar)
-    lo_tol = _Q_BOUND_RTOL * max(1.0, phi_low)
+    phi_bar, phi_low, up_tol, lo_tol = _q_bounds(mixture)
     violations: list[QViolation] = []
     variant = samples[0].variant if samples else Variant.SUP1
 
@@ -407,6 +415,73 @@ def check_q_bounds(samples: Sequence[QSample], mixture: Mixture) -> QBoundsRepor
             if s.chosen_phi == phi_low and s.q > phi_low + lo_tol:
                 violations.append(QViolation(s.time, s.q, f"q <= phi_low={phi_low} (low draw)"))
     return QBoundsReport(variant, len(samples), tuple(violations))
+
+
+@dataclass(frozen=True)
+class QColumns:
+    """The q samples of many bundles as columns in (replication, mark)
+    order, with their summed jump tallies and q-bound violation count.
+    ``chosen_phi`` holds variant 3's drawn scales and is None otherwise."""
+
+    time: np.ndarray
+    q: np.ndarray
+    chosen_phi: np.ndarray | None
+    tally: JumpTally
+    violations: int
+
+    @classmethod
+    def concat(cls, parts: Sequence["QColumns"]) -> "QColumns":
+        """Consecutive ranges of replications as one."""
+        cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
+        return cls(
+            cat("time"), cat("q"), None if parts[0].chosen_phi is None else cat("chosen_phi"),
+            JumpTally(*(sum(getattr(p.tally, f) for p in parts) for f in ("common", "vol_only", "price_only"))),
+            sum(p.violations for p in parts),
+        )
+
+
+def extract_q_batch(batch: "BundleBatch", variant: Variant, mixture: Mixture) -> QColumns:
+    """:func:`extract_q`, :func:`jump_tally` and :func:`check_q_bounds` for
+    every replication of an engine batch at once, with the serial formulas,
+    so every sample is bit-identical to the serial one."""
+    counts = batch.driver_counts[0]
+    valid = np.arange(batch.driver_times.shape[1]) < counts[:, None]
+    n_marks = int(counts.sum())
+    phis, chosen = mixture.phis, None
+    if variant is Variant.SUP1:
+        vol_only = sum(int(c.sum()) for phi, c in zip(phis[1:], batch.driver_counts[1:]) if phi > 0.0)
+        if phis[0] == 0.0:
+            keep = np.zeros_like(valid)
+            tally = JumpTally(0, vol_only, n_marks)
+        else:
+            keep = valid
+            tally = JumpTally(n_marks, vol_only, 0)
+        scale = mixture.weights[0] * phis[0] * batch.components[0].left[keep]
+    elif variant is Variant.SUP2:
+        scale = np.zeros(batch.driver_times.shape)
+        for (phi, w), comp in zip(mixture.atoms(), batch.components):
+            scale += w * phi * comp.left
+        # extract_q gives no samples for a bundle whose every scale is zero
+        keep = valid & ~np.all((scale == 0.0) | ~valid, axis=1)[:, None]
+        scale = scale[keep]
+        positive = any(phi > 0.0 for phi in phis)
+        tally = JumpTally(n_marks, 0, 0) if positive else JumpTally(0, 0, n_marks)
+    else:
+        drawn = np.asarray(phis)[batch.picks]
+        lefts = np.stack([c.left for c in batch.components])
+        keep = valid & (drawn != 0.0)
+        chosen = drawn[keep]
+        scale = chosen * np.take_along_axis(lefts, batch.picks[None], axis=0)[0][keep]
+        price_only = int(np.count_nonzero(valid & (drawn == 0.0)))
+        tally = JumpTally(n_marks - price_only, 0, price_only)
+    q = scale / batch.vbar_left()[keep]
+
+    phi_bar, phi_low, up_tol, lo_tol = _q_bounds(mixture)
+    if variant is Variant.SUP3:
+        bad = [(chosen == phi_bar) & (q < phi_bar - up_tol), (chosen == phi_low) & (q > phi_low + lo_tol)]
+    else:
+        bad = [q > phi_bar + up_tol] + ([q < phi_low - lo_tol] if variant is Variant.SUP2 else [])
+    return QColumns(batch.driver_times[keep], q, chosen, tally, sum(int(np.count_nonzero(b)) for b in bad))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ COGARCH from ``substream(seed, *key, r)``), then the exact recursions run mark r
 mark rank across the replications on padded 2-D arrays.  Each replication
 sees the floating-point operations of the serial path in the same order, so
 every number is bit-identical to :func:`superpos.simulate_bundle`,
-:func:`cogarch.simulate_cogarch` and :func:`price.simulate_price`:
+:func:`cogarch.simulate_cogarch` and :func:`price.simulate_price`.  Verify's
+cogarch, cross, sup, price and q families and ``qstats`` run on it; the q
+samples and jump tallies come from :func:`analysis.extract_q_batch`.
 
 * per-mark decays exp(-eta (T - t)) come from ``math.exp``, as in the
   scalar loops (``np.exp`` rounds differently on some inputs);
@@ -123,20 +125,29 @@ class PathBatch:
 @dataclass(frozen=True)
 class BundleBatch:
     """n simulated bundles on [t0, t1]: the aggregate and component paths,
-    and the live marks of the price driver (atom 0's driver for variant 1,
-    the shared one otherwise)."""
+    the live marks of the price driver (atom 0's driver for variant 1, the
+    shared one otherwise), each driver's live mark count per row, and for
+    variant 3 the atom index drawn at each live mark."""
 
     aggregate: PathBatch
     components: tuple[PathBatch, ...]
     driver_times: np.ndarray
     driver_sizes: np.ndarray
+    driver_counts: tuple[np.ndarray, ...]
+    picks: np.ndarray | None = None
+
+    def vbar_left(self) -> np.ndarray:
+        """Aggregate left limits at the price driver's marks, as
+        ``simulate_price(bundle).vbar_left`` per row; padded columns hold
+        arbitrary values."""
+        agg = self.aggregate
+        pos = np.minimum(_rank(agg.times, self.driver_times, "left"), agg.times.shape[1] - 1)
+        return _take(agg.left, pos)
 
     def price_levels(self, ts: np.ndarray) -> np.ndarray:
         """(n, q) price levels G at finite query times, as
         ``simulate_price(bundle).values_at(ts)`` per replication."""
-        agg = self.aggregate
-        pos = np.minimum(_rank(agg.times, self.driver_times, "left"), agg.times.shape[1] - 1)
-        values = np.cumsum(np.sqrt(_take(agg.left, pos)) * self.driver_sizes, axis=1)
+        values = np.cumsum(np.sqrt(self.vbar_left()) * self.driver_sizes, axis=1)
         ts = _per_row(ts, values.shape[0])
         idx = _rank(self.driver_times, ts, "right")
         return np.where(idx > 0, _take(values, np.maximum(idx - 1, 0)), 0.0)
@@ -477,7 +488,8 @@ def simulate_batch(
     else:
         t, _, vbar0, rec = results[0]
         aggregate = PathBatch(level, eta, t, vbar0, times, rec.agg_left, rec.agg_post)
-    return BundleBatch(aggregate, tuple(comps), times, drivers[0][1])
+    counts = tuple(d[2] for d in drivers)
+    return BundleBatch(aggregate, tuple(comps), times, drivers[0][1], counts, drivers[0][3])
 
 
 def simulate_cogarch_batch(

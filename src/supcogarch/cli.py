@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 I/O error.  All subcommands honor --seed/--out overrides and are fully
 deterministic given the effective configuration.  --threads is validated
 and recorded in the effective configuration but has no effect.
+
+``verify`` and ``qstats`` simulate on the batched engine
+(:mod:`supcogarch.batch`), ``qstats`` through the same q columns as the
+verify q family (:func:`verify.q_columns`); ``simulate`` builds one bundle
+per variant.
 """
 
 from __future__ import annotations
@@ -15,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charexp
-from .analysis import (
-    extract_q,
-    histogram,
-    histogram_to_csv,
-    jump_tally,
-    reports_to_csv,
-    run_replications,
-)
+from .analysis import histogram, histogram_to_csv, reports_to_csv
 from .cogarch import (
     CogarchParams,
     MomentDivergesError,
@@ -46,7 +44,7 @@ from .superpos import (
     simulate_bundle,
     tail_exponent,
 )
-from .verify import checks_to_csv, price_rows_to_csv, run_verification
+from .verify import checks_to_csv, price_rows_to_csv, q_columns, run_verification
 
 __all__ = ["main", "cmd_simulate", "cmd_analytics", "cmd_verify", "cmd_qstats"]
 
@@ -183,36 +181,23 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 def cmd_qstats(cfg: ExperimentConfig) -> int:
     """Jump-ratio samples, jump-type tallies, and log-q histograms."""
     out = _outdir(cfg)
-    model = cfg.model()
-    mix = cfg.mixture()
-    summary = ["variant,n_paths,n_q_samples,common,vol_only,price_only"]
+    summary = []
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
-
-        def one(rep: int, _variant=variant, _vi=vi):
-            bundle = simulate_bundle(
-                _variant, mix, cfg.beta, cfg.eta, model, (0.0, cfg.horizon),
-                substream(cfg.seed, Stream.Q, _vi, rep), cfg.burn_in,
-            )
-            gp = simulate_price(bundle)
-            return extract_q(bundle, gp), jump_tally(bundle, gp)
-
-        results = run_replications(one, cfg.q_paths, cfg.threads)
-        samples = [s for qs, _ in results for s in qs]
+        cols = q_columns(cfg, variant, vi)
+        n = cols.q.size
+        chosen = [""] * n if cols.chosen_phi is None else [G17 % phi for phi in cols.chosen_phi.tolist()]
         (out / f"{tag}_q.csv").write_text(csv_text(
-            "time,q,chosen_phi", f"{G17},{G17},%s",
-            ((s.time, s.q, "" if s.chosen_phi is None else G17 % s.chosen_phi) for s in samples),
+            "time,q,chosen_phi", f"{G17},{G17},%s", zip(cols.time.tolist(), cols.q.tolist(), chosen),
         ))
-        if samples:
-            rows = histogram(np.log([s.q for s in samples]).tolist(), bins=50)
-            (out / f"{tag}_logq_hist.csv").write_text(histogram_to_csv(rows))
-        common = sum(t.common for _, t in results)
-        vol_only = sum(t.vol_only for _, t in results)
-        price_only = sum(t.price_only for _, t in results)
-        summary.append(f"{tag},{cfg.q_paths},{len(samples)},{common},{vol_only},{price_only}")
-        print(f"{tag}: {len(samples)} q samples, {vol_only} volatility-only, "
-              f"{price_only} price-only jumps")
-    (out / "q_summary.csv").write_text("\n".join(summary) + "\n")
+        if n:
+            (out / f"{tag}_logq_hist.csv").write_text(histogram_to_csv(histogram(np.log(cols.q), bins=50)))
+        t = cols.tally
+        summary.append((tag, cfg.q_paths, n, t.common, t.vol_only, t.price_only))
+        print(f"{tag}: {n} q samples, {t.vol_only} volatility-only, {t.price_only} price-only jumps")
+    (out / "q_summary.csv").write_text(csv_text(
+        "variant,n_paths,n_q_samples,common,vol_only,price_only", "%s,%s,%s,%s,%s,%s", summary,
+    ))
     return 0
 
 

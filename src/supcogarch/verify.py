@@ -5,9 +5,10 @@ checked on simulated bundles.
 The battery is a pure function of the experiment configuration: every
 replication derives its random stream from (root seed, family id, variant
 id, replication index), with the family ids of ``levy.Stream``.  The
-cogarch, cross, sup and price families simulate their replications
+cogarch, cross, sup, price and q families simulate their replications
 together on the batched engine (:mod:`supcogarch.batch`), which gives the
-numbers of one bundle per replication bit for bit.
+numbers of one bundle per replication bit for bit; the identity and tail
+families build one bundle or path at a time.
 
 Tolerances: mean-type comparisons use the configured multiplier k (default
 4 standard errors); variance/covariance-type comparisons, which face heavy
@@ -25,15 +26,14 @@ import numpy as np
 from . import charexp
 from .analysis import (
     MomentReport,
-    check_q_bounds,
+    QColumns,
     default_hill_k,
-    extract_q,
+    extract_q_batch,
     grouped_jackknife,
     has_interior_gap,
     hill_estimator,
     hill_sweep,
     histogram,
-    jump_tally,
     mc_covariance,
     mc_mean,
     mc_second_moment,
@@ -74,6 +74,7 @@ __all__ = [
     "bundle_identity_checks",
     "price_identity_checks",
     "stationary_component_draws",
+    "q_columns",
     "checks_to_csv",
     "price_rows_to_csv",
 ]
@@ -87,6 +88,9 @@ _PARETO_RTOL = 0.10
 #: applied only when the exponent is small enough to be estimable at desk scale
 _HILL_BAND = (-0.8, 1.3)
 _HILL_MAX_KAPPA = 4.0
+#: replications per engine call of :func:`q_columns`; all q paths of a run
+#: at once would raise its peak memory
+_Q_ROWS_PER_CALL = 64
 
 
 @dataclass(frozen=True)
@@ -314,6 +318,23 @@ def _price_samples(
     return chunked(sample, cfg.replications)
 
 
+def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
+    """q samples, jump tallies and q-bound violations of the ``q_paths``
+    bundles on the stream ``(Stream.Q, vi)``, which ``qstats`` and the q
+    family share."""
+    mix = cfg.mixture()
+    return QColumns.concat([
+        extract_q_batch(
+            simulate_batch(
+                variant, mix, cfg.beta, cfg.eta, cfg.model(), (0.0, cfg.horizon), cfg.seed,
+                (Stream.Q, vi), min(_Q_ROWS_PER_CALL, cfg.q_paths - lo), cfg.burn_in, lo,
+            ),
+            variant, mix,
+        )
+        for lo in range(0, cfg.q_paths, _Q_ROWS_PER_CALL)
+    ])
+
+
 def _cogarch_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     model = cfg.model()
     lags = sorted(set(cfg.lags))
@@ -471,36 +492,22 @@ def _price_family(
 def _q_family(
     cfg: ExperimentConfig, reports: list[MomentReport], checks: list[CheckRow]
 ) -> None:
-    model = cfg.model()
-    mix = cfg.mixture()
     k = cfg.tolerance_k
-    positive_atoms = [phi for phi in mix.phis if phi > 0.0]
+    positive_atoms = [phi for phi in cfg.mixture().phis if phi > 0.0]
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
-
-        def one(rep: int, _variant=variant, _vi=vi):
-            bundle = simulate_bundle(
-                _variant, mix, cfg.beta, cfg.eta, model, (0.0, cfg.horizon),
-                substream(cfg.seed, Stream.Q, _vi, rep), cfg.burn_in,
-            )
-            gp = simulate_price(bundle)
-            return extract_q(bundle, gp), jump_tally(bundle, gp)
-
-        results = run_replications(one, cfg.q_paths, cfg.threads)
-        samples = [s for qs, _ in results for s in qs]
-        violations = sum(len(check_q_bounds(qs, mix).violations) for qs, _ in results)
+        cols = q_columns(cfg, variant, vi)
         reports.append(
-            MomentReport(f"{tag}.q_bound_violations", 0.0, float(violations), 0.0,
-                         max(len(samples), 1), k)
+            MomentReport(f"{tag}.q_bound_violations", 0.0, float(cols.violations), 0.0,
+                         max(cols.q.size, 1), k)
         )
         if variant is Variant.SUP1 and len(positive_atoms) >= 2:
-            vol_only = sum(t.vol_only for _, t in results)
+            vol_only = cols.tally.vol_only
             checks.append(
                 CheckRow(f"{tag}_volatility_only_jumps", float(vol_only), "> 0", vol_only > 0)
             )
-        if variant is Variant.SUP3 and len(positive_atoms) >= 2 and samples:
-            logq = np.log([s.q for s in samples])
-            counts = [c for _, _, c in histogram(logq.tolist(), bins=50)]
+        if variant is Variant.SUP3 and len(positive_atoms) >= 2 and cols.q.size:
+            counts = [c for _, _, c in histogram(np.log(cols.q), bins=50)]
             checks.append(
                 CheckRow(f"{tag}_logq_two_clusters", float(has_interior_gap(counts)),
                          "interior gap in the log-q histogram", has_interior_gap(counts))

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supcogarch import batch, verify
-from supcogarch.analysis import run_replications
+from supcogarch import analysis, batch, verify
+from supcogarch.analysis import check_q_bounds, extract_q, jump_tally, run_replications
 from supcogarch.batch import simulate_batch
 from supcogarch.cogarch import CogarchParams, default_burn_in, simulate_cogarch, stationary_mean
 from supcogarch.config import ExperimentConfig
@@ -86,6 +86,21 @@ def oracle_price(cfg: ExperimentConfig, variant: Variant, vi: int, r: float, hs:
         return np.array([inc0, *incs, vbar_r, *comps_r])
 
     return np.array(run_replications(one, cfg.replications))
+
+
+def oracle_q(cfg: ExperimentConfig, variant: Variant, vi: int) -> list[tuple]:
+    mix = cfg.mixture()
+
+    def one(rep: int) -> tuple:
+        bundle = simulate_bundle(
+            variant, mix, cfg.beta, cfg.eta, cfg.model(), (0.0, cfg.horizon),
+            substream(cfg.seed, Stream.Q, vi, rep), cfg.burn_in,
+        )
+        gp = simulate_price(bundle)
+        qs = extract_q(bundle, gp)
+        return qs, jump_tally(bundle, gp), len(check_q_bounds(qs, mix).violations)
+
+    return run_replications(one, cfg.q_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +231,72 @@ def test_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
     assert np.array_equal(verify._cross_samples(cfg, 0.06, 0.12, lags), oracle_cross(cfg, 0.06, 0.12, lags))
     mean = stationary_mean(CogarchParams(cfg.beta, cfg.eta, cfg.phis[0]), cfg.model())
     assert np.array_equal(verify._cogarch_samples(cfg, 0, lags, mean), oracle_cogarch(cfg, 0, lags, mean))
+
+
+Q_CASES = {
+    "two_atoms": replace(BASE, horizon=6.0, burn_in=4.0, q_paths=70, seed=31),
+    # a 1-unit window at rate 1: about a third of the paths have no live marks
+    "zero_atom": replace(BASE, phis=(0.0, 0.3, 0.7), weights=(0.2, 0.5, 0.3), horizon=1.0, q_paths=70, seed=32),
+    "only_zero_atom": replace(BASE, phis=(0.0,), weights=(1.0,), horizon=2.0, burn_in=1.0, q_paths=20, seed=33),
+    "vg_short": replace(CASES["vg_short"], horizon=2.0, q_paths=12),
+}
+
+
+def assert_q_matches_serial(cfg: ExperimentConfig, variant: Variant, vi: int) -> None:
+    got = verify.q_columns(cfg, variant, vi)
+    results = oracle_q(cfg, variant, vi)
+    samples = [s for qs, _, _ in results for s in qs]
+    assert np.array_equal(got.time, [s.time for s in samples])
+    assert np.array_equal(got.q, [s.q for s in samples])
+    if variant is Variant.SUP3:
+        assert np.array_equal(got.chosen_phi, [s.chosen_phi for s in samples])
+    else:
+        assert got.chosen_phi is None
+    for field in ("common", "vol_only", "price_only"):
+        assert getattr(got.tally, field) == sum(getattr(t, field) for _, t, _ in results), field
+    assert got.violations == sum(v for _, _, v in results)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("case", sorted(Q_CASES))
+def test_q_columns_match_serial(case, variant):
+    assert_q_matches_serial(Q_CASES[case], variant, 1)
+
+
+def test_q_cases_cover_empty_windows_and_price_only_jumps():
+    cfg = Q_CASES["zero_atom"]
+    got = simulate_batch(
+        Variant.SUP3, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (0.0, cfg.horizon),
+        cfg.seed, (Stream.Q, 1), cfg.q_paths, cfg.burn_in,
+    )
+    assert 0 in got.driver_counts[0]
+    assert verify.q_columns(cfg, Variant.SUP3, 1).tally.price_only > 0
+    assert verify.q_columns(cfg, Variant.SUP1, 1).tally.price_only > 0
+
+
+@pytest.mark.parametrize(
+    "rows, chunk_marks, min_rows",
+    [(7, 1 << 30, 1), (1 << 30, 200, 1), (1 << 30, 200, 1 << 30)],
+    ids=["several_calls", "several_burn_in_chunks", "scalar_burn_in"],
+)
+def test_q_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
+    monkeypatch.setattr(verify, "_Q_ROWS_PER_CALL", rows)
+    monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
+    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
+    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+    for variant in Variant:
+        assert_q_matches_serial(Q_CASES["zero_atom"], variant, 0)
+
+
+def test_q_bound_violations_counted_as_serial(monkeypatch):
+    """A negative slack makes the samples violate the bounds, so the
+    batched count is compared on nonzero values."""
+    monkeypatch.setattr(analysis, "_Q_BOUND_RTOL", -0.2)
+    cfg = Q_CASES["two_atoms"]
+    for variant in Variant:
+        assert verify.q_columns(cfg, variant, 2).violations > 0
+        assert_q_matches_serial(cfg, variant, 2)
 
 
 def test_batch_keeps_the_serial_checks():

@@ -326,8 +326,11 @@ def test_qstats_outputs(cfg_file, tmp_path):
 
 
 def test_threads_flag_preserves_bytes(cfg_file, tmp_path):
-    out1, out2 = tmp_path / "t1", tmp_path / "t4"
-    assert main(["verify", "--config", str(cfg_file), "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["verify", "--config", str(cfg_file), "--out", str(out2), "--threads", "4"]) == 0
-    for name in ("verification.csv", "verification_checks.csv", "price_increments.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    for command in ("verify", "qstats"):
+        out1, out2 = tmp_path / command / "t1", tmp_path / command / "t4"
+        assert main([command, "--config", str(cfg_file), "--out", str(out1), "--threads", "1"]) == 0
+        assert main([command, "--config", str(cfg_file), "--out", str(out2), "--threads", "4"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names and names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
