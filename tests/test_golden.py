@@ -9,6 +9,11 @@ Every file ``qstats`` writes is pinned too, on the showcase config at a
 small scale and on a mixture with a phi = 0 atom and a window short enough
 that some paths have no live marks.  These bytes pin the simulation, the q
 extraction, the jump tallies and the export together.
+
+So is every file ``simulate`` writes (``config.cfg`` included: the runs
+write to a relative ``--out``), on the showcase config and on the variance
+gamma config over a short window.  Its 100-unit burn-in draws more marks
+than one engine chunk holds, so each bundle burns in on the scalar loops.
 """
 
 import hashlib
@@ -92,3 +97,51 @@ def test_qstats_bytes(name, tmp_path):
     assert main(["qstats", "--config", str(cfg), "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == QSTATS_SHA256[name]
+
+
+SHOWCASE_SIM = (CONFIGS / "two_atom_showcase.cfg").read_text()
+VG_SIM = re.sub(
+    r"(?m)^horizon = .*$", "horizon = 30.0\nburn_in = 100.0", (CONFIGS / "vg_slow_reversion.cfg").read_text()
+)
+
+SIMULATE_CONFIGS = {"two_atom_showcase": SHOWCASE_SIM, "vg_short": VG_SIM}
+
+SIMULATE_SHA256 = {
+    "two_atom_showcase": {
+        "config.cfg": "8d1147da8be2c577a4aa3be6cd5794b67f11dcf8a8d011bc3cd19b908529e244",
+        "sup1_bundle.csv": "2dcdb8608e3a92a14f88a6619c2f05625aac24160c400e9a0d9e30e90c9c8298",
+        "sup1_driver_0.csv": "1d732255ebcf8e180cc6d5a92499729dda39f9b0033802d2d564d43ea45a7ccb",
+        "sup1_driver_1.csv": "192e132ac515f06598a290ea7f4b33ddd2f8e45348760fa39ae51e4391343f6b",
+        "sup1_price.csv": "e1e12bd048d34e55a8ba6c504c3498109a563fe3c26878f805e56681e6ff3e96",
+        "sup2_bundle.csv": "99e0dab3c6b884b6b28af98af68e5a2bf4fef6180caa5d7ee12af5d576f2dfaa",
+        "sup2_driver_0.csv": "b1cae30ce9b6f10a081a9be2ac05a378dab86cb95e79e5bb1b7e08a49d012bf6",
+        "sup2_price.csv": "87bf41bd8240a61db96d52f6fe88779b463b036c7e125809be88482052236ff6",
+        "sup3_bundle.csv": "8cfdb2c9669c0f4214ac3453aa9e4668e5d76b1be817a3e55c8d15ac86268c9d",
+        "sup3_chosen_phi.csv": "24692d809fad31f8865fee42bb298aec230c8ca35d971219c7e4557b1026d057",
+        "sup3_driver_0.csv": "c5f75a538e099a55ec13c66f90efe109988763724c967a12223370ab394ff6e3",
+        "sup3_price.csv": "bb8f838a676213d6c01548eb1b010440f748d112736de25da89a31a8d218a558",
+    },
+    "vg_short": {
+        "config.cfg": "b35db50c550dcdf62134e738eaa530a13b904a82b20ab27b1657985bc63631a1",
+        "sup1_bundle.csv": "d7dd0584e0260c312dcd12b4227df04ee09ec9030b0dd3a7171f4dfe30efcc8c",
+        "sup1_driver_0.csv": "9d5ee6cedc3931cd3f3b589879d96cce3c342b5878444eee7b9cee1c9d8b69a8",
+        "sup1_driver_1.csv": "19c3652b53f4b93013f2b9c185d0709c24f19352f57d2724afb57ec24c741dfd",
+        "sup1_price.csv": "2ad317fa53c431461c58bc21d36519e3af838cb38d652141e2e1df7d6be79581",
+        "sup2_bundle.csv": "63fe78ad4eff14188f00874bf971f71d1aef2fbb07cdee48637099a7006cf387",
+        "sup2_driver_0.csv": "3aeb010b88b336605c3b91c1a735081d5c24b8db6c439dbf5c33d06789210861",
+        "sup2_price.csv": "a05daec5e9acf77605856ef1b6bf4db8bafabe0e9db0061e426408bbee1c0289",
+        "sup3_bundle.csv": "2b03273d05e8fc00c2c169ddc329b617c067daa4e187b4e2224335ebab1973b4",
+        "sup3_chosen_phi.csv": "e2ebfd9b139992c10e0e210d1223541701ed835f76944fb0091851c75a468ad2",
+        "sup3_driver_0.csv": "34b38efd9ff8797d5e6ad6b19a4422a73bf3fb06545243980c910b67165a506e",
+        "sup3_price.csv": "56fc3c7b084303cfff329d638063f939f2a7b10954cadff77a7f0c3cb9a5e4c5",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CONFIGS))
+def test_simulate_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("sim.cfg").write_text(SIMULATE_CONFIGS[name])
+    assert main(["simulate", "--config", "sim.cfg", "--out", "out"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+    assert digests == SIMULATE_SHA256[name]
