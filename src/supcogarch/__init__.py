@@ -47,9 +47,6 @@ from .superpos import (
     Variant,
     check_stationarity,
     simulate_bundle,
-    simulate_sup1,
-    simulate_sup2,
-    simulate_sup3,
     sup1_acov,
     sup1_mean,
     sup1_var,

@@ -445,7 +445,7 @@ def extract_q_batch(batch: "BundleBatch", variant: Variant, mixture: Mixture) ->
     every replication of an engine batch at once, with the serial formulas,
     so every sample is bit-identical to the serial one."""
     counts = batch.driver_counts[0]
-    valid = np.arange(batch.driver_times.shape[1]) < counts[:, None]
+    valid = np.arange(batch.driver_times[0].shape[1]) < counts[:, None]
     n_marks = int(counts.sum())
     phis, chosen = mixture.phis, None
     if variant is Variant.SUP1:
@@ -458,7 +458,7 @@ def extract_q_batch(batch: "BundleBatch", variant: Variant, mixture: Mixture) ->
             tally = JumpTally(n_marks, vol_only, 0)
         scale = mixture.weights[0] * phis[0] * batch.components[0].left[keep]
     elif variant is Variant.SUP2:
-        scale = np.zeros(batch.driver_times.shape)
+        scale = np.zeros(batch.driver_times[0].shape)
         for (phi, w), comp in zip(mixture.atoms(), batch.components):
             scale += w * phi * comp.left
         # extract_q gives no samples for a bundle whose every scale is zero
@@ -481,7 +481,7 @@ def extract_q_batch(batch: "BundleBatch", variant: Variant, mixture: Mixture) ->
         bad = [(chosen == phi_bar) & (q < phi_bar - up_tol), (chosen == phi_low) & (q > phi_low + lo_tol)]
     else:
         bad = [q > phi_bar + up_tol] + ([q < phi_low - lo_tol] if variant is Variant.SUP2 else [])
-    return QColumns(batch.driver_times[keep], q, chosen, tally, sum(int(np.count_nonzero(b)) for b in bad))
+    return QColumns(batch.driver_times[0][keep], q, chosen, tally, sum(int(np.count_nonzero(b)) for b in bad))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-"""Batched replication engine: n independent short replications of a
-COGARCH or of a superposition, simulated together.
+"""The simulation engine: n independent replications of a COGARCH or of
+a superposition, simulated together.  :func:`superpos.simulate_bundle` is
+the engine at one replication; ``qstats`` and verify's cogarch, cross,
+sup, price and q families run on it, the q samples and jump tallies coming
+from :func:`analysis.extract_q_batch`.
 
-Replication r draws its driver paths from exactly the SeedSequences the
-serial path uses (driver i of a bundle from ``substream(seed, *key, r, i)``,
-the variant-3 pi-draws from ``substream(seed, *key, r, 1)``, a single
-COGARCH from ``substream(seed, *key, r)``), then the exact recursions run mark rank by
-mark rank across the replications on padded 2-D arrays.  Each replication
-sees the floating-point operations of the serial path in the same order, so
-every number is bit-identical to :func:`superpos.simulate_bundle`,
-:func:`cogarch.simulate_cogarch` and :func:`price.simulate_price`.  Verify's
-cogarch, cross, sup, price and q families and ``qstats`` run on it; the q
-samples and jump tallies come from :func:`analysis.extract_q_batch`.
+Replication r of :func:`simulate_batch` draws driver i from
+``substream(seed, *key, r, i)`` and its variant-3 pi-draws from
+``substream(seed, *key, r, 1)``: the streams of ``simulate_bundle(...,
+substream(seed, *key, r))``.  A COGARCH replication of
+:func:`simulate_cogarch_batch` draws from ``substream(seed, *key, r)``.
+The exact recursions then run mark rank by mark rank across the
+replications on padded 2-D arrays or, when there are too few rows for the
+per-rank numpy overhead to pay off, row by row on the scalar loops
+(:func:`cogarch._record_marks` and ``_evolve_marks``, and variant 3's
+:func:`_sup3_marks`).  Both do one replication's floating-point operations
+in the same order, so no number depends on which runs or on the number of
+replications, and every number equals that of the serial simulators kept
+in ``tests/serial_oracle.py``:
 
 * per-mark decays exp(-eta (T - t)) come from ``math.exp``, as in the
   scalar loops (``np.exp`` rounds differently on some inputs);
@@ -25,12 +31,12 @@ Padded arrays hold replication r in row r; columns past a row's mark count
 hold +inf times, so they sort after every query, and zero sizes.  A batch
 holds every replication's live window, so callers bound memory by
 simulating ranges of replications (:func:`chunked`); within a call, long
-burn-ins are drawn and burned in a chunk of replications at a time, on the
-scalar loops when a chunk would be too narrow for the per-rank numpy
-overhead to pay off.  Each replication's draws go through
-:func:`analysis.run_replications`, so tracing tools count one replication
-per replication, as on the serial path; the recursions run outside it, so
-a replication's span times its draws alone.
+burn-ins are drawn and burned in a chunk of replications at a time.  The
+draws of :func:`simulate_batch` and :func:`simulate_cogarch_batch` go
+through :func:`analysis.run_replications`, so tracing tools count one
+replication per replication; the recursions run outside it, so a
+replication's span times its draws alone.  A single bundle is not a
+replication of anything and is not counted.
 """
 
 from __future__ import annotations
@@ -42,16 +48,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import run_replications
-from .cogarch import CogarchParams, _evolve_marks, stationary_start
+from .cogarch import CogarchParams, _evolve_marks, _record_marks, stationary_start
 from .levy import CompoundPoisson, LevyModel, _draw_marks, substream
-from .superpos import (
-    Mixture,
-    Variant,
-    _bundle_burn_in,
-    _mean_or_level,
-    _require_stationary,
-    _sup3_marks,
-)
+from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "chunked"]
 
@@ -60,10 +59,12 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 ROWS_PER_CALL = 1024
 #: drawn marks held at once; replications are drawn and burned in by chunks
 _CHUNK_MARKS = 1 << 15
-#: narrower chunks burn in row by row on the scalar loops, where the per-rank
-#: numpy overhead would lose: components burn in on the padded arrays from
-#: 96 rows x components on, variant 3 from 16 rows (the measured crossovers
-#: on variance gamma draws of 1000 marks a row)
+#: fewer rows step row by row on the scalar loops, where the per-rank numpy
+#: overhead would lose: components burn in on the padded arrays from 96 rows
+#: x components on, variant 3 from 16 rows (the measured crossovers on
+#: variance gamma draws of 1000 marks a row); recording the live window
+#: pays off from half as many rows (measured on compound Poisson windows of
+#: 100 marks and variance gamma windows of 1000 marks a row)
 _MIN_BATCH_STEPS = 96
 _MIN_BATCH_ROWS_SUP3 = 16
 
@@ -125,14 +126,14 @@ class PathBatch:
 @dataclass(frozen=True)
 class BundleBatch:
     """n simulated bundles on [t0, t1]: the aggregate and component paths,
-    the live marks of the price driver (atom 0's driver for variant 1, the
-    shared one otherwise), each driver's live mark count per row, and for
-    variant 3 the atom index drawn at each live mark."""
+    each driver's live marks (times, L sizes and count per row; one driver
+    per atom for variant 1, one shared driver otherwise), and for variant 3
+    the atom index drawn at each live mark.  Driver 0 drives the price."""
 
     aggregate: PathBatch
     components: tuple[PathBatch, ...]
-    driver_times: np.ndarray
-    driver_sizes: np.ndarray
+    driver_times: tuple[np.ndarray, ...]
+    driver_sizes: tuple[np.ndarray, ...]
     driver_counts: tuple[np.ndarray, ...]
     picks: np.ndarray | None = None
 
@@ -141,15 +142,15 @@ class BundleBatch:
         ``simulate_price(bundle).vbar_left`` per row; padded columns hold
         arbitrary values."""
         agg = self.aggregate
-        pos = np.minimum(_rank(agg.times, self.driver_times, "left"), agg.times.shape[1] - 1)
+        pos = np.minimum(_rank(agg.times, self.driver_times[0], "left"), agg.times.shape[1] - 1)
         return _take(agg.left, pos)
 
     def price_levels(self, ts: np.ndarray) -> np.ndarray:
         """(n, q) price levels G at finite query times, as
         ``simulate_price(bundle).values_at(ts)`` per replication."""
-        values = np.cumsum(np.sqrt(self.vbar_left()) * self.driver_sizes, axis=1)
+        values = np.cumsum(np.sqrt(self.vbar_left()) * self.driver_sizes[0], axis=1)
         ts = _per_row(ts, values.shape[0])
-        idx = _rank(self.driver_times, ts, "right")
+        idx = _rank(self.driver_times[0], ts, "right")
         return np.where(idx > 0, _take(values, np.maximum(idx - 1, 0)), 0.0)
 
 
@@ -167,6 +168,8 @@ def _pad(rows: Sequence[np.ndarray], fill: float, dtype=float) -> np.ndarray:
 
 def _stack(blocks: Sequence[np.ndarray], fill: float) -> np.ndarray:
     """Row blocks of unequal width stacked into one padded array."""
+    if len(blocks) == 1:
+        return blocks[0]
     width = max(b.shape[1] for b in blocks)
     return np.concatenate(
         [np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=fill) for b in blocks]
@@ -216,6 +219,12 @@ class _Record:
     agg_left: np.ndarray | None
     agg_post: np.ndarray | None
 
+    @classmethod
+    def zeros(cls, states: tuple[int, ...], marks: tuple[int, ...], agg: bool) -> "_Record":
+        shape = states + marks[1:]
+        return cls(np.zeros(shape), np.zeros(shape),
+                   np.zeros(marks) if agg else None, np.zeros(marks) if agg else None)
+
 
 def _recurse(
     eta: float, level: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
@@ -244,10 +253,7 @@ def _recurse(
         vbar = vbar[order]
         pick = picks[order]
         phi_pick = phi_arr[pick]
-    rec = None
-    if record:
-        rec = _Record(np.zeros(v.shape + (width,)), np.zeros(v.shape + (width,)),
-                      np.zeros(times.shape) if agg else None, np.zeros(times.shape) if agg else None)
+    rec = _Record.zeros(v.shape, times.shape, agg) if record else None
     for k in range(int(counts.max(initial=0))):
         m = int(alive[k])
         d = dec[:m, k]
@@ -274,28 +280,79 @@ def _recurse(
     return v, vbar, t_end, rec
 
 
-def _burn_rows(
+def _sup3_marks(
+    eta: float, level: float, phis: Sequence[float], vbar: float, comps: list[float], t: float,
+    times: list[float], sizes: list[float], picks: list[int], trail: list | None = None,
+) -> tuple[float, list[float]]:
+    """Exact variant-3 steps over shared marks for the aggregate and the
+    component family together: relax every state toward ``level``, give the
+    aggregate the scaled jump phi_j V^j_{T-} dS_T of the drawn atom
+    j = ``picks[k]``, and multiply each component by (1 + phi dS_T).  With
+    ``trail`` given, appends [aggregate left, aggregate post, component
+    lefts..., component posts...] per mark.  Returns the aggregate and the
+    components after the last mark."""
+    exp = math.exp
+    for T, ds, j in zip(times, sizes, picks):
+        decay = exp(-eta * (T - t))
+        lefts = [level + (v - level) * decay for v in comps]
+        vbar_left = level + (vbar - level) * decay
+        vbar = vbar_left + phis[j] * lefts[j] * ds
+        comps = [vl * (1.0 + phi * ds) for vl, phi in zip(lefts, phis)]
+        if trail is not None:
+            trail.append([vbar_left, vbar, *lefts, *comps])
+        t = T
+    return vbar, comps
+
+
+def _scalar_rows(
     eta: float, level: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
     t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-    picks: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The unrecorded steps of :func:`_recurse`, row by row on the scalar
-    loops: one COGARCH at a time, or variant 3's joint loop."""
+    picks: np.ndarray | None, record: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
+    """The steps of :func:`_recurse` row by row on the scalar loops: one
+    COGARCH at a time, or variant 3's joint loop."""
     v, t_end = v.copy(), t.copy()
     vbar = None if vbar is None else vbar.copy()
+    rec = _Record.zeros(v.shape, times.shape, vbar is not None) if record else None
     for r, c in enumerate(counts.tolist()):
         ts, ss = times[r, :c].tolist(), sizes[r, :c].tolist()
         if vbar is None:
             for a, phi in enumerate(phis):
-                v[a, r] = _evolve_marks(eta, level, phi, float(v[a, r]), float(t[r]), ts, ss)
+                args = (eta, level, phi, float(v[a, r]), float(t[r]), ts, ss)
+                if not record:
+                    v[a, r] = _evolve_marks(*args)
+                elif c:
+                    left, post = _record_marks(*args)
+                    rec.left[a, r, :c], rec.post[a, r, :c] = left, post
+                    v[a, r] = post[-1]
         else:
-            vbar[r], v[:, r], _ = _sup3_marks(
+            trail = [] if record else None
+            vbar[r], v[:, r] = _sup3_marks(
                 eta, level, phis, float(vbar[r]), v[:, r].tolist(), float(t[r]), ts, ss,
-                picks[r, :c].tolist(),
+                picks[r, :c].tolist(), trail,
             )
+            if trail:
+                cols = np.array(trail).T
+                m = len(phis)
+                rec.agg_left[r, :c], rec.agg_post[r, :c] = cols[0], cols[1]
+                rec.left[:, r, :c], rec.post[:, r, :c] = cols[2: 2 + m], cols[2 + m:]
         if c:
             t_end[r] = ts[-1]
-    return v, vbar, t_end
+    return v, vbar, t_end, rec
+
+
+def _steps(
+    eta: float, level: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
+    t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
+    picks: np.ndarray | None, record: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
+    """Exact steps over padded marks, burn-in (``record`` false) or live
+    window: on the padded arrays (:func:`_recurse`) from the crossover row
+    count on, row by row on the scalar loops below it.  Both loops do the
+    same floating-point operations, so the choice never changes a bit."""
+    min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(phis)
+    run = _recurse if times.shape[0] >= (min_rows / 2 if record else min_rows) else _scalar_rows
+    return run(eta, level, phis, v, vbar, t, times, sizes, counts, picks, record)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +382,13 @@ def _simulate(
     families: Sequence[_Family],
     relax: bool,
     picks: Callable[[int, int], np.ndarray] | None = None,
+    counted: bool = True,
 ):
     """Draw n replications on (t_start, t1], run every family through the
     marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
     the live marks.  Returns per family its reference times and states,
-    its record and live marks, and the live L marks of every driver."""
+    its record and live marks, and the live L marks of every driver.  The
+    draws go through :func:`analysis.run_replications` when ``counted``."""
     t_start, t0, t1 = window
     n_drivers = 1 + max(fam.driver for fam in families)
     per_rep = n_drivers * _expected_marks(model, t1 - t_start)
@@ -342,7 +401,11 @@ def _simulate(
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in families]
     for lo in range(0, n, step):
-        drawn = run_replications(lambda i, _lo=lo: draw(_lo + i), min(step, n - lo))
+        rows = min(step, n - lo)
+        if counted:
+            drawn = run_replications(lambda i, _lo=lo: draw(_lo + i), rows)
+        else:
+            drawn = [draw(lo + i) for i in range(rows)]
         padded = [
             (_pad([p[d][0] for p, _ in drawn], math.inf), _pad([p[d][1] for p, _ in drawn], 0.0),
              np.array([len(p[d][0]) for p, _ in drawn]),
@@ -361,16 +424,10 @@ def _simulate(
             for f, fam in enumerate(families):
                 if fam.driver != d:
                     continue
-                rows = len(counts)
                 v = np.tile(np.array(fam.v)[:, None], (1, rows))
                 vbar = None if fam.vbar is None else np.full(rows, fam.vbar)
                 t = np.full(rows, t_start)
-                args = (eta, level, fam.phis, v, vbar, t, times, l_sizes**2, n_burn, pk)
-                min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(fam.phis)
-                if rows >= min_rows:
-                    v, vbar, t, _ = _recurse(*args, record=False)
-                else:
-                    v, vbar, t = _burn_rows(*args)
+                v, vbar, t, _ = _steps(eta, level, fam.phis, v, vbar, t, times, l_sizes**2, n_burn, pk, False)
                 if relax:
                     end = np.fromiter(map(math.exp, -eta * (t0 - t)), float, rows)
                     v = level + (v - level) * end
@@ -390,7 +447,7 @@ def _simulate(
         v = np.concatenate([c[1] for c in chunks], axis=1)
         vbar = None if fam.vbar is None else np.concatenate([c[2] for c in chunks])
         times, l_sizes, counts, pk = drivers[fam.driver]
-        rec = _recurse(eta, level, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, record=True)[3]
+        rec = _steps(eta, level, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, True)[3]
         out.append((t, v, vbar, rec))
     return out, drivers
 
@@ -436,8 +493,23 @@ def simulate_batch(
 ) -> BundleBatch:
     """n replications of ``simulate_bundle(variant, mixture, beta, eta,
     model, horizon, substream(seed, *key, r), burn_in)``, r = first ..
-    first + n - 1, with every path value and price level bit-identical to
-    the serial bundles."""
+    first + n - 1: driver i of replication r draws from ``substream(seed,
+    *key, r, i)``, its variant-3 pi-draws from ``substream(seed, *key, r,
+    1)``.  Every path value and price level equals the one-bundle one bit
+    for bit."""
+    return _bundles(
+        variant, mixture, beta, eta, model, horizon, burn_in, n,
+        lambda r, i: substream(seed, *key, first + r, i),
+    )
+
+
+def _bundles(
+    variant: Variant, mixture: Mixture, beta: float, eta: float, model: LevyModel,
+    horizon: tuple[float, float], burn_in: float | None, n: int,
+    stream: Callable[[int, int], np.random.SeedSequence], counted: bool = True,
+) -> BundleBatch:
+    """n bundles; replication r draws driver i from ``stream(r, i)`` and
+    its variant-3 pi-draws from ``stream(r, 1)``."""
     _require_stationary(mixture, eta, model)
     t0, t1 = float(horizon[0]), float(horizon[1])
     b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
@@ -455,14 +527,13 @@ def simulate_batch(
             p = np.array(mixture.weights)
 
             def picks(r: int, size: int) -> np.ndarray:
-                rng = np.random.default_rng(substream(seed, *key, first + r, 1))
-                return rng.choice(len(mixture), size=size, p=p)
+                return np.random.default_rng(stream(r, 1)).choice(len(mixture), size=size, p=p)
 
         families = [_Family(mixture.phis, 0, starts, vbar)]
     results, drivers = _simulate(
         model, eta, level, (t0 - b, t0, t1), n,
-        lambda r: [substream(seed, *key, first + r, i) for i in range(len(families))],
-        families, relax=True, picks=picks,
+        lambda r: [stream(r, i) for i in range(len(families))],
+        families, relax=True, picks=picks, counted=counted,
     )
 
     comps = [
@@ -471,7 +542,7 @@ def simulate_batch(
         for a in range(len(fam.phis))
     ]
     if variant is not Variant.SUP3:
-        # simulate_cogarch's check, in the serial (replication, atom) order
+        # simulate_cogarch's check on each component, in (replication, atom) order
         v0 = np.array([c.v0 for c in comps]).T.ravel()
         bad = v0[~(v0 > 0.0)]
         if bad.size:
@@ -488,8 +559,7 @@ def simulate_batch(
     else:
         t, _, vbar0, rec = results[0]
         aggregate = PathBatch(level, eta, t, vbar0, times, rec.agg_left, rec.agg_post)
-    counts = tuple(d[2] for d in drivers)
-    return BundleBatch(aggregate, tuple(comps), times, drivers[0][1], counts, drivers[0][3])
+    return BundleBatch(aggregate, tuple(comps), *zip(*(d[:3] for d in drivers)), drivers[0][3])
 
 
 def simulate_cogarch_batch(

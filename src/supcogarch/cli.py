@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 deterministic given the effective configuration.  --threads is validated
 and recorded in the effective configuration but has no effect.
 
-``verify`` and ``qstats`` simulate on the batched engine
-(:mod:`supcogarch.batch`), ``qstats`` through the same q columns as the
-verify q family (:func:`verify.q_columns`); ``simulate`` builds one bundle
-per variant.
+Every subcommand simulates on one engine (:mod:`supcogarch.batch`):
+``verify`` and ``qstats`` many replications per call, ``qstats`` through
+the same q columns as the verify q family (:func:`verify.q_columns`), and
+``simulate`` one bundle per variant, the engine at one replication
+(:func:`superpos.simulate_bundle`).
 """
 
 from __future__ import annotations

@@ -103,10 +103,6 @@ class CompoundPoisson:
         if not self.rate > 0.0:
             raise ValueError(f"compound Poisson rate must be > 0, got {self.rate}")
 
-    @property
-    def mean_l1(self) -> float:
-        return self.rate * self.jumps.moment(1)
-
 
 @dataclass(frozen=True)
 class VarianceGamma:
@@ -134,10 +130,6 @@ class VarianceGamma:
             raise ValueError("variance gamma drift theta must be 0 (zero-mean driver)")
         if not self.grid_step > 0.0:
             raise ValueError("variance gamma grid_step must be > 0")
-
-    @property
-    def mean_l1(self) -> float:
-        return 0.0
 
 
 LevyModel = Union[CompoundPoisson, VarianceGamma]

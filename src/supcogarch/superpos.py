@@ -15,8 +15,10 @@ a finitely supported probability measure pi = {(phi_i, p_i)}, sharing one
 Between marks every aggregate relaxes along dV = (beta - eta*V) dt, exactly
 like a single COGARCH, so the same piecewise path record applies.
 
-Stationary starts are approximated by burn-in: components begin at
-:func:`cogarch.stationary_start` (the stationary mean, or beta/eta if it
+:func:`simulate_bundle` runs the one simulation engine,
+:mod:`supcogarch.batch`, on a single replication and wraps it in those
+records.  Stationary starts are approximated by burn-in: components begin
+at :func:`cogarch.stationary_start` (the stationary mean, or beta/eta if it
 diverges) 40 mean-reversion times before the live window; shared-driver
 variants burn in jointly so that the cross-sectional dependence at time t0
 is the stationary one.
@@ -44,24 +46,18 @@ from .cogarch import (
     cross_cov,
     cross_moment,
     default_burn_in,
-    evolve_value,
     moment_gate,
-    simulate_cogarch,
     stationary_mean,
-    stationary_start,
     stationary_variance,
 )
 from .csvio import columns_to_csv, event_columns
-from .levy import JumpPath, LevyModel, rng_from, simulate_levy_path, squared_jumps, substream
+from .levy import JumpPath, LevyModel, substream
 
 __all__ = [
     "Variant",
     "TailLimit",
     "Mixture",
     "SupPathBundle",
-    "simulate_sup1",
-    "simulate_sup2",
-    "simulate_sup3",
     "simulate_bundle",
     "sup1_mean",
     "sup1_var",
@@ -147,12 +143,6 @@ class Mixture:
                 return phi
         return 0.0
 
-    def weight_of(self, phi: float) -> float:
-        for p, w in self.atoms():
-            if p == phi:
-                return w
-        return 0.0
-
 
 @dataclass(frozen=True)
 class SupPathBundle:
@@ -205,193 +195,6 @@ def _mean_or_level(mixture: Mixture, beta: float, eta: float, model: LevyModel) 
         return beta / eta
 
 
-def simulate_sup1(
-    mixture: Mixture,
-    beta: float,
-    eta: float,
-    model: LevyModel,
-    horizon: tuple[float, float],
-    seed: int | np.random.SeedSequence,
-    burn_in: float | None = None,
-) -> SupPathBundle:
-    """Variant 1: one independent driver per atom (stream key = atom index).
-
-    Each component is a COGARCH on its own subordinator with a burned-in
-    stationary start; the aggregate is the p-weighted sum and inherits the
-    between-jump relaxation at rate eta.
-    """
-    _require_stationary(mixture, eta, model)
-    t0, t1 = float(horizon[0]), float(horizon[1])
-    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
-
-    components: list[PathRecord] = []
-    drivers: list[JumpPath] = []
-    for i, (phi, _) in enumerate(mixture.atoms()):
-        params = CogarchParams(beta, eta, phi)
-        l_full = simulate_levy_path(model, (t0 - b, t1), substream(seed, i))
-        s_full = squared_jumps(l_full)
-        s_burn = s_full.restrict(t0 - b, t0)
-        v0 = evolve_value(params, s_burn, stationary_start(params, model), t0 - b, t0)
-        record = simulate_cogarch(params, s_full.restrict(t0, t1), v0)
-        components.append(record)
-        drivers.append(l_full.restrict(t0, t1))
-
-    weights = np.array(mixture.weights)
-    all_times = np.unique(np.concatenate([c.times for c in components]))
-    agg_left = np.zeros_like(all_times)
-    agg_post = np.zeros_like(all_times)
-    v0_agg = 0.0
-    for w, c in zip(weights.tolist(), components):
-        agg_left += w * c.left_limits(all_times)
-        agg_post += w * c.values(all_times)
-        v0_agg += w * c.v0
-    aggregate = PathRecord(
-        t0=t0, t1=t1, v0=v0_agg, beta=beta, eta=eta,
-        times=all_times, left=agg_left, post=agg_post,
-    )
-    return SupPathBundle(
-        Variant.SUP1, mixture, beta, eta, aggregate, tuple(components), tuple(drivers)
-    )
-
-
-def _split_driver(
-    model: LevyModel,
-    t0: float,
-    t1: float,
-    b: float,
-    seed: int | np.random.SeedSequence,
-) -> tuple[JumpPath, JumpPath, JumpPath]:
-    """One shared driver over burn-in plus live window (stream key 0)."""
-    l_full = simulate_levy_path(model, (t0 - b, t1), substream(seed, 0))
-    s_full = squared_jumps(l_full)
-    return l_full.restrict(t0, t1), s_full.restrict(t0 - b, t0), s_full.restrict(t0, t1)
-
-
-def simulate_sup2(
-    mixture: Mixture,
-    beta: float,
-    eta: float,
-    model: LevyModel,
-    horizon: tuple[float, float],
-    seed: int | np.random.SeedSequence,
-    burn_in: float | None = None,
-) -> SupPathBundle:
-    """Variant 2: all components on one shared driver; the whole family and
-    the aggregate co-jump at every mark."""
-    _require_stationary(mixture, eta, model)
-    t0, t1 = float(horizon[0]), float(horizon[1])
-    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
-    l_live, s_burn, s_live = _split_driver(model, t0, t1, b, seed)
-    components = []
-    for phi, _ in mixture.atoms():
-        params = CogarchParams(beta, eta, phi)
-        v0 = evolve_value(params, s_burn, stationary_start(params, model), t0 - b, t0)
-        components.append(simulate_cogarch(params, s_live, v0))
-    weights = np.array(mixture.weights)
-    agg_left = np.zeros(len(s_live))
-    agg_post = np.zeros(len(s_live))
-    v0_agg = 0.0
-    for w, c in zip(weights.tolist(), components):
-        agg_left += w * c.left
-        agg_post += w * c.post
-        v0_agg += w * c.v0
-    aggregate = PathRecord(
-        t0=t0, t1=t1, v0=v0_agg, beta=beta, eta=eta,
-        times=s_live.times.copy(), left=agg_left, post=agg_post,
-    )
-    return SupPathBundle(
-        Variant.SUP2, mixture, beta, eta, aggregate, tuple(components), (l_live,)
-    )
-
-
-def _sup3_marks(
-    eta: float, level: float, phis: Sequence[float], vbar: float, comps: list[float], t: float,
-    times: list[float], sizes: list[float], picks: list[int], trail: list | None = None,
-) -> tuple[float, list[float], float]:
-    """Exact variant-3 steps over shared marks for the aggregate and the
-    component family together: relax every state toward ``level``, give the
-    aggregate the scaled jump phi_j V^j_{T-} dS_T of the drawn atom
-    j = ``picks[k]``, and multiply each component by (1 + phi dS_T).  With
-    ``trail`` given, appends [aggregate left, aggregate post, component
-    lefts..., component posts...] per mark.  Returns the aggregate, the
-    components and the time after the last mark."""
-    exp = math.exp
-    for T, ds, j in zip(times, sizes, picks):
-        decay = exp(-eta * (T - t))
-        lefts = [level + (v - level) * decay for v in comps]
-        vbar_left = level + (vbar - level) * decay
-        vbar = vbar_left + phis[j] * lefts[j] * ds
-        comps = [vl * (1.0 + phi * ds) for vl, phi in zip(lefts, phis)]
-        if trail is not None:
-            trail.append([vbar_left, vbar, *lefts, *comps])
-        t = T
-    return vbar, comps, t
-
-
-def simulate_sup3(
-    mixture: Mixture,
-    beta: float,
-    eta: float,
-    model: LevyModel,
-    horizon: tuple[float, float],
-    seed: int | np.random.SeedSequence,
-    burn_in: float | None = None,
-) -> SupPathBundle:
-    """Variant 3: shared driver; at each mark an independent pi-draw phi_T
-    picks which component's scaled jump the aggregate takes:
-
-        dVbar_T = phi_T * V^{phi_T}_{T-} * dS_T.
-
-    Stream keys: 0 for the driver, 1 for the pi-draws.  The pi-draws cover
-    burn-in and live marks so the aggregate burn-in is joint with the
-    component family.
-    """
-    _require_stationary(mixture, eta, model)
-    t0, t1 = float(horizon[0]), float(horizon[1])
-    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
-    l_live, s_burn, s_live = _split_driver(model, t0, t1, b, seed)
-
-    rng = rng_from(substream(seed, 1))
-    n_marks = len(s_burn) + len(s_live)
-    idx = rng.choice(len(mixture), size=n_marks, p=np.array(mixture.weights))
-    idx_burn, idx_live = idx[: len(s_burn)], idx[len(s_burn):]
-
-    # joint burn-in of the component family and the aggregate from their
-    # stationary means, then one relaxation of every state to t0
-    level, phis, m = beta / eta, mixture.phis, len(mixture)
-    vbar, comps, t = _sup3_marks(
-        eta, level, phis, _mean_or_level(mixture, beta, eta, model),
-        [stationary_start(CogarchParams(beta, eta, phi), model) for phi in phis],
-        t0 - b, s_burn.times.tolist(), s_burn.sizes.tolist(), idx_burn.tolist(),
-    )
-    end_decay = math.exp(-eta * (t0 - t))
-    vbar0 = level + (vbar - level) * end_decay
-    comps0 = [level + (v - level) * end_decay for v in comps]
-    trail: list[list[float]] = []
-    _sup3_marks(
-        eta, level, phis, vbar0, comps0, t0,
-        s_live.times.tolist(), s_live.sizes.tolist(), idx_live.tolist(), trail,
-    )
-    cols = np.array(trail, dtype=float).reshape(len(trail), 2 + 2 * m).T.copy()
-    times = s_live.times
-    components = [
-        PathRecord(t0, t1, comps0[i], beta, eta, times, cols[2 + i], cols[2 + m + i])
-        for i in range(m)
-    ]
-    aggregate = PathRecord(t0, t1, vbar0, beta, eta, times, cols[0], cols[1])
-    return SupPathBundle(
-        Variant.SUP3, mixture, beta, eta, aggregate, tuple(components), (l_live,),
-        np.asarray(mixture.phis)[idx_live],
-    )
-
-
-_SIMULATORS = {
-    Variant.SUP1: simulate_sup1,
-    Variant.SUP2: simulate_sup2,
-    Variant.SUP3: simulate_sup3,
-}
-
-
 def simulate_bundle(
     variant: Variant,
     mixture: Mixture,
@@ -402,7 +205,36 @@ def simulate_bundle(
     seed: int | np.random.SeedSequence,
     burn_in: float | None = None,
 ) -> SupPathBundle:
-    return _SIMULATORS[variant](mixture, beta, eta, model, horizon, seed, burn_in)
+    """One bundle on ``horizon``: the batched engine
+    (:func:`batch.simulate_batch`) on a single replication, wrapped in
+    path records.  Driver i draws from ``substream(seed, i)`` (one per atom
+    for variant 1, driver 0 shared otherwise), the variant-3 pi-draws from
+    ``substream(seed, 1)``; they cover burn-in and live marks, so variant
+    3's aggregate burns in jointly with its component family.  The burn-in
+    defaults to that of the slowest-forgetting atom."""
+    from .batch import _bundles  # batch builds on this module
+
+    got = _bundles(
+        variant, mixture, beta, eta, model, horizon, burn_in, 1, lambda _, i: substream(seed, i),
+        counted=False,
+    )
+    t0, t1 = float(horizon[0]), float(horizon[1])
+
+    def record(path) -> PathRecord:
+        n = int(np.count_nonzero(np.isfinite(path.times[0])))
+        return PathRecord(t0, t1, float(path.v0[0]), beta, eta,
+                          path.times[0, :n], path.left[0, :n], path.post[0, :n])
+
+    counts = [int(c[0]) for c in got.driver_counts]
+    drivers = tuple(
+        JumpPath(t0, t1, times[0, :n], sizes[0, :n])
+        for times, sizes, n in zip(got.driver_times, got.driver_sizes, counts)
+    )
+    chosen = None if got.picks is None else np.asarray(mixture.phis)[got.picks[0, : counts[0]]]
+    return SupPathBundle(
+        variant, mixture, beta, eta, record(got.aggregate), tuple(map(record, got.components)),
+        drivers, chosen,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ The battery is a pure function of the experiment configuration: every
 replication derives its random stream from (root seed, family id, variant
 id, replication index), with the family ids of ``levy.Stream``.  The
 cogarch, cross, sup, price and q families simulate their replications
-together on the batched engine (:mod:`supcogarch.batch`), which gives the
-numbers of one bundle per replication bit for bit; the identity and tail
-families build one bundle or path at a time.
+together on the engine (:mod:`supcogarch.batch`), which gives the numbers
+of one bundle per replication bit for bit; the identity family checks one
+bundle per variant (the engine at one replication), and the tail family
+evolves one stationary COGARCH draw at a time.
 
 Tolerances: mean-type comparisons use the configured multiplier k (default
 4 standard errors); variance/covariance-type comparisons, which face heavy
@@ -48,6 +49,7 @@ from .cogarch import (
     cross_acov,
     cross_cov,
     default_burn_in,
+    evolve_value,
     stationary_acov,
     stationary_mean,
     stationary_start,
@@ -549,8 +551,7 @@ def _tail_family(
     if kappa_bar <= _HILL_MAX_KAPPA:
         params = CogarchParams(cfg.beta, cfg.eta, phi_bar)
         burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
-        draws = stationary_component_draws(params, model, cfg.seed, cfg.tail_samples, burn,
-                                           cfg.threads, family=Stream.TAIL)
+        draws = stationary_component_draws(params, model, cfg.seed, cfg.tail_samples, burn, family=Stream.TAIL)
         sweep = hill_sweep(draws)
         lo, hi = kappa_bar + _HILL_BAND[0], kappa_bar + _HILL_BAND[1]
         in_band = all(lo < est < hi for _, est in sweep)
@@ -566,13 +567,10 @@ def stationary_component_draws(
     seed: int,
     n: int,
     burn_in: float,
-    threads: int = 1,
     family: int = Stream.TAIL,
 ) -> np.ndarray:
     """n burned-in stationary draws of one COGARCH (stationarity checked
     once up front, not per draw)."""
-    from .cogarch import evolve_value
-
     if not params.is_stationary_admissible(model):
         raise NonStationaryError(f"phi={params.phi} is not stationary-admissible")
     start = stationary_start(params, model)
@@ -583,7 +581,7 @@ def stationary_component_draws(
         )
         return evolve_value(params, s, start, -burn_in, 0.0)
 
-    return np.array(run_replications(one, n, threads))
+    return np.array(run_replications(one, n))
 
 
 def _identity_family(cfg: ExperimentConfig, checks: list[CheckRow]) -> None:

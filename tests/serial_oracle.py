@@ -1,0 +1,286 @@
+"""Frozen serial oracle: the one-bundle-at-a-time simulators as they were
+before ``superpos.simulate_bundle`` became the batched engine at one
+replication.
+
+The functions below are kept verbatim, together with the scalar COGARCH
+loops they ran on, so that the engine is compared with an independent
+implementation and not with itself.  They draw from the same streams
+(driver i from ``substream(seed, i)``, the variant-3 pi-draws from
+``substream(seed, 1)``), so every number must agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from supcogarch.cogarch import CogarchParams, PathRecord, stationary_start
+from supcogarch.levy import JumpPath, LevyModel, rng_from, simulate_levy_path, squared_jumps, substream
+from supcogarch.superpos import (
+    Mixture,
+    SupPathBundle,
+    Variant,
+    _bundle_burn_in,
+    _mean_or_level,
+    _require_stationary,
+)
+
+# ---------------------------------------------------------------------------
+# the scalar COGARCH loops
+
+
+def _evolve_marks(
+    eta: float, level: float, phi: float, v: float, t: float, times: list[float], sizes: list[float]
+) -> float:
+    """Exact steps from state v at time t through the subordinator marks
+    (times, sizes); returns the state right after the last mark."""
+    exp = math.exp
+    for T, ds in zip(times, sizes):
+        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
+        t = T
+    return v
+
+
+def evolve_value(
+    params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float
+) -> float:
+    """Exact evolution through the marks of ``s_path`` from ``t_start``,
+    relaxed up to ``t_end``; returns V(t_end).  The same arithmetic as
+    :func:`simulate_cogarch`, without recording the per-event values."""
+    level, eta = params.level, params.eta
+    times = s_path.times.tolist()
+    v = _evolve_marks(eta, level, params.phi, v, t_start, times, s_path.sizes.tolist())
+    t = times[-1] if times else t_start
+    return level + (v - level) * math.exp(-eta * (t_end - t))
+
+
+def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:
+    """Exact path of the COGARCH driven by the subordinator path ``s_path``.
+
+    Deterministic exponential relaxation toward beta/eta between marks and
+    the multiplicative update V -> V * (1 + phi * dS) at each mark.
+    """
+    if not v0 > 0.0:
+        raise ValueError(f"v0 must be > 0, got {v0}")
+    level, eta, phi = params.level, params.eta, params.phi
+    exp = math.exp
+    left: list[float] = []
+    post: list[float] = []
+    v, t = v0, s_path.t0
+    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
+        v = level + (v - level) * exp(-eta * (T - t))
+        left.append(v)
+        v = v * (1.0 + phi * ds)
+        post.append(v)
+        t = T
+    return PathRecord(
+        s_path.t0, s_path.t1, v0, params.beta, params.eta,
+        s_path.times.copy(), np.array(left), np.array(post),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the three variants
+
+
+def simulate_sup1(
+    mixture: Mixture,
+    beta: float,
+    eta: float,
+    model: LevyModel,
+    horizon: tuple[float, float],
+    seed: int | np.random.SeedSequence,
+    burn_in: float | None = None,
+) -> SupPathBundle:
+    """Variant 1: one independent driver per atom (stream key = atom index).
+
+    Each component is a COGARCH on its own subordinator with a burned-in
+    stationary start; the aggregate is the p-weighted sum and inherits the
+    between-jump relaxation at rate eta.
+    """
+    _require_stationary(mixture, eta, model)
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
+
+    components: list[PathRecord] = []
+    drivers: list[JumpPath] = []
+    for i, (phi, _) in enumerate(mixture.atoms()):
+        params = CogarchParams(beta, eta, phi)
+        l_full = simulate_levy_path(model, (t0 - b, t1), substream(seed, i))
+        s_full = squared_jumps(l_full)
+        s_burn = s_full.restrict(t0 - b, t0)
+        v0 = evolve_value(params, s_burn, stationary_start(params, model), t0 - b, t0)
+        record = simulate_cogarch(params, s_full.restrict(t0, t1), v0)
+        components.append(record)
+        drivers.append(l_full.restrict(t0, t1))
+
+    weights = np.array(mixture.weights)
+    all_times = np.unique(np.concatenate([c.times for c in components]))
+    agg_left = np.zeros_like(all_times)
+    agg_post = np.zeros_like(all_times)
+    v0_agg = 0.0
+    for w, c in zip(weights.tolist(), components):
+        agg_left += w * c.left_limits(all_times)
+        agg_post += w * c.values(all_times)
+        v0_agg += w * c.v0
+    aggregate = PathRecord(
+        t0=t0, t1=t1, v0=v0_agg, beta=beta, eta=eta,
+        times=all_times, left=agg_left, post=agg_post,
+    )
+    return SupPathBundle(
+        Variant.SUP1, mixture, beta, eta, aggregate, tuple(components), tuple(drivers)
+    )
+
+
+def _split_driver(
+    model: LevyModel,
+    t0: float,
+    t1: float,
+    b: float,
+    seed: int | np.random.SeedSequence,
+) -> tuple[JumpPath, JumpPath, JumpPath]:
+    """One shared driver over burn-in plus live window (stream key 0)."""
+    l_full = simulate_levy_path(model, (t0 - b, t1), substream(seed, 0))
+    s_full = squared_jumps(l_full)
+    return l_full.restrict(t0, t1), s_full.restrict(t0 - b, t0), s_full.restrict(t0, t1)
+
+
+def simulate_sup2(
+    mixture: Mixture,
+    beta: float,
+    eta: float,
+    model: LevyModel,
+    horizon: tuple[float, float],
+    seed: int | np.random.SeedSequence,
+    burn_in: float | None = None,
+) -> SupPathBundle:
+    """Variant 2: all components on one shared driver; the whole family and
+    the aggregate co-jump at every mark."""
+    _require_stationary(mixture, eta, model)
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
+    l_live, s_burn, s_live = _split_driver(model, t0, t1, b, seed)
+    components = []
+    for phi, _ in mixture.atoms():
+        params = CogarchParams(beta, eta, phi)
+        v0 = evolve_value(params, s_burn, stationary_start(params, model), t0 - b, t0)
+        components.append(simulate_cogarch(params, s_live, v0))
+    weights = np.array(mixture.weights)
+    agg_left = np.zeros(len(s_live))
+    agg_post = np.zeros(len(s_live))
+    v0_agg = 0.0
+    for w, c in zip(weights.tolist(), components):
+        agg_left += w * c.left
+        agg_post += w * c.post
+        v0_agg += w * c.v0
+    aggregate = PathRecord(
+        t0=t0, t1=t1, v0=v0_agg, beta=beta, eta=eta,
+        times=s_live.times.copy(), left=agg_left, post=agg_post,
+    )
+    return SupPathBundle(
+        Variant.SUP2, mixture, beta, eta, aggregate, tuple(components), (l_live,)
+    )
+
+
+def _sup3_marks(
+    eta: float, level: float, phis: Sequence[float], vbar: float, comps: list[float], t: float,
+    times: list[float], sizes: list[float], picks: list[int], trail: list | None = None,
+) -> tuple[float, list[float], float]:
+    """Exact variant-3 steps over shared marks for the aggregate and the
+    component family together: relax every state toward ``level``, give the
+    aggregate the scaled jump phi_j V^j_{T-} dS_T of the drawn atom
+    j = ``picks[k]``, and multiply each component by (1 + phi dS_T).  With
+    ``trail`` given, appends [aggregate left, aggregate post, component
+    lefts..., component posts...] per mark.  Returns the aggregate, the
+    components and the time after the last mark."""
+    exp = math.exp
+    for T, ds, j in zip(times, sizes, picks):
+        decay = exp(-eta * (T - t))
+        lefts = [level + (v - level) * decay for v in comps]
+        vbar_left = level + (vbar - level) * decay
+        vbar = vbar_left + phis[j] * lefts[j] * ds
+        comps = [vl * (1.0 + phi * ds) for vl, phi in zip(lefts, phis)]
+        if trail is not None:
+            trail.append([vbar_left, vbar, *lefts, *comps])
+        t = T
+    return vbar, comps, t
+
+
+def simulate_sup3(
+    mixture: Mixture,
+    beta: float,
+    eta: float,
+    model: LevyModel,
+    horizon: tuple[float, float],
+    seed: int | np.random.SeedSequence,
+    burn_in: float | None = None,
+) -> SupPathBundle:
+    """Variant 3: shared driver; at each mark an independent pi-draw phi_T
+    picks which component's scaled jump the aggregate takes:
+
+        dVbar_T = phi_T * V^{phi_T}_{T-} * dS_T.
+
+    Stream keys: 0 for the driver, 1 for the pi-draws.  The pi-draws cover
+    burn-in and live marks so the aggregate burn-in is joint with the
+    component family.
+    """
+    _require_stationary(mixture, eta, model)
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
+    l_live, s_burn, s_live = _split_driver(model, t0, t1, b, seed)
+
+    rng = rng_from(substream(seed, 1))
+    n_marks = len(s_burn) + len(s_live)
+    idx = rng.choice(len(mixture), size=n_marks, p=np.array(mixture.weights))
+    idx_burn, idx_live = idx[: len(s_burn)], idx[len(s_burn):]
+
+    # joint burn-in of the component family and the aggregate from their
+    # stationary means, then one relaxation of every state to t0
+    level, phis, m = beta / eta, mixture.phis, len(mixture)
+    vbar, comps, t = _sup3_marks(
+        eta, level, phis, _mean_or_level(mixture, beta, eta, model),
+        [stationary_start(CogarchParams(beta, eta, phi), model) for phi in phis],
+        t0 - b, s_burn.times.tolist(), s_burn.sizes.tolist(), idx_burn.tolist(),
+    )
+    end_decay = math.exp(-eta * (t0 - t))
+    vbar0 = level + (vbar - level) * end_decay
+    comps0 = [level + (v - level) * end_decay for v in comps]
+    trail: list[list[float]] = []
+    _sup3_marks(
+        eta, level, phis, vbar0, comps0, t0,
+        s_live.times.tolist(), s_live.sizes.tolist(), idx_live.tolist(), trail,
+    )
+    cols = np.array(trail, dtype=float).reshape(len(trail), 2 + 2 * m).T.copy()
+    times = s_live.times
+    components = [
+        PathRecord(t0, t1, comps0[i], beta, eta, times, cols[2 + i], cols[2 + m + i])
+        for i in range(m)
+    ]
+    aggregate = PathRecord(t0, t1, vbar0, beta, eta, times, cols[0], cols[1])
+    return SupPathBundle(
+        Variant.SUP3, mixture, beta, eta, aggregate, tuple(components), (l_live,),
+        np.asarray(mixture.phis)[idx_live],
+    )
+
+
+_SIMULATORS = {
+    Variant.SUP1: simulate_sup1,
+    Variant.SUP2: simulate_sup2,
+    Variant.SUP3: simulate_sup3,
+}
+
+
+def simulate_bundle(
+    variant: Variant,
+    mixture: Mixture,
+    beta: float,
+    eta: float,
+    model: LevyModel,
+    horizon: tuple[float, float],
+    seed: int | np.random.SeedSequence,
+    burn_in: float | None = None,
+) -> SupPathBundle:
+    return _SIMULATORS[variant](mixture, beta, eta, model, horizon, seed, burn_in)
+

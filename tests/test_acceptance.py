@@ -75,18 +75,18 @@ from supcogarch.analysis import (
     mc_second_moment,
     mc_variance,
 )
+from supcogarch.batch import chunked, simulate_batch, simulate_cogarch_batch
 from supcogarch.charexp import ExponentContext, h_kappa, kappa_of_phi, psi
 from supcogarch.cli import main as cli_main
 from supcogarch.cogarch import (
     CogarchParams,
     cross_acov,
     cross_cov,
-    simulate_cogarch,
     stationary_acov,
     stationary_variance,
     stationary_variance_alt,
 )
-from supcogarch.levy import CompoundPoisson, rng_from, simulate_levy_path, squared_jumps, substream
+from supcogarch.levy import CompoundPoisson, rng_from, substream
 from supcogarch.price import (
     increment_mean_and_variance,
     simulate_price,
@@ -389,24 +389,26 @@ def _cogarch_batch(seed: int) -> dict:
     params = CogarchParams(BETA, ETA, PHI)
     t0 = time.perf_counter()
     query = np.array((0.0,) + LAGS)
-
-    vals = np.empty((N_DRAWS, query.size))
-    for i in range(N_DRAWS):
-        s = squared_jumps(simulate_levy_path(MODEL, (-80.0, LAGS[-1]), substream(seed, A_COG, i)))
-        vals[i] = simulate_cogarch(params, s, 2.0).values(query)
+    vals = chunked(
+        lambda first, n: simulate_cogarch_batch(
+            params, MODEL, (0.0, LAGS[-1]), 2.0, seed, (A_COG,), n, 80.0, first,
+        ).values(query),
+        N_DRAWS,
+    )
     return {"values": vals, "elapsed": time.perf_counter() - t0}
 
 
 def _cross_batch(seed: int) -> np.ndarray:
     """Shared-driver pair (0.5, 0.2): V^{0.5}_0, V^{0.2}_0, V^{0.2}_h."""
     query = np.array(LAGS)
-    vals = np.empty((N_DRAWS, 2 + query.size))
-    for i in range(N_DRAWS):
-        b = simulate_bundle(Variant.SUP2, PAIR, BETA, ETA, MODEL, (0.0, LAGS[-1]),
-                            substream(seed, A_CROSS, i))
+
+    def sample(first: int, n: int) -> np.ndarray:
+        b = simulate_batch(Variant.SUP2, PAIR, BETA, ETA, MODEL, (0.0, LAGS[-1]), seed, (A_CROSS,), n,
+                           first=first)
         low, high = b.components  # sorted ascending: index 1 is phi = 0.5
-        vals[i] = np.concatenate(([high.v0, low.v0], low.values(query)))
-    return vals
+        return np.column_stack([high.v0, low.v0, low.values(query)])
+
+    return chunked(sample, N_DRAWS)
 
 
 def _sup_batch(seed: int) -> dict:
@@ -414,12 +416,13 @@ def _sup_batch(seed: int) -> dict:
     aggregate (column 0) and the components (mixture order) at t0."""
     out = {}
     for vi, variant in enumerate(Variant):
-        draws = np.empty((N_DRAWS, 1 + len(MOMENT_MIX)))
-        for i in range(N_DRAWS):
-            b = simulate_bundle(variant, MOMENT_MIX, BETA, ETA, MODEL, (0.0, 1.0),
-                                substream(seed, A_SUP, vi, i))
-            draws[i] = (b.aggregate.v0, *[c.v0 for c in b.components])
-        out[variant] = draws
+
+        def sample(first: int, n: int, variant=variant, vi=vi) -> np.ndarray:
+            b = simulate_batch(variant, MOMENT_MIX, BETA, ETA, MODEL, (0.0, 1.0), seed, (A_SUP, vi), n,
+                               first=first)
+            return np.column_stack([b.aggregate.v0, *(c.v0 for c in b.components)])
+
+        out[variant] = chunked(sample, N_DRAWS)
     return out
 
 
@@ -429,19 +432,22 @@ def _price_batch(seed: int) -> dict:
     volatilities at each h in PRICE_LAGS."""
     out = {}
     t0 = time.perf_counter()
-    t_hi = PRICE_LAGS[-1] + R
+    starts = np.array((0.0,) + PRICE_LAGS)
     lags = np.array(PRICE_LAGS)
     for vi, variant in enumerate(Variant):
-        inc = np.empty((N_PRICE, 1 + lags.size))
-        vbar = np.empty((N_PRICE, lags.size))
-        comps = np.empty((N_PRICE, len(MOMENT_MIX), lags.size))
-        for i in range(N_PRICE):
-            b = simulate_bundle(variant, MOMENT_MIX, BETA, ETA, MODEL, (0.0, t_hi),
-                                substream(seed, A_PRICE, vi, i))
-            gp = simulate_price(b)
-            inc[i] = (gp.increment(0.0, R), *[gp.increment(h, R) for h in PRICE_LAGS])
-            vbar[i] = b.aggregate.values(lags)
-            comps[i] = [c.values(lags) for c in b.components]
+
+        def sample(first: int, n: int, variant=variant, vi=vi) -> np.ndarray:
+            b = simulate_batch(variant, MOMENT_MIX, BETA, ETA, MODEL, (0.0, PRICE_LAGS[-1] + R), seed,
+                               (A_PRICE, vi), n, first=first)
+            levels = b.price_levels(np.concatenate([starts, starts + R]))
+            return np.column_stack([
+                levels[:, starts.size:] - levels[:, : starts.size],
+                b.aggregate.values(lags),
+                *(c.values(lags) for c in b.components),
+            ])
+
+        cols = np.split(chunked(sample, N_PRICE), np.cumsum([starts.size, lags.size]), axis=1)
+        inc, vbar, comps = cols[0], cols[1], np.stack(np.split(cols[2], len(MOMENT_MIX), axis=1), axis=1)
         out[variant] = {"inc": inc, "vbar": vbar, "comps": comps}
     out["elapsed"] = time.perf_counter() - t0
     return out

@@ -1,8 +1,10 @@
 """The batched replication engine against the serial path it replaces.
 
 The oracles below are the per-replication closures the verify families ran
-before the engine existed: one ``simulate_bundle`` / ``simulate_cogarch``
-per replication, queried through ``PathRecord`` and ``PricePath``.  Every
+before the engine existed: one bundle or COGARCH per replication, built by
+the frozen serial simulators of ``serial_oracle`` and queried through
+``PathRecord`` and ``PricePath``.  ``superpos.simulate_bundle`` is the
+engine at one replication, so it is compared with the same oracle.  Every
 comparison is ``np.array_equal``: the engine must reproduce each number bit
 for bit, not approximately.
 """
@@ -14,14 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supcogarch import analysis, batch, verify
+import serial_oracle
+from serial_oracle import simulate_bundle, simulate_cogarch
+from supcogarch import analysis, batch, superpos, verify
 from supcogarch.analysis import check_q_bounds, extract_q, jump_tally, run_replications
 from supcogarch.batch import simulate_batch
-from supcogarch.cogarch import CogarchParams, default_burn_in, simulate_cogarch, stationary_mean
+from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in, stationary_mean
 from supcogarch.config import ExperimentConfig
-from supcogarch.levy import Stream, rng_from, simulate_levy_path, squared_jumps, substream
-from supcogarch.price import simulate_price
-from supcogarch.superpos import Mixture, Variant, simulate_bundle
+from supcogarch.levy import Stream, VarianceGamma, rng_from, simulate_levy_path, squared_jumps, substream
+from supcogarch.price import price_to_csv, simulate_price
+from supcogarch.superpos import Mixture, Variant, bundle_to_csv
 
 # ---------------------------------------------------------------------------
 # oracles: the serial per-replication closures of the four verify families
@@ -205,7 +209,7 @@ def test_bundle_batch_matches_every_path(variant):
             assert np.array_equal(row(pb.v0), [rec.v0])
         assert np.array_equal(got.price_levels(ts)[rep], price.values_at(ts))
         count = len(price)
-        assert np.array_equal(got.driver_times[rep, :count], price.times)
+        assert np.array_equal(got.driver_times[0][rep, :count], price.times)
 
 
 @pytest.mark.parametrize(
@@ -231,6 +235,103 @@ def test_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
     assert np.array_equal(verify._cross_samples(cfg, 0.06, 0.12, lags), oracle_cross(cfg, 0.06, 0.12, lags))
     mean = stationary_mean(CogarchParams(cfg.beta, cfg.eta, cfg.phis[0]), cfg.model())
     assert np.array_equal(verify._cogarch_samples(cfg, 0, lags, mean), oracle_cogarch(cfg, 0, lags, mean))
+
+
+# ---------------------------------------------------------------------------
+# simulate_bundle: the engine at one replication
+
+ZERO_MIX = Mixture.from_atoms([(0.0, 0.2), (0.3, 0.5), (0.7, 0.3)])
+
+BUNDLE_CASES = {
+    "cp": (BASE.model(), BASE.mixture(), (0.0, 4.0)),
+    "cp_zero_atom": (BASE.model(), ZERO_MIX, (0.0, 4.0)),
+    "cp_shifted_window": (BASE.model(), ZERO_MIX, (2.5, 6.0)),
+    "vg_zero_atom": (VarianceGamma(1.0, 0.5, grid_step=2.0**-4), ZERO_MIX, (0.0, 2.0)),
+}
+
+
+def assert_same_bundle(got: superpos.SupPathBundle, want: superpos.SupPathBundle) -> None:
+    assert (got.variant, got.mixture, got.beta, got.eta) == (want.variant, want.mixture, want.beta, want.eta)
+    for a, b in [(got.aggregate, want.aggregate), *zip(got.components, want.components, strict=True)]:
+        assert (a.t0, a.t1, a.v0, a.beta, a.eta) == (b.t0, b.t1, b.v0, b.beta, b.eta)
+        for field in ("times", "left", "post"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for a, b in zip(got.drivers, want.drivers, strict=True):
+        assert (a.t0, a.t1) == (b.t0, b.t1)
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.sizes, b.sizes)
+    if want.chosen_phis is None:
+        assert got.chosen_phis is None
+    else:
+        assert np.array_equal(got.chosen_phis, want.chosen_phis)
+    assert bundle_to_csv(got, 0.25) == bundle_to_csv(want, 0.25)
+    assert price_to_csv(simulate_price(got)) == price_to_csv(simulate_price(want))
+
+
+@pytest.mark.parametrize("burn_in", [None, 2.5], ids=["default_burn", "burn_set"])
+@pytest.mark.parametrize("case", sorted(BUNDLE_CASES))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_simulate_bundle_matches_oracle(variant, case, burn_in):
+    model, mix, horizon = BUNDLE_CASES[case]
+    for seed in (7, 8, substream(41, 0), substream(41, 1)):
+        want = simulate_bundle(variant, mix, 1.0, 1.0, model, horizon, seed, burn_in)
+        assert_same_bundle(superpos.simulate_bundle(variant, mix, 1.0, 1.0, model, horizon, seed, burn_in), want)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_simulate_bundle_empty_live_window(variant):
+    """A 0.01 live window at rate 1: most bundles have no live mark."""
+    empty = 0
+    for i in range(12):
+        args = (variant, ZERO_MIX, 1.0, 1.0, BASE.model(), (0.0, 0.01), substream(43, i), 3.0)
+        want = simulate_bundle(*args)
+        assert_same_bundle(superpos.simulate_bundle(*args), want)
+        empty += len(want.aggregate) == 0
+    assert empty > 0
+
+
+@pytest.mark.parametrize("min_rows", [None, 1], ids=["scalar_recording", "padded_recording"])
+def test_simulate_bundle_long_vg_row(monkeypatch, min_rows):
+    """Thousands of marks in one row: recorded on the scalar loops, and,
+    forced onto the padded per-rank loop, with the same numbers."""
+    if min_rows is not None:
+        monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
+        monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+    model, mix = VarianceGamma(1.0, 1.0), BASE.mixture()
+    for vi, variant in enumerate(Variant):
+        args = (variant, mix, 1.0, 0.5, model, (0.0, 10.0), substream(44, vi), 10.0)
+        want = simulate_bundle(*args)
+        assert len(want.aggregate) > 2000
+        assert_same_bundle(superpos.simulate_bundle(*args), want)
+
+
+def test_simulate_bundle_raises_as_the_oracle(monkeypatch):
+    model, mix = BASE.model(), BASE.mixture()
+
+    def outcome(sim, args):
+        try:
+            sim(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    def both(*args):
+        want = outcome(simulate_bundle, args)
+        assert want is not None and outcome(superpos.simulate_bundle, args) == want
+        return want
+
+    too_big = Mixture.from_atoms([(0.5, 0.5), (3.5, 0.5)])
+    for variant in Variant:
+        assert both(variant, too_big, 1.0, 1.0, model, (0.0, 5.0), 0)[0] is NonStationaryError
+        assert both(variant, mix, 1.0, 1.0, model, (1.0, 1.0), 0) == (ValueError, "empty horizon [1.0, 1.0]")
+        assert both(variant, mix, 1.0, 1.0, model, (1.0, 0.5), 0, 2.0) == (ValueError, "empty horizon [1.0, 0.5]")
+        assert both(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 0, 0.0) == (ValueError, "empty horizon [0.0, 0.0]")
+    # a start below zero that a short burn-in cannot lift: simulate_cogarch's
+    # check on the components of variants 1 and 2
+    for module in (batch, serial_oracle):
+        monkeypatch.setattr(module, "stationary_start", lambda params, model: -5.0)
+    for variant in (Variant.SUP1, Variant.SUP2):
+        kind, message = both(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 0, 0.01)
+        assert kind is ValueError and message.startswith("v0 must be > 0, got -")
 
 
 Q_CASES = {

@@ -23,9 +23,6 @@ from supcogarch.superpos import (
     check_stationarity,
     chosen_marks_to_csv,
     simulate_bundle,
-    simulate_sup1,
-    simulate_sup2,
-    simulate_sup3,
     sup1_acov,
     sup1_mean,
     sup1_var,
@@ -61,9 +58,9 @@ def test_mixture_validation():
 
 def test_nonstationary_atom_rejected():
     bad = Mixture.from_atoms([(0.5, 0.5), (3.5, 0.5)])
-    for sim in (simulate_sup1, simulate_sup2, simulate_sup3):
+    for variant in Variant:
         with pytest.raises(NonStationaryError):
-            sim(bad, 1.0, 1.0, MODEL, (0.0, 5.0), 0)
+            simulate_bundle(variant, bad, 1.0, 1.0, MODEL, (0.0, 5.0), 0)
 
 
 @pytest.mark.parametrize("model", [MODEL, VarianceGamma(1.0, 1.0)], ids=["cp_normal", "vg"])
@@ -238,7 +235,7 @@ def test_point_mass_bundles_degenerate_to_cogarch():
 
 def test_shifted_horizon_bundle():
     # the live window need not start at 0; invariants hold on any interval
-    b = simulate_sup2(MOMENT_MIX, 1.0, 1.0, MODEL, (5.0, 25.0), 19)
+    b = simulate_bundle(Variant.SUP2, MOMENT_MIX, 1.0, 1.0, MODEL, (5.0, 25.0), 19)
     agg = b.aggregate
     assert agg.t0 == 5.0 and agg.t1 == 25.0
     assert np.all(agg.times > 5.0) and np.all(agg.times <= 25.0)
@@ -248,9 +245,9 @@ def test_shifted_horizon_bundle():
 
 
 def test_burn_in_override_respected():
-    b1 = simulate_sup2(MOMENT_MIX, 1.0, 1.0, MODEL, (0.0, 5.0), 3, burn_in=10.0)
-    b2 = simulate_sup2(MOMENT_MIX, 1.0, 1.0, MODEL, (0.0, 5.0), 3, burn_in=10.0)
-    b3 = simulate_sup2(MOMENT_MIX, 1.0, 1.0, MODEL, (0.0, 5.0), 3, burn_in=20.0)
+    b1 = simulate_bundle(Variant.SUP2, MOMENT_MIX, 1.0, 1.0, MODEL, (0.0, 5.0), 3, burn_in=10.0)
+    b2 = simulate_bundle(Variant.SUP2, MOMENT_MIX, 1.0, 1.0, MODEL, (0.0, 5.0), 3, burn_in=10.0)
+    b3 = simulate_bundle(Variant.SUP2, MOMENT_MIX, 1.0, 1.0, MODEL, (0.0, 5.0), 3, burn_in=20.0)
     assert b1.aggregate.v0 == b2.aggregate.v0
     assert b1.aggregate.v0 != b3.aggregate.v0
 
