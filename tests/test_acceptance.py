@@ -446,9 +446,8 @@ def _price_batch(seed: int) -> dict:
                 *(c.values(lags) for c in b.components),
             ])
 
-        cols = np.split(chunked(sample, N_PRICE), np.cumsum([starts.size, lags.size]), axis=1)
-        inc, vbar, comps = cols[0], cols[1], np.stack(np.split(cols[2], len(MOMENT_MIX), axis=1), axis=1)
-        out[variant] = {"inc": inc, "vbar": vbar, "comps": comps}
+        inc, vbar, comps = np.split(chunked(sample, N_PRICE), np.cumsum([starts.size, lags.size]), axis=1)
+        out[variant] = {"inc": inc, "vbar": vbar, "comps": comps.reshape(N_PRICE, len(MOMENT_MIX), lags.size)}
     out["elapsed"] = time.perf_counter() - t0
     return out
 
