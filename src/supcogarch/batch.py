@@ -12,11 +12,11 @@ substream(seed, *key, r))``.  A COGARCH replication of
 The exact recursions then run mark rank by mark rank across the
 replications on padded 2-D arrays or, when there are too few rows for the
 per-rank numpy overhead to pay off, row by row on the scalar loops
-(:func:`cogarch._record_marks` and ``_evolve_marks``, and variant 3's
-:func:`_sup3_marks`).  Both do one replication's floating-point operations
-in the same order, so no number depends on which runs or on the number of
-replications, and every number equals that of the serial simulators kept
-in ``tests/serial_oracle.py``:
+(:func:`cogarch.simulate_cogarch`, :func:`cogarch.evolve_value` and
+``_evolve_marks``, and variant 3's :func:`_sup3_marks`).  Both do one
+replication's floating-point operations in the same order, so no number
+depends on which runs or on the number of replications, and every number
+equals that of the serial simulators kept in ``tests/serial_oracle.py``:
 
 * per-mark decays exp(-eta (T - t)) come from ``math.exp``, as in the
   scalar loops (``np.exp`` rounds differently on some inputs);
@@ -36,7 +36,10 @@ draws of :func:`simulate_batch` and :func:`simulate_cogarch_batch` go
 through :func:`analysis.run_replications`, so tracing tools count one
 replication per replication; the recursions run outside it, so a
 replication's span times its draws alone.  A single bundle is not a
-replication of anything and is not counted.
+replication of anything and is not counted; it draws its drivers through
+:func:`levy.simulate_levy_path`, and the scalar loops run the public
+COGARCH recursions, so one bundle calls the functions it called before the
+engine existed.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import run_replications
-from .cogarch import CogarchParams, _evolve_marks, _record_marks, stationary_start
-from .levy import CompoundPoisson, LevyModel, _draw_marks, substream
+from .cogarch import CogarchParams, _evolve_marks, evolve_value, simulate_cogarch, stationary_start
+from .levy import CompoundPoisson, JumpPath, LevyModel, _draw_marks, substream
 from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "chunked"]
@@ -82,7 +85,8 @@ def _rank(times: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
 
 
 def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(values, idx, axis=1)
+    """Row-wise ``values[r, idx[r]]`` (``np.take_along_axis`` on axis 1)."""
+    return values[np.arange(values.shape[0])[:, None], idx]
 
 
 def _per_row(ts: np.ndarray, n: int) -> np.ndarray:
@@ -305,30 +309,27 @@ def _sup3_marks(
 
 
 def _scalar_rows(
-    eta: float, level: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
+    beta: float, eta: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
     t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-    picks: np.ndarray | None, record: bool,
+    picks: np.ndarray | None, record: bool, t_end: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
-    """The steps of :func:`_recurse` row by row on the scalar loops: one
-    COGARCH at a time, or variant 3's joint loop."""
-    v, t_end = v.copy(), t.copy()
+    """The steps of :func:`_steps` row by row, as one bundle ran before the
+    engine: each COGARCH recorded by :func:`cogarch.simulate_cogarch` and
+    burned in by :func:`cogarch.evolve_value`, variant 3 on its joint loop
+    :func:`_sup3_marks`."""
+    level = beta / eta
+    v, t = v.copy(), t.copy()
     vbar = None if vbar is None else vbar.copy()
     rec = _Record.zeros(v.shape, times.shape, vbar is not None) if record else None
+    params = [CogarchParams(beta, eta, phi) for phi in phis]
+    relax = not record and t_end is not None
     for r, c in enumerate(counts.tolist()):
-        ts, ss = times[r, :c].tolist(), sizes[r, :c].tolist()
-        if vbar is None:
-            for a, phi in enumerate(phis):
-                args = (eta, level, phi, float(v[a, r]), float(t[r]), ts, ss)
-                if not record:
-                    v[a, r] = _evolve_marks(*args)
-                elif c:
-                    left, post = _record_marks(*args)
-                    rec.left[a, r, :c], rec.post[a, r, :c] = left, post
-                    v[a, r] = post[-1]
-        else:
+        ts, ss, start = times[r, :c], sizes[r, :c], float(t[r])
+        last = float(ts[-1]) if c else start
+        if vbar is not None:
             trail = [] if record else None
             vbar[r], v[:, r] = _sup3_marks(
-                eta, level, phis, float(vbar[r]), v[:, r].tolist(), float(t[r]), ts, ss,
+                eta, level, phis, float(vbar[r]), v[:, r].tolist(), start, ts.tolist(), ss.tolist(),
                 picks[r, :c].tolist(), trail,
             )
             if trail:
@@ -336,23 +337,48 @@ def _scalar_rows(
                 m = len(phis)
                 rec.agg_left[r, :c], rec.agg_post[r, :c] = cols[0], cols[1]
                 rec.left[:, r, :c], rec.post[:, r, :c] = cols[2: 2 + m], cols[2 + m:]
-        if c:
-            t_end[r] = ts[-1]
-    return v, vbar, t_end, rec
+            if relax:
+                decay = math.exp(-eta * (t_end - last))
+                vbar[r] = level + (vbar[r] - level) * decay
+                v[:, r] = level + (v[:, r] - level) * decay
+        elif record:
+            path = JumpPath(start, t_end, ts, ss)
+            for a, p in enumerate(params):
+                got = simulate_cogarch(p, path, float(v[a, r]))
+                rec.left[a, r, :c], rec.post[a, r, :c] = got.left, got.post
+        elif relax:
+            path = JumpPath(start, t_end, ts, ss)
+            for a, p in enumerate(params):
+                v[a, r] = evolve_value(p, path, float(v[a, r]), start, t_end)
+        else:
+            for a, phi in enumerate(phis):
+                v[a, r] = _evolve_marks(eta, level, phi, float(v[a, r]), start, ts.tolist(), ss.tolist())
+        t[r] = t_end if relax else last
+    return v, vbar, t, rec
 
 
 def _steps(
-    eta: float, level: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
+    beta: float, eta: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
     t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-    picks: np.ndarray | None, record: bool,
+    picks: np.ndarray | None, record: bool, t_end: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
-    """Exact steps over padded marks, burn-in (``record`` false) or live
-    window: on the padded arrays (:func:`_recurse`) from the crossover row
-    count on, row by row on the scalar loops below it.  Both loops do the
-    same floating-point operations, so the choice never changes a bit."""
+    """Exact steps over padded marks in (t, t_end], a burn-in (``record``
+    false) or the live window: on the padded arrays (:func:`_recurse`) from
+    the crossover row count on, row by row on the scalar loops below it.
+    Both do the same floating-point operations, so the choice never changes
+    a bit.  A burn-in relaxes every state to ``t_end`` after its last mark,
+    or leaves it there when ``t_end`` is None."""
     min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(phis)
-    run = _recurse if times.shape[0] >= (min_rows / 2 if record else min_rows) else _scalar_rows
-    return run(eta, level, phis, v, vbar, t, times, sizes, counts, picks, record)
+    if times.shape[0] < (min_rows / 2 if record else min_rows):
+        return _scalar_rows(beta, eta, phis, v, vbar, t, times, sizes, counts, picks, record, t_end)
+    level = beta / eta
+    v, vbar, t, rec = _recurse(eta, level, phis, v, vbar, t, times, sizes, counts, picks, record)
+    if not record and t_end is not None:
+        end = np.fromiter(map(math.exp, -eta * (t_end - t)), float, t.size)
+        v = level + (v - level) * end
+        vbar = None if vbar is None else level + (vbar - level) * end
+        t = np.full(t.size, t_end)
+    return v, vbar, t, rec
 
 
 # ---------------------------------------------------------------------------
@@ -377,32 +403,37 @@ class _Family:
 
 
 def _simulate(
-    model: LevyModel, eta: float, level: float, window: tuple[float, float, float], n: int,
+    model: LevyModel, beta: float, eta: float, window: tuple[float, float, float], n: int,
     streams: Callable[[int], list[np.random.SeedSequence]],
     families: Sequence[_Family],
     relax: bool,
     picks: Callable[[int, int], np.ndarray] | None = None,
-    counted: bool = True,
+    draw_path: Callable[..., JumpPath] | None = None,
 ):
     """Draw n replications on (t_start, t1], run every family through the
     marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
     the live marks.  Returns per family its reference times and states,
     its record and live marks, and the live L marks of every driver.  The
-    draws go through :func:`analysis.run_replications` when ``counted``."""
+    draws go through :func:`analysis.run_replications`, unless
+    ``draw_path(model, horizon, seed)`` draws each driver as a checked
+    :class:`levy.JumpPath`: one bundle is not a replication."""
     t_start, t0, t1 = window
     n_drivers = 1 + max(fam.driver for fam in families)
     per_rep = n_drivers * _expected_marks(model, t1 - t_start)
     step = max(1, int(_CHUNK_MARKS // max(per_rep, 1.0)))
 
     def draw(r: int):
-        paths = [_draw_marks(model, t_start, t1, np.random.default_rng(s)) for s in streams(r)]
+        if draw_path is None:
+            paths = [_draw_marks(model, t_start, t1, np.random.default_rng(s)) for s in streams(r)]
+        else:
+            paths = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in streams(r))]
         return paths, None if picks is None else picks(r, len(paths[0][0]))
 
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in families]
     for lo in range(0, n, step):
         rows = min(step, n - lo)
-        if counted:
+        if draw_path is None:
             drawn = run_replications(lambda i, _lo=lo: draw(_lo + i), rows)
         else:
             drawn = [draw(lo + i) for i in range(rows)]
@@ -414,7 +445,8 @@ def _simulate(
         ]
         del drawn  # the padded copies replace the per-replication arrays
         for d, (times, l_sizes, counts, pk) in enumerate(padded):
-            _check_marks(times, counts, t_start, t1)
+            if draw_path is None:
+                _check_marks(times, counts, t_start, t1)
             n_burn = np.count_nonzero(times <= t0, axis=1)
             n_live = counts - n_burn
             live[d].append((
@@ -427,12 +459,9 @@ def _simulate(
                 v = np.tile(np.array(fam.v)[:, None], (1, rows))
                 vbar = None if fam.vbar is None else np.full(rows, fam.vbar)
                 t = np.full(rows, t_start)
-                v, vbar, t, _ = _steps(eta, level, fam.phis, v, vbar, t, times, l_sizes**2, n_burn, pk, False)
-                if relax:
-                    end = np.fromiter(map(math.exp, -eta * (t0 - t)), float, rows)
-                    v = level + (v - level) * end
-                    vbar = None if vbar is None else level + (vbar - level) * end
-                    t = np.full(rows, t0)
+                v, vbar, t, _ = _steps(
+                    beta, eta, fam.phis, v, vbar, t, times, l_sizes**2, n_burn, pk, False, t0 if relax else None,
+                )
                 states[f].append((t, v, vbar))
 
     drivers = [
@@ -447,7 +476,7 @@ def _simulate(
         v = np.concatenate([c[1] for c in chunks], axis=1)
         vbar = None if fam.vbar is None else np.concatenate([c[2] for c in chunks])
         times, l_sizes, counts, pk = drivers[fam.driver]
-        rec = _steps(eta, level, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, True)[3]
+        rec = _steps(beta, eta, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, True, t1)[3]
         out.append((t, v, vbar, rec))
     return out, drivers
 
@@ -506,10 +535,11 @@ def simulate_batch(
 def _bundles(
     variant: Variant, mixture: Mixture, beta: float, eta: float, model: LevyModel,
     horizon: tuple[float, float], burn_in: float | None, n: int,
-    stream: Callable[[int, int], np.random.SeedSequence], counted: bool = True,
+    stream: Callable[[int, int], np.random.SeedSequence], draw_path: Callable[..., JumpPath] | None = None,
 ) -> BundleBatch:
     """n bundles; replication r draws driver i from ``stream(r, i)`` and
-    its variant-3 pi-draws from ``stream(r, 1)``."""
+    its variant-3 pi-draws from ``stream(r, 1)`` (see :func:`_simulate` for
+    ``draw_path``)."""
     _require_stationary(mixture, eta, model)
     t0, t1 = float(horizon[0]), float(horizon[1])
     b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
@@ -531,9 +561,9 @@ def _bundles(
 
         families = [_Family(mixture.phis, 0, starts, vbar)]
     results, drivers = _simulate(
-        model, eta, level, (t0 - b, t0, t1), n,
+        model, beta, eta, (t0 - b, t0, t1), n,
         lambda r: [stream(r, i) for i in range(len(families))],
-        families, relax=True, picks=picks, counted=counted,
+        families, relax=True, picks=picks, draw_path=draw_path,
     )
 
     comps = [
@@ -583,7 +613,7 @@ def simulate_cogarch_batch(
     t0, t1 = float(horizon[0]), float(horizon[1])
     _check_window(t0 - burn_in, t1)
     [(t, v, _, rec)], [(times, *_)] = _simulate(
-        model, params.eta, params.level, (t0 - burn_in, t0, t1), n,
+        model, params.beta, params.eta, (t0 - burn_in, t0, t1), n,
         lambda r: [substream(seed, *key, first + r)],
         [_Family((params.phi,), 0, (v_start,))], relax=False,
     )

@@ -191,23 +191,6 @@ def evolve_value(
     return level + (v - level) * math.exp(-eta * (t_end - t))
 
 
-def _record_marks(
-    eta: float, level: float, phi: float, v: float, t: float, times: list[float], sizes: list[float],
-) -> tuple[list[float], list[float]]:
-    """The steps of :func:`_evolve_marks`, recorded: the values right before
-    and right after each mark."""
-    exp = math.exp
-    left: list[float] = []
-    post: list[float] = []
-    for T, ds in zip(times, sizes):
-        v = level + (v - level) * exp(-eta * (T - t))
-        left.append(v)
-        v = v * (1.0 + phi * ds)
-        post.append(v)
-        t = T
-    return left, post
-
-
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:
     """Exact path of the COGARCH driven by the subordinator path ``s_path``.
 
@@ -216,9 +199,17 @@ def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> Path
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be > 0, got {v0}")
-    left, post = _record_marks(
-        params.eta, params.level, params.phi, v0, s_path.t0, s_path.times.tolist(), s_path.sizes.tolist(),
-    )
+    level, eta, phi = params.level, params.eta, params.phi
+    exp = math.exp
+    left: list[float] = []
+    post: list[float] = []
+    v, t = v0, s_path.t0
+    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
+        v = level + (v - level) * exp(-eta * (T - t))
+        left.append(v)
+        v = v * (1.0 + phi * ds)
+        post.append(v)
+        t = T
     return PathRecord(
         s_path.t0, s_path.t1, v0, params.beta, params.eta,
         s_path.times.copy(), np.array(left), np.array(post),

@@ -51,7 +51,7 @@ from .cogarch import (
     stationary_variance,
 )
 from .csvio import columns_to_csv, event_columns
-from .levy import JumpPath, LevyModel, substream
+from .levy import JumpPath, LevyModel, simulate_levy_path, substream
 
 __all__ = [
     "Variant",
@@ -216,7 +216,7 @@ def simulate_bundle(
 
     got = _bundles(
         variant, mixture, beta, eta, model, horizon, burn_in, 1, lambda _, i: substream(seed, i),
-        counted=False,
+        simulate_levy_path,
     )
     t0, t1 = float(horizon[0]), float(horizon[1])
 
