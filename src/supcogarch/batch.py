@@ -132,7 +132,8 @@ class BundleBatch:
     """n simulated bundles on [t0, t1]: the aggregate and component paths,
     each driver's live marks (times, L sizes and count per row; one driver
     per atom for variant 1, one shared driver otherwise), and for variant 3
-    the atom index drawn at each live mark.  Driver 0 drives the price."""
+    the atom index drawn at each live mark.  The price runs on driver 0
+    unless a variant-1 query names another."""
 
     aggregate: PathBatch
     components: tuple[PathBatch, ...]
@@ -141,20 +142,20 @@ class BundleBatch:
     driver_counts: tuple[np.ndarray, ...]
     picks: np.ndarray | None = None
 
-    def vbar_left(self) -> np.ndarray:
-        """Aggregate left limits at the price driver's marks, as
-        ``simulate_price(bundle).vbar_left`` per row; padded columns hold
-        arbitrary values."""
+    def vbar_left(self, driver: int = 0) -> np.ndarray:
+        """Aggregate left limits at the marks of driver ``driver``, as
+        ``simulate_price(bundle, driver).vbar_left`` per row; padded columns
+        hold arbitrary values."""
         agg = self.aggregate
-        pos = np.minimum(_rank(agg.times, self.driver_times[0], "left"), agg.times.shape[1] - 1)
+        pos = np.minimum(_rank(agg.times, self.driver_times[driver], "left"), agg.times.shape[1] - 1)
         return _take(agg.left, pos)
 
-    def price_levels(self, ts: np.ndarray) -> np.ndarray:
+    def price_levels(self, ts: np.ndarray, driver: int = 0) -> np.ndarray:
         """(n, q) price levels G at finite query times, as
-        ``simulate_price(bundle).values_at(ts)`` per replication."""
-        values = np.cumsum(np.sqrt(self.vbar_left()) * self.driver_sizes[0], axis=1)
+        ``simulate_price(bundle, driver).values_at(ts)`` per replication."""
+        values = np.cumsum(np.sqrt(self.vbar_left(driver)) * self.driver_sizes[driver], axis=1)
         ts = _per_row(ts, values.shape[0])
-        idx = _rank(self.driver_times[0], ts, "right")
+        idx = _rank(self.driver_times[driver], ts, "right")
         return np.where(idx > 0, _take(values, np.maximum(idx - 1, 0)), 0.0)
 
 

@@ -208,6 +208,9 @@ def test_bundle_batch_matches_every_path(variant):
             assert np.array_equal(pb.left_limits(q)[rep], rec.left_limits(events))
             assert np.array_equal(row(pb.v0), [rec.v0])
         assert np.array_equal(got.price_levels(ts)[rep], price.values_at(ts))
+        if variant is Variant.SUP1:
+            for d in range(1, len(mix)):
+                assert np.array_equal(got.price_levels(ts, d)[rep], simulate_price(bundle, d).values_at(ts))
         count = len(price)
         assert np.array_equal(got.driver_times[0][rep, :count], price.times)
 

@@ -14,17 +14,16 @@ from supcogarch.analysis import (
     mc_second_moment,
     mc_variance,
 )
-from supcogarch.levy import CompoundPoisson, substream
+from supcogarch.batch import chunked, simulate_batch
+from supcogarch.levy import CompoundPoisson
 from supcogarch.price import (
     increment_mean_and_variance,
-    simulate_price,
     sq_increment_cov_closed,
     sq_increment_cov_sup3,
 )
 from supcogarch.superpos import (
     Mixture,
     Variant,
-    simulate_bundle,
     sup1_var,
     sup2_acov,
     sup2_var,
@@ -44,21 +43,23 @@ MIX_B = Mixture.from_atoms([(0.08, 0.35), (0.21, 0.65)])
 BETA_B, ETA_B = 0.7, 2.0
 
 
-def _batch(variant, mix, beta, eta, model, seed, driver=None):
+def _batch(variant, mix, beta, eta, model, seed, driver=0):
+    """Per replication i, the bundle of ``simulate_bundle(..., substream(seed,
+    i))`` priced on driver ``driver``: the aggregate at 0 and the lags, the
+    unit price increments from 0 and from each lag, then the aggregate and
+    each component at 1."""
     qs = np.array((0.0,) + HS)
-    rows = np.empty((N, 3 + 1 + len(HS) + 1 + len(mix)))
-    t_hi = HS[-1] + 1.0
-    for i in range(N):
-        b = simulate_bundle(variant, mix, beta, eta, model, (0.0, t_hi), substream(seed, i))
-        gp = simulate_price(b, driver_atom=driver)
-        rows[i] = (
-            *b.aggregate.values(qs),
-            gp.increment(0.0, 1.0),
-            *[gp.increment(h, 1.0) for h in HS],
-            b.aggregate.value_at(1.0),
-            *[c.value_at(1.0) for c in b.components],
-        )
-    return rows
+    at_one = np.array([1.0])
+
+    def sample(first, n):
+        b = simulate_batch(variant, mix, beta, eta, model, (0.0, HS[-1] + 1.0), seed, (), n, None, first)
+        levels = b.price_levels(np.concatenate([qs, qs + 1.0]), driver)
+        return np.column_stack([
+            b.aggregate.values(qs), levels[:, qs.size:] - levels[:, : qs.size],
+            b.aggregate.values(at_one), *(c.values(at_one) for c in b.components),
+        ])
+
+    return chunked(sample, N)
 
 
 def _assert_within(est_se, target, k=5.0):
