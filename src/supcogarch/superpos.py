@@ -207,8 +207,9 @@ def simulate_bundle(
 ) -> SupPathBundle:
     """One bundle on ``horizon``: the batched engine
     (:func:`batch.simulate_batch`) on a single replication, wrapped in
-    path records.  Driver i draws from ``substream(seed, i)`` (one per atom
-    for variant 1, driver 0 shared otherwise), the variant-3 pi-draws from
+    path records.  Driver i is drawn by :func:`levy.simulate_levy_path`
+    from ``substream(seed, i)`` (one per atom for variant 1, driver 0
+    shared otherwise), the variant-3 pi-draws from
     ``substream(seed, 1)``; they cover burn-in and live marks, so variant
     3's aggregate burns in jointly with its component family.  The burn-in
     defaults to that of the slowest-forgetting atom."""
