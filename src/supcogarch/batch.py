@@ -11,15 +11,19 @@ substream(seed, *key, r))``.  A COGARCH replication of
 :func:`simulate_cogarch_batch` draws from ``substream(seed, *key, r)``.
 The exact recursions then run mark rank by mark rank across the
 replications on padded 2-D arrays or, when there are too few rows for the
-per-rank numpy overhead to pay off, row by row on the scalar loops
-(:func:`cogarch.simulate_cogarch`, :func:`cogarch.evolve_value` and
-``_evolve_marks``, and variant 3's :func:`_sup3_marks`).  Both do one
-replication's floating-point operations in the same order, so no number
-depends on which runs or on the number of replications, and every number
-equals that of the serial simulators kept in ``tests/serial_oracle.py``:
+per-rank numpy overhead to pay off, row by row on the scalar kernels
+(:func:`_scalar_rows`: one tight loop per state over blocks of marks).
+Both do one replication's floating-point operations in the same order, so
+no number depends on which runs or on the number of replications, and
+every number equals that of the serial simulators kept in
+``tests/serial_oracle.py``:
 
-* per-mark decays exp(-eta (T - t)) come from ``math.exp``, as in the
-  scalar loops (``np.exp`` rounds differently on some inputs);
+* per-mark decays exp(-eta (T - t)) come from ``math.exp``, through
+  :func:`cogarch._exp_decays` only (``np.exp`` rounds differently on some
+  inputs); each is computed once per mark and shared by every state on
+  that driver;
+* jump factors 1 + phi dS and variant 3's jump terms phi_j V^j_{T-} dS are
+  the serial loops' products, computed column-wise;
 * path queries repeat ``PathRecord._piecewise``: ``np.exp`` from the
   previous post-jump value, also at event times of variant 1's union;
 * sums over atoms accumulate from zeros in atom order;
@@ -37,21 +41,23 @@ through :func:`analysis.run_replications`, so tracing tools count one
 replication per replication; the recursions run outside it, so a
 replication's span times its draws alone.  A single bundle is not a
 replication of anything and is not counted; it draws its drivers through
-:func:`levy.simulate_levy_path`, and the scalar loops run the public
-COGARCH recursions, so one bundle calls the functions it called before the
-engine existed.
+:func:`levy.simulate_levy_path`, and the scalar kernels record its
+components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .analysis import run_replications
-from .cogarch import CogarchParams, _evolve_marks, evolve_value, simulate_cogarch, stationary_start
+from .cogarch import (
+    MARK_BLOCK, CogarchParams, _exp_decays, _lefts, _relax_marks, simulate_cogarch, stationary_start,
+)
 from .levy import CompoundPoisson, JumpPath, LevyModel, _draw_marks, substream
 from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
 
@@ -62,14 +68,15 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 ROWS_PER_CALL = 1024
 #: drawn marks held at once; replications are drawn and burned in by chunks
 _CHUNK_MARKS = 1 << 15
-#: fewer rows step row by row on the scalar loops, where the per-rank numpy
-#: overhead would lose: components burn in on the padded arrays from 96 rows
-#: x components on, variant 3 from 16 rows (the measured crossovers on
-#: variance gamma draws of 1000 marks a row); recording the live window
-#: pays off from half as many rows (measured on compound Poisson windows of
-#: 100 marks and variance gamma windows of 1000 marks a row)
-_MIN_BATCH_STEPS = 96
-_MIN_BATCH_ROWS_SUP3 = 16
+#: fewer rows step on the scalar kernels, where the per-rank numpy overhead
+#: would lose: components burn in on the padded arrays from 64 rows x
+#: components on, variant 3 from 32 rows (the measured crossovers on
+#: variance gamma draws of 1000 marks a row); components record the live
+#: window there from half as many rows, variant 3 from as many (measured on
+#: compound Poisson windows of 100 marks and variance gamma windows of 1000
+#: marks a row)
+_MIN_BATCH_STEPS = 64
+_MIN_BATCH_ROWS_SUP3 = 32
 
 
 def _rank(times: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -204,14 +211,12 @@ def _check_marks(times: np.ndarray, counts: np.ndarray, t0: float, t1: float) ->
         raise ValueError("mark times must be strictly increasing")
 
 
-def _decays(eta: float, t: np.ndarray, times: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """exp(-eta (T - t_prev)) at every valid mark, by math.exp as the scalar
-    loops compute it; 1 elsewhere."""
+def _gaps(t: np.ndarray, times: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """T - t_prev at the valid marks, row after row; a row's first mark
+    follows its time ``t``.  Their decays come from
+    :func:`cogarch._exp_decays`."""
     prev = np.concatenate([t[:, None], times[:, :-1]], axis=1)
-    out = np.ones(times.shape)
-    gaps = -eta * (times[valid] - prev[valid])
-    out[valid] = np.fromiter(map(math.exp, gaps), float, gaps.size)
-    return out
+    return times[valid] - prev[valid]
 
 
 @dataclass
@@ -245,7 +250,8 @@ def _recurse(
     per-mark values when ``record``."""
     n, width = times.shape
     valid = np.arange(width) < counts[:, None]
-    dec = _decays(eta, t, times, valid)
+    gaps, dec = _gaps(t, times, valid), np.ones(times.shape)
+    dec[valid] = np.fromiter(_exp_decays(eta, gaps), float, gaps.size)
     phi_arr = np.asarray(phis, dtype=float)
     t_end = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
 
@@ -285,28 +291,16 @@ def _recurse(
     return v, vbar, t_end, rec
 
 
-def _sup3_marks(
-    eta: float, level: float, phis: Sequence[float], vbar: float, comps: list[float], t: float,
-    times: list[float], sizes: list[float], picks: list[int], trail: list | None = None,
-) -> tuple[float, list[float]]:
-    """Exact variant-3 steps over shared marks for the aggregate and the
-    component family together: relax every state toward ``level``, give the
-    aggregate the scaled jump phi_j V^j_{T-} dS_T of the drawn atom
-    j = ``picks[k]``, and multiply each component by (1 + phi dS_T).  With
-    ``trail`` given, appends [aggregate left, aggregate post, component
-    lefts..., component posts...] per mark.  Returns the aggregate and the
-    components after the last mark."""
-    exp = math.exp
-    for T, ds, j in zip(times, sizes, picks):
-        decay = exp(-eta * (T - t))
-        lefts = [level + (v - level) * decay for v in comps]
-        vbar_left = level + (vbar - level) * decay
-        vbar = vbar_left + phis[j] * lefts[j] * ds
-        comps = [vl * (1.0 + phi * ds) for vl, phi in zip(lefts, phis)]
-        if trail is not None:
-            trail.append([vbar_left, vbar, *lefts, *comps])
-        t = T
-    return vbar, comps
+def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) -> list[float]:
+    """Variant 3's aggregate from state v: relax by each decay, then add
+    each jump phi_j V^j_{T-} dS_T; returns the left limit at each mark."""
+    out: list[float] = []
+    append = out.append
+    for d, j in zip(decays, jumps):
+        v = level + (v - level) * d
+        append(v)
+        v += j
+    return out
 
 
 def _scalar_rows(
@@ -314,48 +308,59 @@ def _scalar_rows(
     t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
     picks: np.ndarray | None, record: bool, t_end: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
-    """The steps of :func:`_steps` row by row, as one bundle ran before the
-    engine: each COGARCH recorded by :func:`cogarch.simulate_cogarch` and
-    burned in by :func:`cogarch.evolve_value`, variant 3 on its joint loop
-    :func:`_sup3_marks`."""
-    level = beta / eta
-    v, t = v.copy(), t.copy()
-    vbar = None if vbar is None else vbar.copy()
+    """The steps of :func:`_recurse` on the scalar kernels, for few rows.
+    The marks go by blocks of columns, about MARK_BLOCK marks a block, whose
+    decays (:func:`cogarch._exp_decays`), jump factors 1 + phi dS and
+    variant-3 jump terms phi_j V^j_{T-} dS are computed column-wise, once
+    for every state on a row's driver; each state of each row then steps one
+    tight loop through them.  A recorded window without aggregate is
+    recorded by :func:`cogarch.simulate_cogarch` on a path ending at
+    ``t_end``, as one bundle ran before the engine."""
+    level, n = beta / eta, times.shape[0]
+    v, vbar = v.copy(), None if vbar is None else vbar.copy()
+    cl = counts.tolist()
+    t_last = np.array([times[r, c - 1] if c else t[r] for r, c in enumerate(cl)])
     rec = _Record.zeros(v.shape, times.shape, vbar is not None) if record else None
-    params = [CogarchParams(beta, eta, phi) for phi in phis]
-    relax = not record and t_end is not None
-    for r, c in enumerate(counts.tolist()):
-        ts, ss, start = times[r, :c], sizes[r, :c], float(t[r])
-        last = float(ts[-1]) if c else start
-        if vbar is not None:
-            trail = [] if record else None
-            vbar[r], v[:, r] = _sup3_marks(
-                eta, level, phis, float(vbar[r]), v[:, r].tolist(), start, ts.tolist(), ss.tolist(),
-                picks[r, :c].tolist(), trail,
-            )
-            if trail:
-                cols = np.array(trail).T
-                m = len(phis)
-                rec.agg_left[r, :c], rec.agg_post[r, :c] = cols[0], cols[1]
-                rec.left[:, r, :c], rec.post[:, r, :c] = cols[2: 2 + m], cols[2 + m:]
-            if relax:
-                decay = math.exp(-eta * (t_end - last))
-                vbar[r] = level + (vbar[r] - level) * decay
-                v[:, r] = level + (v[:, r] - level) * decay
-        elif record:
-            path = JumpPath(start, t_end, ts, ss)
-            for a, p in enumerate(params):
-                got = simulate_cogarch(p, path, float(v[a, r]))
-                rec.left[a, r, :c], rec.post[a, r, :c] = got.left, got.post
-        elif relax:
-            path = JumpPath(start, t_end, ts, ss)
-            for a, p in enumerate(params):
-                v[a, r] = evolve_value(p, path, float(v[a, r]), start, t_end)
-        else:
+    if record and vbar is None:
+        for r, c in enumerate(cl):
+            path = JumpPath(float(t[r]), t_end, times[r, :c], sizes[r, :c])
             for a, phi in enumerate(phis):
-                v[a, r] = _evolve_marks(eta, level, phi, float(v[a, r]), start, ts.tolist(), ss.tolist())
-        t[r] = t_end if relax else last
-    return v, vbar, t, rec
+                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, r]))
+                rec.left[a, r, :c], rec.post[a, r, :c] = got.left, got.post
+                v[a, r] = got.post[-1] if c else v[a, r]
+        return v, vbar, t_last, rec
+    phi_arr = np.asarray(phis, dtype=float)
+    step = max(1, MARK_BLOCK // n)
+    for lo in range(0, max(cl, default=0), step):
+        cols = slice(lo, lo + step)
+        ds = sizes[:, cols]
+        kl = [min(max(c - lo, 0), ds.shape[1]) for c in cl]
+        alive = [r for r in range(n) if kl[r]]
+        valid = np.arange(ds.shape[1]) < (counts - lo)[:, None]
+        flat = list(_exp_decays(eta, _gaps(t if lo == 0 else times[:, lo - 1], times[:, cols], valid)))
+        dec = [flat[end - k: end] for end, k in zip(accumulate(kl), kl)]
+        fac = 1.0 + phi_arr[:, None, None] * ds
+        fl = fac.tolist()
+        if vbar is None:
+            for r in alive:
+                v[:, r] = [_relax_marks(level, x, dec[r], fl[a][r]) for a, x in enumerate(v[:, r].tolist())]
+            continue
+        left, agg_left = np.zeros(fac.shape), np.zeros(ds.shape)
+        for r in alive:
+            k = kl[r]
+            left[:, r, :k] = lefts = [_lefts(level, x, dec[r], fl[a][r]) for a, x in enumerate(v[:, r].tolist())]
+            v[:, r] = [x[-1] * fl[a][r][k - 1] for a, x in enumerate(lefts)]
+        pk = picks[:, cols]
+        jump = phi_arr[pk] * left[pk, np.arange(n)[:, None], np.arange(ds.shape[1])] * ds
+        jl = jump.tolist()
+        for r in alive:
+            k = kl[r]
+            agg_left[r, :k] = bars = _agg_lefts(level, float(vbar[r]), dec[r], jl[r])
+            vbar[r] = bars[-1] + jl[r][k - 1]
+        if record:
+            rec.left[:, :, cols], rec.post[:, :, cols] = left, left * fac
+            rec.agg_left[:, cols], rec.agg_post[:, cols] = agg_left, agg_left + jump
+    return v, vbar, t_last, rec
 
 
 def _steps(
@@ -365,17 +370,18 @@ def _steps(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
     """Exact steps over padded marks in (t, t_end], a burn-in (``record``
     false) or the live window: on the padded arrays (:func:`_recurse`) from
-    the crossover row count on, row by row on the scalar loops below it.
+    the crossover row count on, row by row on the scalar kernels below it.
     Both do the same floating-point operations, so the choice never changes
     a bit.  A burn-in relaxes every state to ``t_end`` after its last mark,
     or leaves it there when ``t_end`` is None."""
-    min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(phis)
-    if times.shape[0] < (min_rows / 2 if record else min_rows):
-        return _scalar_rows(beta, eta, phis, v, vbar, t, times, sizes, counts, picks, record, t_end)
+    min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(phis) / (1 + record)
     level = beta / eta
-    v, vbar, t, rec = _recurse(eta, level, phis, v, vbar, t, times, sizes, counts, picks, record)
+    if times.shape[0] < min_rows:
+        v, vbar, t, rec = _scalar_rows(beta, eta, phis, v, vbar, t, times, sizes, counts, picks, record, t_end)
+    else:
+        v, vbar, t, rec = _recurse(eta, level, phis, v, vbar, t, times, sizes, counts, picks, record)
     if not record and t_end is not None:
-        end = np.fromiter(map(math.exp, -eta * (t_end - t)), float, t.size)
+        end = np.fromiter(_exp_decays(eta, t_end - t), float, t.size)
         v = level + (v - level) * end
         vbar = None if vbar is None else level + (vbar - level) * end
         t = np.full(t.size, t_end)

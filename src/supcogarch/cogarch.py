@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -166,16 +166,36 @@ class PathRecord:
         return min(lo, self.v0, self.final_value())
 
 
-def _evolve_marks(
-    eta: float, level: float, phi: float, v: float, t: float, times: list[float], sizes: list[float]
-) -> float:
-    """Exact steps from state v at time t through the subordinator marks
-    (times, sizes); returns the state right after the last mark."""
-    exp = math.exp
-    for T, ds in zip(times, sizes):
-        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
-        t = T
+#: marks per block of the scalar kernels, which bounds their per-mark
+#: arrays and lists
+MARK_BLOCK = 2048
+
+
+def _exp_decays(eta: float, gaps: np.ndarray) -> Iterator[float]:
+    """exp(-eta * gap) for each gap, by ``math.exp``: the decay rule of
+    every recursion, padded or scalar (``np.exp`` rounds differently on some
+    inputs, and every recursion must give the serial loops' bits)."""
+    return map(math.exp, (-eta * gaps).tolist())
+
+
+def _relax_marks(level: float, v: float, decays: list[float], factors: list[float]) -> float:
+    """Exact steps from state v: relax toward ``level`` by each decay, then
+    jump by each factor 1 + phi dS; returns the state after the last mark."""
+    for d, f in zip(decays, factors):
+        v = (level + (v - level) * d) * f
     return v
+
+
+def _lefts(level: float, v: float, decays: list[float], factors: list[float]) -> list[float]:
+    """The steps of :func:`_relax_marks`, returning the left limit at each
+    mark; the state after mark k is ``lefts[k] * factors[k]``."""
+    out: list[float] = []
+    append = out.append
+    for d, f in zip(decays, factors):
+        v = level + (v - level) * d
+        append(v)
+        v *= f
+    return out
 
 
 def evolve_value(
@@ -183,12 +203,16 @@ def evolve_value(
 ) -> float:
     """Exact evolution through the marks of ``s_path`` from ``t_start``,
     relaxed up to ``t_end``; returns V(t_end).  The same arithmetic as
-    :func:`simulate_cogarch`, without recording the per-event values."""
-    level, eta = params.level, params.eta
-    times = s_path.times.tolist()
-    v = _evolve_marks(eta, level, params.phi, v, t_start, times, s_path.sizes.tolist())
-    t = times[-1] if times else t_start
-    return level + (v - level) * math.exp(-eta * (t_end - t))
+    :func:`simulate_cogarch`, without recording the per-event values, on
+    one plain loop: no per-call numpy work, for the many short paths of
+    the stationary draws."""
+    level, eta, phi = params.level, params.eta, params.phi
+    exp = math.exp
+    t = t_start
+    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
+        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
+        t = T
+    return level + (v - level) * exp(-eta * (t_end - t))
 
 
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:
@@ -199,20 +223,17 @@ def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> Path
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be > 0, got {v0}")
-    level, eta, phi = params.level, params.eta, params.phi
-    exp = math.exp
-    left: list[float] = []
-    post: list[float] = []
-    v, t = v0, s_path.t0
-    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
-        v = level + (v - level) * exp(-eta * (T - t))
-        left.append(v)
-        v = v * (1.0 + phi * ds)
-        post.append(v)
-        t = T
+    times, fac = s_path.times, 1.0 + params.phi * s_path.sizes
+    gaps = times - np.concatenate(([s_path.t0], times[:-1]))
+    left, v = np.empty(times.size), v0
+    for lo in range(0, times.size, MARK_BLOCK):
+        factors = fac[lo: lo + MARK_BLOCK].tolist()
+        decays = list(_exp_decays(params.eta, gaps[lo: lo + MARK_BLOCK]))
+        left[lo: lo + len(factors)] = block = _lefts(params.level, v, decays, factors)
+        v = block[-1] * factors[-1]
+    post = left * fac
     return PathRecord(
-        s_path.t0, s_path.t1, v0, params.beta, params.eta,
-        s_path.times.copy(), np.array(left), np.array(post),
+        s_path.t0, s_path.t1, v0, params.beta, params.eta, s_path.times.copy(), left, post
     )
 
 

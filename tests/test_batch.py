@@ -9,6 +9,7 @@ comparison is ``np.array_equal``: the engine must reproduce each number bit
 for bit, not approximately.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +19,15 @@ from hypothesis import strategies as st
 
 import serial_oracle
 from serial_oracle import simulate_bundle, simulate_cogarch
-from supcogarch import analysis, batch, superpos, verify
+from supcogarch import analysis, batch, cogarch, superpos, verify
 from supcogarch.analysis import check_q_bounds, extract_q, jump_tally, run_replications
 from supcogarch.batch import simulate_batch
 from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in, stationary_mean
 from supcogarch.config import ExperimentConfig
-from supcogarch.levy import Stream, VarianceGamma, rng_from, simulate_levy_path, squared_jumps, substream
+from supcogarch.levy import (
+    CompoundPoisson, JumpPath, Stream, VarianceGamma, _draw_marks, rng_from, simulate_levy_path, squared_jumps,
+    substream,
+)
 from supcogarch.price import price_to_csv, simulate_price
 from supcogarch.superpos import Mixture, Variant, bundle_to_csv
 
@@ -294,7 +298,7 @@ def test_simulate_bundle_empty_live_window(variant):
 
 @pytest.mark.parametrize("min_rows", [None, 1], ids=["scalar_recording", "padded_recording"])
 def test_simulate_bundle_long_vg_row(monkeypatch, min_rows):
-    """Thousands of marks in one row: recorded on the scalar loops, and,
+    """Thousands of marks in one row: recorded on the scalar kernels, and,
     forced onto the padded per-rank loop, with the same numbers."""
     if min_rows is not None:
         monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
@@ -335,6 +339,94 @@ def test_simulate_bundle_raises_as_the_oracle(monkeypatch):
     for variant in (Variant.SUP1, Variant.SUP2):
         kind, message = both(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 0, 0.01)
         assert kind is ValueError and message.startswith("v0 must be > 0, got -")
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernels against the serial loops
+
+KERNEL_PHIS = (0.0, 0.3, 0.7)
+#: driver and rate eta, stationary at every scale in KERNEL_PHIS
+KERNEL_MODELS = {
+    "cp": (CompoundPoisson(400.0), 400.0),
+    # about half the grid increments fall below 2^-511 and are dropped
+    "vg_dropped_marks": (VarianceGamma(1.0, 1.0, grid_step=2.0**-10), 0.8),
+}
+
+
+@pytest.mark.parametrize("model, eta", list(KERNEL_MODELS.values()), ids=list(KERNEL_MODELS))
+def test_scalar_kernels_match_serial_loops(monkeypatch, model, eta):
+    """Rows of 0, 1 and 2 marks and of one below, at and one above the
+    kernels' block length, forced onto the scalar kernels, ten rows at once
+    and each row alone: burned in and relaxed to t_end, burned in and left
+    at the last mark, and recorded, with and without variant 3's aggregate,
+    each number equal to the serial loops'."""
+    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", 1 << 30)
+    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", 1 << 30)
+    block, n = cogarch.MARK_BLOCK, 10
+    per_row = block // n  # the block length of ten rows at once
+    counts = np.array([0, 1, 2, per_row - 1, per_row, per_row + 1, block - 1, block, block + 1, 2 * block + 3])
+    beta, t_lo, t_hi = 1.3 * eta, -1.0, 14.0
+    level = beta / eta
+    drawn = [_draw_marks(model, t_lo, t_hi, rng_from(substream(9, r))) for r in range(n)]
+    assert all(len(ts) >= c for (ts, _), c in zip(drawn, counts))
+    times = batch._pad([ts[:c] for (ts, _), c in zip(drawn, counts)], math.inf)
+    sizes = batch._pad([ls[:c] ** 2 for (_, ls), c in zip(drawn, counts)], 0.0)
+    rng = np.random.default_rng(10)
+    picks = batch._pad([rng.choice(3, size=c, p=[0.2, 0.5, 0.3]) for c in counts], 0, int)
+    v, vbar = rng.uniform(0.5, 2.0, (3, n)), rng.uniform(0.5, 2.0, n)
+    t = t_lo - rng.uniform(0.0, 1e-3, n)
+    gaps = np.diff(times[-1])
+    assert gaps.max() > 1.5 * gaps.min()
+
+    def check(rows: list[int], record: bool, t_end: float | None) -> None:
+        args = (t[rows], times[rows], sizes[rows], counts[rows])
+        comps = batch._steps(beta, eta, KERNEL_PHIS, v[:, rows], None, *args, None, record, t_end)
+        joint = batch._steps(beta, eta, KERNEL_PHIS, v[:, rows], vbar[rows], *args, picks[rows], record, t_end)
+        assert np.isfinite(joint[0]).all() and np.isfinite(joint[1]).all()
+        for i, r in enumerate(rows):
+            c, start = int(counts[r]), float(t[r])
+            ts, ss = times[r, :c], sizes[r, :c]
+            path = JumpPath(start, t_hi, ts, ss)
+            want_v = []
+            for a, phi in enumerate(KERNEL_PHIS):
+                params = CogarchParams(beta, eta, phi)
+                if record:
+                    rec = simulate_cogarch(params, path, float(v[a, r]))
+                    assert np.array_equal(comps[3].left[a, i, :c], rec.left)
+                    assert np.array_equal(comps[3].post[a, i, :c], rec.post)
+                elif t_end is None:
+                    want_v.append(serial_oracle._evolve_marks(
+                        eta, level, phi, float(v[a, r]), start, ts.tolist(), ss.tolist()))
+                else:
+                    want_v.append(serial_oracle.evolve_value(params, path, float(v[a, r]), start, t_end))
+            if not record:
+                assert np.array_equal(comps[0][:, i], want_v)
+                assert comps[2][i] == (t_end if t_end is not None else ts[-1] if c else start)
+
+            trail: list = []
+            w_vbar, w_comps, w_t = serial_oracle._sup3_marks(
+                eta, level, KERNEL_PHIS, float(vbar[r]), v[:, r].tolist(), start, ts.tolist(), ss.tolist(),
+                picks[r, :c].tolist(), trail,
+            )
+            if record:
+                cols = np.array(trail, dtype=float).reshape(c, 8).T
+                rec3 = joint[3]
+                assert np.array_equal(rec3.agg_left[i, :c], cols[0])
+                assert np.array_equal(rec3.agg_post[i, :c], cols[1])
+                assert np.array_equal(rec3.left[:, i, :c], cols[2:5])
+                assert np.array_equal(rec3.post[:, i, :c], cols[5:])
+                continue
+            if t_end is not None:
+                decay = math.exp(-eta * (t_end - w_t))
+                w_vbar = level + (w_vbar - level) * decay
+                w_comps = [level + (x - level) * decay for x in w_comps]
+            assert np.array_equal(joint[1][i], w_vbar)
+            assert np.array_equal(joint[0][:, i], w_comps)
+
+    for record, t_end in [(False, t_hi), (False, None), (True, t_hi)]:
+        check(list(range(n)), record, t_end)
+        for r in range(n):
+            check([r], record, t_end)
 
 
 Q_CASES = {

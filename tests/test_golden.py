@@ -13,7 +13,7 @@ extraction, the jump tallies and the export together.
 So is every file ``simulate`` writes (``config.cfg`` included: the runs
 write to a relative ``--out``), on the showcase config and on the variance
 gamma config over a short window.  Its 100-unit burn-in draws more marks
-than one engine chunk holds, so each bundle burns in on the scalar loops.
+than one engine chunk holds, so each bundle burns in on the scalar kernels.
 """
 
 import hashlib
