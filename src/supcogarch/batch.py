@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,7 +251,8 @@ def _recurse(
     n, width = times.shape
     valid = np.arange(width) < counts[:, None]
     gaps, dec = _gaps(t, times, valid), np.ones(times.shape)
-    dec[valid] = np.fromiter(_exp_decays(eta, gaps), float, gaps.size)
+    blocks = (_exp_decays(eta, gaps[lo: lo + MARK_BLOCK]) for lo in range(0, gaps.size, MARK_BLOCK))
+    dec[valid] = np.fromiter(chain.from_iterable(blocks), float, gaps.size)
     phi_arr = np.asarray(phis, dtype=float)
     t_end = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
 
