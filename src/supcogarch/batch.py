@@ -346,7 +346,8 @@ def _scalar_rows(
             for r in alive:
                 v[:, r] = [_relax_marks(level, x, dec[r], fl[a][r]) for a, x in enumerate(v[:, r].tolist())]
             continue
-        left, agg_left = np.zeros(fac.shape), np.zeros(ds.shape)
+        left = rec.left[:, :, cols] if record else np.zeros(fac.shape)
+        agg_left = rec.agg_left[:, cols] if record else np.zeros(ds.shape)
         for r in alive:
             k = kl[r]
             left[:, r, :k] = lefts = [_lefts(level, x, dec[r], fl[a][r]) for a, x in enumerate(v[:, r].tolist())]
@@ -359,8 +360,7 @@ def _scalar_rows(
             agg_left[r, :k] = bars = _agg_lefts(level, float(vbar[r]), dec[r], jl[r])
             vbar[r] = bars[-1] + jl[r][k - 1]
         if record:
-            rec.left[:, :, cols], rec.post[:, :, cols] = left, left * fac
-            rec.agg_left[:, cols], rec.agg_post[:, cols] = agg_left, agg_left + jump
+            rec.post[:, :, cols], rec.agg_post[:, cols] = left * fac, agg_left + jump
     return v, vbar, t_last, rec
 
 
