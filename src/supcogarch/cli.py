@@ -40,6 +40,7 @@ from .price import increment_mean_and_variance, simulate_price, sq_increment_cov
 from .superpos import (
     SUP_MOMENTS,
     Variant,
+    _require_stationary,
     bundle_to_csv,
     chosen_marks_to_csv,
     simulate_bundle,
@@ -99,6 +100,7 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     model = cfg.model()
     mix = cfg.mixture()
+    _require_stationary(mix, cfg.eta, model)
     ctx = charexp.ExponentContext(model, cfg.eta)
     rows: list[tuple[str, str]] = []
 

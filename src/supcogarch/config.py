@@ -28,20 +28,16 @@ class ExperimentConfig:
     """Everything a run needs; defaults mirror the two-atom compound
     Poisson showcase (beta = eta = 1, atoms 0.5/0.95 weighted 3:1)."""
 
-    # [model]
     model_kind: str = "compound_poisson"
     rate: float = 1.0
     jump_dist: str = "standard_normal"
     sigma: float = 1.0
     nu: float = 1.0
     vg_grid_step: float = DEFAULT_VG_GRID_STEP
-    # [cogarch]
     beta: float = 1.0
     eta: float = 1.0
-    # [mixture]
     phis: tuple[float, ...] = (0.5, 0.95)
     weights: tuple[float, ...] = (0.75, 0.25)
-    # [simulation]
     variants: tuple[str, ...] = ("sup1", "sup2", "sup3")
     horizon: float = 100.0
     replications: int = 4000
@@ -51,11 +47,9 @@ class ExperimentConfig:
     burn_in: float | None = None
     sample_grid_step: float = 0.5
     threads: int = 1  # validated and serialized; has no effect
-    # [analysis]
     increments: tuple[float, ...] = (1.0,)
     lags: tuple[float, ...] = (1.0, 2.0, 4.0)
     tolerance_k: float = 4.0
-    # [output]
     out_dir: str = "out"
 
     def model(self) -> LevyModel:
@@ -85,28 +79,16 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check every module-level precondition up front; raises
         ConfigError naming the failing field."""
-        finite = {
-            "model.rate": [self.rate], "model.sigma": [self.sigma], "model.nu": [self.nu],
-            "model.grid_step": [self.vg_grid_step], "cogarch.beta": [self.beta],
-            "cogarch.eta": [self.eta], "mixture.phis": self.phis, "mixture.weights": self.weights,
-            "simulation.horizon": [self.horizon],
-            "simulation.burn_in": [] if self.burn_in is None else [self.burn_in],
-            "simulation.sample_grid_step": [self.sample_grid_step],
-            "analysis.increments": self.increments, "analysis.lags": self.lags,
-            "analysis.tolerance_k": [self.tolerance_k],
-        }
-        for name, values in finite.items():
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(name, f"must be finite, got {', '.join(map(str, values))}")
-        if self.model_kind == "compound_poisson" and not self.rate > 0.0:
-            raise ConfigError("model.rate", f"must be > 0, got {self.rate}")
-        if self.model_kind == "variance_gamma":
-            if not self.sigma > 0.0:
-                raise ConfigError("model.sigma", f"must be > 0, got {self.sigma}")
-            if not self.nu > 0.0:
-                raise ConfigError("model.nu", f"must be > 0, got {self.nu}")
-            if not self.vg_grid_step > 0.0:
-                raise ConfigError("model.grid_step", f"must be > 0, got {self.vg_grid_step}")
+        for section, key, name, parse in _KEYS:
+            if parse in (float, _float_or_none, _floats):
+                value = getattr(self, name)
+                values = value if parse is _floats else [] if value is None else [value]
+                if not all(map(math.isfinite, values)):
+                    raise ConfigError(f"{section}.{key}", f"must be finite, got {', '.join(map(str, values))}")
+        for section, key, name, parse in _KEYS:
+            if section == "model" and parse is float and key in _MODEL_KEYS.get(self.model_kind, ()):
+                if not getattr(self, name) > 0.0:
+                    raise ConfigError(f"model.{key}", f"must be > 0, got {getattr(self, name)}")
         self.model()
         if not self.beta > 0.0:
             raise ConfigError("cogarch.beta", f"must be > 0, got {self.beta}")
@@ -144,14 +126,8 @@ class ExperimentConfig:
         threads: int | None = None,
         out_dir: str | None = None,
     ) -> "ExperimentConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if threads is not None:
-            cfg = replace(cfg, threads=threads)
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=out_dir)
-        return cfg
+        given = {"seed": seed, "threads": threads, "out_dir": out_dir}
+        return replace(self, **{name: value for name, value in given.items() if value is not None})
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -162,102 +138,93 @@ def _names(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.replace(",", " ").split())
 
 
+def _float_or_none(raw: str) -> float | None:
+    """An empty value means unset (``burn_in =`` picks the automatic burn-in)."""
+    return float(raw) if raw.strip() else None
+
+
+# The one list of config keys, in file order: (section, key, field, parser).
+# parse_config reads the registry and the conversions from it,
+# serialize_config the layout, validate() the fields to check for finiteness.
+_KEYS = (
+    ("model", "kind", "model_kind", str),
+    ("model", "rate", "rate", float),
+    ("model", "jumps", "jump_dist", str),
+    ("model", "sigma", "sigma", float),
+    ("model", "nu", "nu", float),
+    ("model", "grid_step", "vg_grid_step", float),
+    ("cogarch", "beta", "beta", float),
+    ("cogarch", "eta", "eta", float),
+    ("mixture", "phis", "phis", _floats),
+    ("mixture", "weights", "weights", _floats),
+    ("simulation", "variants", "variants", _names),
+    ("simulation", "horizon", "horizon", float),
+    ("simulation", "replications", "replications", int),
+    ("simulation", "q_paths", "q_paths", int),
+    ("simulation", "tail_samples", "tail_samples", int),
+    ("simulation", "seed", "seed", int),
+    ("simulation", "burn_in", "burn_in", _float_or_none),
+    ("simulation", "sample_grid_step", "sample_grid_step", float),
+    ("simulation", "threads", "threads", int),
+    ("analysis", "increments", "increments", _floats),
+    ("analysis", "lags", "lags", _floats),
+    ("analysis", "tolerance_k", "tolerance_k", float),
+    ("output", "out_dir", "out_dir", str),
+)
+
+# The [model] keys that only one model kind reads: validate() requires its
+# float keys > 0, serialize_config writes them for that kind alone.
+_MODEL_KEYS = {
+    "compound_poisson": ("rate", "jumps"),
+    "variance_gamma": ("sigma", "nu", "grid_step"),
+}
+
+
+def _text(parse, value) -> str:
+    if parse is _floats:
+        return ", ".join(repr(float(x)) for x in value)
+    if parse in (float, _float_or_none):
+        return "" if value is None else repr(float(value))
+    return ", ".join(value) if parse is _names else str(value)
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the sectioned key-value format; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
+    """Parse the sectioned key-value format; unknown keys are rejected and a
+    value that does not convert names its key.  ``%`` is literal text."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("<file>", f"not parseable: {exc}") from exc
 
-    known = {
-        "model": {"kind", "rate", "jumps", "sigma", "nu", "grid_step"},
-        "cogarch": {"beta", "eta"},
-        "mixture": {"phis", "weights"},
-        "simulation": {
-            "variants", "horizon", "replications", "q_paths", "tail_samples",
-            "seed", "burn_in", "sample_grid_step", "threads",
-        },
-        "analysis": {"increments", "lags", "tolerance_k"},
-        "output": {"out_dir"},
-    }
+    keys = {(section, key) for section, key, _, _ in _KEYS}
     for section in parser.sections():
-        if section not in known:
+        if section not in {s for s, _ in keys}:
             raise ConfigError(section, "unknown section")
         for key in parser[section]:
-            if key not in known[section]:
+            if (section, key) not in keys:
                 raise ConfigError(f"{section}.{key}", "unknown key")
 
-    defaults = ExperimentConfig()
-    get = parser.get
-
-    def opt(section: str, key: str, fallback: str) -> str:
-        return get(section, key, fallback=fallback)
-
-    try:
-        burn_raw = opt("simulation", "burn_in", "").strip()
-        cfg = ExperimentConfig(
-            model_kind=opt("model", "kind", defaults.model_kind),
-            rate=float(opt("model", "rate", str(defaults.rate))),
-            jump_dist=opt("model", "jumps", defaults.jump_dist),
-            sigma=float(opt("model", "sigma", str(defaults.sigma))),
-            nu=float(opt("model", "nu", str(defaults.nu))),
-            vg_grid_step=float(opt("model", "grid_step", repr(defaults.vg_grid_step))),
-            beta=float(opt("cogarch", "beta", str(defaults.beta))),
-            eta=float(opt("cogarch", "eta", str(defaults.eta))),
-            phis=_floats(opt("mixture", "phis", "0.5 0.95")),
-            weights=_floats(opt("mixture", "weights", "0.75 0.25")),
-            variants=_names(opt("simulation", "variants", "sup1 sup2 sup3")),
-            horizon=float(opt("simulation", "horizon", str(defaults.horizon))),
-            replications=int(opt("simulation", "replications", str(defaults.replications))),
-            q_paths=int(opt("simulation", "q_paths", str(defaults.q_paths))),
-            tail_samples=int(opt("simulation", "tail_samples", str(defaults.tail_samples))),
-            seed=int(opt("simulation", "seed", str(defaults.seed))),
-            burn_in=float(burn_raw) if burn_raw else None,
-            sample_grid_step=float(opt("simulation", "sample_grid_step", str(defaults.sample_grid_step))),
-            threads=int(opt("simulation", "threads", str(defaults.threads))),
-            increments=_floats(opt("analysis", "increments", "1.0")),
-            lags=_floats(opt("analysis", "lags", "1.0 2.0 4.0")),
-            tolerance_k=float(opt("analysis", "tolerance_k", str(defaults.tolerance_k))),
-            out_dir=opt("output", "out_dir", defaults.out_dir),
-        )
-    except ValueError as exc:
-        raise ConfigError("<value>", str(exc)) from exc
-    return cfg.validate()
+    values = {}
+    for section, key, name, parse in _KEYS:
+        raw = parser.get(section, key, fallback=None)
+        if raw is not None:
+            try:
+                values[name] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}", str(exc)) from exc
+    return ExperimentConfig(**values).validate()
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; floats keep full precision via repr."""
-    parser = configparser.ConfigParser()
-    f = lambda x: repr(float(x))
-    seq = lambda xs: ", ".join(repr(float(x)) for x in xs)
-    parser["model"] = {"kind": cfg.model_kind}
-    if cfg.model_kind == "compound_poisson":
-        parser["model"]["rate"] = f(cfg.rate)
-        parser["model"]["jumps"] = cfg.jump_dist
-    else:
-        parser["model"]["sigma"] = f(cfg.sigma)
-        parser["model"]["nu"] = f(cfg.nu)
-        parser["model"]["grid_step"] = f(cfg.vg_grid_step)
-    parser["cogarch"] = {"beta": f(cfg.beta), "eta": f(cfg.eta)}
-    parser["mixture"] = {"phis": seq(cfg.phis), "weights": seq(cfg.weights)}
-    parser["simulation"] = {
-        "variants": ", ".join(cfg.variants),
-        "horizon": f(cfg.horizon),
-        "replications": str(cfg.replications),
-        "q_paths": str(cfg.q_paths),
-        "tail_samples": str(cfg.tail_samples),
-        "seed": str(cfg.seed),
-        "burn_in": "" if cfg.burn_in is None else f(cfg.burn_in),
-        "sample_grid_step": f(cfg.sample_grid_step),
-        "threads": str(cfg.threads),
-    }
-    parser["analysis"] = {
-        "increments": seq(cfg.increments),
-        "lags": seq(cfg.lags),
-        "tolerance_k": f(cfg.tolerance_k),
-    }
-    parser["output"] = {"out_dir": cfg.out_dir}
+    other = {key for kind, keys in _MODEL_KEYS.items() if kind != cfg.model_kind for key in keys}
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, name, parse in _KEYS:
+        if not (section == "model" and key in other):
+            sections.setdefault(section, {})[key] = _text(parse, getattr(cfg, name))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

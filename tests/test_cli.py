@@ -51,9 +51,14 @@ def cfg_file(tmp_path: Path) -> Path:
     return path
 
 
+SHIPPED_CONFIGS = ["two_atom_showcase", "verify_heavy", "verify_light", "vg_slow_reversion"]
+
+
 def test_config_roundtrip_identity():
-    cfg = parse_config(LIGHT_CFG)
-    assert parse_config(serialize_config(cfg)) == cfg
+    texts = [LIGHT_CFG] + [(REPO / "configs" / f"{name}.cfg").read_text() for name in SHIPPED_CONFIGS]
+    for text in texts:
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
     # defaults round-trip too
     default = ExperimentConfig()
     assert parse_config(serialize_config(default)) == default
@@ -107,6 +112,62 @@ def test_config_rejects_non_finite_values(section, key, field, value):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert exc.value.field == field
+
+
+NUMERIC_KEYS = [
+    ("model", "rate"),
+    ("model", "sigma"),
+    ("model", "nu"),
+    ("model", "grid_step"),
+    ("cogarch", "beta"),
+    ("cogarch", "eta"),
+    ("mixture", "phis"),
+    ("mixture", "weights"),
+    ("simulation", "horizon"),
+    ("simulation", "replications"),
+    ("simulation", "q_paths"),
+    ("simulation", "tail_samples"),
+    ("simulation", "seed"),
+    ("simulation", "burn_in"),
+    ("simulation", "sample_grid_step"),
+    ("simulation", "threads"),
+    ("analysis", "increments"),
+    ("analysis", "lags"),
+    ("analysis", "tolerance_k"),
+]
+INTEGER_KEYS = ["replications", "q_paths", "tail_samples", "seed", "threads"]
+
+
+@pytest.mark.parametrize(
+    "section,key,token",
+    [(section, key, "abc") for section, key in NUMERIC_KEYS]
+    + [("simulation", key, "1.5") for key in INTEGER_KEYS],
+)
+def test_config_unparseable_value_names_its_key(section, key, token):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[{section}]\n{key} = {token}\n")
+    assert exc.value.field == f"{section}.{key}"
+    assert repr(token) in str(exc.value)
+
+
+def test_config_percent_is_literal():
+    assert parse_config("[output]\nout_dir = out/%d\n").out_dir == "out/%d"
+
+
+def test_simulate_out_dir_with_percent(cfg_file, tmp_path):
+    out = tmp_path / "p%x"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert parse_config((out / "config.cfg").read_text()).out_dir == str(out)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytics", "verify", "qstats"])
+def test_cli_non_stationary_atom_is_validation_error(tmp_path, capsys, command):
+    bad = tmp_path / "phi.cfg"
+    bad.write_text(LIGHT_CFG.replace("phis = 0.12, 0.06", "phis = 0.5, 3.5"))
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: atom phi=3.5 violates the stationarity condition" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "analytics"])
