@@ -45,7 +45,6 @@ from .superpos import (
     Mixture,
     SupPathBundle,
     Variant,
-    check_stationarity,
     simulate_bundle,
     sup1_acov,
     sup1_mean,
@@ -61,16 +60,13 @@ from .price import (
     PricePath,
     increment_autocov,
     increment_mean_and_variance,
-    lattice_increments,
     simulate_price,
     sq_increment_cov_closed,
     sq_increment_cov_sup3,
 )
 from .analysis import (
     MomentReport,
-    MomentTarget,
     check_q_bounds,
-    estimate_moments,
     extract_q,
     hill_estimator,
     histogram,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,14 +26,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MomentReport",
-    "MomentTarget",
     "mc_mean",
     "mc_variance",
     "mc_second_moment",
     "mc_covariance",
     "jackknife_se",
     "grouped_jackknife",
-    "estimate_moments",
     "reports_to_csv",
     "hill_estimator",
     "default_hill_k",
@@ -158,52 +156,6 @@ def grouped_jackknife(
         loo[i] = stat(*(a[mask] for a in arrays))
     se = math.sqrt((g - 1) / g * float(np.sum((loo - loo.mean()) ** 2)))
     return full, se
-
-
-@dataclass(frozen=True)
-class MomentTarget:
-    """What to estimate from which sample columns, and the analytic value
-    it must match (None when the analytic value diverges)."""
-
-    name: str
-    kind: str  # mean | variance | second_moment | covariance
-    columns: tuple[str, ...]
-    analytic: float | None
-
-
-_KIND_DISPATCH = {
-    "mean": (1, mc_mean),
-    "variance": (1, mc_variance),
-    "second_moment": (1, mc_second_moment),
-    "covariance": (2, mc_covariance),
-}
-
-
-def estimate_moments(
-    samples: Mapping[str, np.ndarray],
-    targets: Sequence[MomentTarget],
-    k: float = 4.0,
-    min_n: int = 100,
-) -> list[MomentReport]:
-    """Run each target against the sample columns; requires at least
-    ``min_n`` replications."""
-    reports = []
-    for target in targets:
-        arity, fn = _KIND_DISPATCH[target.kind]
-        if len(target.columns) != arity:
-            raise ValueError(f"{target.kind} needs {arity} column(s), got {target.columns}")
-        cols = [np.asarray(samples[c], dtype=float) for c in target.columns]
-        n = cols[0].size
-        if n < min_n:
-            raise ValueError(f"target {target.name}: need at least {min_n} samples, got {n}")
-        est, se = fn(*cols)
-        reports.append(
-            MomentReport(
-                name=target.name, analytic=target.analytic,
-                estimate=est, std_error=se, n=n, k=k,
-            )
-        )
-    return reports
 
 
 def reports_to_csv(reports: Sequence[MomentReport]) -> str:

@@ -1,18 +1,21 @@
 """The simulation engine: n independent replications of a COGARCH or of
 a superposition, simulated together.  :func:`superpos.simulate_bundle` is
 the engine at one replication; ``qstats`` and verify's cogarch, cross,
-sup, price and q families run on it, the q samples and jump tallies coming
-from :func:`analysis.extract_q_batch`.
+sup, price, q and tail families run on it, the q samples and jump tallies
+coming from :func:`analysis.extract_q_batch`.
 
 Replication r of :func:`simulate_batch` draws driver i from
 ``substream(seed, *key, r, i)`` and its variant-3 pi-draws from
 ``substream(seed, *key, r, 1)``: the streams of ``simulate_bundle(...,
 substream(seed, *key, r))``.  A COGARCH replication of
-:func:`simulate_cogarch_batch` draws from ``substream(seed, *key, r)``.
-The exact recursions then run mark rank by mark rank across the
-replications on padded 2-D arrays or, when there are too few rows for the
-per-rank numpy overhead to pay off, row by row on the scalar kernels
-(:func:`_scalar_rows`: one tight loop per state over blocks of marks).
+:func:`simulate_cogarch_batch` draws from ``substream(seed, *key, r)``; a
+stationary draw of :func:`stationary_draws` from the stream its caller
+names, on the window (-burn_in, 0] with an empty live window, so it burns
+in, relaxes to 0 and records nothing.  The exact recursions then run mark
+rank by mark rank across the replications on padded 2-D arrays or, when
+there are too few rows for the per-rank numpy overhead to pay off, row by
+row on the scalar kernels (:func:`_scalar_rows`: one tight loop per state
+over blocks of marks).
 Both do one replication's floating-point operations in the same order, so
 no number depends on which runs or on the number of replications, and
 every number equals that of the serial simulators kept in
@@ -36,13 +39,13 @@ hold +inf times, so they sort after every query, and zero sizes.  A batch
 holds every replication's live window, so callers bound memory by
 simulating ranges of replications (:func:`chunked`); within a call, long
 burn-ins are drawn and burned in a chunk of replications at a time.  The
-draws of :func:`simulate_batch` and :func:`simulate_cogarch_batch` go
-through :func:`analysis.run_replications`, so tracing tools count one
-replication per replication; the recursions run outside it, so a
-replication's span times its draws alone.  A single bundle is not a
-replication of anything and is not counted; it draws its drivers through
-:func:`levy.simulate_levy_path`, and the scalar kernels record its
-components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
+draws of :func:`simulate_batch`, :func:`simulate_cogarch_batch` and
+:func:`stationary_draws` go through :func:`analysis.run_replications`, so
+tracing tools count one replication per replication; the recursions run
+outside it, so a replication's span times its draws alone.  A single
+bundle is not a replication of anything and is not counted; it draws its
+drivers through :func:`levy.simulate_levy_path`, and the scalar kernels
+record its components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
 """
 
 from __future__ import annotations
@@ -56,12 +59,13 @@ import numpy as np
 
 from .analysis import run_replications
 from .cogarch import (
-    MARK_BLOCK, CogarchParams, _exp_decays, _lefts, _relax_marks, simulate_cogarch, stationary_start,
+    MARK_BLOCK, CogarchParams, NonStationaryError, _exp_decays, _lefts, _relax_marks, simulate_cogarch,
+    stationary_start,
 )
 from .levy import CompoundPoisson, JumpPath, LevyModel, _draw_marks, substream
 from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
 
-__all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "chunked"]
+__all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
 
 #: replications per engine call in :func:`chunked`; bounds the memory of a
 #: batch's paths and of its queries
@@ -420,8 +424,9 @@ def _simulate(
 ):
     """Draw n replications on (t_start, t1], run every family through the
     marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
-    the live marks.  Returns per family its reference times and states,
-    its record and live marks, and the live L marks of every driver.  The
+    the live marks (none when t1 == t0).  Returns per family its reference
+    times and states, its record and live marks, and the live L marks of
+    every driver.  The
     draws go through :func:`analysis.run_replications`, unless
     ``draw_path(model, horizon, seed)`` draws each driver as a checked
     :class:`levy.JumpPath`: one bundle is not a replication."""
@@ -484,7 +489,10 @@ def _simulate(
         v = np.concatenate([c[1] for c in chunks], axis=1)
         vbar = None if fam.vbar is None else np.concatenate([c[2] for c in chunks])
         times, l_sizes, counts, pk = drivers[fam.driver]
-        rec = _steps(beta, eta, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, True, t1)[3]
+        if t1 > t0:
+            rec = _steps(beta, eta, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, True, t1)[3]
+        else:  # an empty live window has no marks to record
+            rec = _Record.zeros(v.shape, times.shape, vbar is not None)
         out.append((t, v, vbar, rec))
     return out, drivers
 
@@ -626,6 +634,32 @@ def simulate_cogarch_batch(
         [_Family((params.phi,), 0, (v_start,))], relax=False,
     )
     return PathBatch(params.level, params.eta, t, v[0], times, rec.left[0], rec.post[0])
+
+
+def stationary_draws(
+    params: CogarchParams,
+    model: LevyModel,
+    burn_in: float,
+    n: int,
+    stream: Callable[[int], np.random.SeedSequence],
+) -> np.ndarray:
+    """V(0) of n COGARCHes, each started at its stationary start (the
+    stationary mean, or beta/eta where it diverges) at -burn_in: n
+    approximate draws from the stationary law.  Draw r runs through the
+    marks of ``simulate_levy_path(model, (-burn_in, 0), stream(r))`` and
+    relaxes to 0; it equals :func:`cogarch.evolve_value` on that path bit
+    for bit."""
+    if not params.is_stationary_admissible(model):
+        raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
+    t_start = -float(burn_in)
+    _check_window(t_start, 0.0)
+    if n == 0:
+        return np.empty(0)
+    [(_, v, _, _)], _ = _simulate(
+        model, params.beta, params.eta, (t_start, 0.0, 0.0), n, lambda r: [stream(r)],
+        [_Family((params.phi,), 0, (stationary_start(params, model),))], relax=True,
+    )
+    return v[0]
 
 
 def chunked(sample: Callable[[int, int], np.ndarray], n: int) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import charexp
 from .csvio import columns_to_csv, event_columns
-from .levy import JumpPath, LevyModel, s_moments, simulate_levy_path, squared_jumps
+from .levy import JumpPath, LevyModel, s_moments, substream
 
 __all__ = [
     "MomentDivergesError",
@@ -204,8 +204,8 @@ def evolve_value(
     """Exact evolution through the marks of ``s_path`` from ``t_start``,
     relaxed up to ``t_end``; returns V(t_end).  The same arithmetic as
     :func:`simulate_cogarch`, without recording the per-event values, on
-    one plain loop: no per-call numpy work, for the many short paths of
-    the stationary draws."""
+    one plain loop; each draw of :func:`batch.stationary_draws` equals it
+    on that draw's path."""
     level, eta, phi = params.level, params.eta, params.phi
     exp = math.exp
     t = t_start
@@ -358,18 +358,15 @@ def draw_stationary_v0(
     seed: int | np.random.SeedSequence,
     burn_in: float | None = None,
 ) -> float:
-    """One approximate draw from the stationary law, by evolving the exact
-    recursion over [-burn_in, 0] from the stationary mean (or beta/eta when
-    the mean diverges).  Raises NonStationaryError outside the stationarity
-    region."""
-    if params.phi == 0.0:
-        return params.level
-    if not params.is_stationary_admissible(model):
-        raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
+    """One approximate draw from the stationary law: the engine's
+    stationary draw (:func:`batch.stationary_draws`) on one replication,
+    from ``substream(seed)``.  Raises NonStationaryError outside the
+    stationarity region."""
+    from .batch import stationary_draws  # batch builds on this module
+
     if burn_in is None:
         burn_in = default_burn_in(params, model)
-    s_path = squared_jumps(simulate_levy_path(model, (-burn_in, 0.0), seed))
-    return evolve_value(params, s_path, stationary_start(params, model), -burn_in, 0.0)
+    return float(stationary_draws(params, model, burn_in, 1, lambda _: substream(seed))[0])
 
 
 def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:

@@ -57,7 +57,6 @@ from .superpos import Mixture, SupPathBundle, Variant, sup1_mean
 __all__ = [
     "PricePath",
     "simulate_price",
-    "lattice_increments",
     "increment_mean_and_variance",
     "increment_autocov",
     "lag_kernel",
@@ -142,19 +141,6 @@ def simulate_price(bundle: SupPathBundle, driver_atom: int | None = None) -> Pri
         vbar_left=vbar_left,
         driver_atom=atom if bundle.variant is Variant.SUP1 else None,
     )
-
-
-def lattice_increments(path: PricePath, r: float) -> np.ndarray:
-    """Increments G(t + r) - G(t) on the lattice t = t0, t0 + r, ...; the
-    long-path counterpart of the independent-replication estimator (the two
-    must agree on stationary paths)."""
-    if not r > 0.0:
-        raise ValueError(f"increment length must be > 0, got {r}")
-    n = int(math.floor((path.t1 - path.t0) / r + 1e-9))
-    if n < 1:
-        return np.array([])
-    edges = path.t0 + r * np.arange(n + 1)
-    return np.diff(path.values_at(edges))
 
 
 def increment_mean_and_variance(

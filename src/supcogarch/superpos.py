@@ -70,7 +70,6 @@ __all__ = [
     "sup3_acov",
     "SUP_MOMENTS",
     "tail_exponent",
-    "check_stationarity",
     "bundle_to_csv",
     "chosen_marks_to_csv",
 ]
@@ -389,62 +388,6 @@ def tail_exponent(
     kappa_bar = charexp.kappa_of_phi(ctx, phi_bar)
     kind = TailLimit.BOUNDED if variant is Variant.SUP3 else TailLimit.POSITIVE_CONSTANT
     return TailExponent(kappa_bar, kind)
-
-
-@dataclass(frozen=True)
-class AtomCheck:
-    phi: float
-    weight: float
-    log_moment: float
-    stationary: bool
-    in_half_moment_region: bool
-    in_first_moment_region: bool
-    in_second_moment_region: bool
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    variant: Variant
-    eta: float
-    atoms: tuple[AtomCheck, ...]
-
-    @property
-    def stationary(self) -> bool:
-        return all(a.stationary for a in self.atoms)
-
-    @property
-    def violating_atoms(self) -> tuple[float, ...]:
-        return tuple(a.phi for a in self.atoms if not a.stationary)
-
-    def moment_region_fraction(self, kappa: float) -> float:
-        """pi-mass of atoms inside the order-kappa moment region."""
-        key = {0.5: "in_half_moment_region", 1: "in_first_moment_region", 2: "in_second_moment_region"}
-        attr = key.get(kappa)
-        if attr is None:
-            raise ValueError(f"tracked moment orders are 0.5, 1, 2; got {kappa}")
-        return sum(a.weight for a in self.atoms if getattr(a, attr))
-
-
-def check_stationarity(
-    variant: Variant, mixture: Mixture, ctx: charexp.ExponentContext
-) -> StationarityReport:
-    """Per-atom admissibility (log-moment vs eta) and moment-region
-    membership at orders 1/2, 1, 2.  Reports; never raises."""
-    checks = []
-    for phi, w in mixture.atoms():
-        lm = charexp.log_moment(ctx, phi)
-        checks.append(
-            AtomCheck(
-                phi=phi,
-                weight=w,
-                log_moment=lm,
-                stationary=charexp.is_stationary(ctx, phi),
-                in_half_moment_region=charexp.psi(ctx, 0.5, phi) < 0.0,
-                in_first_moment_region=charexp.psi(ctx, 1.0, phi) < 0.0,
-                in_second_moment_region=charexp.psi(ctx, 2.0, phi) < 0.0,
-            )
-        )
-    return StationarityReport(variant, ctx.eta, tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ checked on simulated bundles.
 The battery is a pure function of the experiment configuration: every
 replication derives its random stream from (root seed, family id, variant
 id, replication index), with the family ids of ``levy.Stream``.  The
-cogarch, cross, sup, price and q families simulate their replications
-together on the engine (:mod:`supcogarch.batch`), which gives the numbers
-of one bundle per replication bit for bit; the identity family checks one
-bundle per variant (the engine at one replication), and the tail family
-evolves one stationary COGARCH draw at a time.
+cogarch, cross, sup, price, q and tail families simulate their
+replications together on the engine (:mod:`supcogarch.batch`), which gives
+the numbers of one bundle, COGARCH or stationary draw per replication bit
+for bit; the identity family checks one bundle per variant (the engine at
+one replication).
 
 Tolerances: mean-type comparisons use the configured multiplier k (default
 4 standard errors); variance/covariance-type comparisons, which face heavy
@@ -39,26 +39,23 @@ from .analysis import (
     mc_mean,
     mc_second_moment,
     mc_variance,
-    run_replications,
 )
-from .batch import chunked, simulate_batch, simulate_cogarch_batch
+from .batch import chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
 from .cogarch import (
     CogarchParams,
     MomentDivergesError,
-    NonStationaryError,
     cross_acov,
     cross_cov,
     default_burn_in,
-    evolve_value,
     stationary_acov,
     stationary_mean,
-    stationary_start,
     stationary_variance,
     stationary_variance_alt,
 )
 from .config import ExperimentConfig
 from .csvio import G17, csv_text
-from .levy import Stream, rng_from, simulate_levy_path, squared_jumps, substream
+from .levy import Stream, rng_from, substream
+from .levy import simulate_levy_path  # noqa: F401 -- perfbench/tests checks the tracer rebinds it here
 from .price import (
     PricePath,
     increment_mean_and_variance,
@@ -569,19 +566,10 @@ def stationary_component_draws(
     burn_in: float,
     family: int = Stream.TAIL,
 ) -> np.ndarray:
-    """n burned-in stationary draws of one COGARCH (stationarity checked
-    once up front, not per draw)."""
-    if not params.is_stationary_admissible(model):
-        raise NonStationaryError(f"phi={params.phi} is not stationary-admissible")
-    start = stationary_start(params, model)
-
-    def one(rep: int) -> float:
-        s = squared_jumps(
-            simulate_levy_path(model, (-burn_in, 0.0), substream(seed, family, rep))
-        )
-        return evolve_value(params, s, start, -burn_in, 0.0)
-
-    return np.array(run_replications(one, n))
+    """n burned-in stationary draws of one COGARCH on the engine
+    (:func:`batch.stationary_draws`), draw r from ``substream(seed, family,
+    r)``."""
+    return stationary_draws(params, model, burn_in, n, lambda r: substream(seed, family, r))
 
 
 def _identity_family(cfg: ExperimentConfig, checks: list[CheckRow]) -> None:

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from supcogarch.analysis import (
     MomentReport,
-    MomentTarget,
     check_q_bounds,
     default_hill_k,
-    estimate_moments,
     extract_q,
     grouped_jackknife,
     has_interior_gap,
@@ -83,31 +81,9 @@ def test_grouped_jackknife_mean_agrees_with_classic():
     assert se == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=0.3)
 
 
-def test_estimate_moments_reports():
-    rng = np.random.default_rng(4)
-    samples = {"v": rng.normal(loc=2.0, size=500), "w": rng.normal(size=500)}
-    targets = [
-        MomentTarget("v_mean", "mean", ("v",), 2.0),
-        MomentTarget("v_var", "variance", ("v",), 1.0),
-        MomentTarget("vw_cov", "covariance", ("v", "w"), 0.0),
-        MomentTarget("diverging", "mean", ("v",), None),
-    ]
-    reports = estimate_moments(samples, targets, k=4.0)
-    assert reports[0].passed and reports[1].passed and reports[2].passed
-    assert reports[3].passed is None  # diverging target flagged, not judged
-    csv = reports_to_csv(reports)
-    assert "diverges" in csv and "undefined" in csv
-
-
-def test_estimate_moments_requires_min_samples():
-    with pytest.raises(ValueError):
-        estimate_moments({"v": np.ones(10)}, [MomentTarget("m", "mean", ("v",), 1.0)])
-
-
 def test_constant_samples_exact_match():
-    samples = {"v": np.full(200, 3.0)}
-    ok = estimate_moments(samples, [MomentTarget("m", "mean", ("v",), 3.0)])[0]
-    bad = estimate_moments(samples, [MomentTarget("m", "mean", ("v",), 3.1)])[0]
+    est, se = mc_mean(np.full(200, 3.0))
+    ok, bad = MomentReport("m", 3.0, est, se, 200), MomentReport("m", 3.1, est, se, 200)
     assert ok.std_error == 0.0 and ok.passed is True
     assert bad.passed is False
 
@@ -290,3 +266,5 @@ def test_moment_report_pass_logic():
     assert MomentReport("x", 1.0, 1.5, 0.05, 100, k=4.0).passed is False
     assert MomentReport("x", None, 1.5, 0.05, 100).passed is None
     assert MomentReport("x", 1.0, 1.0, 0.0, 100).passed is True
+    csv = reports_to_csv([MomentReport("x", None, 1.5, 0.05, 100)])
+    assert "diverges" in csv and "undefined" in csv  # diverging target flagged, not judged

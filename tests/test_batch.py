@@ -429,6 +429,46 @@ def test_scalar_kernels_match_serial_loops(monkeypatch, model, eta):
             check([r], record, t_end)
 
 
+# ---------------------------------------------------------------------------
+# stationary draws: the tail family on the engine
+
+STATIONARY_CASES = {
+    # at least _MIN_BATCH_STEPS rows: burned in on the padded arrays
+    "cp_padded": (CompoundPoisson(1.0), CogarchParams(1.0, 1.0, 0.5), 80, 80.0),
+    # fewer rows than the recording crossover: the scalar kernels, whose
+    # recording pass must be skipped on the empty live window
+    "vg_scalar": (VarianceGamma(1.0, 1.0, grid_step=2.0**-6), CogarchParams(1.0, 0.05, 0.045), 20, 30.0),
+    # phi = 0: every draw is the level beta/eta exactly
+    "cp_phi_zero": (CompoundPoisson(1.0), CogarchParams(3.0, 2.0, 0.0), 40, 20.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATIONARY_CASES))
+def test_stationary_draws_match_serial(case):
+    """Draw r is the serial loop's V(0): from the stationary start at -b
+    through the driver on (-b, 0] drawn from substream(seed, family, r)."""
+    model, params, n, b = STATIONARY_CASES[case]
+    got = verify.stationary_component_draws(params, model, 61, n, b, family=Stream.TAIL)
+    start = cogarch.stationary_start(params, model)
+    want = [
+        serial_oracle.evolve_value(
+            params, squared_jumps(simulate_levy_path(model, (-b, 0.0), substream(61, Stream.TAIL, r))), start, -b, 0.0,
+        )
+        for r in range(n)
+    ]
+    assert np.array_equal(got, want)
+    if params.phi == 0.0:
+        assert np.all(got == params.level)
+    assert verify.stationary_component_draws(params, model, 61, 0, b).shape == (0,)
+
+
+def test_stationary_cases_cover_both_kernels():
+    """One case burns in on the padded arrays, one records on the scalar
+    kernels (a component records there below _MIN_BATCH_STEPS / 2 rows)."""
+    assert STATIONARY_CASES["cp_padded"][2] >= batch._MIN_BATCH_STEPS
+    assert STATIONARY_CASES["vg_scalar"][2] < batch._MIN_BATCH_STEPS / 2
+
+
 Q_CASES = {
     "two_atoms": replace(BASE, horizon=6.0, burn_in=4.0, q_paths=70, seed=31),
     # a 1-unit window at rate 1: about a third of the paths have no live marks

@@ -272,6 +272,29 @@ def test_commands_run_without_scipy(tmp_path):
     assert (lines[0], lines[-1]) == ("['numpy.ma', 'numpy.random']", "[]")
 
 
+_PUBLIC_NAMES = """
+import importlib, pkgutil, supcogarch
+for info in pkgutil.iter_modules(supcogarch.__path__):
+    module = importlib.import_module("supcogarch." + info.name)
+    names = getattr(module, "__all__", None)
+    print(info.name, None if names is None else [n for n in names if not hasattr(module, n)])
+"""
+
+
+def test_every_public_name_resolves():
+    """``import supcogarch`` succeeds in a fresh interpreter, every module
+    declares ``__all__``, and every name listed there exists."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _PUBLIC_NAMES], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    missing = dict(line.split(" ", 1) for line in run.stdout.splitlines())
+    assert {"batch", "cli", "cogarch", "verify"} <= missing.keys()
+    assert all(v == "[]" for v in missing.values()), missing
+
+
 def test_simulate_seed_override_changes_output(cfg_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["simulate", "--config", str(cfg_file), "--out", str(out1)])

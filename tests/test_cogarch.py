@@ -201,13 +201,14 @@ def test_mc_autocovariance_light_tail():
     # lag-h covariance matches exp(h psi1) Var[V] at a scale where the
     # estimator is properly calibrated
     from supcogarch.analysis import mc_covariance
+    from supcogarch.batch import simulate_cogarch_batch
 
     params = CogarchParams(1.0, 1.0, 0.2)
     lags = np.array([0.5, 1.0, 2.0])
-    vals = np.empty((3000, 1 + lags.size))
-    for i in range(vals.shape[0]):
-        s = squared_jumps(simulate_levy_path(MODEL, (-50.0, 2.0), substream(23, i)))
-        vals[i] = simulate_cogarch(params, s, 1.25).values(np.concatenate(([0.0], lags)))
+    # replication i runs on simulate_levy_path(MODEL, (-50, 2), substream(23, i)) from 1.25
+    vals = simulate_cogarch_batch(params, MODEL, (0.0, 2.0), 1.25, 23, (), 3000, 50.0).values(
+        np.concatenate(([0.0], lags))
+    )
     for j, h in enumerate(lags):
         est, se = mc_covariance(vals[:, 0], vals[:, 1 + j])
         assert abs(est - stationary_acov(params, MODEL, h)) < 5.0 * se, h

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from supcogarch.cogarch import MomentDivergesError
-from supcogarch.levy import CompoundPoisson, substream
+from supcogarch.levy import CompoundPoisson
 from supcogarch.price import (
     increment_autocov,
     increment_mean_and_variance,
@@ -157,47 +157,30 @@ def test_price_csv():
 def test_lattice_and_replication_estimators_agree():
     # one long stationary path vs independent replications: both estimate
     # E[(dG_r)^2]; a light mixture keeps the comparison sharply calibrated
-    from supcogarch.price import lattice_increments
-    from supcogarch.levy import substream
+    from supcogarch.batch import simulate_batch
 
     mix = Mixture.from_atoms([(0.12, 0.6), (0.06, 0.4)])
     target = increment_mean_and_variance(Variant.SUP2, mix, 1.0, 1.0, MODEL, 1.0)[1]
 
     long_bundle = simulate_bundle(Variant.SUP2, mix, 1.0, 1.0, MODEL, (0.0, 4000.0), 21)
-    lat = lattice_increments(simulate_price(long_bundle), 1.0) ** 2
+    # increments G(t + 1) - G(t) on the lattice t = 0, 1, ..., 3999
+    lat = np.diff(simulate_price(long_bundle).values_at(np.arange(4001.0))) ** 2
     # batch means over contiguous blocks absorb the weak serial dependence
     batches = np.array([b.mean() for b in np.array_split(lat, 50)])
     lat_est = lat.mean()
     lat_se = batches.std(ddof=1) / np.sqrt(batches.size)
 
-    reps = np.array(
-        [
-            simulate_price(
-                simulate_bundle(Variant.SUP2, mix, 1.0, 1.0, MODEL, (0.0, 1.0), substream(22, i))
-            ).increment(0.0, 1.0)
-            ** 2
-            for i in range(3000)
-        ]
+    # replication i is simulate_bundle(..., substream(22, i))
+    levels = simulate_batch(Variant.SUP2, mix, 1.0, 1.0, MODEL, (0.0, 1.0), 22, (), 3000).price_levels(
+        np.array([0.0, 1.0])
     )
+    reps = (levels[:, 1] - levels[:, 0]) ** 2
     rep_est = reps.mean()
     rep_se = reps.std(ddof=1) / np.sqrt(reps.size)
 
     assert abs(lat_est - target) < 5.0 * lat_se
     assert abs(rep_est - target) < 5.0 * rep_se
     assert abs(lat_est - rep_est) < 5.0 * math.hypot(lat_se, rep_se)
-
-
-def test_lattice_increments_edges():
-    from supcogarch.price import lattice_increments
-
-    b = _bundle(Variant.SUP2, MOMENT_MIX, seed=6, horizon=(0.0, 10.0))
-    gp = simulate_price(b)
-    incs = lattice_increments(gp, 1.0)
-    assert incs.size == 10
-    assert incs.sum() == pytest.approx(gp.value_at(10.0), abs=1e-12)
-    assert lattice_increments(gp, 20.0).size == 0
-    with pytest.raises(ValueError):
-        lattice_increments(gp, 0.0)
 
 
 def test_price_increments_align_with_values():

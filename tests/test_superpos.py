@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from supcogarch.batch import chunked, simulate_batch
 from supcogarch.charexp import ExponentContext, NoRootError, kappa_of_phi, phi_max
 from supcogarch.cogarch import (
     CogarchParams,
@@ -13,14 +14,13 @@ from supcogarch.cogarch import (
     stationary_second_moment,
     stationary_variance,
 )
-from supcogarch.levy import CompoundPoisson, VarianceGamma, squared_jumps, substream
+from supcogarch.levy import CompoundPoisson, VarianceGamma, squared_jumps
 from supcogarch.superpos import (
     Mixture,
     _require_stationary,
     TailLimit,
     Variant,
     bundle_to_csv,
-    check_stationarity,
     chosen_marks_to_csv,
     simulate_bundle,
     sup1_acov,
@@ -256,13 +256,12 @@ def test_mc_means_match_formula_light_tail():
     mix = Mixture.from_atoms([(0.12, 0.6), (0.06, 0.4)])
     target = sup1_mean(mix, 1.0, 1.0, MODEL)
     for vi, variant in enumerate(Variant):
-        draws = np.array(
-            [
-                simulate_bundle(
-                    variant, mix, 1.0, 1.0, MODEL, (0.0, 1.0), substream(31, vi, i)
-                ).aggregate.v0
-                for i in range(1500)
-            ]
+        # replication i is simulate_bundle(..., substream(31, vi, i))
+        draws = chunked(
+            lambda first, n: simulate_batch(
+                variant, mix, 1.0, 1.0, MODEL, (0.0, 1.0), 31, (vi,), n, None, first
+            ).aggregate.v0,
+            1500,
         )
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - target) < 4.0 * se, variant
@@ -279,10 +278,13 @@ def test_mc_autocovariance_light_tail():
         (0, Variant.SUP2, sup2_acov),
         (1, Variant.SUP3, sup3_acov),
     ):
-        vals = np.empty((3000, 1 + lags.size))
-        for i in range(vals.shape[0]):
-            b = simulate_bundle(variant, mix, 1.0, 1.0, MODEL, (0.0, 2.0), substream(33, vi, i))
-            vals[i] = b.aggregate.values(np.concatenate(([0.0], lags)))
+        # replication i is simulate_bundle(..., substream(33, vi, i))
+        vals = chunked(
+            lambda first, n: simulate_batch(
+                variant, mix, 1.0, 1.0, MODEL, (0.0, 2.0), 33, (vi,), n, None, first
+            ).aggregate.values(np.concatenate(([0.0], lags))),
+            3000,
+        )
         for j, h in enumerate(lags):
             est, se = mc_covariance(vals[:, 0], vals[:, 1 + j])
             target = acov_fn(mix, 1.0, 1.0, MODEL, h)
@@ -300,19 +302,6 @@ def test_tail_exponent_kinds():
     assert tail_exponent(Variant.SUP2, other, CTX).kappa_bar == pytest.approx(
         te1.kappa_bar, abs=1e-9
     )
-
-
-def test_check_stationarity_reports():
-    rep = check_stationarity(Variant.SUP1, FIG_MIX, CTX)
-    assert rep.stationary
-    assert rep.moment_region_fraction(1) == pytest.approx(1.0)
-    assert rep.moment_region_fraction(2) == pytest.approx(0.75)  # 0.95 atom fails
-    bad = Mixture.from_atoms([(0.5, 0.5), (3.1, 0.5)])
-    rep = check_stationarity(Variant.SUP2, bad, CTX)
-    assert not rep.stationary
-    assert rep.violating_atoms == (3.1,)
-    trivial = check_stationarity(Variant.SUP3, Mixture.dirac(0.0), CTX)
-    assert trivial.stationary and not trivial.violating_atoms
 
 
 def test_bundle_csv_shapes():
