@@ -34,7 +34,6 @@ from .cogarch import (
     cross_acov,
     cross_cov,
     cross_moment,
-    draw_stationary_v0,
     simulate_cogarch,
     stationary_acov,
     stationary_mean,

@@ -232,92 +232,107 @@ class JumpTally:
     price_only: int
 
 
-def _component_mark_index(bundle: SupPathBundle, atom: int, times: np.ndarray) -> np.ndarray:
-    comp = bundle.components[atom]
-    pos = np.searchsorted(comp.times, times)
-    if pos.size and not np.array_equal(comp.times[pos], times):
-        raise AssertionError("price jump times must be component mark times")
-    return pos
+def _q_rows(
+    variant: Variant, mixture: Mixture, lefts: Sequence[np.ndarray | None], vbar_left: np.ndarray,
+    times: np.ndarray, valid: np.ndarray, picks: np.ndarray | None, atom: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """q at the price driver's marks of each row, in the product form:
+    ``lefts`` holds each component's (n, N) left limits at those marks
+    (variant 1 reads only the driving ``atom``'s), ``vbar_left`` the
+    aggregate's, ``valid`` marks the live columns and ``picks`` variant 3's
+    drawn atoms.  Returns the sampled marks' times, their q and, for
+    variant 3, their drawn scales, in (row, mark) order.  Variant 1 samples
+    the driving atom's marks, variant 2 every mark of a row whose scales are
+    not all zero, variant 3 the marks whose draw is a positive scale (a
+    draw of 0 is a price jump with no volatility jump)."""
+    phis, chosen = mixture.phis, None
+    if variant is Variant.SUP1:
+        keep = valid if phis[atom] != 0.0 else np.zeros_like(valid)
+        scale = mixture.weights[atom] * phis[atom] * lefts[atom][keep]
+    elif variant is Variant.SUP2:
+        scale = np.zeros(valid.shape)
+        for (phi, w), left in zip(mixture.atoms(), lefts):
+            scale += w * phi * left
+        keep = valid & ~np.all((scale == 0.0) | ~valid, axis=1)[:, None]
+        scale = scale[keep]
+    else:
+        drawn = np.asarray(phis)[picks]
+        keep = valid & (drawn != 0.0)
+        chosen = drawn[keep]
+        scale = chosen * np.take_along_axis(np.stack(lefts), picks[None], axis=0)[0][keep]
+    return times[keep], scale / vbar_left[keep], chosen
+
+
+def _tally(variant: Variant, phis: Sequence[float], counts: Sequence[int], zero_draws: int, atom: int = 0) -> JumpTally:
+    """The jump tally from each driver's mark count and variant 3's count of
+    phi = 0 draws.  Variant 1: the driving atom's marks are common (price
+    only at phi = 0), other positive atoms' marks move the volatility alone.
+    Variant 2: every mark is common unless every scale is 0.  Variant 3: a
+    draw of 0 is a price-only jump."""
+    n = counts[atom]
+    if variant is Variant.SUP1:
+        vol_only = sum(c for i, (phi, c) in enumerate(zip(phis, counts)) if i != atom and phi > 0.0)
+        return JumpTally(n, vol_only, 0) if phis[atom] > 0.0 else JumpTally(0, vol_only, n)
+    if variant is Variant.SUP2:
+        return JumpTally(n, 0, 0) if any(phi > 0.0 for phi in phis) else JumpTally(0, 0, n)
+    return JumpTally(n - zero_draws, 0, zero_draws)
+
+
+def _q_bound_masks(
+    variant: Variant, mixture: Mixture, q: np.ndarray, chosen: np.ndarray | None
+) -> list[tuple[str, np.ndarray]]:
+    """Path-wise bounds on the jump ratio, exact algebra up to roundoff:
+    variant 1: q <= phi_bar; variant 2: phi_low <= q <= phi_bar; variant 3:
+    q >= phi_bar when the draw hit the top atom and q <= phi_low when it hit
+    the lowest positive atom.  Each bound's label and violation mask."""
+    phi_bar, phi_low = mixture.phi_bar, mixture.phi_low
+    up_tol, lo_tol = _Q_BOUND_RTOL * max(1.0, phi_bar), _Q_BOUND_RTOL * max(1.0, phi_low)
+    if variant is Variant.SUP3:
+        return [
+            (f"q >= phi_bar={phi_bar} (top draw)", (chosen == phi_bar) & (q < phi_bar - up_tol)),
+            (f"q <= phi_low={phi_low} (low draw)", (chosen == phi_low) & (q > phi_low + lo_tol)),
+        ]
+    bounds = [(f"q <= phi_bar={phi_bar}", q > phi_bar + up_tol)]
+    if variant is Variant.SUP2:
+        bounds.append((f"q >= phi_low={phi_low}", q < phi_low - lo_tol))
+    return bounds
+
+
+def _chosen_phis(bundle: SupPathBundle) -> np.ndarray:
+    if bundle.chosen_phis is None:
+        raise ValueError("variant-3 bundle lacks its chosen marks")
+    return bundle.chosen_phis
 
 
 def extract_q(bundle: SupPathBundle, price_path: PricePath) -> list[QSample]:
-    """q at every common jump.  Variant 1 samples the driving atom's marks;
-    variant 2 samples every mark; variant 3 samples marks whose pi-draw is
-    a positive scale (a draw of 0 is a price jump with no volatility jump)."""
-    times = price_path.times
-    vbar_left = price_path.vbar_left
-    if not len(times):
-        return []
-    out: list[QSample] = []
-
-    if bundle.variant is Variant.SUP1:
-        atom = price_path.driver_atom or 0
-        phi = bundle.mixture.phis[atom]
-        weight = bundle.mixture.weights[atom]
-        if phi == 0.0:
-            return []
-        pos = _component_mark_index(bundle, atom, times)
-        comp_left = bundle.components[atom].left[pos]
-        qs = weight * phi * comp_left / vbar_left
-        for t, q in zip(times.tolist(), qs.tolist()):
-            out.append(QSample(bundle.variant, t, q))
-        return out
-
-    if bundle.variant is Variant.SUP2:
-        scale = np.zeros(len(times))
-        for atom, (phi, w) in enumerate(bundle.mixture.atoms()):
-            pos = _component_mark_index(bundle, atom, times)
-            scale += w * phi * bundle.components[atom].left[pos]
-        if np.all(scale == 0.0):
-            return []
-        qs = scale / vbar_left
-        for t, q in zip(times.tolist(), qs.tolist()):
-            out.append(QSample(bundle.variant, t, q))
-        return out
-
-    chosen = bundle.chosen_phis
-    if chosen is None:
-        raise ValueError("variant-3 bundle lacks its chosen marks")
-    qs = chosen * bundle.chosen_lefts() / vbar_left
-    keep = chosen != 0.0
-    return [
-        QSample(bundle.variant, t, q, chosen_phi=phi)
-        for t, q, phi in zip(times[keep].tolist(), qs[keep].tolist(), chosen[keep].tolist())
-    ]
+    """q at every common jump of one bundle: the batch formulas on one row."""
+    times, atom = price_path.times, price_path.driver_atom or 0
+    variant = bundle.variant
+    picks = None
+    if variant is Variant.SUP3:
+        picks = np.searchsorted(np.asarray(bundle.mixture.phis), _chosen_phis(bundle))[None]
+    lefts: list[np.ndarray | None] = []
+    for i, comp in enumerate(bundle.components):
+        if variant is Variant.SUP1 and i != atom:
+            lefts.append(None)
+            continue
+        pos = np.searchsorted(comp.times, times)
+        if pos.size and not np.array_equal(comp.times[pos], times):
+            raise AssertionError("price jump times must be component mark times")
+        lefts.append(comp.left[pos][None])
+    t, q, chosen = _q_rows(
+        variant, bundle.mixture, lefts, price_path.vbar_left[None], times[None],
+        np.ones((1, times.size), dtype=bool), picks, atom,
+    )
+    phis = [None] * q.size if chosen is None else chosen.tolist()
+    return [QSample(variant, *s) for s in zip(t.tolist(), q.tolist(), phis)]
 
 
 def jump_tally(bundle: SupPathBundle, price_path: PricePath) -> JumpTally:
-    """Common vs volatility-only vs price-only jump counts.
-
-    Variant 1: only the driving atom's marks hit the price; marks of other
-    positive atoms move the volatility alone.  Variant 2: every mark is
-    common.  Variant 3: a pi-draw of 0 yields a price-only jump.
-    """
-    if bundle.variant is Variant.SUP1:
-        atom = price_path.driver_atom or 0
-        common = vol_only = price_only = 0
-        for i, (phi, _) in enumerate(bundle.mixture.atoms()):
-            n_marks = len(bundle.drivers[i])
-            if i == atom:
-                if phi > 0.0:
-                    common += n_marks
-                else:
-                    price_only += n_marks
-            elif phi > 0.0:
-                vol_only += n_marks
-        return JumpTally(common, vol_only, price_only)
-
-    n_marks = len(price_path)
-    if bundle.variant is Variant.SUP2:
-        if any(phi > 0.0 for phi in bundle.mixture.phis):
-            return JumpTally(n_marks, 0, 0)
-        return JumpTally(0, 0, n_marks)
-
-    chosen = bundle.chosen_phis
-    if chosen is None:
-        raise ValueError("variant-3 bundle lacks its chosen marks")
-    price_only = int(np.sum(chosen == 0.0))
-    return JumpTally(n_marks - price_only, 0, price_only)
+    """Common vs volatility-only vs price-only jump counts of one bundle."""
+    zero_draws = int(np.count_nonzero(_chosen_phis(bundle) == 0.0)) if bundle.variant is Variant.SUP3 else 0
+    counts = [len(d) for d in bundle.drivers]
+    return _tally(bundle.variant, bundle.mixture.phis, counts, zero_draws, price_path.driver_atom or 0)
 
 
 @dataclass(frozen=True)
@@ -338,35 +353,20 @@ class QBoundsReport:
         return not self.violations
 
 
-def _q_bounds(mixture: Mixture) -> tuple[float, float, float, float]:
-    """phi_bar, phi_low and the roundoff slack of the bounds at each."""
-    phi_bar, phi_low = mixture.phi_bar, mixture.phi_low
-    return phi_bar, phi_low, _Q_BOUND_RTOL * max(1.0, phi_bar), _Q_BOUND_RTOL * max(1.0, phi_low)
-
-
 def check_q_bounds(samples: Sequence[QSample], mixture: Mixture) -> QBoundsReport:
-    """Path-wise bounds on the jump ratio:
-
-    variant 1: q <= phi_bar; variant 2: phi_low <= q <= phi_bar;
-    variant 3: q >= phi_bar when the draw hit the top atom and q <= phi_low
-    when it hit the lowest positive atom.  Exact algebra up to roundoff.
-    """
-    phi_bar, phi_low, up_tol, lo_tol = _q_bounds(mixture)
-    violations: list[QViolation] = []
-    variant = samples[0].variant if samples else Variant.SUP1
-
-    for s in samples:
-        variant = s.variant
-        if s.variant in (Variant.SUP1, Variant.SUP2) and s.q > phi_bar + up_tol:
-            violations.append(QViolation(s.time, s.q, f"q <= phi_bar={phi_bar}"))
-        if s.variant is Variant.SUP2 and s.q < phi_low - lo_tol:
-            violations.append(QViolation(s.time, s.q, f"q >= phi_low={phi_low}"))
-        if s.variant is Variant.SUP3 and s.chosen_phi is not None:
-            if s.chosen_phi == phi_bar and s.q < phi_bar - up_tol:
-                violations.append(QViolation(s.time, s.q, f"q >= phi_bar={phi_bar} (top draw)"))
-            if s.chosen_phi == phi_low and s.q > phi_low + lo_tol:
-                violations.append(QViolation(s.time, s.q, f"q <= phi_low={phi_low} (low draw)"))
-    return QBoundsReport(variant, len(samples), tuple(violations))
+    """The path-wise q bounds of each sample's variant; violations by
+    sample, then by bound."""
+    q = np.array([s.q for s in samples], dtype=float)
+    chosen = np.array([math.nan if s.chosen_phi is None else s.chosen_phi for s in samples], dtype=float)
+    labels, masks = [], []
+    for variant in Variant:
+        own = np.array([s.variant is variant for s in samples], dtype=bool)
+        for label, mask in _q_bound_masks(variant, mixture, q, chosen):
+            labels.append(label)
+            masks.append(mask & own)
+    hits = zip(*np.nonzero(np.stack(masks, axis=1)))
+    violations = tuple(QViolation(samples[i].time, samples[i].q, labels[b]) for i, b in hits)
+    return QBoundsReport(samples[-1].variant if samples else Variant.SUP1, len(samples), violations)
 
 
 @dataclass(frozen=True)
@@ -394,46 +394,17 @@ class QColumns:
 
 def extract_q_batch(batch: "BundleBatch", variant: Variant, mixture: Mixture) -> QColumns:
     """:func:`extract_q`, :func:`jump_tally` and :func:`check_q_bounds` for
-    every replication of an engine batch at once, with the serial formulas,
-    so every sample is bit-identical to the serial one."""
-    counts = batch.driver_counts[0]
-    valid = np.arange(batch.driver_times[0].shape[1]) < counts[:, None]
-    n_marks = int(counts.sum())
-    phis, chosen = mixture.phis, None
-    if variant is Variant.SUP1:
-        vol_only = sum(int(c.sum()) for phi, c in zip(phis[1:], batch.driver_counts[1:]) if phi > 0.0)
-        if phis[0] == 0.0:
-            keep = np.zeros_like(valid)
-            tally = JumpTally(0, vol_only, n_marks)
-        else:
-            keep = valid
-            tally = JumpTally(n_marks, vol_only, 0)
-        scale = mixture.weights[0] * phis[0] * batch.components[0].left[keep]
-    elif variant is Variant.SUP2:
-        scale = np.zeros(batch.driver_times[0].shape)
-        for (phi, w), comp in zip(mixture.atoms(), batch.components):
-            scale += w * phi * comp.left
-        # extract_q gives no samples for a bundle whose every scale is zero
-        keep = valid & ~np.all((scale == 0.0) | ~valid, axis=1)[:, None]
-        scale = scale[keep]
-        positive = any(phi > 0.0 for phi in phis)
-        tally = JumpTally(n_marks, 0, 0) if positive else JumpTally(0, 0, n_marks)
-    else:
-        drawn = np.asarray(phis)[batch.picks]
-        lefts = np.stack([c.left for c in batch.components])
-        keep = valid & (drawn != 0.0)
-        chosen = drawn[keep]
-        scale = chosen * np.take_along_axis(lefts, batch.picks[None], axis=0)[0][keep]
-        price_only = int(np.count_nonzero(valid & (drawn == 0.0)))
-        tally = JumpTally(n_marks - price_only, 0, price_only)
-    q = scale / batch.vbar_left()[keep]
-
-    phi_bar, phi_low, up_tol, lo_tol = _q_bounds(mixture)
-    if variant is Variant.SUP3:
-        bad = [(chosen == phi_bar) & (q < phi_bar - up_tol), (chosen == phi_low) & (q > phi_low + lo_tol)]
-    else:
-        bad = [q > phi_bar + up_tol] + ([q < phi_low - lo_tol] if variant is Variant.SUP2 else [])
-    return QColumns(batch.driver_times[0][keep], q, chosen, tally, sum(int(np.count_nonzero(b)) for b in bad))
+    every replication of an engine batch at once, on the same formulas, so
+    every sample is bit-identical to the one-bundle one."""
+    times, counts = batch.driver_times[0], batch.driver_counts[0]
+    valid = np.arange(times.shape[1]) < counts[:, None]
+    time, q, chosen = _q_rows(
+        variant, mixture, [c.left for c in batch.components], batch.vbar_left(), times, valid, batch.picks,
+    )
+    # variant 3 samples every mark but its phi = 0 draws
+    tally = _tally(variant, mixture.phis, [int(c.sum()) for c in batch.driver_counts], int(counts.sum()) - q.size)
+    violations = sum(int(np.count_nonzero(m)) for _, m in _q_bound_masks(variant, mixture, q, chosen))
+    return QColumns(time, q, chosen, tally, violations)
 
 
 # ---------------------------------------------------------------------------

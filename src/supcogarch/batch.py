@@ -430,6 +430,8 @@ def _simulate(
     draws go through :func:`analysis.run_replications`, unless
     ``draw_path(model, horizon, seed)`` draws each driver as a checked
     :class:`levy.JumpPath`: one bundle is not a replication."""
+    if n < 1:
+        raise ValueError(f"need at least one replication, got n={n}")
     t_start, t0, t1 = window
     n_drivers = 1 + max(fam.driver for fam in families)
     per_rep = n_drivers * _expected_marks(model, t1 - t_start)
@@ -653,8 +655,6 @@ def stationary_draws(
         raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
     t_start = -float(burn_in)
     _check_window(t_start, 0.0)
-    if n == 0:
-        return np.empty(0)
     [(_, v, _, _)], _ = _simulate(
         model, params.beta, params.eta, (t_start, 0.0, 0.0), n, lambda r: [stream(r)],
         [_Family((params.phi,), 0, (stationary_start(params, model),))], relax=True,

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import charexp
 from .csvio import columns_to_csv, event_columns
-from .levy import JumpPath, LevyModel, s_moments, substream
+from .levy import JumpPath, LevyModel, s_moments
 
 __all__ = [
     "MomentDivergesError",
@@ -55,7 +55,6 @@ __all__ = [
     "moment_gate",
     "default_burn_in",
     "stationary_start",
-    "draw_stationary_v0",
     "path_to_csv",
 ]
 
@@ -350,23 +349,6 @@ def stationary_start(params: CogarchParams, model: LevyModel) -> float:
         return stationary_mean(params, model)
     except MomentDivergesError:
         return params.level
-
-
-def draw_stationary_v0(
-    params: CogarchParams,
-    model: LevyModel,
-    seed: int | np.random.SeedSequence,
-    burn_in: float | None = None,
-) -> float:
-    """One approximate draw from the stationary law: the engine's
-    stationary draw (:func:`batch.stationary_draws`) on one replication,
-    from ``substream(seed)``.  Raises NonStationaryError outside the
-    stationarity region."""
-    from .batch import stationary_draws  # batch builds on this module
-
-    if burn_in is None:
-        burn_in = default_burn_in(params, model)
-    return float(stationary_draws(params, model, burn_in, 1, lambda _: substream(seed))[0])
 
 
 def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:

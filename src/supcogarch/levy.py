@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -96,8 +96,6 @@ class CompoundPoisson:
 
     rate: float
     jumps: JumpDistribution = STANDARD_NORMAL
-    #: no Brownian component in either supported driver
-    gaussian_var: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if not self.rate > 0.0:
@@ -109,25 +107,21 @@ class VarianceGamma:
     """Variance gamma driver: Brownian motion time-changed by a gamma process.
 
     ``sigma`` scales the Brownian motion, ``nu`` is the variance rate of the
-    gamma subordinator (mean 1, variance nu per unit time).  The skew
-    parameter is pinned to zero: the price-increment second-order structure
-    needs a vanishing third Levy moment, which for VG forces the symmetric
-    case.
+    gamma subordinator (mean 1, variance nu per unit time).  There is no
+    skew parameter (the general model's drift theta is 0): the
+    price-increment second-order structure needs a vanishing third Levy
+    moment, which for VG forces the symmetric case.
     """
 
     sigma: float
     nu: float
-    theta: float = 0.0
     grid_step: float = DEFAULT_VG_GRID_STEP
-    gaussian_var: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if not self.sigma > 0.0:
             raise ValueError(f"variance gamma sigma must be > 0, got {self.sigma}")
         if not self.nu > 0.0:
             raise ValueError(f"variance gamma nu must be > 0, got {self.nu}")
-        if self.theta != 0.0:
-            raise ValueError("variance gamma drift theta must be 0 (zero-mean driver)")
         if not self.grid_step > 0.0:
             raise ValueError("variance gamma grid_step must be > 0")
 

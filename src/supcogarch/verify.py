@@ -67,7 +67,6 @@ from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, simulate_bun
 
 __all__ = [
     "CheckRow",
-    "PriceStatRow",
     "VerificationResult",
     "run_verification",
     "bundle_identity_checks",
@@ -102,22 +101,15 @@ class CheckRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class PriceStatRow:
-    r: float
-    h: float | None
-    stat: str
-    analytic: float | None
-    mc: float
-    se: float
-    passed: bool | None
+#: (r, h, report) of one price-increment statistic; h is None for a single increment's moments
+PriceRow = tuple[float, float | None, MomentReport]
 
 
 @dataclass
 class VerificationResult:
     reports: list[MomentReport]
     checks: list[CheckRow]
-    price_rows: list[PriceStatRow]
+    price_rows: list[PriceRow]
 
     @property
     def passed(self) -> bool:
@@ -137,15 +129,15 @@ def checks_to_csv(checks: list[CheckRow]) -> str:
     )
 
 
-def price_rows_to_csv(rows: list[PriceStatRow]) -> str:
+def price_rows_to_csv(rows: list[PriceRow]) -> str:
     return csv_text(
         "r,h,stat,analytic,mc,se,pass",
         f"{G17},%s,%s,%s,{G17},{G17},%s",
         (
-            (row.r, "" if row.h is None else G17 % row.h, row.stat,
-             "diverges" if row.analytic is None else G17 % row.analytic, row.mc, row.se,
-             "undefined" if row.passed is None else row.passed)
-            for row in rows
+            (r, "" if h is None else G17 % h, rep.name,
+             "diverges" if rep.analytic is None else G17 % rep.analytic, rep.estimate, rep.std_error,
+             "undefined" if rep.passed is None else rep.passed)
+            for r, h, rep in rows
         ),
     )
 
@@ -415,9 +407,7 @@ def _sup_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
             reports.append(MomentReport(f"{tag}.acov[h={h:g}]", target, est, se, v0.size, kv))
 
 
-def _price_family(
-    cfg: ExperimentConfig, reports: list[MomentReport], price_rows: list[PriceStatRow]
-) -> None:
+def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows: list[PriceRow]) -> None:
     model = cfg.model()
     mix = cfg.mixture()
     k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
@@ -428,7 +418,7 @@ def _price_family(
     def emit(stat: str, analytic: float | None, est: float, se: float, n: int, kk: float, h: float | None):
         report = MomentReport(stat, analytic, est, se, n, kk)
         reports.append(report)
-        price_rows.append(PriceStatRow(r, h, stat, analytic, est, se, report.passed))
+        price_rows.append((r, h, report))
 
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
@@ -589,7 +579,7 @@ def run_verification(cfg: ExperimentConfig) -> VerificationResult:
     cfg.validate()
     reports: list[MomentReport] = []
     checks: list[CheckRow] = []
-    price_rows: list[PriceStatRow] = []
+    price_rows: list[PriceRow] = []
     _cogarch_family(cfg, reports)
     _cross_family(cfg, reports)
     _sup_family(cfg, reports)

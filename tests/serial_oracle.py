@@ -7,6 +7,11 @@ loops they ran on, so that the engine is compared with an independent
 implementation and not with itself.  They draw from the same streams
 (driver i from ``substream(seed, i)``, the variant-3 pi-draws from
 ``substream(seed, 1)``), so every number must agree bit for bit.
+
+The serial jump-ratio diagnostics (``extract_q``, ``jump_tally`` and
+``check_q_bounds``) are kept verbatim too, as they were before they and
+``analysis.extract_q_batch`` came to share one set of formulas; they return
+the ``analysis`` result types, so their results compare under ``==``.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
+from supcogarch import analysis
+from supcogarch.analysis import JumpTally, QBoundsReport, QSample, QViolation
 from supcogarch.cogarch import CogarchParams, PathRecord, stationary_start
 from supcogarch.levy import JumpPath, LevyModel, rng_from, simulate_levy_path, squared_jumps, substream
+from supcogarch.price import PricePath
 from supcogarch.superpos import (
     Mixture,
     SupPathBundle,
@@ -284,3 +292,126 @@ def simulate_bundle(
 ) -> SupPathBundle:
     return _SIMULATORS[variant](mixture, beta, eta, model, horizon, seed, burn_in)
 
+
+# ---------------------------------------------------------------------------
+# the serial jump-ratio diagnostics
+
+
+def _component_mark_index(bundle: SupPathBundle, atom: int, times: np.ndarray) -> np.ndarray:
+    comp = bundle.components[atom]
+    pos = np.searchsorted(comp.times, times)
+    if pos.size and not np.array_equal(comp.times[pos], times):
+        raise AssertionError("price jump times must be component mark times")
+    return pos
+
+
+def extract_q(bundle: SupPathBundle, price_path: PricePath) -> list[QSample]:
+    """q at every common jump.  Variant 1 samples the driving atom's marks;
+    variant 2 samples every mark; variant 3 samples marks whose pi-draw is
+    a positive scale (a draw of 0 is a price jump with no volatility jump)."""
+    times = price_path.times
+    vbar_left = price_path.vbar_left
+    if not len(times):
+        return []
+    out: list[QSample] = []
+
+    if bundle.variant is Variant.SUP1:
+        atom = price_path.driver_atom or 0
+        phi = bundle.mixture.phis[atom]
+        weight = bundle.mixture.weights[atom]
+        if phi == 0.0:
+            return []
+        pos = _component_mark_index(bundle, atom, times)
+        comp_left = bundle.components[atom].left[pos]
+        qs = weight * phi * comp_left / vbar_left
+        for t, q in zip(times.tolist(), qs.tolist()):
+            out.append(QSample(bundle.variant, t, q))
+        return out
+
+    if bundle.variant is Variant.SUP2:
+        scale = np.zeros(len(times))
+        for atom, (phi, w) in enumerate(bundle.mixture.atoms()):
+            pos = _component_mark_index(bundle, atom, times)
+            scale += w * phi * bundle.components[atom].left[pos]
+        if np.all(scale == 0.0):
+            return []
+        qs = scale / vbar_left
+        for t, q in zip(times.tolist(), qs.tolist()):
+            out.append(QSample(bundle.variant, t, q))
+        return out
+
+    chosen = bundle.chosen_phis
+    if chosen is None:
+        raise ValueError("variant-3 bundle lacks its chosen marks")
+    qs = chosen * bundle.chosen_lefts() / vbar_left
+    keep = chosen != 0.0
+    return [
+        QSample(bundle.variant, t, q, chosen_phi=phi)
+        for t, q, phi in zip(times[keep].tolist(), qs[keep].tolist(), chosen[keep].tolist())
+    ]
+
+
+def jump_tally(bundle: SupPathBundle, price_path: PricePath) -> JumpTally:
+    """Common vs volatility-only vs price-only jump counts.
+
+    Variant 1: only the driving atom's marks hit the price; marks of other
+    positive atoms move the volatility alone.  Variant 2: every mark is
+    common.  Variant 3: a pi-draw of 0 yields a price-only jump.
+    """
+    if bundle.variant is Variant.SUP1:
+        atom = price_path.driver_atom or 0
+        common = vol_only = price_only = 0
+        for i, (phi, _) in enumerate(bundle.mixture.atoms()):
+            n_marks = len(bundle.drivers[i])
+            if i == atom:
+                if phi > 0.0:
+                    common += n_marks
+                else:
+                    price_only += n_marks
+            elif phi > 0.0:
+                vol_only += n_marks
+        return JumpTally(common, vol_only, price_only)
+
+    n_marks = len(price_path)
+    if bundle.variant is Variant.SUP2:
+        if any(phi > 0.0 for phi in bundle.mixture.phis):
+            return JumpTally(n_marks, 0, 0)
+        return JumpTally(0, 0, n_marks)
+
+    chosen = bundle.chosen_phis
+    if chosen is None:
+        raise ValueError("variant-3 bundle lacks its chosen marks")
+    price_only = int(np.sum(chosen == 0.0))
+    return JumpTally(n_marks - price_only, 0, price_only)
+
+
+def _q_bounds(mixture: Mixture) -> tuple[float, float, float, float]:
+    """phi_bar, phi_low and the roundoff slack of the bounds at each."""
+    phi_bar, phi_low = mixture.phi_bar, mixture.phi_low
+    rtol = analysis._Q_BOUND_RTOL  # read at call time, so tests can patch the slack
+    return phi_bar, phi_low, rtol * max(1.0, phi_bar), rtol * max(1.0, phi_low)
+
+
+def check_q_bounds(samples: Sequence[QSample], mixture: Mixture) -> QBoundsReport:
+    """Path-wise bounds on the jump ratio:
+
+    variant 1: q <= phi_bar; variant 2: phi_low <= q <= phi_bar;
+    variant 3: q >= phi_bar when the draw hit the top atom and q <= phi_low
+    when it hit the lowest positive atom.  Exact algebra up to roundoff.
+    """
+    phi_bar, phi_low, up_tol, lo_tol = _q_bounds(mixture)
+    violations: list[QViolation] = []
+    variant = samples[0].variant if samples else Variant.SUP1
+
+    for s in samples:
+        variant = s.variant
+        if s.variant in (Variant.SUP1, Variant.SUP2) and s.q > phi_bar + up_tol:
+            violations.append(QViolation(s.time, s.q, f"q <= phi_bar={phi_bar}"))
+        if s.variant is Variant.SUP2 and s.q < phi_low - lo_tol:
+            violations.append(QViolation(s.time, s.q, f"q >= phi_low={phi_low}"))
+        if s.variant is Variant.SUP3 and s.chosen_phi is not None:
+            if s.chosen_phi == phi_bar and s.q < phi_bar - up_tol:
+                violations.append(QViolation(s.time, s.q, f"q >= phi_bar={phi_bar} (top draw)"))
+            if s.chosen_phi == phi_low and s.q > phi_low + lo_tol:
+                violations.append(QViolation(s.time, s.q, f"q <= phi_low={phi_low} (low draw)"))
+    return QBoundsReport(variant, len(samples), tuple(violations))

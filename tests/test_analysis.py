@@ -209,14 +209,31 @@ def test_jump_tallies():
     assert len(extract_q(b3, p3)) == t3.common
 
 
-def test_check_q_bounds_flags_violations():
-    from supcogarch.analysis import QSample
+def test_check_q_bounds_flags_violations(monkeypatch):
+    from supcogarch import analysis
+    from supcogarch.analysis import QSample, QViolation
 
     bad = [QSample(Variant.SUP2, 1.0, 2.0), QSample(Variant.SUP2, 2.0, 0.7)]
     report = check_q_bounds(bad, FIG_MIX)
     assert not report.ok
     assert len(report.violations) == 1
     assert report.violations[0].time == 1.0
+
+    # one positive atom: phi_bar = phi_low = 0.4, and a negative slack lets
+    # a top/low draw break both bounds (q < 0.6 and q > 0.2)
+    monkeypatch.setattr(analysis, "_Q_BOUND_RTOL", -0.2)
+    mix = Mixture.from_atoms([(0.0, 0.5), (0.4, 0.5)])
+    samples = [
+        QSample(Variant.SUP3, 1.0, 0.7, chosen_phi=0.4),  # low bound only
+        QSample(Variant.SUP3, 2.0, 0.4, chosen_phi=0.4),  # both bounds
+        QSample(Variant.SUP3, 3.0, 0.4, chosen_phi=0.0),  # no bound on a zero draw
+    ]
+    top, low = "q >= phi_bar=0.4 (top draw)", "q <= phi_low=0.4 (low draw)"
+    report = check_q_bounds(samples, mix)
+    assert report.variant is Variant.SUP3 and report.n_checked == 3
+    assert report.violations == (QViolation(1.0, 0.7, low), QViolation(2.0, 0.4, top), QViolation(2.0, 0.4, low))
+    empty = check_q_bounds([], mix)
+    assert empty.ok and empty.n_checked == 0 and empty.variant is Variant.SUP1
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The oracles below are the per-replication closures the verify families ran
 before the engine existed: one bundle or COGARCH per replication, built by
 the frozen serial simulators of ``serial_oracle`` and queried through
-``PathRecord`` and ``PricePath``.  ``superpos.simulate_bundle`` is the
-engine at one replication, so it is compared with the same oracle.  Every
-comparison is ``np.array_equal``: the engine must reproduce each number bit
-for bit, not approximately.
+``PathRecord`` and ``PricePath`` (the q family through the frozen serial
+``extract_q``, ``jump_tally`` and ``check_q_bounds``).
+``superpos.simulate_bundle`` is the engine at one replication, so it is
+compared with the same oracle.  Every comparison is ``np.array_equal`` or
+``==``: the engine must reproduce each number bit for bit, not
+approximately.
 """
 
 import math
@@ -105,8 +107,8 @@ def oracle_q(cfg: ExperimentConfig, variant: Variant, vi: int) -> list[tuple]:
             substream(cfg.seed, Stream.Q, vi, rep), cfg.burn_in,
         )
         gp = simulate_price(bundle)
-        qs = extract_q(bundle, gp)
-        return qs, jump_tally(bundle, gp), len(check_q_bounds(qs, mix).violations)
+        qs = serial_oracle.extract_q(bundle, gp)
+        return qs, serial_oracle.jump_tally(bundle, gp), len(serial_oracle.check_q_bounds(qs, mix).violations)
 
     return run_replications(one, cfg.q_paths)
 
@@ -459,7 +461,6 @@ def test_stationary_draws_match_serial(case):
     assert np.array_equal(got, want)
     if params.phi == 0.0:
         assert np.all(got == params.level)
-    assert verify.stationary_component_draws(params, model, 61, 0, b).shape == (0,)
 
 
 def test_stationary_cases_cover_both_kernels():
@@ -535,6 +536,43 @@ def test_q_bound_violations_counted_as_serial(monkeypatch):
         assert_q_matches_serial(cfg, variant, 2)
 
 
+Q_ORACLE_MIXES = {
+    "two_atoms": BASE.mixture(),
+    "zero_atom": Mixture.from_atoms([(0.0, 0.2), (0.3, 0.5), (0.7, 0.3)]),
+    "dirac": Mixture.dirac(0.5),
+    "dirac_zero": Mixture.dirac(0.0),
+}
+
+
+@pytest.mark.parametrize("rtol", [analysis._Q_BOUND_RTOL, -0.2], ids=["slack", "negative_slack"])
+@pytest.mark.parametrize("window", [0.5, 5.0, 40.0])
+@pytest.mark.parametrize("mix", sorted(Q_ORACLE_MIXES))
+def test_serial_q_matches_oracle(monkeypatch, mix, window, rtol):
+    """extract_q, jump_tally and check_q_bounds on one bundle equal the
+    frozen serial ones under ==, for every variant-1 driver atom too; the
+    samples of all variants are also checked as one mixed list."""
+    monkeypatch.setattr(analysis, "_Q_BOUND_RTOL", rtol)
+    mixture = Q_ORACLE_MIXES[mix]
+    samples, empty = [], 0
+    for variant in Variant:
+        for seed in range(3):
+            bundle = superpos.simulate_bundle(variant, mixture, 1.0, 1.0, BASE.model(), (0.0, window), seed, 3.0)
+            for atom in range(len(mixture)) if variant is Variant.SUP1 else [None]:
+                gp = simulate_price(bundle, atom)
+                qs = extract_q(bundle, gp)
+                assert qs == serial_oracle.extract_q(bundle, gp)
+                assert jump_tally(bundle, gp) == serial_oracle.jump_tally(bundle, gp)
+                assert check_q_bounds(qs, mixture) == serial_oracle.check_q_bounds(qs, mixture)
+                samples += qs
+                empty += len(gp) == 0
+    report = check_q_bounds(samples, mixture)
+    assert report == serial_oracle.check_q_bounds(samples, mixture)
+    if window == 0.5:
+        assert empty  # a window with no live marks
+    if window == 40.0 and rtol < 0.0 and mixture.phi_bar > 0.0:
+        assert report.violations
+
+
 def test_batch_keeps_the_serial_checks():
     cfg = BASE
     with pytest.raises(ValueError, match="empty horizon"):
@@ -544,6 +582,18 @@ def test_batch_keeps_the_serial_checks():
         simulate_batch(Variant.SUP1, too_big, 1.0, 1.0, cfg.model(), (0.0, 1.0), 1, (3,), 5)
     with pytest.raises(ValueError, match="v0 must be > 0"):
         batch.simulate_cogarch_batch(CogarchParams(1.0, 1.0, 0.1), cfg.model(), (0.0, 1.0), 0.0, 1, (1,), 5, 1.0)
+
+
+@pytest.mark.parametrize("entry", ["simulate_batch", "simulate_cogarch_batch", "stationary_draws"])
+def test_engine_needs_one_replication(entry):
+    model, params, mix = BASE.model(), CogarchParams(1.0, 1.0, 0.1), BASE.mixture()
+    calls = {
+        "simulate_batch": lambda: simulate_batch(Variant.SUP2, mix, 1.0, 1.0, model, (0.0, 1.0), 1, (3,), 0),
+        "simulate_cogarch_batch": lambda: batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1.0, 1, (1,), 0, 1.0),
+        "stationary_draws": lambda: batch.stationary_draws(params, model, 5.0, 0, substream),
+    }
+    with pytest.raises(ValueError, match="n=0"):
+        calls[entry]()
 
 
 def test_mark_invariants_are_checked():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supcogarch.batch import stationary_draws
 from supcogarch.charexp import ExponentContext, log_moment, phi_max
 from supcogarch.cogarch import (
     CogarchParams,
@@ -14,7 +15,6 @@ from supcogarch.cogarch import (
     cross_cov,
     cross_moment,
     default_burn_in,
-    draw_stationary_v0,
     path_to_csv,
     simulate_cogarch,
     stationary_acov,
@@ -157,13 +157,13 @@ def test_cross_gate():
 
 def test_draw_stationary_phi_zero_exact():
     params = CogarchParams(3.0, 2.0, 0.0)
-    for seed in (0, 1, 2):
-        assert draw_stationary_v0(params, MODEL, seed) == params.level
+    # draw i from substream(i), i = 0, 1, 2
+    assert np.all(stationary_draws(params, MODEL, default_burn_in(params, MODEL), 3, substream) == params.level)
 
 
 def test_draw_stationary_rejects_nonstationary():
     with pytest.raises(NonStationaryError):
-        draw_stationary_v0(CogarchParams(1.0, 1.0, 3.5), MODEL, 0)
+        stationary_draws(CogarchParams(1.0, 1.0, 3.5), MODEL, 80.0, 1, substream)
 
 
 def test_default_burn_in_rates():
@@ -190,7 +190,7 @@ def test_draw_stationary_mean_light_tail():
     from supcogarch.analysis import mc_mean, mc_variance
 
     params = CogarchParams(1.0, 1.0, 0.2)
-    draws = np.array([draw_stationary_v0(params, MODEL, substream(17, i)) for i in range(2000)])
+    draws = stationary_draws(params, MODEL, default_burn_in(params, MODEL), 2000, lambda i: substream(17, i))
     est, se = mc_mean(draws)
     assert abs(est - stationary_mean(params, MODEL)) < 4.0 * se
     var_est, var_se = mc_variance(draws)
@@ -216,7 +216,9 @@ def test_mc_autocovariance_light_tail():
 
 def test_draw_stationary_deterministic():
     params = CogarchParams(1.0, 1.0, 0.5)
-    assert draw_stationary_v0(params, MODEL, 11) == draw_stationary_v0(params, MODEL, 11)
+    draw = lambda: stationary_draws(params, MODEL, default_burn_in(params, MODEL), 2, lambda _: substream(11))
+    first = draw()
+    assert first[0] == first[1] and np.array_equal(first, draw())
 
 
 def test_vg_driver_stationary_mean():
@@ -227,9 +229,7 @@ def test_vg_driver_stationary_mean():
     params = CogarchParams(1.0, 1.0, 0.3)
     target = stationary_mean(params, vg)  # beta / (eta - phi * sigma^2)
     assert target == pytest.approx(1.0 / 0.7)
-    draws = np.array(
-        [draw_stationary_v0(params, vg, substream(29, i)) for i in range(400)]
-    )
+    draws = stationary_draws(params, vg, default_burn_in(params, vg), 400, lambda i: substream(29, i))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - target) < 5.0 * se
 

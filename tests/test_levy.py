@@ -29,8 +29,6 @@ def test_model_validation():
         VarianceGamma(0.0, 1.0)
     with pytest.raises(ValueError):
         VarianceGamma(1.0, -1.0)
-    with pytest.raises(ValueError):
-        VarianceGamma(1.0, 1.0, theta=0.3)
 
 
 def test_custom_jump_distribution_requires_eight_moments():

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from supcogarch.batch import chunked, simulate_batch
+from supcogarch.batch import chunked, simulate_batch, stationary_draws
 from supcogarch.charexp import ExponentContext, NoRootError, kappa_of_phi, phi_max
 from supcogarch.cogarch import (
     CogarchParams,
     MomentDivergesError,
     NonStationaryError,
-    draw_stationary_v0,
     simulate_cogarch,
     stationary_second_moment,
     stationary_variance,
 )
-from supcogarch.levy import CompoundPoisson, VarianceGamma, squared_jumps
+from supcogarch.levy import CompoundPoisson, VarianceGamma, squared_jumps, substream
 from supcogarch.superpos import (
     Mixture,
     _require_stationary,
@@ -75,7 +74,7 @@ def test_stationarity_gate_sites(model):
     assert CogarchParams(1.0, 1.0, inside).is_stationary_admissible(model)
     assert not CogarchParams(1.0, 1.0, outside).is_stationary_admissible(model)
     with pytest.raises(NonStationaryError):
-        draw_stationary_v0(CogarchParams(1.0, 1.0, outside), model, 0)
+        stationary_draws(CogarchParams(1.0, 1.0, outside), model, 80.0, 1, substream)
     assert 0.0 < kappa_of_phi(ctx, inside) < 1.0
     with pytest.raises(NoRootError):
         kappa_of_phi(ctx, outside)
