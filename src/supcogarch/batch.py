@@ -10,12 +10,14 @@ Replication r of :func:`simulate_batch` draws driver i from
 substream(seed, *key, r))``.  A COGARCH replication of
 :func:`simulate_cogarch_batch` draws from ``substream(seed, *key, r)``; a
 stationary draw of :func:`stationary_draws` from the stream its caller
-names, on the window (-burn_in, 0] with an empty live window, so it burns
-in, relaxes to 0 and records nothing.  The exact recursions then run mark
-rank by mark rank across the replications on padded 2-D arrays or, when
-there are too few rows for the per-rank numpy overhead to pay off, row by
-row on the scalar kernels (:func:`_scalar_rows`: one tight loop per state
-over blocks of marks).
+names.  Each chunk's streams come from one :func:`levy.substreams` pass
+per driver and one for the pi-draws, not from a SeedSequence per
+replication.  A stationary draw runs on the window (-burn_in, 0] with an
+empty live window, so it burns in, relaxes to 0 and records nothing.  The
+exact recursions then run mark rank by mark rank across the replications
+on padded 2-D arrays or, when there are too few rows for the per-rank
+numpy overhead to pay off, row by row on the scalar kernels
+(:func:`_scalar_rows`: one tight loop per state over blocks of marks).
 Both do one replication's floating-point operations in the same order, so
 no number depends on which runs or on the number of replications, and
 every number equals that of the serial simulators kept in
@@ -56,13 +58,14 @@ from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import run_replications
 from .cogarch import (
     MARK_BLOCK, CogarchParams, NonStationaryError, _exp_decays, _lefts, _relax_marks, simulate_cogarch,
     stationary_start,
 )
-from .levy import CompoundPoisson, JumpPath, LevyModel, _draw_marks, substream
+from .levy import CompoundPoisson, JumpPath, LevyModel, _draw_marks, substreams
 from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
@@ -416,20 +419,21 @@ class _Family:
 
 def _simulate(
     model: LevyModel, beta: float, eta: float, window: tuple[float, float, float], n: int,
-    streams: Callable[[int], list[np.random.SeedSequence]],
+    streams: Callable[[range], list[Sequence[ISeedSequence]]],
     families: Sequence[_Family],
     relax: bool,
-    picks: Callable[[int, int], np.ndarray] | None = None,
+    picks: Callable[[ISeedSequence, int], np.ndarray] | None = None,
     draw_path: Callable[..., JumpPath] | None = None,
 ):
     """Draw n replications on (t_start, t1], run every family through the
     marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
     the live marks (none when t1 == t0).  Returns per family its reference
     times and states, its record and live marks, and the live L marks of
-    every driver.  The
-    draws go through :func:`analysis.run_replications`, unless
-    ``draw_path(model, horizon, seed)`` draws each driver as a checked
-    :class:`levy.JumpPath`: one bundle is not a replication."""
+    every driver.  ``streams(rows)`` lists the streams of a chunk ``rows``
+    per driver, then with ``picks(stream, marks)`` per pi-draw.  The draws
+    go through :func:`analysis.run_replications`, unless ``draw_path(model,
+    horizon, seed)`` draws each driver as a checked :class:`levy.JumpPath`:
+    one bundle is not a replication."""
     if n < 1:
         raise ValueError(f"need at least one replication, got n={n}")
     t_start, t0, t1 = window
@@ -437,21 +441,22 @@ def _simulate(
     per_rep = n_drivers * _expected_marks(model, t1 - t_start)
     step = max(1, int(_CHUNK_MARKS // max(per_rep, 1.0)))
 
-    def draw(r: int):
+    def draw(seeds: Sequence[ISeedSequence]):
         if draw_path is None:
-            paths = [_draw_marks(model, t_start, t1, np.random.default_rng(s)) for s in streams(r)]
+            paths = [_draw_marks(model, t_start, t1, np.random.default_rng(s)) for s in seeds[:n_drivers]]
         else:
-            paths = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in streams(r))]
-        return paths, None if picks is None else picks(r, len(paths[0][0]))
+            paths = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in seeds[:n_drivers])]
+        return paths, None if picks is None else picks(seeds[n_drivers], len(paths[0][0]))
 
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in families]
     for lo in range(0, n, step):
         rows = min(step, n - lo)
+        seeds = list(zip(*streams(range(lo, lo + rows))))
         if draw_path is None:
-            drawn = run_replications(lambda i, _lo=lo: draw(_lo + i), rows)
+            drawn = run_replications(lambda i, _seeds=seeds: draw(_seeds[i]), rows)
         else:
-            drawn = [draw(lo + i) for i in range(rows)]
+            drawn = [draw(s) for s in seeds]
         padded = [
             (_pad([p[d][0] for p, _ in drawn], math.inf), _pad([p[d][1] for p, _ in drawn], 0.0),
              np.array([len(p[d][0]) for p, _ in drawn]),
@@ -546,18 +551,26 @@ def simulate_batch(
     for bit."""
     return _bundles(
         variant, mixture, beta, eta, model, horizon, burn_in, n,
-        lambda r, i: substream(seed, *key, first + r, i),
+        lambda rows, i: substreams(seed, key, range(first + rows.start, first + rows.stop), i),
     )
+
+
+def _picks(weights: Sequence[float]) -> Callable[[ISeedSequence, int], np.ndarray]:
+    """Variant 3's pi-draws: the ``p`` branch of ``Generator.choice(len(weights),
+    size, p=weights)``, with the CDF built once instead of on every call."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return lambda s, size: cdf.searchsorted(np.random.default_rng(s).random(size), side="right")
 
 
 def _bundles(
     variant: Variant, mixture: Mixture, beta: float, eta: float, model: LevyModel,
     horizon: tuple[float, float], burn_in: float | None, n: int,
-    stream: Callable[[int, int], np.random.SeedSequence], draw_path: Callable[..., JumpPath] | None = None,
+    stream: Callable[[range, int], Sequence[ISeedSequence]], draw_path: Callable[..., JumpPath] | None = None,
 ) -> BundleBatch:
-    """n bundles; replication r draws driver i from ``stream(r, i)`` and
-    its variant-3 pi-draws from ``stream(r, 1)`` (see :func:`_simulate` for
-    ``draw_path``)."""
+    """n bundles; the replications in ``rows`` draw driver i from the
+    streams ``stream(rows, i)`` and their variant-3 pi-draws from
+    ``stream(rows, 1)`` (see :func:`_simulate` for ``draw_path``)."""
     _require_stationary(mixture, eta, model)
     t0, t1 = float(horizon[0]), float(horizon[1])
     b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
@@ -572,15 +585,11 @@ def _bundles(
         vbar = None
         if variant is Variant.SUP3:
             vbar = _mean_or_level(mixture, beta, eta, model)
-            p = np.array(mixture.weights)
-
-            def picks(r: int, size: int) -> np.ndarray:
-                return np.random.default_rng(stream(r, 1)).choice(len(mixture), size=size, p=p)
-
+            picks = _picks(mixture.weights)
         families = [_Family(mixture.phis, 0, starts, vbar)]
+    keys = [*range(len(families)), *([1] if picks else [])]  # the drivers, then the pi-draws
     results, drivers = _simulate(
-        model, beta, eta, (t0 - b, t0, t1), n,
-        lambda r: [stream(r, i) for i in range(len(families))],
+        model, beta, eta, (t0 - b, t0, t1), n, lambda rows: [stream(rows, i) for i in keys],
         families, relax=True, picks=picks, draw_path=draw_path,
     )
 
@@ -632,7 +641,7 @@ def simulate_cogarch_batch(
     _check_window(t0 - burn_in, t1)
     [(t, v, _, rec)], [(times, *_)] = _simulate(
         model, params.beta, params.eta, (t0 - burn_in, t0, t1), n,
-        lambda r: [substream(seed, *key, first + r)],
+        lambda rows: [substreams(seed, key, range(first + rows.start, first + rows.stop))],
         [_Family((params.phi,), 0, (v_start,))], relax=False,
     )
     return PathBatch(params.level, params.eta, t, v[0], times, rec.left[0], rec.post[0])
@@ -643,20 +652,20 @@ def stationary_draws(
     model: LevyModel,
     burn_in: float,
     n: int,
-    stream: Callable[[int], np.random.SeedSequence],
+    stream: Callable[[range], Sequence[ISeedSequence]],
 ) -> np.ndarray:
     """V(0) of n COGARCHes, each started at its stationary start (the
     stationary mean, or beta/eta where it diverges) at -burn_in: n
     approximate draws from the stationary law.  Draw r runs through the
-    marks of ``simulate_levy_path(model, (-burn_in, 0), stream(r))`` and
-    relaxes to 0; it equals :func:`cogarch.evolve_value` on that path bit
-    for bit."""
+    marks of ``simulate_levy_path(model, (-burn_in, 0), seed)``, where
+    ``stream(rows)`` gives the seeds of the draws in ``rows``, and relaxes to
+    0; it equals :func:`cogarch.evolve_value` on that path bit for bit."""
     if not params.is_stationary_admissible(model):
         raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
     t_start = -float(burn_in)
     _check_window(t_start, 0.0)
     [(_, v, _, _)], _ = _simulate(
-        model, params.beta, params.eta, (t_start, 0.0, 0.0), n, lambda r: [stream(r)],
+        model, params.beta, params.eta, (t_start, 0.0, 0.0), n, lambda rows: [stream(rows)],
         [_Family((params.phi,), 0, (stationary_start(params, model),))], relax=True,
     )
     return v[0]

@@ -9,12 +9,14 @@ exact difference-of-gammas representation, is recorded as a single jump mark.
 Randomness contract
 -------------------
 Every simulation is a pure function of ``(model, horizon, seed)``.  Derived
-streams (replications, mixture atoms) are produced with :func:`substream`,
+streams (replications, mixture atoms) are defined by :func:`substream`,
 which mixes integer key words into the root seed through
 ``numpy.random.SeedSequence(entropy=root, spawn_key=key)``, the first key
 word naming the consumer (:class:`Stream`).  A stream depends only on its
 key, so one bundle per replication and the batched engine draw identical
-numbers.
+numbers.  The engine derives a chunk's streams in one pass with
+:func:`substreams`, the SeedSequence algorithm on uint32 columns; a test
+pins each of them to :func:`substream` bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 # numpy loads these lazily on first use (default_rng, np.unique); load them
@@ -42,6 +44,7 @@ __all__ = [
     "Stream",
     "substream",
     "rng_from",
+    "substreams",
     "simulate_levy_path",
     "squared_jumps",
     "s_moments",
@@ -214,6 +217,66 @@ def substream(seed: int | np.random.SeedSequence, *key: int) -> np.random.SeedSe
 
 def rng_from(seed: int | np.random.SeedSequence, *key: int) -> np.random.Generator:
     return np.random.default_rng(substream(seed, *key))
+
+
+# numpy's SeedSequence: a pool of four uint32 words, hashed and mixed
+_M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+
+
+def _words(x) -> list[int]:
+    """A non-negative int, or such ints, as SeedSequence's uint32 words."""
+    if isinstance(x, (int, np.integer)) and x >= 0:
+        return [int(x) >> s & _M32 for s in range(0, max(int(x).bit_length(), 1), 32)]
+    return [w for y in x for w in _words(y)]
+
+
+def _hash(x, h: int, mult: int, k: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of x (a word or a uint32 column) at the k hash
+    constants from h, one row per constant, and the constant after them."""
+    c = np.array([h * pow(mult, j, 1 << 32) & _M32 for j in range(k + 1)], np.uint32)[:, None]
+    x = (x ^ c[:-1]) * c[1:] & _M32
+    return x ^ (x >> 16), int(c[-1, 0])
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A stream as the words that seed its PCG64, ``generate_state(4, uint64)``."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds generate_state(4, uint64) only, asked for ({n_words}, {dtype})")
+        return self.words
+
+
+def substreams(
+    seed: int | np.random.SeedSequence, key: tuple[int, ...], rows: Sequence[int], *suffix: int
+) -> list[np.random.bit_generator.ISeedSequence]:
+    """The streams ``substream(seed, *key, r, *suffix)`` for r in ``rows``
+    in one pass: numpy's SeedSequence algorithm on uint32 columns, one per
+    row, past the words they share.  Each seeds ``np.random.default_rng``
+    to the same generator bit for bit."""
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, key = seed.entropy, (*seed.spawn_key, *key)
+    else:
+        entropy = _normalize_seed(seed)
+    pool = np.random.SeedSequence(entropy, spawn_key=key).pool[:, None]
+    # each word mixed so far took four hash constants: the entropy padded to four words, then the key
+    h = _INIT_A * pow(_MULT_A, 4 * (max(4, len(_words(entropy))) + len(_words(key))), 1 << 32) & _M32
+    r = np.asarray(rows, dtype=np.uint64)
+    out = np.empty((r.size, 4), np.uint64)
+    wide = r > _M32
+    for sel, n_words in ((~wide, 1), (wide, 2)):  # a row index of 2**32 on is two words
+        if sel.any():
+            p, g = pool, h
+            for w in [(r[sel] >> 32 * j).astype(np.uint32) for j in range(n_words)] + _words(suffix):
+                x, g = _hash(w, g, _MULT_A, 4)
+                p = ((0xCA01F9DD * p & _M32) - (0x4973F715 * x & _M32)) & _M32
+                p ^= p >> 16
+            state, _ = _hash(np.tile(p, (2, 1)), _INIT_B, _MULT_B, 8)
+            out[sel] = np.ascontiguousarray(state.T, "<u4").view("<u8")
+    return [_Words(w) for w in out]
 
 
 def _draw_marks(

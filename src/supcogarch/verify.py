@@ -54,7 +54,7 @@ from .cogarch import (
 )
 from .config import ExperimentConfig
 from .csvio import G17, csv_text
-from .levy import Stream, rng_from, substream
+from .levy import Stream, rng_from, substream, substreams
 from .levy import simulate_levy_path  # noqa: F401 -- perfbench/tests checks the tracer rebinds it here
 from .price import (
     PricePath,
@@ -559,7 +559,7 @@ def stationary_component_draws(
     """n burned-in stationary draws of one COGARCH on the engine
     (:func:`batch.stationary_draws`), draw r from ``substream(seed, family,
     r)``."""
-    return stationary_draws(params, model, burn_in, n, lambda r: substream(seed, family, r))
+    return stationary_draws(params, model, burn_in, n, lambda rows: substreams(seed, (family,), rows))
 
 
 def _identity_family(cfg: ExperimentConfig, checks: list[CheckRow]) -> None:

@@ -387,7 +387,7 @@ def jump_tally(bundle: SupPathBundle, price_path: PricePath) -> JumpTally:
 
 def _q_bounds(mixture: Mixture) -> tuple[float, float, float, float]:
     """phi_bar, phi_low and the roundoff slack of the bounds at each."""
-    phi_bar, phi_low = mixture.phi_bar, mixture.phi_low
+    phi_bar, phi_low = mixture.phi_bar, min(mixture.phis)
     rtol = analysis._Q_BOUND_RTOL  # read at call time, so tests can patch the slack
     return phi_bar, phi_low, rtol * max(1.0, phi_bar), rtol * max(1.0, phi_low)
 

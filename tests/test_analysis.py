@@ -219,19 +219,22 @@ def test_check_q_bounds_flags_violations(monkeypatch):
     assert len(report.violations) == 1
     assert report.violations[0].time == 1.0
 
-    # one positive atom: phi_bar = phi_low = 0.4, and a negative slack lets
-    # a top/low draw break both bounds (q < 0.6 and q > 0.2)
+    # one atom: phi_bar = phi_low = 0.4, and a negative slack lets a
+    # top/low draw break both bounds (q < 0.6 and q > 0.2)
     monkeypatch.setattr(analysis, "_Q_BOUND_RTOL", -0.2)
-    mix = Mixture.from_atoms([(0.0, 0.5), (0.4, 0.5)])
+    mix = Mixture.dirac(0.4)
     samples = [
         QSample(Variant.SUP3, 1.0, 0.7, chosen_phi=0.4),  # low bound only
         QSample(Variant.SUP3, 2.0, 0.4, chosen_phi=0.4),  # both bounds
-        QSample(Variant.SUP3, 3.0, 0.4, chosen_phi=0.0),  # no bound on a zero draw
+        QSample(Variant.SUP3, 3.0, 0.4, chosen_phi=0.0),  # no bound on a draw of no atom
     ]
     top, low = "q >= phi_bar=0.4 (top draw)", "q <= phi_low=0.4 (low draw)"
     report = check_q_bounds(samples, mix)
     assert report.variant is Variant.SUP3 and report.n_checked == 3
     assert report.violations == (QViolation(1.0, 0.7, low), QViolation(2.0, 0.4, top), QViolation(2.0, 0.4, low))
+    # a phi = 0 atom puts the low bound at 0, so the zero draw breaks it
+    zero = check_q_bounds(samples, Mixture.from_atoms([(0.0, 0.5), (0.4, 0.5)]))
+    assert zero.violations == (QViolation(2.0, 0.4, top), QViolation(3.0, 0.4, "q <= phi_low=0.0 (low draw)"))
     empty = check_q_bounds([], mix)
     assert empty.ok and empty.n_checked == 0 and empty.variant is Variant.SUP1
 

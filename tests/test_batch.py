@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import serial_oracle
 from serial_oracle import simulate_bundle, simulate_cogarch
-from supcogarch import analysis, batch, cogarch, superpos, verify
+from supcogarch import analysis, batch, cogarch, levy, superpos, verify
 from supcogarch.analysis import check_q_bounds, extract_q, jump_tally, run_replications
 from supcogarch.batch import simulate_batch
 from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in, stationary_mean
@@ -536,6 +536,21 @@ def test_q_bound_violations_counted_as_serial(monkeypatch):
         assert_q_matches_serial(cfg, variant, 2)
 
 
+@pytest.mark.parametrize("weights", [(0.2, 0.5, 0.3), (0.9, 0.05, 0.05)])
+def test_q_bounds_hold_with_a_zero_atom(monkeypatch, weights):
+    """V-bar >= V^phi holds path-wise for the smallest atom phi, not for the
+    smallest positive one, so the lower bounds of variants 2 and 3 sit at 0
+    when the mixture has a phi = 0 atom; a negative slack still breaks them."""
+    cfg = replace(BASE, phis=(0.0, 0.3, 0.7), weights=weights, horizon=40.0, q_paths=50)
+    for vi, variant in enumerate(Variant):
+        got = verify.q_columns(cfg, variant, vi)
+        assert got.violations == 0 and (variant is Variant.SUP1 or got.q.size), variant
+    monkeypatch.setattr(analysis, "_Q_BOUND_RTOL", -0.2)
+    for vi, variant in enumerate(Variant):
+        if variant is not Variant.SUP1:
+            assert verify.q_columns(cfg, variant, vi).violations > 0, variant
+
+
 Q_ORACLE_MIXES = {
     "two_atoms": BASE.mixture(),
     "zero_atom": Mixture.from_atoms([(0.0, 0.2), (0.3, 0.5), (0.7, 0.3)]),
@@ -584,13 +599,46 @@ def test_batch_keeps_the_serial_checks():
         batch.simulate_cogarch_batch(CogarchParams(1.0, 1.0, 0.1), cfg.model(), (0.0, 1.0), 0.0, 1, (1,), 5, 1.0)
 
 
+def test_engine_builds_no_substream_per_replication(monkeypatch):
+    """The engine derives a chunk's streams in one pass (levy.substreams)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substream(*args)
+
+    for module in (levy, superpos, verify, batch):
+        if getattr(module, "substream", None) is substream:
+            monkeypatch.setattr(module, "substream", counted)
+    model, params, mix = BASE.model(), CogarchParams(1.0, 1.0, 0.1), BASE.mixture()
+    for variant in Variant:
+        simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 3, (5,), 100, 2.0)
+    batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1.0, 3, (1,), 100, 2.0)
+    verify.stationary_component_draws(params, model, 3, 100, 2.0)
+    assert not calls
+    superpos.simulate_bundle(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 1.0), 3, 2.0)
+    assert calls  # a single bundle still draws from substream
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.4, 0.6), (0.2, 0.5, 0.3)])
+@pytest.mark.parametrize("size", [0, 1, 1000])
+def test_pick_draws_are_generator_choice(weights, size):
+    """Variant 3's pi-draws repeat the p branch of numpy's Generator.choice;
+    a numpy that changes it fails here instead of moving the bytes."""
+    for i in range(3):
+        want = np.random.default_rng(substream(19, i)).choice(len(weights), size=size, p=np.array(weights))
+        assert np.array_equal(batch._picks(weights)(substream(19, i), size), want)
+
+
 @pytest.mark.parametrize("entry", ["simulate_batch", "simulate_cogarch_batch", "stationary_draws"])
 def test_engine_needs_one_replication(entry):
     model, params, mix = BASE.model(), CogarchParams(1.0, 1.0, 0.1), BASE.mixture()
     calls = {
         "simulate_batch": lambda: simulate_batch(Variant.SUP2, mix, 1.0, 1.0, model, (0.0, 1.0), 1, (3,), 0),
         "simulate_cogarch_batch": lambda: batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1.0, 1, (1,), 0, 1.0),
-        "stationary_draws": lambda: batch.stationary_draws(params, model, 5.0, 0, substream),
+        "stationary_draws": lambda: batch.stationary_draws(
+            params, model, 5.0, 0, lambda rows: [substream(i) for i in rows]
+        ),
     }
     with pytest.raises(ValueError, match="n=0"):
         calls[entry]()

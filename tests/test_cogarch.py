@@ -158,12 +158,14 @@ def test_cross_gate():
 def test_draw_stationary_phi_zero_exact():
     params = CogarchParams(3.0, 2.0, 0.0)
     # draw i from substream(i), i = 0, 1, 2
-    assert np.all(stationary_draws(params, MODEL, default_burn_in(params, MODEL), 3, substream) == params.level)
+    burn = default_burn_in(params, MODEL)
+    draws = stationary_draws(params, MODEL, burn, 3, lambda rows: [substream(i) for i in rows])
+    assert np.all(draws == params.level)
 
 
 def test_draw_stationary_rejects_nonstationary():
     with pytest.raises(NonStationaryError):
-        stationary_draws(CogarchParams(1.0, 1.0, 3.5), MODEL, 80.0, 1, substream)
+        stationary_draws(CogarchParams(1.0, 1.0, 3.5), MODEL, 80.0, 1, lambda rows: [substream(i) for i in rows])
 
 
 def test_default_burn_in_rates():
@@ -190,7 +192,9 @@ def test_draw_stationary_mean_light_tail():
     from supcogarch.analysis import mc_mean, mc_variance
 
     params = CogarchParams(1.0, 1.0, 0.2)
-    draws = stationary_draws(params, MODEL, default_burn_in(params, MODEL), 2000, lambda i: substream(17, i))
+    draws = stationary_draws(
+        params, MODEL, default_burn_in(params, MODEL), 2000, lambda rows: [substream(17, i) for i in rows]
+    )
     est, se = mc_mean(draws)
     assert abs(est - stationary_mean(params, MODEL)) < 4.0 * se
     var_est, var_se = mc_variance(draws)
@@ -216,7 +220,9 @@ def test_mc_autocovariance_light_tail():
 
 def test_draw_stationary_deterministic():
     params = CogarchParams(1.0, 1.0, 0.5)
-    draw = lambda: stationary_draws(params, MODEL, default_burn_in(params, MODEL), 2, lambda _: substream(11))
+    draw = lambda: stationary_draws(
+        params, MODEL, default_burn_in(params, MODEL), 2, lambda rows: [substream(11) for _ in rows]
+    )
     first = draw()
     assert first[0] == first[1] and np.array_equal(first, draw())
 
@@ -229,7 +235,9 @@ def test_vg_driver_stationary_mean():
     params = CogarchParams(1.0, 1.0, 0.3)
     target = stationary_mean(params, vg)  # beta / (eta - phi * sigma^2)
     assert target == pytest.approx(1.0 / 0.7)
-    draws = stationary_draws(params, vg, default_burn_in(params, vg), 400, lambda i: substream(29, i))
+    draws = stationary_draws(
+        params, vg, default_burn_in(params, vg), 400, lambda rows: [substream(29, i) for i in rows]
+    )
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - target) < 5.0 * se
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supcogarch.levy import (
@@ -10,12 +10,14 @@ from supcogarch.levy import (
     JumpDistribution,
     JumpPath,
     VarianceGamma,
+    _draw_marks,
     jump_path_to_csv,
     l_moments,
     s_moments,
     simulate_levy_path,
     squared_jumps,
     substream,
+    substreams,
 )
 
 CPP = CompoundPoisson(1.0)
@@ -52,6 +54,48 @@ def test_substream_is_order_free():
     other = simulate_levy_path(CPP, (0.0, 10.0), substream(7, 4))
     assert np.array_equal(direct.times, again.times)
     assert not np.array_equal(direct.times, other.times)
+
+
+_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
+_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**63), -(2**64) - 5]),
+    st.integers(-(2**70), 2**70),
+    st.builds(
+        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=tuple(key)),
+        st.one_of(st.integers(0, 2**140), st.lists(st.integers(0, 2**40), min_size=1, max_size=6)),
+        st.lists(_WORDS, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=_SEEDS,
+    key=st.lists(_WORDS, max_size=3),
+    first=st.one_of(st.integers(0, 50), st.integers(2**32 - 4, 2**32 + 2), st.integers(2**32, 2**64 - 8)),
+    n=st.integers(1, 6),
+    suffix=st.lists(_WORDS, max_size=2),
+)
+def test_substreams_are_substream(seed, key, first, n, suffix):
+    rows = range(first, first + n)
+    for r, s in zip(rows, substreams(seed, tuple(key), rows, *suffix), strict=True):
+        want = substream(seed, *key, r, *suffix).generate_state(4, np.uint64)
+        assert np.array_equal(s.generate_state(4, np.uint64), want)
+
+
+@pytest.mark.parametrize("model", [CPP, VarianceGamma(1.0, 1.0, grid_step=0.25)], ids=["cp", "vg"])
+def test_substreams_draw_the_substream_marks(model):
+    for r, s in zip(range(3, 9), substreams(11, (4, 2), range(3, 9), 1)):
+        want = _draw_marks(model, 0.0, 20.0, np.random.default_rng(substream(11, 4, 2, r, 1)))
+        got = _draw_marks(model, 0.0, 20.0, np.random.default_rng(s))
+        assert len(got[0]) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_substreams_answer_only_the_pcg64_request():
+    [s] = substreams(5, (1,), [0])
+    for args in [(4,), (4, np.uint32), (8, np.uint64), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="generate_state"):
+            s.generate_state(*args)
 
 
 def test_poisson_count_matches_rate():
