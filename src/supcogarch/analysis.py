@@ -65,7 +65,7 @@ class MomentReport:
     """One verified quantity: analytic value (None when it diverges),
     Monte Carlo estimate, standard error, and the pass verdict
     |estimate - analytic| < k * std_error (exact match when the standard
-    error is zero; undefined when the target diverges)."""
+    error is zero; undefined when the target diverges or n = 0)."""
 
     name: str
     analytic: float | None
@@ -76,7 +76,7 @@ class MomentReport:
 
     @property
     def passed(self) -> bool | None:
-        if self.analytic is None:
+        if self.analytic is None or self.n == 0:
             return None
         if self.std_error == 0.0:
             return self.estimate == self.analytic

@@ -10,7 +10,7 @@ Replication r of :func:`simulate_batch` draws driver i from
 substream(seed, *key, r))``.  A COGARCH replication of
 :func:`simulate_cogarch_batch` draws from ``substream(seed, *key, r)``; a
 stationary draw of :func:`stationary_draws` from the stream its caller
-names.  Each chunk's streams come from one :func:`levy.substreams` pass
+names.  The streams of a call come from one :func:`levy.substreams` pass
 per driver and one for the pi-draws, not from a SeedSequence per
 replication.  A stationary draw runs on the window (-burn_in, 0] with an
 empty live window, so it burns in, relaxes to 0 and records nothing.  The
@@ -44,10 +44,13 @@ burn-ins are drawn and burned in a chunk of replications at a time.  The
 draws of :func:`simulate_batch`, :func:`simulate_cogarch_batch` and
 :func:`stationary_draws` go through :func:`analysis.run_replications`, so
 tracing tools count one replication per replication; the recursions run
-outside it, so a replication's span times its draws alone.  A single
-bundle is not a replication of anything and is not counted; it draws its
-drivers through :func:`levy.simulate_levy_path`, and the scalar kernels
-record its components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
+outside it.  A replication makes generator calls only (its raw marks,
+variant 3's uniforms for them), so its span times those alone; a chunk is
+then padded, tidied (:func:`levy._tidy_marks`) and checked at once, row r
+picking atoms by the first of its uniforms, one per kept mark.  A single
+bundle is not a replication and is not counted; it draws its drivers through
+:func:`levy.simulate_levy_path`, and the scalar kernels record its
+components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .cogarch import (
     MARK_BLOCK, CogarchParams, NonStationaryError, _exp_decays, _lefts, _relax_marks, simulate_cogarch,
     stationary_start,
 )
-from .levy import CompoundPoisson, JumpPath, LevyModel, _draw_marks, substreams
+from .levy import CompoundPoisson, JumpPath, LevyModel, _raw_marks, _tidy_marks, substreams
 from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
@@ -422,18 +425,18 @@ def _simulate(
     streams: Callable[[range], list[Sequence[ISeedSequence]]],
     families: Sequence[_Family],
     relax: bool,
-    picks: Callable[[ISeedSequence, int], np.ndarray] | None = None,
+    picks: Callable[[np.ndarray], np.ndarray] | None = None,
     draw_path: Callable[..., JumpPath] | None = None,
 ):
     """Draw n replications on (t_start, t1], run every family through the
     marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
     the live marks (none when t1 == t0).  Returns per family its reference
     times and states, its record and live marks, and the live L marks of
-    every driver.  ``streams(rows)`` lists the streams of a chunk ``rows``
-    per driver, then with ``picks(stream, marks)`` per pi-draw.  The draws
-    go through :func:`analysis.run_replications`, unless ``draw_path(model,
-    horizon, seed)`` draws each driver as a checked :class:`levy.JumpPath`:
-    one bundle is not a replication."""
+    every driver.  ``streams(range(n))`` lists the streams of the rows per
+    driver, then with ``picks`` those of the pi-draws (see :func:`_picks`).
+    The draws go through :func:`analysis.run_replications`, unless
+    ``draw_path(model, horizon, seed)`` draws each driver as a checked
+    :class:`levy.JumpPath`: one bundle is not a replication."""
     if n < 1:
         raise ValueError(f"need at least one replication, got n={n}")
     t_start, t0, t1 = window
@@ -443,30 +446,32 @@ def _simulate(
 
     def draw(seeds: Sequence[ISeedSequence]):
         if draw_path is None:
-            paths = [_draw_marks(model, t_start, t1, np.random.default_rng(s)) for s in seeds[:n_drivers]]
+            marks = [_raw_marks(model, t_start, t1, np.random.default_rng(s)) for s in seeds[:n_drivers]]
         else:
-            paths = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in seeds[:n_drivers])]
-        return paths, None if picks is None else picks(seeds[n_drivers], len(paths[0][0]))
+            marks = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in seeds[:n_drivers])]
+        return marks, None if picks is None else np.random.default_rng(seeds[n_drivers]).random(len(marks[0][0]))
 
+    all_seeds = streams(range(n))
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in families]
     for lo in range(0, n, step):
         rows = min(step, n - lo)
-        seeds = list(zip(*streams(range(lo, lo + rows))))
+        seeds = list(zip(*(s[lo: lo + rows] for s in all_seeds)))
         if draw_path is None:
             drawn = run_replications(lambda i, _seeds=seeds: draw(_seeds[i]), rows)
         else:
             drawn = [draw(s) for s in seeds]
-        padded = [
-            (_pad([p[d][0] for p, _ in drawn], math.inf), _pad([p[d][1] for p, _ in drawn], 0.0),
-             np.array([len(p[d][0]) for p, _ in drawn]),
-             None if picks is None or d else _pad([q for _, q in drawn], 0, int))
-            for d in range(n_drivers)
-        ]
+        padded = []
+        for d in range(n_drivers):
+            times, l_sizes = _pad([p[d][0] for p, _ in drawn], math.inf), _pad([p[d][1] for p, _ in drawn], 0.0)
+            counts = np.array([len(p[d][0]) for p, _ in drawn])
+            if draw_path is None:
+                times, l_sizes, counts = _tidy_marks(model, times, l_sizes, counts)
+                _check_marks(times, counts, t_start, t1)
+            pk = None if picks is None or d else picks(_pad([u for _, u in drawn], 0.0)[:, : times.shape[1]])
+            padded.append((times, l_sizes, counts, pk))
         del drawn  # the padded copies replace the per-replication arrays
         for d, (times, l_sizes, counts, pk) in enumerate(padded):
-            if draw_path is None:
-                _check_marks(times, counts, t_start, t1)
             n_burn = np.count_nonzero(times <= t0, axis=1)
             n_live = counts - n_burn
             live[d].append((
@@ -555,12 +560,12 @@ def simulate_batch(
     )
 
 
-def _picks(weights: Sequence[float]) -> Callable[[ISeedSequence, int], np.ndarray]:
-    """Variant 3's pi-draws: the ``p`` branch of ``Generator.choice(len(weights),
-    size, p=weights)``, with the CDF built once instead of on every call."""
+def _picks(weights: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Variant 3's pi-draws at ``Generator.random`` uniforms: the ``p`` branch
+    of ``Generator.choice(len(weights), size, p=weights)``, its CDF built once."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return lambda s, size: cdf.searchsorted(np.random.default_rng(s).random(size), side="right")
+    return lambda u: cdf.searchsorted(u, side="right")
 
 
 def _bundles(

@@ -14,9 +14,10 @@ which mixes integer key words into the root seed through
 ``numpy.random.SeedSequence(entropy=root, spawn_key=key)``, the first key
 word naming the consumer (:class:`Stream`).  A stream depends only on its
 key, so one bundle per replication and the batched engine draw identical
-numbers.  The engine derives a chunk's streams in one pass with
+numbers.  The engine derives a call's streams in one pass with
 :func:`substreams`, the SeedSequence algorithm on uint32 columns; a test
-pins each of them to :func:`substream` bit for bit.
+pins each of them to :func:`substream` bit for bit.  A draw is the
+generator calls of :func:`_raw_marks`, then :func:`_tidy_marks` on its rows.
 """
 
 from __future__ import annotations
@@ -250,9 +251,25 @@ class _Words(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+@dataclass(frozen=True)
+class _Streams(Sequence):
+    """Streams as rows of PCG64 seed words, 32 bytes a row (items: :class:`_Words`)."""
+
+    words: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i):
+        return _Streams(self.words[i]) if isinstance(i, slice) else _Words(self.words[i])
+
+    def __iter__(self):
+        return map(_Words, self.words)
+
+
 def substreams(
     seed: int | np.random.SeedSequence, key: tuple[int, ...], rows: Sequence[int], *suffix: int
-) -> list[np.random.bit_generator.ISeedSequence]:
+) -> Sequence[np.random.bit_generator.ISeedSequence]:
     """The streams ``substream(seed, *key, r, *suffix)`` for r in ``rows``
     in one pass: numpy's SeedSequence algorithm on uint32 columns, one per
     row, past the words they share.  Each seeds ``np.random.default_rng``
@@ -264,63 +281,81 @@ def substreams(
     pool = np.random.SeedSequence(entropy, spawn_key=key).pool[:, None]
     # each word mixed so far took four hash constants: the entropy padded to four words, then the key
     h = _INIT_A * pow(_MULT_A, 4 * (max(4, len(_words(entropy))) + len(_words(key))), 1 << 32) & _M32
-    r = np.asarray(rows, dtype=np.uint64)
-    out = np.empty((r.size, 4), np.uint64)
-    wide = r > _M32
-    for sel, n_words in ((~wide, 1), (wide, 2)):  # a row index of 2**32 on is two words
-        if sel.any():
-            p, g = pool, h
-            for w in [(r[sel] >> 32 * j).astype(np.uint32) for j in range(n_words)] + _words(suffix):
-                x, g = _hash(w, g, _MULT_A, 4)
-                p = ((0xCA01F9DD * p & _M32) - (0x4973F715 * x & _M32)) & _M32
-                p ^= p >> 16
-            state, _ = _hash(np.tile(p, (2, 1)), _INIT_B, _MULT_B, 8)
-            out[sel] = np.ascontiguousarray(state.T, "<u4").view("<u8")
-    return [_Words(w) for w in out]
+    out = np.empty((len(rows), 4), np.uint64)
+    for lo in range(0, len(rows), 1 << 12):  # blocks of rows bound the column temporaries
+        r = np.asarray(rows[lo: lo + (1 << 12)], dtype=np.uint64)
+        wide = r > _M32
+        for sel, n_words in ((~wide, 1), (wide, 2)):  # a row index of 2**32 on is two words
+            if sel.any():
+                p, g = pool, h
+                for w in [(r[sel] >> 32 * j).astype(np.uint32) for j in range(n_words)] + _words(suffix):
+                    x, g = _hash(w, g, _MULT_A, 4)
+                    p = ((0xCA01F9DD * p & _M32) - (0x4973F715 * x & _M32)) & _M32
+                    p ^= p >> 16
+                state, _ = _hash(np.tile(p, (2, 1)), _INIT_B, _MULT_B, 8)
+                out[lo: lo + r.size][sel] = np.ascontiguousarray(state.T, "<u4").view("<u8")
+    return _Streams(out)
 
 
-def _draw_marks(
+def _raw_marks(
     model: LevyModel, t0: float, t1: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The generator calls that draw the driver's marks on (t0, t1], in
-    their fixed order; :func:`simulate_levy_path` and the batch engine both
-    draw through here.
-
-    Compound Poisson: exact (Poisson count, uniform order statistics for the
-    times, i.i.d. sizes).  Variance gamma: one mark per grid increment of
-    width ``model.grid_step`` (last increment may be shorter), each drawn as
-    a difference of two gamma variables.
-    """
+    """The generator calls of a draw on (t0, t1], in their fixed order: they
+    define the stream.  Compound Poisson: Poisson count, unsorted uniform
+    times, i.i.d. sizes.  Variance gamma: one mark per ``model.grid_step``
+    (the last may be shorter), a difference of two gamma variables."""
     length = t1 - t0
     if isinstance(model, CompoundPoisson):
         n = int(rng.poisson(model.rate * length))
-        times = np.sort(rng.uniform(t0, t1, size=n))
-        sizes = np.asarray(model.jumps.sample(rng, n), dtype=float)
-        keep = sizes != 0.0
-        if times.size and (not keep.all() or (times[1:] <= times[:-1]).any()):
-            # zero sizes / tied uniforms have probability 0; drop ties defensively
-            times, sizes = times[keep], sizes[keep]
-            keep2 = np.concatenate(([True], np.diff(times) > 0.0))
-            times, sizes = times[keep2], sizes[keep2]
-        return times, sizes
+        return rng.uniform(t0, t1, size=n), np.asarray(model.jumps.sample(rng, n), dtype=float)
 
     if isinstance(model, VarianceGamma):
         step = model.grid_step
         n_steps = int(math.ceil(length / step - 1e-12))
         edges = t0 + step * np.arange(1, n_steps + 1)
         edges[-1] = t1
-        widths = np.diff(np.concatenate(([t0], edges)))
-        shape = widths / model.nu
+        shape = np.diff(edges, prepend=t0) / model.nu
         scale = model.sigma * math.sqrt(model.nu / 2.0)
         up = rng.gamma(shape, scale)
-        down = rng.gamma(shape, scale)
-        sizes = up - down
-        # tiny-shape gamma differences underflow; drop increments whose
-        # squared size would be subnormal (they carry no information)
-        keep = np.abs(sizes) > 2.0**-511
-        return edges[keep], sizes[keep]
+        return edges, up - rng.gamma(shape, scale)
 
     raise TypeError(f"unsupported Levy model: {model!r}")
+
+
+def _tidy_marks(
+    model: LevyModel, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rest of a draw, on (rows, width) raw marks padded with +inf times
+    and zero sizes past ``counts``.  Compound Poisson: sort each row's times
+    (the i.i.d. sizes keep their order), drop zero sizes, then ties (times no
+    later than the last kept one before them).  Variance gamma: drop
+    increments whose square would be subnormal.  Returns the kept marks
+    left-aligned, padded alike, and their counts."""
+    if isinstance(model, CompoundPoisson):
+        times = np.sort(times, axis=1)
+        keep = sizes != 0.0  # false on the padding too
+        before = np.maximum.accumulate(np.where(keep, times, -math.inf), axis=1)
+        keep[:, 1:] &= times[:, 1:] > before[:, :-1]
+    else:
+        keep = np.abs(sizes) > 2.0**-511
+    kept = np.count_nonzero(keep, axis=1)
+    if np.array_equal(kept, counts):
+        return times, sizes, counts
+    if kept.min() == kept.max() > 0:  # rows of one length need no padding
+        return times[keep].reshape(len(kept), -1), sizes[keep].reshape(len(kept), -1), kept
+    left = np.arange(max(1, int(kept.max(initial=0)))) < kept[:, None]
+    out_t, out_s = np.full(left.shape, math.inf), np.zeros(left.shape)
+    out_t[left], out_s[left] = times[keep], sizes[keep]
+    return out_t, out_s, kept
+
+
+def _draw_marks(
+    model: LevyModel, t0: float, t1: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The marks of :func:`_raw_marks`, tidied by :func:`_tidy_marks` as one row."""
+    times, sizes = _raw_marks(model, t0, t1, rng)
+    times, sizes, [n] = _tidy_marks(model, times[None], sizes[None], np.array([times.size]))
+    return times[0, :n], sizes[0, :n]
 
 
 def simulate_levy_path(

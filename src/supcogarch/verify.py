@@ -487,8 +487,7 @@ def _q_family(
         tag = variant.value
         cols = q_columns(cfg, variant, vi)
         reports.append(
-            MomentReport(f"{tag}.q_bound_violations", 0.0, float(cols.violations), 0.0,
-                         max(cols.q.size, 1), k)
+            MomentReport(f"{tag}.q_bound_violations", 0.0, float(cols.violations), 0.0, cols.q.size, k)
         )
         if variant is Variant.SUP1 and len(positive_atoms) >= 2:
             vol_only = cols.tally.vol_only

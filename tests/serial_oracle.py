@@ -12,6 +12,9 @@ The serial jump-ratio diagnostics (``extract_q``, ``jump_tally`` and
 ``check_q_bounds``) are kept verbatim too, as they were before they and
 ``analysis.extract_q_batch`` came to share one set of formulas; they return
 the ``analysis`` result types, so their results compare under ``==``.
+
+``draw_marks`` is the per-row draw as it was before ``levy`` split it into
+generator calls and one tidying pass over a chunk of rows (sort, filter).
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import numpy as np
 from supcogarch import analysis
 from supcogarch.analysis import JumpTally, QBoundsReport, QSample, QViolation
 from supcogarch.cogarch import CogarchParams, PathRecord, stationary_start
-from supcogarch.levy import JumpPath, LevyModel, rng_from, simulate_levy_path, squared_jumps, substream
+from supcogarch.levy import (
+    CompoundPoisson, JumpPath, LevyModel, VarianceGamma, rng_from, simulate_levy_path, squared_jumps, substream,
+)
 from supcogarch.price import PricePath
 from supcogarch.superpos import (
     Mixture,
@@ -34,6 +39,46 @@ from supcogarch.superpos import (
     _mean_or_level,
     _require_stationary,
 )
+
+# ---------------------------------------------------------------------------
+# the per-row driver draw
+
+
+def draw_marks(
+    model: LevyModel, t0: float, t1: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The driver's marks on (t0, t1] drawn from ``rng``, one row at a time."""
+    length = t1 - t0
+    if isinstance(model, CompoundPoisson):
+        n = int(rng.poisson(model.rate * length))
+        times = np.sort(rng.uniform(t0, t1, size=n))
+        sizes = np.asarray(model.jumps.sample(rng, n), dtype=float)
+        keep = sizes != 0.0
+        if times.size and (not keep.all() or (times[1:] <= times[:-1]).any()):
+            # zero sizes / tied uniforms have probability 0; drop ties defensively
+            times, sizes = times[keep], sizes[keep]
+            keep2 = np.concatenate(([True], np.diff(times) > 0.0))
+            times, sizes = times[keep2], sizes[keep2]
+        return times, sizes
+
+    if isinstance(model, VarianceGamma):
+        step = model.grid_step
+        n_steps = int(math.ceil(length / step - 1e-12))
+        edges = t0 + step * np.arange(1, n_steps + 1)
+        edges[-1] = t1
+        widths = np.diff(np.concatenate(([t0], edges)))
+        shape = widths / model.nu
+        scale = model.sigma * math.sqrt(model.nu / 2.0)
+        up = rng.gamma(shape, scale)
+        down = rng.gamma(shape, scale)
+        sizes = up - down
+        # tiny-shape gamma differences underflow; drop increments whose
+        # squared size would be subnormal (they carry no information)
+        keep = np.abs(sizes) > 2.0**-511
+        return edges[keep], sizes[keep]
+
+    raise TypeError(f"unsupported Levy model: {model!r}")
+
 
 # ---------------------------------------------------------------------------
 # the scalar COGARCH loops

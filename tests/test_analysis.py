@@ -286,5 +286,6 @@ def test_moment_report_pass_logic():
     assert MomentReport("x", 1.0, 1.5, 0.05, 100, k=4.0).passed is False
     assert MomentReport("x", None, 1.5, 0.05, 100).passed is None
     assert MomentReport("x", 1.0, 1.0, 0.0, 100).passed is True
+    assert MomentReport("x", 0.0, 0.0, 0.0, 0).passed is None  # no samples, nothing checked
     csv = reports_to_csv([MomentReport("x", None, 1.5, 0.05, 100)])
     assert "diverges" in csv and "undefined" in csv  # diverging target flagged, not judged

@@ -27,8 +27,8 @@ from supcogarch.batch import simulate_batch
 from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in, stationary_mean
 from supcogarch.config import ExperimentConfig
 from supcogarch.levy import (
-    CompoundPoisson, JumpPath, Stream, VarianceGamma, _draw_marks, rng_from, simulate_levy_path, squared_jumps,
-    substream,
+    CompoundPoisson, JumpDistribution, JumpPath, Stream, VarianceGamma, _draw_marks, rng_from, simulate_levy_path,
+    squared_jumps, substream, substreams,
 )
 from supcogarch.price import price_to_csv, simulate_price
 from supcogarch.superpos import Mixture, Variant, bundle_to_csv
@@ -600,7 +600,7 @@ def test_batch_keeps_the_serial_checks():
 
 
 def test_engine_builds_no_substream_per_replication(monkeypatch):
-    """The engine derives a chunk's streams in one pass (levy.substreams)."""
+    """The engine derives a call's streams in one pass (levy.substreams)."""
     calls = []
 
     def counted(*args):
@@ -627,7 +627,120 @@ def test_pick_draws_are_generator_choice(weights, size):
     a numpy that changes it fails here instead of moving the bytes."""
     for i in range(3):
         want = np.random.default_rng(substream(19, i)).choice(len(weights), size=size, p=np.array(weights))
-        assert np.array_equal(batch._picks(weights)(substream(19, i), size), want)
+        u = np.random.default_rng(substream(19, i)).random(size)
+        assert np.array_equal(batch._picks(weights)(u), want)
+
+
+def test_engine_derives_the_streams_once_per_call(monkeypatch):
+    """However many burn-in chunks a call draws, it derives its streams in
+    one levy.substreams call per driver and one for the pi-draws."""
+    calls, chunks = [], []
+    monkeypatch.setattr(batch, "substreams", lambda *args: calls.append(args) or substreams(*args))
+    monkeypatch.setattr(batch, "run_replications", lambda fn, n: chunks.append(n) or run_replications(fn, n))
+    monkeypatch.setattr(batch, "_CHUNK_MARKS", 50)  # 2 rows a chunk: 21 marks a row and driver
+    model, mix = BASE.model(), BASE.mixture()
+    for variant, want in [(Variant.SUP1, 2), (Variant.SUP2, 1), (Variant.SUP3, 2)]:
+        calls.clear(), chunks.clear()
+        simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 3, (5,), 40, 20.0)
+        assert len(calls) == want and len(chunks) >= 20, variant
+    calls.clear(), chunks.clear()
+    batch.simulate_cogarch_batch(CogarchParams(1.0, 1.0, 0.1), model, (0.0, 1.0), 1.0, 3, (1,), 40, 20.0)
+    assert len(calls) == 1 and len(chunks) >= 20
+
+
+# ---------------------------------------------------------------------------
+# the tidy pass: a chunk's raw draws sorted and filtered at once
+
+
+def _rounded_normal_moments() -> tuple[float, ...]:
+    """E[Y^k], k = 1..8, of Y = round(Z), Z standard normal."""
+    cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))  # noqa: E731
+    probs = {j: cdf(j + 0.5) - cdf(j - 0.5) for j in range(-12, 13)}
+    return tuple(sum(p * j**k for j, p in probs.items()) for k in range(1, 9))
+
+
+#: jump sizes that are 0 about 38% of the time
+ROUNDED_NORMAL = JumpDistribution(
+    "rounded_normal", lambda rng, n: np.round(rng.standard_normal(n)), _rounded_normal_moments()
+)
+PICK_WEIGHTS = (0.2, 0.5, 0.3)
+
+
+def _engine_draws(model, t0: float, t1: float, seed: int, n: int, weights=PICK_WEIGHTS):
+    """The engine's padded marks and pi-picks of n variant-3 rows on (t0,
+    t1] with no burn-in: row r draws its driver from ``substream(seed, r,
+    0)``, its pi-draws from ``substream(seed, r, 1)``."""
+    family = batch._Family(tuple(0.01 * (a + 1) for a in range(len(weights))), 0, (1.0,) * len(weights), 1.0)
+    _, [(times, sizes, counts, picks)] = batch._simulate(
+        model, 1.0, 1.0, (t0, t0, t1), n, lambda rows: [substreams(seed, (), rows, i) for i in (0, 1)],
+        [family], relax=True, picks=batch._picks(weights),
+    )
+    return times, sizes, counts, picks
+
+
+TIDY_CASES = {
+    "zero_sizes": (CompoundPoisson(5.0, ROUNDED_NORMAL), (0.0, 4.0)),
+    # about 450 doubles in the window for 40 uniforms a row: times tie
+    "tied_times": (CompoundPoisson(4e14), (1.0, 1.0 + 1e-13)),
+    # gamma shape 0.001: most increments underflow
+    "vg_underflow": (VarianceGamma(1.0, 10.0, grid_step=0.01), (0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", TIDY_CASES)
+def test_tidy_pass_matches_the_per_row_draw(case):
+    """The engine's padded marks and variant-3 pi-picks, tidied once per
+    chunk, and the one-row draw of a single bundle equal the frozen
+    per-row draw and Generator.choice, on rows that lose marks."""
+    model, (t0, t1) = TIDY_CASES[case]
+    seed, n = 17, 12
+    times, sizes, counts, picks = _engine_draws(model, t0, t1, seed, n)
+    lost = 0
+    for r in range(n):
+        want_t, want_s = serial_oracle.draw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
+        want_pk = np.random.default_rng(substream(seed, r, 1)).choice(3, size=want_t.size, p=np.array(PICK_WEIGHTS))
+        lost += len(levy._raw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))[0]) - want_t.size
+        c = int(counts[r])
+        assert c == want_t.size
+        assert np.array_equal(times[r, :c], want_t) and np.isinf(times[r, c:]).all()
+        assert np.array_equal(sizes[r, :c], want_s) and not sizes[r, c:].any()
+        assert np.array_equal(picks[r, :c], want_pk) and not picks[r, c:].any()
+        one = _draw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
+        assert np.array_equal(one[0], want_t) and np.array_equal(one[1], want_s)
+    assert lost > 0
+
+
+def test_a_chunk_that_keeps_no_mark():
+    """Sizes all 0: every row keeps nothing, on the engine and on one path
+    (the per-row rule before the tidy pass raised IndexError on such a row)."""
+    zero = CompoundPoisson(5.0, JumpDistribution("zero", lambda rng, n: 0.0 * rng.standard_normal(n), (0.0,) * 8))
+    times, sizes, counts, picks = _engine_draws(zero, 0.0, 4.0, 17, 6)
+    assert not counts.any() and times.shape == (6, 1) and np.isinf(times).all() and not sizes.any()
+    with pytest.raises(IndexError):
+        serial_oracle.draw_marks(zero, 0.0, 4.0, np.random.default_rng(substream(17, 0, 0)))
+    assert all(x.size == 0 for x in _draw_marks(zero, 0.0, 4.0, np.random.default_rng(substream(17, 0, 0))))
+
+
+def test_a_draw_on_t0_fails_alike_on_both_routes():
+    """A uniform that rounds to t0 breaks the (t0, t1] invariant: a single
+    path and the engine's chunk check raise the same error."""
+    model, (t0, t1) = CompoundPoisson(5e16), (1.0, 1.0 + 1e-13)  # 5000 uniforms a row, a few on t0
+    assert (levy._raw_marks(model, t0, t1, np.random.default_rng(substream(3, 0, 0)))[0] == t0).any()
+    with pytest.raises(ValueError) as one:
+        simulate_levy_path(model, (t0, t1), substream(3, 0, 0))
+    with pytest.raises(ValueError) as engine:
+        _engine_draws(model, t0, t1, 3, 4)
+    assert str(one.value) == str(engine.value) == "mark times must lie in (t0, t1]"
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_generator_random_fills_in_stream_order(n):
+    """The engine draws a row's pi uniforms for all its raw marks and keeps
+    the first kept_count; a numpy whose Generator.random(n)[:k] is not
+    Generator.random(k) fails here instead of moving the bytes."""
+    for k in sorted({0, n // 3, n}):
+        head = np.random.default_rng(substream(5, n)).random(n)[:k]
+        assert np.array_equal(head, np.random.default_rng(substream(5, n)).random(k))
 
 
 @pytest.mark.parametrize("entry", ["simulate_batch", "simulate_cogarch_batch", "stationary_draws"])

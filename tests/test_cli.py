@@ -375,6 +375,27 @@ def test_verify_detects_wrong_target():
     assert VerificationResult([good, bad], [], []).failures() == ["broken"]
 
 
+def test_verify_q_family_without_samples_is_undefined():
+    """With a phi = 0 lowest atom, variant 1's price runs on the driver
+    that never moves the volatility, so its q family has no samples: the
+    row reports n = 0 and no verdict instead of passing on nothing."""
+    from dataclasses import replace
+
+    from supcogarch import verify
+    from supcogarch.analysis import reports_to_csv
+
+    light = parse_config((REPO / "configs" / "verify_light.cfg").read_text())
+    cfg = replace(light, phis=(0.0, 0.3, 0.7), weights=(0.2, 0.5, 0.3), horizon=40.0)
+    reports, checks = [], []
+    verify._q_family(cfg, reports, checks)
+    by_name = {r.name: r for r in reports}
+    sup1, sup2 = by_name["sup1.q_bound_violations"], by_name["sup2.q_bound_violations"]
+    assert (sup1.n, sup1.passed) == (0, None)
+    assert sup2.n > 0 and sup2.passed is True
+    assert reports_to_csv([sup1]).splitlines()[1].endswith(",0,4,undefined")
+    assert verify.VerificationResult([sup1], [], []).failures() == []
+
+
 def test_verify_exit_code_on_injected_failure(cfg_file, tmp_path, monkeypatch):
     import supcogarch.cli as cli
     from supcogarch.analysis import MomentReport

@@ -83,6 +83,16 @@ def test_substreams_are_substream(seed, key, first, n, suffix):
         assert np.array_equal(s.generate_state(4, np.uint64), want)
 
 
+def test_substreams_over_several_row_blocks():
+    """Words are derived in blocks of 4096 rows; rows across a block edge
+    and across 2**32 (one key word, then two) are each their substream."""
+    rows = range(2**32 - 5000, 2**32 + 100)
+    got = substreams(3, (2,), rows, 1)
+    assert len(got) == len(rows) and len(got[4090:4100]) == 10
+    for r, s in zip(rows, got, strict=True):
+        assert np.array_equal(s.generate_state(4, np.uint64), substream(3, 2, r, 1).generate_state(4, np.uint64))
+
+
 @pytest.mark.parametrize("model", [CPP, VarianceGamma(1.0, 1.0, grid_step=0.25)], ids=["cp", "vg"])
 def test_substreams_draw_the_substream_marks(model):
     for r, s in zip(range(3, 9), substreams(11, (4, 2), range(3, 9), 1)):
