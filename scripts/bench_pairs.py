@@ -4,13 +4,13 @@ BENCH_<n>.json record.
 
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_14.json \\
         --pairs verify_light=10 --pairs qstats_showcase=5 --pairs simulate_vg=5 \\
-        [--first-seed 41] [--seconds 25] [--what TEXT] [--claim TEXT]
+        [--first-seed 41] [--what TEXT] [--claim TEXT]
 
 PARENT_DIR and CHANGE_DIR are two copies of the repository (for example
 made with ``git archive``).  Pair i of a workload runs
 ``perfbench/run.py --workload W --seed FIRST_SEED + i --seconds S --trace 0``
-once in each tree, the parent first in even pairs and the change first in
-odd ones.  Each run's last output line (the result) and the line before it
+(S the ``run_seconds`` of BENCHMARK.json) once in each tree, the parent
+first in even pairs and the change first in odd ones.  Each run's last output line (the result) and the line before it
 (the run context) are kept; nothing under ``perfbench/`` is touched.
 
 The record holds ``what`` and ``claim`` as given, a ``summary`` per
@@ -89,11 +89,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--first-seed", type=int, default=41)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--what", default="")
     parser.add_argument("--claim", default="")
     args = parser.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
     runs: list[dict] = []
     summary: dict = {}
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             seed = args.first_seed + pair
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                got = run_one(getattr(args, side), workload, seed, args.seconds)
+                got = run_one(getattr(args, side), workload, seed, seconds)
                 wl_runs.append({"pair": pair, "side": side, "workload": workload, **got})
                 print(f"{workload} pair {pair} {side}: exit {got['exit']}", file=sys.stderr, flush=True)
         summary[workload] = summarize(wl_runs, metrics)

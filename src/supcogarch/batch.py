@@ -422,7 +422,7 @@ class _Family:
 
 def _simulate(
     model: LevyModel, beta: float, eta: float, window: tuple[float, float, float], n: int,
-    streams: Callable[[range], list[Sequence[ISeedSequence]]],
+    streams: Sequence[Sequence[ISeedSequence]],
     families: Sequence[_Family],
     relax: bool,
     picks: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -432,8 +432,8 @@ def _simulate(
     marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
     the live marks (none when t1 == t0).  Returns per family its reference
     times and states, its record and live marks, and the live L marks of
-    every driver.  ``streams(range(n))`` lists the streams of the rows per
-    driver, then with ``picks`` those of the pi-draws (see :func:`_picks`).
+    every driver.  ``streams`` lists the n streams of the rows per driver,
+    then with ``picks`` those of the pi-draws (see :func:`_picks`).
     The draws go through :func:`analysis.run_replications`, unless
     ``draw_path(model, horizon, seed)`` draws each driver as a checked
     :class:`levy.JumpPath`: one bundle is not a replication."""
@@ -451,12 +451,11 @@ def _simulate(
             marks = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in seeds[:n_drivers])]
         return marks, None if picks is None else np.random.default_rng(seeds[n_drivers]).random(len(marks[0][0]))
 
-    all_seeds = streams(range(n))
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in families]
     for lo in range(0, n, step):
         rows = min(step, n - lo)
-        seeds = list(zip(*(s[lo: lo + rows] for s in all_seeds)))
+        seeds = list(zip(*(s[lo: lo + rows] for s in streams)))
         if draw_path is None:
             drawn = run_replications(lambda i, _seeds=seeds: draw(_seeds[i]), rows)
         else:
@@ -556,7 +555,7 @@ def simulate_batch(
     for bit."""
     return _bundles(
         variant, mixture, beta, eta, model, horizon, burn_in, n,
-        lambda rows, i: substreams(seed, key, range(first + rows.start, first + rows.stop), i),
+        lambda i: substreams(seed, key, range(first, first + n), i),
     )
 
 
@@ -571,11 +570,10 @@ def _picks(weights: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
 def _bundles(
     variant: Variant, mixture: Mixture, beta: float, eta: float, model: LevyModel,
     horizon: tuple[float, float], burn_in: float | None, n: int,
-    stream: Callable[[range, int], Sequence[ISeedSequence]], draw_path: Callable[..., JumpPath] | None = None,
+    stream: Callable[[int], Sequence[ISeedSequence]], draw_path: Callable[..., JumpPath] | None = None,
 ) -> BundleBatch:
-    """n bundles; the replications in ``rows`` draw driver i from the
-    streams ``stream(rows, i)`` and their variant-3 pi-draws from
-    ``stream(rows, 1)`` (see :func:`_simulate` for ``draw_path``)."""
+    """n bundles; the replications draw driver i from the n streams
+    ``stream(i)`` and their variant-3 pi-draws from ``stream(1)`` (see :func:`_simulate` for ``draw_path``)."""
     _require_stationary(mixture, eta, model)
     t0, t1 = float(horizon[0]), float(horizon[1])
     b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
@@ -594,7 +592,7 @@ def _bundles(
         families = [_Family(mixture.phis, 0, starts, vbar)]
     keys = [*range(len(families)), *([1] if picks else [])]  # the drivers, then the pi-draws
     results, drivers = _simulate(
-        model, beta, eta, (t0 - b, t0, t1), n, lambda rows: [stream(rows, i) for i in keys],
+        model, beta, eta, (t0 - b, t0, t1), n, [stream(i) for i in keys],
         families, relax=True, picks=picks, draw_path=draw_path,
     )
 
@@ -646,7 +644,7 @@ def simulate_cogarch_batch(
     _check_window(t0 - burn_in, t1)
     [(t, v, _, rec)], [(times, *_)] = _simulate(
         model, params.beta, params.eta, (t0 - burn_in, t0, t1), n,
-        lambda rows: [substreams(seed, key, range(first + rows.start, first + rows.stop))],
+        [substreams(seed, key, range(first, first + n))],
         [_Family((params.phi,), 0, (v_start,))], relax=False,
     )
     return PathBatch(params.level, params.eta, t, v[0], times, rec.left[0], rec.post[0])
@@ -657,20 +655,20 @@ def stationary_draws(
     model: LevyModel,
     burn_in: float,
     n: int,
-    stream: Callable[[range], Sequence[ISeedSequence]],
+    stream: Sequence[ISeedSequence],
 ) -> np.ndarray:
     """V(0) of n COGARCHes, each started at its stationary start (the
     stationary mean, or beta/eta where it diverges) at -burn_in: n
     approximate draws from the stationary law.  Draw r runs through the
     marks of ``simulate_levy_path(model, (-burn_in, 0), seed)``, where
-    ``stream(rows)`` gives the seeds of the draws in ``rows``, and relaxes to
+    ``stream`` lists the n seeds of the draws, and relaxes to
     0; it equals :func:`cogarch.evolve_value` on that path bit for bit."""
     if not params.is_stationary_admissible(model):
         raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
     t_start = -float(burn_in)
     _check_window(t_start, 0.0)
     [(_, v, _, _)], _ = _simulate(
-        model, params.beta, params.eta, (t_start, 0.0, 0.0), n, lambda rows: [stream(rows)],
+        model, params.beta, params.eta, (t_start, 0.0, 0.0), n, [stream],
         [_Family((params.phi,), 0, (stationary_start(params, model),))], relax=True,
     )
     return v[0]

@@ -215,7 +215,7 @@ def simulate_bundle(
     from .batch import _bundles  # batch builds on this module
 
     got = _bundles(
-        variant, mixture, beta, eta, model, horizon, burn_in, 1, lambda _, i: [substream(seed, i)],
+        variant, mixture, beta, eta, model, horizon, burn_in, 1, lambda i: [substream(seed, i)],
         simulate_levy_path,
     )
     t0, t1 = float(horizon[0]), float(horizon[1])

@@ -558,7 +558,7 @@ def stationary_component_draws(
     """n burned-in stationary draws of one COGARCH on the engine
     (:func:`batch.stationary_draws`), draw r from ``substream(seed, family,
     r)``."""
-    return stationary_draws(params, model, burn_in, n, lambda rows: substreams(seed, (family,), rows))
+    return stationary_draws(params, model, burn_in, n, substreams(seed, (family,), range(n)))
 
 
 def _identity_family(cfg: ExperimentConfig, checks: list[CheckRow]) -> None:

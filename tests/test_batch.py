@@ -672,7 +672,7 @@ def _engine_draws(model, t0: float, t1: float, seed: int, n: int, weights=PICK_W
     0)``, its pi-draws from ``substream(seed, r, 1)``."""
     family = batch._Family(tuple(0.01 * (a + 1) for a in range(len(weights))), 0, (1.0,) * len(weights), 1.0)
     _, [(times, sizes, counts, picks)] = batch._simulate(
-        model, 1.0, 1.0, (t0, t0, t1), n, lambda rows: [substreams(seed, (), rows, i) for i in (0, 1)],
+        model, 1.0, 1.0, (t0, t0, t1), n, [substreams(seed, (), range(n), i) for i in (0, 1)],
         [family], relax=True, picks=batch._picks(weights),
     )
     return times, sizes, counts, picks
@@ -750,7 +750,7 @@ def test_engine_needs_one_replication(entry):
         "simulate_batch": lambda: simulate_batch(Variant.SUP2, mix, 1.0, 1.0, model, (0.0, 1.0), 1, (3,), 0),
         "simulate_cogarch_batch": lambda: batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1.0, 1, (1,), 0, 1.0),
         "stationary_draws": lambda: batch.stationary_draws(
-            params, model, 5.0, 0, lambda rows: [substream(i) for i in rows]
+            params, model, 5.0, 0, []
         ),
     }
     with pytest.raises(ValueError, match="n=0"):

@@ -159,13 +159,13 @@ def test_draw_stationary_phi_zero_exact():
     params = CogarchParams(3.0, 2.0, 0.0)
     # draw i from substream(i), i = 0, 1, 2
     burn = default_burn_in(params, MODEL)
-    draws = stationary_draws(params, MODEL, burn, 3, lambda rows: [substream(i) for i in rows])
+    draws = stationary_draws(params, MODEL, burn, 3, [substream(i) for i in range(3)])
     assert np.all(draws == params.level)
 
 
 def test_draw_stationary_rejects_nonstationary():
     with pytest.raises(NonStationaryError):
-        stationary_draws(CogarchParams(1.0, 1.0, 3.5), MODEL, 80.0, 1, lambda rows: [substream(i) for i in rows])
+        stationary_draws(CogarchParams(1.0, 1.0, 3.5), MODEL, 80.0, 1, [substream(0)])
 
 
 def test_default_burn_in_rates():
@@ -193,7 +193,7 @@ def test_draw_stationary_mean_light_tail():
 
     params = CogarchParams(1.0, 1.0, 0.2)
     draws = stationary_draws(
-        params, MODEL, default_burn_in(params, MODEL), 2000, lambda rows: [substream(17, i) for i in rows]
+        params, MODEL, default_burn_in(params, MODEL), 2000, [substream(17, i) for i in range(2000)]
     )
     est, se = mc_mean(draws)
     assert abs(est - stationary_mean(params, MODEL)) < 4.0 * se
@@ -221,7 +221,7 @@ def test_mc_autocovariance_light_tail():
 def test_draw_stationary_deterministic():
     params = CogarchParams(1.0, 1.0, 0.5)
     draw = lambda: stationary_draws(
-        params, MODEL, default_burn_in(params, MODEL), 2, lambda rows: [substream(11) for _ in rows]
+        params, MODEL, default_burn_in(params, MODEL), 2, [substream(11) for _ in range(2)]
     )
     first = draw()
     assert first[0] == first[1] and np.array_equal(first, draw())
@@ -236,7 +236,7 @@ def test_vg_driver_stationary_mean():
     target = stationary_mean(params, vg)  # beta / (eta - phi * sigma^2)
     assert target == pytest.approx(1.0 / 0.7)
     draws = stationary_draws(
-        params, vg, default_burn_in(params, vg), 400, lambda rows: [substream(29, i) for i in rows]
+        params, vg, default_burn_in(params, vg), 400, [substream(29, i) for i in range(400)]
     )
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - target) < 5.0 * se

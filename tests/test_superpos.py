@@ -74,7 +74,7 @@ def test_stationarity_gate_sites(model):
     assert CogarchParams(1.0, 1.0, inside).is_stationary_admissible(model)
     assert not CogarchParams(1.0, 1.0, outside).is_stationary_admissible(model)
     with pytest.raises(NonStationaryError):
-        stationary_draws(CogarchParams(1.0, 1.0, outside), model, 80.0, 1, lambda rows: [substream(i) for i in rows])
+        stationary_draws(CogarchParams(1.0, 1.0, outside), model, 80.0, 1, [substream(0)])
     assert 0.0 < kappa_of_phi(ctx, inside) < 1.0
     with pytest.raises(NoRootError):
         kappa_of_phi(ctx, outside)
