@@ -3,7 +3,7 @@
 ``analytics.csv`` is a pure function of the config, and no Monte Carlo
 enters it, so its bytes pin every closed form the table prints: exponents,
 boundaries, COGARCH, cross and superposition moments and the price
-second-order values.  A refactor of those formulas must keep these digests.
+second-order values, on the shipped configs and on a three-atom mixture.  A refactor of those formulas must keep these digests.
 
 Every file ``qstats`` writes is pinned too, on the showcase config at a
 small scale and on a mixture with a phi = 0 atom and a window short enough
@@ -25,22 +25,6 @@ import pytest
 from supcogarch.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-ANALYTICS_SHA256 = {
-    "two_atom_showcase": "1f93da96b70fde7fa11f0c5ba858dc5c3f537482c0f7ebe3ce9303213b071eed",
-    "verify_heavy": "d8be522264de3836be8fce3b7725371b73098920559af0db78a91bb3aa5de574",
-    "verify_light": "352be4c85fc88b5e49a243ff16efbf0ef641d85423d91a2bb3ceb24c39ed5042",
-    "vg_slow_reversion": "1859bc7864c03f36accff6cbf80e17c2666f94e1274f935e40bd518aa669f1c9",
-}
-
-
-@pytest.mark.parametrize("name", sorted(ANALYTICS_SHA256))
-def test_analytics_bytes(name, tmp_path):
-    out = tmp_path / name
-    assert main(["analytics", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "analytics.csv").read_bytes()).hexdigest()
-    assert digest == ANALYTICS_SHA256[name]
-
 
 SHOWCASE_Q = re.sub(r"(?m)^q_paths = .*$", "q_paths = 20", (CONFIGS / "two_atom_showcase.cfg").read_text())
 
@@ -66,6 +50,33 @@ seed = 20260903
 """
 
 QSTATS_CONFIGS = {"two_atom_showcase": SHOWCASE_Q, "zero_atom": ZERO_ATOM_Q}
+
+# every shipped config has two atoms; three pin the order of the sums over
+# atom pairs beyond that
+THREE_ATOM = ZERO_ATOM_Q.replace("phis = 0.0, 0.3, 0.7", "phis = 0.1, 0.3, 0.5")
+
+ANALYTICS_CONFIGS = {
+    **{name: (CONFIGS / f"{name}.cfg").read_text()
+       for name in ("two_atom_showcase", "verify_heavy", "verify_light", "vg_slow_reversion")},
+    "three_atom": THREE_ATOM,
+}
+
+ANALYTICS_SHA256 = {
+    "three_atom": "0346b81d4bae5164b6ea7b20d658ee946755d45e482b0940a7190bcc29ca1ec6",
+    "two_atom_showcase": "1f93da96b70fde7fa11f0c5ba858dc5c3f537482c0f7ebe3ce9303213b071eed",
+    "verify_heavy": "d8be522264de3836be8fce3b7725371b73098920559af0db78a91bb3aa5de574",
+    "verify_light": "352be4c85fc88b5e49a243ff16efbf0ef641d85423d91a2bb3ceb24c39ed5042",
+    "vg_slow_reversion": "1859bc7864c03f36accff6cbf80e17c2666f94e1274f935e40bd518aa669f1c9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTICS_SHA256))
+def test_analytics_bytes(name, tmp_path):
+    cfg, out = tmp_path / "a.cfg", tmp_path / "out"
+    cfg.write_text(ANALYTICS_CONFIGS[name])
+    assert main(["analytics", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "analytics.csv").read_bytes()).hexdigest()
+    assert digest == ANALYTICS_SHA256[name]
 
 QSTATS_SHA256 = {
     "two_atom_showcase": {
