@@ -19,7 +19,7 @@ import numpy as np
 
 from .csvio import G17, csv_text
 from .price import PricePath
-from .superpos import Mixture, SupPathBundle, Variant
+from .superpos import Mixture, SupPathBundle, Variant, _weighted
 
 if TYPE_CHECKING:
     from .batch import BundleBatch
@@ -250,9 +250,7 @@ def _q_rows(
         keep = valid if phis[atom] != 0.0 else np.zeros_like(valid)
         scale = mixture.weights[atom] * phis[atom] * lefts[atom][keep]
     elif variant is Variant.SUP2:
-        scale = np.zeros(valid.shape)
-        for (phi, w), left in zip(mixture.atoms(), lefts):
-            scale += w * phi * left
+        scale = _weighted([w * phi for phi, w in mixture.atoms()], lefts)
         keep = valid & ~np.all((scale == 0.0) | ~valid, axis=1)[:, None]
         scale = scale[keep]
     else:

@@ -31,7 +31,8 @@ every number equals that of the serial simulators kept in
   the serial loops' products, computed column-wise;
 * path queries repeat ``PathRecord._piecewise``: ``np.exp`` from the
   previous post-jump value, also at event times of variant 1's union;
-* sums over atoms accumulate from zeros in atom order;
+* sums over atoms accumulate from zeros in atom order
+  (:func:`superpos._weighted`);
 * price levels are a cumulative sum along each replication's row;
 * variant 1 and 2 components and variant 3 relax to t0 after the burn-in,
   before the live window.
@@ -69,7 +70,7 @@ from .cogarch import (
     stationary_start,
 )
 from .levy import CompoundPoisson, JumpPath, LevyModel, _raw_marks, _tidy_marks, substreams
-from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary
+from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary, _weighted
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
 
@@ -465,7 +466,7 @@ def _simulate(
             times, l_sizes = _pad([p[d][0] for p, _ in drawn], math.inf), _pad([p[d][1] for p, _ in drawn], 0.0)
             counts = np.array([len(p[d][0]) for p, _ in drawn])
             if draw_path is None:
-                times, l_sizes, counts = _tidy_marks(model, times, l_sizes, counts)
+                times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, counts)
                 _check_marks(times, counts, t_start, t1)
             pk = None if picks is None or d else picks(_pad([u for _, u in drawn], 0.0)[:, : times.shape[1]])
             padded.append((times, l_sizes, counts, pk))
@@ -506,15 +507,6 @@ def _simulate(
             rec = _Record.zeros(v.shape, times.shape, vbar is not None)
         out.append((t, v, vbar, rec))
     return out, drivers
-
-
-def _weighted(weights: Sequence[float], parts: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i w_i x_i accumulated from zeros in atom order, as the serial
-    aggregates are."""
-    acc = np.zeros(parts[0].shape)
-    for w, x in zip(weights, parts):
-        acc += w * x
-    return acc
 
 
 def _union_aggregate(mixture: Mixture, comps: Sequence[PathBatch], t0: float) -> PathBatch:

@@ -323,16 +323,18 @@ def _raw_marks(
 
 
 def _tidy_marks(
-    model: LevyModel, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray
+    model: LevyModel, t0: float, t1: float, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rest of a draw, on (rows, width) raw marks padded with +inf times
-    and zero sizes past ``counts``.  Compound Poisson: sort each row's times
-    (the i.i.d. sizes keep their order), drop zero sizes, then ties (times no
-    later than the last kept one before them).  Variance gamma: drop
-    increments whose square would be subnormal.  Returns the kept marks
-    left-aligned, padded alike, and their counts."""
+    """The rest of a draw on (t0, t1], on (rows, width) raw marks padded with
+    +inf times and zero sizes past ``counts``.  Compound Poisson: move a
+    time drawn on t0 to t1 (``Generator.uniform`` draws on [t0, t1); this
+    maps a uniform of 0 to 1), sort each row's times (the i.i.d. sizes keep
+    their order), drop zero sizes, then ties (times no later than the last
+    kept one before them).  Variance gamma: drop increments whose square
+    would be subnormal.  Returns the kept marks left-aligned, padded alike,
+    and their counts."""
     if isinstance(model, CompoundPoisson):
-        times = np.sort(times, axis=1)
+        times = np.sort(np.where(times > t0, times, t1), axis=1)
         keep = sizes != 0.0  # false on the padding too
         before = np.maximum.accumulate(np.where(keep, times, -math.inf), axis=1)
         keep[:, 1:] &= times[:, 1:] > before[:, :-1]
@@ -354,7 +356,7 @@ def _draw_marks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The marks of :func:`_raw_marks`, tidied by :func:`_tidy_marks` as one row."""
     times, sizes = _raw_marks(model, t0, t1, rng)
-    times, sizes, [n] = _tidy_marks(model, times[None], sizes[None], np.array([times.size]))
+    times, sizes, [n] = _tidy_marks(model, t0, t1, times[None], sizes[None], np.array([times.size]))
     return times[0, :n], sizes[0, :n]
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class TailLimit(enum.Enum):
     """Behaviour of x^kappa_bar * P[V > x] at the tail exponent."""
 
     POSITIVE_CONSTANT = "positive_constant"
-    ZERO = "zero"
     BOUNDED = "bounded"
 
 
@@ -134,13 +133,15 @@ class Mixture:
         """Top of the support."""
         return self.phis[-1]
 
-    @property
-    def phi_low(self) -> float:
-        """Smallest strictly positive atom (0.0 if there is none)."""
-        for phi in self.phis:
-            if phi > 0.0:
-                return phi
-        return 0.0
+
+def _weighted(weights: Sequence[float], parts: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i w_i x_i accumulated from zeros in atom order: the aggregate
+    Vbar = sum_i p_i V^{phi_i} of component values, and every other
+    weighted sum over atoms of path arrays."""
+    acc = np.zeros(parts[0].shape)
+    for w, x in zip(weights, parts):
+        acc += w * x
+    return acc
 
 
 @dataclass(frozen=True)
@@ -271,34 +272,28 @@ def sup1_acov(mixture: Mixture, beta: float, eta: float, model: LevyModel, h: fl
     )
 
 
+def _pair_sum(
+    mixture: Mixture, eta: float, model: LevyModel, term: Callable[[float, float], float]
+) -> float:
+    """sum_i sum_j p_i p_j term(phi_i, phi_j) over ordered atom pairs, i
+    outer, behind the order-2 moment gate."""
+    moment_gate(model, eta, mixture.phis, 2.0)
+    return sum(wi * wj * term(pi, pj) for pi, wi in mixture.atoms() for pj, wj in mixture.atoms())
+
+
 def sup2_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
     """E[(Vbar^(2))^2]: double sum of shared-driver product moments."""
-    moment_gate(model, eta, mixture.phis, 2.0)
-    return sum(
-        wi * wj * cross_moment(beta, eta, pi, pj, model)
-        for pi, wi in mixture.atoms()
-        for pj, wj in mixture.atoms()
-    )
+    return _pair_sum(mixture, eta, model, lambda pi, pj: cross_moment(beta, eta, pi, pj, model))
 
 
 def sup2_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    moment_gate(model, eta, mixture.phis, 2.0)
-    return sum(
-        wi * wj * cross_cov(beta, eta, pi, pj, model)
-        for pi, wi in mixture.atoms()
-        for pj, wj in mixture.atoms()
-    )
+    return _pair_sum(mixture, eta, model, lambda pi, pj: cross_cov(beta, eta, pi, pj, model))
 
 
 def sup2_acov(mixture: Mixture, beta: float, eta: float, model: LevyModel, h: float) -> float:
     """Double sum of lagged cross-covariances; the lag decays at the rate of
     the second (lagged) atom."""
-    moment_gate(model, eta, mixture.phis, 2.0)
-    return sum(
-        wi * wj * cross_acov(beta, eta, pi, pj, model, h)
-        for pi, wi in mixture.atoms()
-        for pj, wj in mixture.atoms()
-    )
+    return _pair_sum(mixture, eta, model, lambda pi, pj: cross_acov(beta, eta, pi, pj, model, h))
 
 
 def _sup3_correction(
@@ -316,15 +311,10 @@ def sup3_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyMod
     (beta/eta)(Var[V^phi] - Cov[V^phi, V^phi~]) / E[V^phi], summed over
     atom pairs.  Degenerates to the single-COGARCH second moment under a
     point mass."""
-    moment_gate(model, eta, mixture.phis, 2.0)
-    total = 0.0
-    for pi, wi in mixture.atoms():
-        for pj, wj in mixture.atoms():
-            total += wi * wj * (
-                cross_moment(beta, eta, pi, pj, model)
-                + _sup3_correction(beta, eta, pi, pj, model)
-            )
-    return total
+    return _pair_sum(
+        mixture, eta, model,
+        lambda pi, pj: cross_moment(beta, eta, pi, pj, model) + _sup3_correction(beta, eta, pi, pj, model),
+    )
 
 
 def sup3_var(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
@@ -337,16 +327,12 @@ def sup3_acov(mixture: Mixture, beta: float, eta: float, model: LevyModel, h: fl
     on the correction part."""
     if h < 0.0:
         raise ValueError(f"lag must be >= 0, got {h}")
-    moment_gate(model, eta, mixture.phis, 2.0)
     ctx = charexp.ExponentContext(model, eta)
-    total = 0.0
-    for pi, wi in mixture.atoms():
-        p1 = charexp.psi(ctx, 1.0, pi)
-        for pj, wj in mixture.atoms():
-            cov_ij = cross_cov(beta, eta, pi, pj, model)
-            corr = _sup3_correction(beta, eta, pi, pj, model)
-            total += wi * wj * (math.exp(h * p1) * cov_ij + math.exp(-eta * h) * corr)
-    return total
+    return _pair_sum(
+        mixture, eta, model,
+        lambda pi, pj: math.exp(h * charexp.psi(ctx, 1.0, pi)) * cross_cov(beta, eta, pi, pj, model)
+        + math.exp(-eta * h) * _sup3_correction(beta, eta, pi, pj, model),
+    )
 
 
 #: the closed-form moments of each variant's stationary aggregate, keyed by

@@ -63,7 +63,7 @@ from .price import (
     sq_increment_cov_closed,
     sq_increment_cov_sup3,
 )
-from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, simulate_bundle
+from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, _weighted, simulate_bundle
 
 __all__ = [
     "CheckRow",
@@ -153,6 +153,10 @@ def _try(fn, *args):
 # path-wise identity checks
 
 
+def _at_most(name: str, value: float, tol: float) -> CheckRow:
+    return CheckRow(name, value, f"<= {tol}", value <= tol)
+
+
 def _rel_err(lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> float:
     if lhs.size == 0:
         return 0.0
@@ -173,21 +177,15 @@ def bundle_identity_checks(bundle: SupPathBundle) -> list[CheckRow]:
         comp = bundle.components[i]
         ds = driver.sizes**2
         worst = max(worst, _rel_err(comp.post - comp.left, phi * comp.left * ds, comp.post))
-    checks.append(
-        CheckRow(f"{tag}_component_jump_identity", worst, f"<= {_IDENTITY_RTOL}", worst <= _IDENTITY_RTOL)
-    )
+    checks.append(_at_most(f"{tag}_component_jump_identity", worst, _IDENTITY_RTOL))
 
     # aggregation identity at every event time (variants 1 and 2)
     if bundle.variant in (Variant.SUP1, Variant.SUP2):
-        sum_left = np.zeros(len(agg))
-        sum_post = np.zeros(len(agg))
-        for w, comp in zip(bundle.mixture.weights, bundle.components):
-            sum_left += w * comp.left_limits(agg.times)
-            sum_post += w * comp.values(agg.times)
+        w, comps = bundle.mixture.weights, bundle.components
+        sum_left = _weighted(w, [c.left_limits(agg.times) for c in comps])
+        sum_post = _weighted(w, [c.values(agg.times) for c in comps])
         err = max(_rel_err(agg.left, sum_left, agg.left), _rel_err(agg.post, sum_post, agg.post))
-        checks.append(
-            CheckRow(f"{tag}_aggregation_identity", err, f"<= {_AGG_RTOL}", err <= _AGG_RTOL)
-        )
+        checks.append(_at_most(f"{tag}_aggregation_identity", err, _AGG_RTOL))
 
     if bundle.variant is Variant.SUP1:
         # independent drivers almost surely never share a mark time
@@ -202,25 +200,17 @@ def bundle_identity_checks(bundle: SupPathBundle) -> list[CheckRow]:
             pos = np.searchsorted(agg.times, comp.times)
             dv = agg.post[pos] - agg.left[pos]
             worst = max(worst, _rel_err(dv, w * phi * comp.left * ds, agg.post[pos]))
-        checks.append(
-            CheckRow(f"{tag}_jump_identity", worst, f"<= {_IDENTITY_RTOL}", worst <= _IDENTITY_RTOL)
-        )
-
-    if bundle.variant is Variant.SUP2:
-        same = all(np.array_equal(c.times, agg.times) for c in bundle.components)
-        checks.append(CheckRow(f"{tag}_cojump", float(same), "aggregate and components share all marks", same))
-        ds = bundle.drivers[0].sizes**2
-        scale = np.zeros(len(agg))
-        for w, (phi, _), comp in zip(bundle.mixture.weights, bundle.mixture.atoms(), bundle.components):
-            scale += w * phi * comp.left
-        err = _rel_err(agg.post - agg.left, scale * ds, agg.post)
-        checks.append(CheckRow(f"{tag}_jump_identity", err, f"<= {_IDENTITY_RTOL}", err <= _IDENTITY_RTOL))
-
-    if bundle.variant is Variant.SUP3:
-        ds = bundle.drivers[0].sizes**2
-        scale = bundle.chosen_phis * bundle.chosen_lefts()
-        err = _rel_err(agg.post - agg.left, scale * ds, agg.post)
-        checks.append(CheckRow(f"{tag}_jump_identity", err, f"<= {_IDENTITY_RTOL}", err <= _IDENTITY_RTOL))
+        checks.append(_at_most(f"{tag}_jump_identity", worst, _IDENTITY_RTOL))
+    else:
+        # one shared driver: the aggregate jumps by scale * dS at every mark
+        if bundle.variant is Variant.SUP2:
+            same = all(np.array_equal(c.times, agg.times) for c in bundle.components)
+            checks.append(CheckRow(f"{tag}_cojump", float(same), "aggregate and components share all marks", same))
+            scale = _weighted([w * phi for phi, w in bundle.mixture.atoms()], [c.left for c in bundle.components])
+        else:
+            scale = bundle.chosen_phis * bundle.chosen_lefts()
+        err = _rel_err(agg.post - agg.left, scale * bundle.drivers[0].sizes**2, agg.post)
+        checks.append(_at_most(f"{tag}_jump_identity", err, _IDENTITY_RTOL))
 
     lo = min([agg.min_value()] + [c.min_value() for c in bundle.components])
     checks.append(CheckRow(f"{tag}_positivity", lo, "> 0", lo > 0.0))
@@ -234,9 +224,7 @@ def price_identity_checks(bundle: SupPathBundle, price: PricePath) -> list[Check
     lhs = price.deltas**2
     rhs = price.vbar_left * driver.sizes**2
     err = _rel_err(lhs, rhs, np.maximum(lhs, 1.0))
-    return [
-        CheckRow(f"{tag}_price_jump_identity", err, f"<= {_IDENTITY_RTOL}", err <= _IDENTITY_RTOL)
-    ]
+    return [_at_most(f"{tag}_price_jump_identity", err, _IDENTITY_RTOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +501,7 @@ def _tail_family(
         return
     kappa_bar = charexp.kappa_of_phi(ctx, phi_bar)
     residual = abs(charexp.psi(ctx, kappa_bar, phi_bar))
-    checks.append(
-        CheckRow("tail_kappa_residual", residual, f"<= {_KAPPA_RESIDUAL}", residual <= _KAPPA_RESIDUAL)
-    )
+    checks.append(_at_most("tail_kappa_residual", residual, _KAPPA_RESIDUAL))
     reports.append(MomentReport("tail.kappa_bar", kappa_bar, kappa_bar, 0.0, 1, cfg.tolerance_k))
 
     # Hill calibration oracle: exact Pareto samples with known exponent.

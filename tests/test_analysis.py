@@ -167,13 +167,13 @@ def test_q_sup1_below_top_and_long_left_tail():
     qs = np.array([s.q for s in extract_q(bundle, price)])
     assert np.all(qs <= FIG_MIX.phi_bar * (1 + 1e-9))
     # weighted single-component ratio dips well below the lower atom
-    assert qs.min() < FIG_MIX.phi_low
+    assert qs.min() < min(FIG_MIX.phis)
 
 
 def test_q_sup2_interval():
     bundle, price = _bundle_and_price(Variant.SUP2, seed=14, horizon=(0.0, 300.0))
     qs = np.array([s.q for s in extract_q(bundle, price)])
-    assert np.all(qs >= FIG_MIX.phi_low * (1 - 1e-9))
+    assert np.all(qs >= min(FIG_MIX.phis) * (1 - 1e-9))
     assert np.all(qs <= FIG_MIX.phi_bar * (1 + 1e-9))
 
 
@@ -181,10 +181,10 @@ def test_q_sup3_conditional_bounds_and_clusters():
     bundle, price = _bundle_and_price(Variant.SUP3, seed=15, horizon=(0.0, 400.0))
     samples = extract_q(bundle, price)
     top = [s.q for s in samples if s.chosen_phi == FIG_MIX.phi_bar]
-    low = [s.q for s in samples if s.chosen_phi == FIG_MIX.phi_low]
+    low = [s.q for s in samples if s.chosen_phi == min(FIG_MIX.phis)]
     assert top and low
     assert min(top) >= FIG_MIX.phi_bar * (1 - 1e-9)
-    assert max(low) <= FIG_MIX.phi_low * (1 + 1e-9)
+    assert max(low) <= min(FIG_MIX.phis) * (1 + 1e-9)
     counts = [c for _, _, c in histogram(np.log([s.q for s in samples]).tolist(), 40)]
     assert has_interior_gap(counts)
 

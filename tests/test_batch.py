@@ -721,16 +721,20 @@ def test_a_chunk_that_keeps_no_mark():
     assert all(x.size == 0 for x in _draw_marks(zero, 0.0, 4.0, np.random.default_rng(substream(17, 0, 0))))
 
 
-def test_a_draw_on_t0_fails_alike_on_both_routes():
-    """A uniform that rounds to t0 breaks the (t0, t1] invariant: a single
-    path and the engine's chunk check raise the same error."""
+def test_a_draw_on_t0_moves_to_t1_on_both_routes():
+    """A uniform that rounds to t0 is the reflection of one on t1: a single
+    path and the engine draw the same marks, all in (t0, t1]."""
     model, (t0, t1) = CompoundPoisson(5e16), (1.0, 1.0 + 1e-13)  # 5000 uniforms a row, a few on t0
-    assert (levy._raw_marks(model, t0, t1, np.random.default_rng(substream(3, 0, 0)))[0] == t0).any()
-    with pytest.raises(ValueError) as one:
-        simulate_levy_path(model, (t0, t1), substream(3, 0, 0))
-    with pytest.raises(ValueError) as engine:
-        _engine_draws(model, t0, t1, 3, 4)
-    assert str(one.value) == str(engine.value) == "mark times must lie in (t0, t1]"
+    n = 4
+    times, sizes, counts, _ = _engine_draws(model, t0, t1, 3, n)
+    on_t0 = 0
+    for r in range(n):
+        on_t0 += np.count_nonzero(levy._raw_marks(model, t0, t1, np.random.default_rng(substream(3, r, 0)))[0] == t0)
+        path = simulate_levy_path(model, (t0, t1), substream(3, r, 0))
+        c = int(counts[r])
+        assert np.array_equal(times[r, :c], path.times) and np.array_equal(sizes[r, :c], path.sizes)
+        assert ((path.times > t0) & (path.times <= t1)).all() and path.times[-1] == t1
+    assert on_t0 > 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])

@@ -51,8 +51,7 @@ def test_mixture_validation():
         Mixture.from_atoms([(-0.1, 1.0)])
     mix = Mixture.from_atoms([(0.9, 0.25), (0.1, 0.75)])
     assert mix.phis == (0.1, 0.9)
-    assert mix.phi_bar == 0.9 and mix.phi_low == 0.1
-    assert Mixture.from_atoms([(0.0, 0.5), (0.3, 0.5)]).phi_low == 0.3
+    assert mix.phi_bar == 0.9
 
 
 def test_nonstationary_atom_rejected():
