@@ -8,7 +8,7 @@ Usage: python scripts/tail_study.py [PHI] [N_DRAWS] [SEED]
 import sys
 
 from supcogarch.charexp import ExponentContext, kappa_of_phi
-from supcogarch.cogarch import CogarchParams, default_burn_in
+from supcogarch.cogarch import CogarchParams
 from supcogarch.levy import CompoundPoisson
 from supcogarch.analysis import hill_sweep
 from supcogarch.verify import stationary_component_draws
@@ -24,7 +24,7 @@ if __name__ == "__main__":
     kappa = kappa_of_phi(ctx, phi)
     print(f"phi = {phi}: analytic tail exponent kappa = {kappa:.4f}")
 
-    draws = stationary_component_draws(params, model, seed, n, default_burn_in(params, model))
+    draws = stationary_component_draws(params, model, seed, n)
     print(f"{n} stationary draws; Hill sweep:")
     for k, est in hill_sweep(draws):
         print(f"  k = {k:6d}: {est:.3f}")

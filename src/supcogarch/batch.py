@@ -4,6 +4,17 @@ the engine at one replication; ``qstats`` and verify's cogarch, cross,
 sup, price, q and tail families run on it, the q samples and jump tallies
 coming from :func:`analysis.extract_q_batch`.
 
+Every entry is :func:`_bundles`, and it alone decides how a row starts:
+it refuses a non-stationary atom, burns in for the given ``burn_in`` or,
+when that is None, the longest :func:`cogarch.default_burn_in` of the
+atoms, and starts each component at :func:`cogarch.stationary_start` and
+variant 3's aggregate at the mixture's stationary mean (beta/eta where a
+mean diverges).  :func:`simulate_cogarch_batch` and
+:func:`stationary_draws` are the component of variant-2 bundles of the one
+atom ``Mixture.dirac(phi)``: the COGARCH batch is not relaxed to t0, and a
+stationary draw runs on the window (-burn_in, 0] with an empty live window,
+so it burns in, relaxes to 0 and records nothing.
+
 Replication r of :func:`simulate_batch` draws driver i from
 ``substream(seed, *key, r, i)`` and its variant-3 pi-draws from
 ``substream(seed, *key, r, 1)``: the streams of ``simulate_bundle(...,
@@ -12,11 +23,9 @@ substream(seed, *key, r))``.  A COGARCH replication of
 stationary draw of :func:`stationary_draws` from the stream its caller
 names.  The streams of a call come from one :func:`levy.substreams` pass
 per driver and one for the pi-draws, not from a SeedSequence per
-replication.  A stationary draw runs on the window (-burn_in, 0] with an
-empty live window, so it burns in, relaxes to 0 and records nothing.  The
-exact recursions then run mark rank by mark rank across the replications
-on padded 2-D arrays or, when there are too few rows for the per-rank
-numpy overhead to pay off, row by row on the scalar kernels
+replication.  The exact recursions then run mark rank by mark rank across
+the replications on padded 2-D arrays or, when there are too few rows for
+the per-rank numpy overhead to pay off, row by row on the scalar kernels
 (:func:`_scalar_rows`: one tight loop per state over blocks of marks).
 Both do one replication's floating-point operations in the same order, so
 no number depends on which runs or on the number of replications, and
@@ -35,7 +44,7 @@ every number equals that of the serial simulators kept in
   (:func:`superpos._weighted`);
 * price levels are a cumulative sum along each replication's row;
 * variant 1 and 2 components and variant 3 relax to t0 after the burn-in,
-  before the live window.
+  before the live window (a COGARCH batch keeps its last burn-in mark).
 
 Padded arrays hold replication r in row r; columns past a row's mark count
 hold +inf times, so they sort after every query, and zero sizes.  A batch
@@ -66,11 +75,11 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import run_replications
 from .cogarch import (
-    MARK_BLOCK, CogarchParams, NonStationaryError, _exp_decays, _lefts, _relax_marks, simulate_cogarch,
-    stationary_start,
+    MARK_BLOCK, CogarchParams, MomentDivergesError, _exp_decays, _lefts, _relax_marks, default_burn_in,
+    simulate_cogarch, stationary_start,
 )
 from .levy import CompoundPoisson, JumpPath, LevyModel, _raw_marks, _tidy_marks, substreams
-from .superpos import Mixture, Variant, _bundle_burn_in, _mean_or_level, _require_stationary, _weighted
+from .superpos import Mixture, Variant, _require_stationary, _weighted, sup1_mean
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
 
@@ -410,29 +419,21 @@ def _expected_marks(model: LevyModel, length: float) -> float:
     return length / model.grid_step
 
 
-@dataclass(frozen=True)
-class _Family:
-    """Components with scales ``phis`` on driver ``driver``, started at
-    ``v`` (and the variant-3 aggregate at ``vbar``)."""
-
-    phis: tuple[float, ...]
-    driver: int
-    v: tuple[float, ...]
-    vbar: float | None = None
-
-
 def _simulate(
     model: LevyModel, beta: float, eta: float, window: tuple[float, float, float], n: int,
     streams: Sequence[Sequence[ISeedSequence]],
-    families: Sequence[_Family],
+    phis: tuple[float, ...], starts: tuple[float, ...], vbar: float | None, n_drivers: int,
     relax: bool,
     picks: Callable[[np.ndarray], np.ndarray] | None = None,
     draw_path: Callable[..., JumpPath] | None = None,
 ):
-    """Draw n replications on (t_start, t1], run every family through the
-    marks up to t0 unrecorded (relaxing to t0 when ``relax``), then record
-    the live marks (none when t1 == t0).  Returns per family its reference
-    times and states, its record and live marks, and the live L marks of
+    """Draw n replications on (t_start, t1], run the components with scales
+    ``phis`` from ``starts`` (and, given ``vbar``, the variant-3 aggregate
+    from it) through the marks up to t0 unrecorded (relaxing to t0 when
+    ``relax``), then record the live marks (none when t1 == t0).  Driver d
+    of ``n_drivers`` carries the d-th of that many equal consecutive slices
+    of the components.  Returns per driver its components' reference times
+    and states, the aggregate state, their record, and the live L marks of
     every driver.  ``streams`` lists the n streams of the rows per driver,
     then with ``picks`` those of the pi-draws (see :func:`_picks`).
     The draws go through :func:`analysis.run_replications`, unless
@@ -441,7 +442,8 @@ def _simulate(
     if n < 1:
         raise ValueError(f"need at least one replication, got n={n}")
     t_start, t0, t1 = window
-    n_drivers = 1 + max(fam.driver for fam in families)
+    size = len(phis) // n_drivers
+    groups = [slice(d * size, (d + 1) * size) for d in range(n_drivers)]
     per_rep = n_drivers * _expected_marks(model, t1 - t_start)
     step = max(1, int(_CHUNK_MARKS // max(per_rep, 1.0)))
 
@@ -453,7 +455,7 @@ def _simulate(
         return marks, None if picks is None else np.random.default_rng(seeds[n_drivers]).random(len(marks[0][0]))
 
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
-    states: list[list[tuple]] = [[] for _ in families]
+    states: list[list[tuple]] = [[] for _ in range(n_drivers)]
     for lo in range(0, n, step):
         rows = min(step, n - lo)
         seeds = list(zip(*(s[lo: lo + rows] for s in streams)))
@@ -478,16 +480,12 @@ def _simulate(
                 _shift(times, n_burn, n_live, math.inf), _shift(l_sizes, n_burn, n_live, 0.0), n_live,
                 None if pk is None else _shift(pk, n_burn, n_live, 0),
             ))
-            for f, fam in enumerate(families):
-                if fam.driver != d:
-                    continue
-                v = np.tile(np.array(fam.v)[:, None], (1, rows))
-                vbar = None if fam.vbar is None else np.full(rows, fam.vbar)
-                t = np.full(rows, t_start)
-                v, vbar, t, _ = _steps(
-                    beta, eta, fam.phis, v, vbar, t, times, l_sizes**2, n_burn, pk, False, t0 if relax else None,
-                )
-                states[f].append((t, v, vbar))
+            v = np.tile(np.array(starts[groups[d]])[:, None], (1, rows))
+            vb = None if vbar is None else np.full(rows, vbar)
+            states[d].append(_steps(
+                beta, eta, phis[groups[d]], v, vb, np.full(rows, t_start), times, l_sizes**2, n_burn, pk, False,
+                t0 if relax else None,
+            ))
 
     drivers = [
         (_stack([c[0] for c in live[d]], math.inf), _stack([c[1] for c in live[d]], 0.0),
@@ -496,16 +494,15 @@ def _simulate(
         for d in range(n_drivers)
     ]
     out = []
-    for fam, chunks in zip(families, states):
-        t = np.concatenate([c[0] for c in chunks])
-        v = np.concatenate([c[1] for c in chunks], axis=1)
-        vbar = None if fam.vbar is None else np.concatenate([c[2] for c in chunks])
-        times, l_sizes, counts, pk = drivers[fam.driver]
+    for (times, l_sizes, counts, pk), group, chunks in zip(drivers, groups, states):
+        v = np.concatenate([c[0] for c in chunks], axis=1)
+        vb = None if vbar is None else np.concatenate([c[1] for c in chunks])
+        t = np.concatenate([c[2] for c in chunks])
         if t1 > t0:
-            rec = _steps(beta, eta, fam.phis, v, vbar, t, times, l_sizes**2, counts, pk, True, t1)[3]
+            rec = _steps(beta, eta, phis[group], v, vb, t, times, l_sizes**2, counts, pk, True, t1)[3]
         else:  # an empty live window has no marks to record
-            rec = _Record.zeros(v.shape, times.shape, vbar is not None)
-        out.append((t, v, vbar, rec))
+            rec = _Record.zeros(v.shape, times.shape, vb is not None)
+        out.append((t, v, vb, rec))
     return out, drivers
 
 
@@ -545,6 +542,7 @@ def simulate_batch(
     *key, r, i)``, its variant-3 pi-draws from ``substream(seed, *key, r,
     1)``.  Every path value and price level equals the one-bundle one bit
     for bit."""
+    _check_window(float(horizon[0]), float(horizon[1]))
     return _bundles(
         variant, mixture, beta, eta, model, horizon, burn_in, n,
         lambda i: substreams(seed, key, range(first, first + n), i),
@@ -563,35 +561,43 @@ def _bundles(
     variant: Variant, mixture: Mixture, beta: float, eta: float, model: LevyModel,
     horizon: tuple[float, float], burn_in: float | None, n: int,
     stream: Callable[[int], Sequence[ISeedSequence]], draw_path: Callable[..., JumpPath] | None = None,
+    relax: bool = True,
 ) -> BundleBatch:
     """n bundles; the replications draw driver i from the n streams
-    ``stream(i)`` and their variant-3 pi-draws from ``stream(1)`` (see :func:`_simulate` for ``draw_path``)."""
+    ``stream(i)`` and their variant-3 pi-draws from ``stream(1)`` (see
+    :func:`_simulate` for ``draw_path`` and ``relax``).  This is where every
+    engine entry decides how a row starts: it refuses a non-stationary atom,
+    burns in for ``burn_in`` or, when None, the longest
+    :func:`cogarch.default_burn_in` of the atoms, and starts each component
+    at :func:`cogarch.stationary_start` and variant 3's aggregate at the
+    mixture's stationary mean, or beta/eta where that diverges.  The live
+    window (t0, t1] may be empty: the public entries check it."""
     _require_stationary(mixture, eta, model)
     t0, t1 = float(horizon[0]), float(horizon[1])
-    b = _bundle_burn_in(mixture, beta, eta, model) if burn_in is None else burn_in
+    b = burn_in
+    if b is None:
+        b = max(default_burn_in(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
     _check_window(t0 - b, t0)
-    _check_window(t0, t1)
     level = beta / eta
     starts = tuple(stationary_start(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
-    picks = None
-    if variant is Variant.SUP1:
-        families = [_Family((phi,), i, (v,)) for i, (phi, v) in enumerate(zip(mixture.phis, starts))]
-    else:
-        vbar = None
-        if variant is Variant.SUP3:
-            vbar = _mean_or_level(mixture, beta, eta, model)
-            picks = _picks(mixture.weights)
-        families = [_Family(mixture.phis, 0, starts, vbar)]
-    keys = [*range(len(families)), *([1] if picks else [])]  # the drivers, then the pi-draws
+    vbar = picks = None
+    if variant is Variant.SUP3:
+        try:
+            vbar = sup1_mean(mixture, beta, eta, model)
+        except MomentDivergesError:
+            vbar = level
+        picks = _picks(mixture.weights)
+    n_drivers = len(starts) if variant is Variant.SUP1 else 1
+    keys = [*range(n_drivers), *([1] if picks else [])]  # the drivers, then the pi-draws
     results, drivers = _simulate(
         model, beta, eta, (t0 - b, t0, t1), n, [stream(i) for i in keys],
-        families, relax=True, picks=picks, draw_path=draw_path,
+        mixture.phis, starts, vbar, n_drivers, relax, picks, draw_path,
     )
 
     comps = [
-        PathBatch(level, eta, t, v[a], drivers[fam.driver][0], rec.left[a], rec.post[a])
-        for fam, (t, v, _, rec) in zip(families, results)
-        for a in range(len(fam.phis))
+        PathBatch(level, eta, t, v[a], times, rec.left[a], rec.post[a])
+        for (t, v, _, rec), (times, *_) in zip(results, drivers)
+        for a in range(v.shape[0])
     ]
     if variant is not Variant.SUP3:
         # simulate_cogarch's check on each component, in (replication, atom) order
@@ -618,52 +624,44 @@ def simulate_cogarch_batch(
     params: CogarchParams,
     model: LevyModel,
     horizon: tuple[float, float],
-    v_start: float,
     seed: int,
     key: tuple[int, ...],
     n: int,
-    burn_in: float,
+    burn_in: float | None = None,
     first: int = 0,
 ) -> PathBatch:
     """n replications of ``simulate_cogarch(params, squared_jumps(path_r),
-    v_start)``, with ``path_r = simulate_levy_path(model, (t0 - burn_in,
-    t1), substream(seed, *key, r))``, r = first .. first + n - 1.  Queries at times in [t0, t1] equal
-    the serial records' bit for bit; only the last mark up to t0 is kept,
-    as the state the live window relaxes from."""
-    if not v_start > 0.0:
-        raise ValueError(f"v0 must be > 0, got {v_start}")
-    t0, t1 = float(horizon[0]), float(horizon[1])
-    _check_window(t0 - burn_in, t1)
-    [(t, v, _, rec)], [(times, *_)] = _simulate(
-        model, params.beta, params.eta, (t0 - burn_in, t0, t1), n,
-        [substreams(seed, key, range(first, first + n))],
-        [_Family((params.phi,), 0, (v_start,))], relax=False,
-    )
-    return PathBatch(params.level, params.eta, t, v[0], times, rec.left[0], rec.post[0])
+    v)``, with ``path_r = simulate_levy_path(model, (t0 - b, t1),
+    substream(seed, *key, r))``, r = first .. first + n - 1, and the start
+    v and burn-in b of :func:`_bundles`: the component of n variant-2
+    bundles of the one atom phi, not relaxed to t0.  Queries at times in
+    [t0, t1] equal the serial records' bit for bit; only the last mark up to
+    t0 is kept, as the state the live window relaxes from."""
+    _check_window(float(horizon[0]), float(horizon[1]))
+    return _bundles(
+        Variant.SUP2, Mixture.dirac(params.phi), params.beta, params.eta, model, horizon, burn_in, n,
+        lambda _: substreams(seed, key, range(first, first + n)), relax=False,
+    ).components[0]
 
 
 def stationary_draws(
     params: CogarchParams,
     model: LevyModel,
-    burn_in: float,
+    burn_in: float | None,
     n: int,
     stream: Sequence[ISeedSequence],
 ) -> np.ndarray:
-    """V(0) of n COGARCHes, each started at its stationary start (the
-    stationary mean, or beta/eta where it diverges) at -burn_in: n
-    approximate draws from the stationary law.  Draw r runs through the
-    marks of ``simulate_levy_path(model, (-burn_in, 0), seed)``, where
-    ``stream`` lists the n seeds of the draws, and relaxes to
-    0; it equals :func:`cogarch.evolve_value` on that path bit for bit."""
-    if not params.is_stationary_admissible(model):
-        raise NonStationaryError(f"phi={params.phi} is at or beyond the stationarity boundary")
-    t_start = -float(burn_in)
-    _check_window(t_start, 0.0)
-    [(_, v, _, _)], _ = _simulate(
-        model, params.beta, params.eta, (t_start, 0.0, 0.0), n, [stream],
-        [_Family((params.phi,), 0, (stationary_start(params, model),))], relax=True,
-    )
-    return v[0]
+    """V(0) of n COGARCHes, each started at the start of :func:`_bundles` at
+    -b, b = burn_in or the default burn-in: n approximate draws from the
+    stationary law, the component of n variant-2 bundles of the one atom phi
+    on the empty live window (0, 0].  Draw r runs through the marks of
+    ``simulate_levy_path(model, (-b, 0), seed)``, where ``stream`` lists the
+    n seeds of the draws, and relaxes to 0; it equals
+    :func:`cogarch.evolve_value` on that path bit for bit."""
+    return _bundles(
+        Variant.SUP2, Mixture.dirac(params.phi), params.beta, params.eta, model, (0.0, 0.0), burn_in, n,
+        lambda _: stream,
+    ).components[0].v0
 
 
 def chunked(sample: Callable[[int, int], np.ndarray], n: int) -> np.ndarray:

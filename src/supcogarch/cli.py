@@ -36,7 +36,7 @@ from .cogarch import (
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .csvio import G17, csv_text
 from .levy import Stream, jump_path_to_csv, substream
-from .price import increment_mean_and_variance, simulate_price, sq_increment_cov_closed, price_to_csv
+from .price import PRICE_MOMENTS, simulate_price, price_to_csv
 from .superpos import (
     SUP_MOMENTS,
     Variant,
@@ -143,19 +143,16 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
         for h in cfg.lags:
             rows.append((f"{tag}.acov[h={h:g}]",
                          _fmt_or_diverges(moments["acov"], mix, cfg.beta, cfg.eta, model, h)))
+        prices = PRICE_MOMENTS[variant]
         for r in cfg.increments:
             rows.append((f"{tag}.increment_second_moment[r={r:g}]",
-                         _fmt_or_diverges(
-                             lambda: increment_mean_and_variance(variant, mix, cfg.beta, cfg.eta, model, r)[1]
-                         )))
-            if variant in (Variant.SUP1, Variant.SUP2):
+                         _fmt_or_diverges(prices["increment_second_moment"], mix, cfg.beta, cfg.eta, model, r)))
+            if "sq_increment_cov" in prices:
                 for h in cfg.lags:
                     if h >= r:
                         rows.append((
                             f"{tag}.sq_increment_cov[r={r:g};h={h:g}]",
-                            _fmt_or_diverges(
-                                sq_increment_cov_closed, variant, mix, cfg.beta, cfg.eta, model, r, h
-                            ),
+                            _fmt_or_diverges(prices["sq_increment_cov"], mix, cfg.beta, cfg.eta, model, r, h),
                         ))
 
     (out / "analytics.csv").write_text(csv_text("quantity,value", "%s,%s", rows))

@@ -93,9 +93,6 @@ class CogarchParams:
         """Fixed point beta/eta of the between-jump drift."""
         return self.beta / self.eta
 
-    def is_stationary_admissible(self, model: LevyModel) -> bool:
-        return charexp.is_stationary(charexp.ExponentContext(model, self.eta), self.phi)
-
 
 @dataclass(frozen=True)
 class PathRecord:

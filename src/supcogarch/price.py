@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "sq_increment_vol_cov",
     "sq_increment_cov_closed",
     "sq_increment_cov_sup3",
+    "PRICE_MOMENTS",
     "price_to_csv",
 ]
 
@@ -290,6 +292,28 @@ def sq_increment_cov_sup3(
     for (phi_i, w_i), c_i in zip(mixture.atoms(), inner_atoms):
         total += w_i * (lag_kernel(charexp.psi(ctx, 1.0, phi_i), h, r) - k0) * float(c_i)
     return e2 * total
+
+
+def _increment_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float) -> float:
+    return increment_mean_and_variance(Variant.SUP1, mixture, beta, eta, model, r)[1]
+
+
+#: the closed-form price moments of each variant, keyed by quantity:
+#: "increment_second_moment" takes the increment length r as a fifth
+#: argument, "sq_increment_cov" r and the lag h >= r.  The second moment is
+#: shared by all three variants; variant 3's squared-increment covariance
+#: has no closed form (see :func:`sq_increment_cov_sup3`).
+PRICE_MOMENTS = {
+    Variant.SUP1: {
+        "increment_second_moment": _increment_second_moment,
+        "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP1),
+    },
+    Variant.SUP2: {
+        "increment_second_moment": _increment_second_moment,
+        "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP2),
+    },
+    Variant.SUP3: {"increment_second_moment": _increment_second_moment},
+}
 
 
 def price_to_csv(path: PricePath) -> str:

@@ -17,11 +17,9 @@ like a single COGARCH, so the same piecewise path record applies.
 
 :func:`simulate_bundle` runs the one simulation engine,
 :mod:`supcogarch.batch`, on a single replication and wraps it in those
-records.  Stationary starts are approximated by burn-in: components begin
-at :func:`cogarch.stationary_start` (the stationary mean, or beta/eta if it
-diverges) 40 mean-reversion times before the live window; shared-driver
-variants burn in jointly so that the cross-sectional dependence at time t0
-is the stationary one.
+records.  Stationary starts are approximated by burn-in, by the one start
+rule of :func:`batch._bundles`; shared-driver variants burn in jointly so
+that the cross-sectional dependence at time t0 is the stationary one.
 
 ``SUP_MOMENTS`` maps each variant to its closed-form stationary moments;
 the analytics table and the verification battery both read it.
@@ -39,13 +37,11 @@ import numpy as np
 from . import charexp
 from .cogarch import (
     CogarchParams,
-    MomentDivergesError,
     NonStationaryError,
     PathRecord,
     cross_acov,
     cross_cov,
     cross_moment,
-    default_burn_in,
     moment_gate,
     stationary_mean,
     stationary_variance,
@@ -182,19 +178,6 @@ def _require_stationary(mixture: Mixture, eta: float, model: LevyModel) -> None:
             )
 
 
-def _bundle_burn_in(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    return max(
-        default_burn_in(CogarchParams(beta, eta, phi), model) for phi, _ in mixture.atoms()
-    )
-
-
-def _mean_or_level(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
-    try:
-        return sup1_mean(mixture, beta, eta, model)
-    except MomentDivergesError:
-        return beta / eta
-
-
 def simulate_bundle(
     variant: Variant,
     mixture: Mixture,
@@ -213,8 +196,9 @@ def simulate_bundle(
     ``substream(seed, 1)``; they cover burn-in and live marks, so variant
     3's aggregate burns in jointly with its component family.  The burn-in
     defaults to that of the slowest-forgetting atom."""
-    from .batch import _bundles  # batch builds on this module
+    from .batch import _bundles, _check_window  # batch builds on this module
 
+    _check_window(float(horizon[0]), float(horizon[1]))
     got = _bundles(
         variant, mixture, beta, eta, model, horizon, burn_in, 1, lambda i: [substream(seed, i)],
         simulate_levy_path,

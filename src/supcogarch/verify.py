@@ -46,7 +46,6 @@ from .cogarch import (
     MomentDivergesError,
     cross_acov,
     cross_cov,
-    default_burn_in,
     stationary_acov,
     stationary_mean,
     stationary_variance,
@@ -56,13 +55,7 @@ from .config import ExperimentConfig
 from .csvio import G17, csv_text
 from .levy import Stream, rng_from, substream, substreams
 from .levy import simulate_levy_path  # noqa: F401 -- perfbench/tests checks the tracer rebinds it here
-from .price import (
-    PricePath,
-    increment_mean_and_variance,
-    simulate_price,
-    sq_increment_cov_closed,
-    sq_increment_cov_sup3,
-)
+from .price import PRICE_MOMENTS, PricePath, simulate_price, sq_increment_cov_sup3
 from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, _weighted, simulate_bundle
 
 __all__ = [
@@ -231,16 +224,15 @@ def price_identity_checks(bundle: SupPathBundle, price: PricePath) -> list[Check
 # replication families
 
 
-def _cogarch_samples(cfg: ExperimentConfig, atom: int, lags: list[float], mean: float) -> np.ndarray:
-    """Per replication: one COGARCH at atom ``atom`` started at its
-    stationary mean before the burn-in, queried at 0 and the lags."""
+def _cogarch_samples(cfg: ExperimentConfig, atom: int, lags: list[float]) -> np.ndarray:
+    """Per replication: one COGARCH at atom ``atom`` burned in from its
+    stationary start, queried at 0 and the lags."""
     model = cfg.model()
     params = CogarchParams(cfg.beta, cfg.eta, cfg.phis[atom])
-    burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
     qs = np.array([0.0] + lags)
     return chunked(
         lambda first, n: simulate_cogarch_batch(
-            params, model, (0.0, max(lags)), mean, cfg.seed, (Stream.COGARCH, atom), n, burn, first,
+            params, model, (0.0, max(lags)), cfg.seed, (Stream.COGARCH, atom), n, cfg.burn_in, first,
         ).values(qs),
         cfg.replications,
     )
@@ -324,7 +316,7 @@ def _cogarch_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
         if mean is None:
             reports.append(MomentReport(f"cogarch[{phi:g}].mean", None, math.nan, 0.0, 0, k))
             continue
-        vals = _cogarch_samples(cfg, atom, lags, mean)
+        vals = _cogarch_samples(cfg, atom, lags)
         v0 = vals[:, 0]
         est, se = mc_mean(v0)
         reports.append(MomentReport(f"cogarch[{phi:g}].mean", mean, est, se, v0.size, k))
@@ -419,9 +411,8 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
         est, se = mc_mean(inc0)
         emit(f"{tag}.increment_mean", 0.0, est, se, inc0.size, k, None)
 
-        second = _try(
-            lambda: increment_mean_and_variance(variant, mix, cfg.beta, cfg.eta, model, r)[1]
-        )
+        prices = PRICE_MOMENTS[variant]
+        second = _try(prices["increment_second_moment"], mix, cfg.beta, cfg.eta, model, r)
         est, se = mc_second_moment(inc0)
         emit(f"{tag}.increment_second_moment", second, est, se, inc0.size, k, None)
 
@@ -430,11 +421,9 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
             emit(f"{tag}.increment_cov[h={h:g}]", 0.0, est, se, inc0.size, k, h)
 
         x0sq = inc0**2
-        if variant in (Variant.SUP1, Variant.SUP2):
+        if "sq_increment_cov" in prices:
             for h in hs:
-                closed = _try(
-                    sq_increment_cov_closed, variant, mix, cfg.beta, cfg.eta, model, r, h
-                )
+                closed = _try(prices["sq_increment_cov"], mix, cfg.beta, cfg.eta, model, r, h)
                 est, se = mc_covariance(x0sq, incs[h] ** 2)
                 emit(f"{tag}.sq_increment_cov[h={h:g}]", closed, est, se, x0sq.size, kv, h)
                 if closed is not None:
@@ -522,8 +511,7 @@ def _tail_family(
     # and only meaningful when the tail dominates at desk sample sizes
     if kappa_bar <= _HILL_MAX_KAPPA:
         params = CogarchParams(cfg.beta, cfg.eta, phi_bar)
-        burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
-        draws = stationary_component_draws(params, model, cfg.seed, cfg.tail_samples, burn, family=Stream.TAIL)
+        draws = stationary_component_draws(params, model, cfg.seed, cfg.tail_samples, cfg.burn_in, Stream.TAIL)
         sweep = hill_sweep(draws)
         lo, hi = kappa_bar + _HILL_BAND[0], kappa_bar + _HILL_BAND[1]
         in_band = all(lo < est < hi for _, est in sweep)
@@ -538,12 +526,12 @@ def stationary_component_draws(
     model,
     seed: int,
     n: int,
-    burn_in: float,
+    burn_in: float | None = None,
     family: int = Stream.TAIL,
 ) -> np.ndarray:
     """n burned-in stationary draws of one COGARCH on the engine
-    (:func:`batch.stationary_draws`), draw r from ``substream(seed, family,
-    r)``."""
+    (:func:`batch.stationary_draws`; None burns in for the default), draw r
+    from ``substream(seed, family, r)``."""
     return stationary_draws(params, model, burn_in, n, substreams(seed, (family,), range(n)))
 
 

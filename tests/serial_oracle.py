@@ -15,6 +15,10 @@ the ``analysis`` result types, so their results compare under ``==``.
 
 ``draw_marks`` is the per-row draw as it was before ``levy`` split it into
 generator calls and one tidying pass over a chunk of rows (sort, filter).
+
+The start rules (the stationarity check, the default burn-in and the
+component and aggregate starts) are frozen copies too, written from the
+``charexp`` exponents, so that how a row starts is checked as well.
 """
 
 from __future__ import annotations
@@ -24,21 +28,56 @@ from typing import Sequence
 
 import numpy as np
 
-from supcogarch import analysis
+from supcogarch import analysis, charexp
 from supcogarch.analysis import JumpTally, QBoundsReport, QSample, QViolation
-from supcogarch.cogarch import CogarchParams, PathRecord, stationary_start
+from supcogarch.cogarch import CogarchParams, NonStationaryError, PathRecord
 from supcogarch.levy import (
     CompoundPoisson, JumpPath, LevyModel, VarianceGamma, rng_from, simulate_levy_path, squared_jumps, substream,
 )
 from supcogarch.price import PricePath
-from supcogarch.superpos import (
-    Mixture,
-    SupPathBundle,
-    Variant,
-    _bundle_burn_in,
-    _mean_or_level,
-    _require_stationary,
-)
+from supcogarch.superpos import Mixture, SupPathBundle, Variant
+
+# ---------------------------------------------------------------------------
+# the start rules
+
+
+def _require_stationary(mixture: Mixture, eta: float, model: LevyModel) -> None:
+    ctx = charexp.ExponentContext(model, eta)
+    for phi in mixture.phis:
+        if not charexp.is_stationary(ctx, phi):
+            raise NonStationaryError(
+                f"atom phi={phi} violates the stationarity condition "
+                f"(log-moment {charexp.log_moment(ctx, phi):.6g} >= eta={eta})"
+            )
+
+
+def default_burn_in(params: CogarchParams, model: LevyModel) -> float:
+    """40 forgetting times, at the rate |psi(1, phi)| of the mean where the
+    mean exists and at the Lyapunov rate eta - log_moment(phi) beyond."""
+    ctx = charexp.ExponentContext(model, params.eta)
+    psi1 = charexp.psi(ctx, 1.0, params.phi)
+    return 40.0 / (-psi1 if psi1 < 0.0 else params.eta - charexp.log_moment(ctx, params.phi))
+
+
+def _bundle_burn_in(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
+    return max(default_burn_in(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
+
+
+def stationary_start(params: CogarchParams, model: LevyModel) -> float:
+    """The stationary mean -beta / psi(1, phi), or beta/eta where it diverges."""
+    psi1 = charexp.psi(charexp.ExponentContext(model, params.eta), 1.0, params.phi)
+    return -params.beta / psi1 if psi1 < 0.0 else params.level
+
+
+def aggregate_start(mixture: Mixture, beta: float, eta: float, model: LevyModel) -> float:
+    """Variant 3's: the stationary mean sum_i p_i E[V^phi_i] of the
+    aggregate, or beta/eta where the mean of any atom diverges."""
+    ctx = charexp.ExponentContext(model, eta)
+    psi1 = [charexp.psi(ctx, 1.0, phi) for phi in mixture.phis]
+    if any(p >= 0.0 for p in psi1):
+        return beta / eta
+    return sum(w * (-beta / p) for w, p in zip(mixture.weights, psi1))
+
 
 # ---------------------------------------------------------------------------
 # the per-row driver draw
@@ -293,7 +332,7 @@ def simulate_sup3(
     # stationary means, then one relaxation of every state to t0
     level, phis, m = beta / eta, mixture.phis, len(mixture)
     vbar, comps, t = _sup3_marks(
-        eta, level, phis, _mean_or_level(mixture, beta, eta, model),
+        eta, level, phis, aggregate_start(mixture, beta, eta, model),
         [stationary_start(CogarchParams(beta, eta, phi), model) for phi in phis],
         t0 - b, s_burn.times.tolist(), s_burn.sizes.tolist(), idx_burn.tolist(),
     )

@@ -391,7 +391,7 @@ def _cogarch_batch(seed: int) -> dict:
     query = np.array((0.0,) + LAGS)
     vals = chunked(
         lambda first, n: simulate_cogarch_batch(
-            params, MODEL, (0.0, LAGS[-1]), 2.0, seed, (A_COG,), n, 80.0, first,
+            params, MODEL, (0.0, LAGS[-1]), seed, (A_COG,), n, 80.0, first,
         ).values(query),
         N_DRAWS,
     )

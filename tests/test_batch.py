@@ -24,7 +24,7 @@ from serial_oracle import simulate_bundle, simulate_cogarch
 from supcogarch import analysis, batch, cogarch, levy, superpos, verify
 from supcogarch.analysis import check_q_bounds, extract_q, jump_tally, run_replications
 from supcogarch.batch import simulate_batch
-from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in, stationary_mean
+from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in
 from supcogarch.config import ExperimentConfig
 from supcogarch.levy import (
     CompoundPoisson, JumpDistribution, JumpPath, Stream, VarianceGamma, _draw_marks, rng_from, simulate_levy_path,
@@ -37,16 +37,17 @@ from supcogarch.superpos import Mixture, Variant, bundle_to_csv
 # oracles: the serial per-replication closures of the four verify families
 
 
-def oracle_cogarch(cfg: ExperimentConfig, atom: int, lags: list[float], mean: float) -> np.ndarray:
+def oracle_cogarch(cfg: ExperimentConfig, atom: int, lags: list[float]) -> np.ndarray:
     model = cfg.model()
     params = CogarchParams(cfg.beta, cfg.eta, cfg.phis[atom])
-    burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(params, model)
+    burn = cfg.burn_in if cfg.burn_in is not None else serial_oracle.default_burn_in(params, model)
+    start = serial_oracle.stationary_start(params, model)
     t_hi = max(lags) if lags else 1.0
 
     def one(rep: int) -> np.ndarray:
         seed = substream(cfg.seed, Stream.COGARCH, atom, rep)
         s = squared_jumps(simulate_levy_path(model, (-burn, t_hi), seed))
-        rec = simulate_cogarch(params, s, mean)
+        rec = simulate_cogarch(params, s, start)
         return rec.values(np.array([0.0] + lags))
 
     return np.array(run_replications(one, cfg.replications))
@@ -149,10 +150,8 @@ def cfg(request) -> ExperimentConfig:
 
 def test_cogarch_family_matches_serial(cfg):
     lags = _lags(cfg)
-    for atom, phi in enumerate(cfg.phis):
-        mean = stationary_mean(CogarchParams(cfg.beta, cfg.eta, phi), cfg.model())
-        got = verify._cogarch_samples(cfg, atom, lags, mean)
-        assert np.array_equal(got, oracle_cogarch(cfg, atom, lags, mean))
+    for atom in range(len(cfg.phis)):
+        assert np.array_equal(verify._cogarch_samples(cfg, atom, lags), oracle_cogarch(cfg, atom, lags))
 
 
 def test_cross_family_matches_serial(cfg):
@@ -242,8 +241,7 @@ def test_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
         verify._price_samples(cfg, Variant.SUP1, 0, 1.0, lags[1:]), oracle_price(cfg, Variant.SUP1, 0, 1.0, lags[1:])
     )
     assert np.array_equal(verify._cross_samples(cfg, 0.06, 0.12, lags), oracle_cross(cfg, 0.06, 0.12, lags))
-    mean = stationary_mean(CogarchParams(cfg.beta, cfg.eta, cfg.phis[0]), cfg.model())
-    assert np.array_equal(verify._cogarch_samples(cfg, 0, lags, mean), oracle_cogarch(cfg, 0, lags, mean))
+    assert np.array_equal(verify._cogarch_samples(cfg, 0, lags), oracle_cogarch(cfg, 0, lags))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +449,7 @@ def test_stationary_draws_match_serial(case):
     through the driver on (-b, 0] drawn from substream(seed, family, r)."""
     model, params, n, b = STATIONARY_CASES[case]
     got = verify.stationary_component_draws(params, model, 61, n, b, family=Stream.TAIL)
-    start = cogarch.stationary_start(params, model)
+    start = serial_oracle.stationary_start(params, model)
     want = [
         serial_oracle.evolve_value(
             params, squared_jumps(simulate_levy_path(model, (-b, 0.0), substream(61, Stream.TAIL, r))), start, -b, 0.0,
@@ -595,8 +593,56 @@ def test_batch_keeps_the_serial_checks():
     too_big = Mixture.from_atoms([(0.1, 0.5), (50.0, 0.5)])
     with pytest.raises(Exception, match="stationarity"):
         simulate_batch(Variant.SUP1, too_big, 1.0, 1.0, cfg.model(), (0.0, 1.0), 1, (3,), 5)
-    with pytest.raises(ValueError, match="v0 must be > 0"):
-        batch.simulate_cogarch_batch(CogarchParams(1.0, 1.0, 0.1), cfg.model(), (0.0, 1.0), 0.0, 1, (1,), 5, 1.0)
+
+
+def test_every_entry_refuses_a_nonstationary_atom():
+    """simulate_batch, simulate_bundle, simulate_cogarch_batch and
+    stationary_draws refuse an atom beyond the stationarity boundary in one
+    place, with one message naming the atom, with or without a burn-in."""
+    model, phi = BASE.model(), 3.5
+    params, mix = CogarchParams(1.0, 1.0, phi), Mixture.from_atoms([(0.1, 0.5), (phi, 0.5)])
+    with pytest.raises(NonStationaryError) as want:
+        serial_oracle._require_stationary(mix, 1.0, model)
+    assert str(want.value).startswith(f"atom phi={phi} violates the stationarity condition")
+    entries = {
+        "simulate_batch": lambda b: simulate_batch(Variant.SUP2, mix, 1.0, 1.0, model, (0.0, 1.0), 1, (3,), 5, b),
+        "simulate_bundle": lambda b: superpos.simulate_bundle(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 1.0), 1, b),
+        "simulate_cogarch_batch": lambda b: batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1, (1,), 5, b),
+        "stationary_draws": lambda b: batch.stationary_draws(params, model, b, 5, substreams(1, (2,), range(5))),
+    }
+    for name, entry in entries.items():
+        for burn_in in (None, 2.0):
+            with pytest.raises(NonStationaryError) as got:
+                entry(burn_in)
+            assert str(got.value) == str(want.value), (name, burn_in)
+
+
+@pytest.mark.parametrize("phi", [0.12, 1.5], ids=["mean_exists", "mean_diverges"])
+def test_burn_in_none_is_the_default_burn_in(phi):
+    """burn_in=None gives the bits of an explicit default_burn_in and of the
+    serial loops under the frozen start rules; at phi = 1.5 the mean
+    diverges, so the burn-in runs at the Lyapunov rate from beta/eta, and a
+    variant-3 aggregate with that atom starts at beta/eta too."""
+    model, params, n = BASE.model(), CogarchParams(1.0, 1.0, phi), 6
+    b = default_burn_in(params, model)
+    assert b == serial_oracle.default_burn_in(params, model)
+    start = serial_oracle.stationary_start(params, model)
+    qs = np.linspace(0.0, 2.0, 9)
+    got = batch.simulate_cogarch_batch(params, model, (0.0, 2.0), 5, (1,), n).values(qs)
+    assert np.array_equal(got, batch.simulate_cogarch_batch(params, model, (0.0, 2.0), 5, (1,), n, b).values(qs))
+    paths = [squared_jumps(simulate_levy_path(model, (-b, 2.0), substream(5, 1, r))) for r in range(n)]
+    assert np.array_equal(got, [simulate_cogarch(params, s, start).values(qs) for s in paths])
+
+    draws = batch.stationary_draws(params, model, None, n, substreams(5, (2,), range(n)))
+    assert np.array_equal(draws, batch.stationary_draws(params, model, b, n, substreams(5, (2,), range(n))))
+    paths = [squared_jumps(simulate_levy_path(model, (-b, 0.0), substream(5, 2, r))) for r in range(n)]
+    assert np.array_equal(draws, [serial_oracle.evolve_value(params, s, start, -b, 0.0) for s in paths])
+
+    mix = Mixture.from_atoms([(0.06, 0.5), (phi, 0.5)])
+    got = simulate_batch(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 1.0), 5, (3,), n).aggregate.values(qs / 2)
+    for r in range(n):
+        want = simulate_bundle(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 1.0), substream(5, 3, r))
+        assert np.array_equal(got[r], want.aggregate.values(qs / 2))
 
 
 def test_engine_builds_no_substream_per_replication(monkeypatch):
@@ -613,7 +659,7 @@ def test_engine_builds_no_substream_per_replication(monkeypatch):
     model, params, mix = BASE.model(), CogarchParams(1.0, 1.0, 0.1), BASE.mixture()
     for variant in Variant:
         simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 3, (5,), 100, 2.0)
-    batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1.0, 3, (1,), 100, 2.0)
+    batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 3, (1,), 100, 2.0)
     verify.stationary_component_draws(params, model, 3, 100, 2.0)
     assert not calls
     superpos.simulate_bundle(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 1.0), 3, 2.0)
@@ -644,7 +690,7 @@ def test_engine_derives_the_streams_once_per_call(monkeypatch):
         simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, 1.0), 3, (5,), 40, 20.0)
         assert len(calls) == want and len(chunks) >= 20, variant
     calls.clear(), chunks.clear()
-    batch.simulate_cogarch_batch(CogarchParams(1.0, 1.0, 0.1), model, (0.0, 1.0), 1.0, 3, (1,), 40, 20.0)
+    batch.simulate_cogarch_batch(CogarchParams(1.0, 1.0, 0.1), model, (0.0, 1.0), 3, (1,), 40, 20.0)
     assert len(calls) == 1 and len(chunks) >= 20
 
 
@@ -670,10 +716,10 @@ def _engine_draws(model, t0: float, t1: float, seed: int, n: int, weights=PICK_W
     """The engine's padded marks and pi-picks of n variant-3 rows on (t0,
     t1] with no burn-in: row r draws its driver from ``substream(seed, r,
     0)``, its pi-draws from ``substream(seed, r, 1)``."""
-    family = batch._Family(tuple(0.01 * (a + 1) for a in range(len(weights))), 0, (1.0,) * len(weights), 1.0)
+    phis = tuple(0.01 * (a + 1) for a in range(len(weights)))
     _, [(times, sizes, counts, picks)] = batch._simulate(
         model, 1.0, 1.0, (t0, t0, t1), n, [substreams(seed, (), range(n), i) for i in (0, 1)],
-        [family], relax=True, picks=batch._picks(weights),
+        phis, (1.0,) * len(weights), 1.0, 1, relax=True, picks=batch._picks(weights),
     )
     return times, sizes, counts, picks
 
@@ -752,7 +798,7 @@ def test_engine_needs_one_replication(entry):
     model, params, mix = BASE.model(), CogarchParams(1.0, 1.0, 0.1), BASE.mixture()
     calls = {
         "simulate_batch": lambda: simulate_batch(Variant.SUP2, mix, 1.0, 1.0, model, (0.0, 1.0), 1, (3,), 0),
-        "simulate_cogarch_batch": lambda: batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1.0, 1, (1,), 0, 1.0),
+        "simulate_cogarch_batch": lambda: batch.simulate_cogarch_batch(params, model, (0.0, 1.0), 1, (1,), 0, 1.0),
         "stationary_draws": lambda: batch.stationary_draws(
             params, model, 5.0, 0, []
         ),

@@ -157,9 +157,8 @@ def test_cross_gate():
 
 def test_draw_stationary_phi_zero_exact():
     params = CogarchParams(3.0, 2.0, 0.0)
-    # draw i from substream(i), i = 0, 1, 2
-    burn = default_burn_in(params, MODEL)
-    draws = stationary_draws(params, MODEL, burn, 3, [substream(i) for i in range(3)])
+    # draw i from substream(i), i = 0, 1, 2, after the default burn-in
+    draws = stationary_draws(params, MODEL, None, 3, [substream(i) for i in range(3)])
     assert np.all(draws == params.level)
 
 
@@ -192,9 +191,7 @@ def test_draw_stationary_mean_light_tail():
     from supcogarch.analysis import mc_mean, mc_variance
 
     params = CogarchParams(1.0, 1.0, 0.2)
-    draws = stationary_draws(
-        params, MODEL, default_burn_in(params, MODEL), 2000, [substream(17, i) for i in range(2000)]
-    )
+    draws = stationary_draws(params, MODEL, None, 2000, [substream(17, i) for i in range(2000)])
     est, se = mc_mean(draws)
     assert abs(est - stationary_mean(params, MODEL)) < 4.0 * se
     var_est, var_se = mc_variance(draws)
@@ -209,8 +206,8 @@ def test_mc_autocovariance_light_tail():
 
     params = CogarchParams(1.0, 1.0, 0.2)
     lags = np.array([0.5, 1.0, 2.0])
-    # replication i runs on simulate_levy_path(MODEL, (-50, 2), substream(23, i)) from 1.25
-    vals = simulate_cogarch_batch(params, MODEL, (0.0, 2.0), 1.25, 23, (), 3000, 50.0).values(
+    # replication i runs on simulate_levy_path(MODEL, (-50, 2), substream(23, i)) from the mean
+    vals = simulate_cogarch_batch(params, MODEL, (0.0, 2.0), 23, (), 3000, 50.0).values(
         np.concatenate(([0.0], lags))
     )
     for j, h in enumerate(lags):
@@ -220,9 +217,7 @@ def test_mc_autocovariance_light_tail():
 
 def test_draw_stationary_deterministic():
     params = CogarchParams(1.0, 1.0, 0.5)
-    draw = lambda: stationary_draws(
-        params, MODEL, default_burn_in(params, MODEL), 2, [substream(11) for _ in range(2)]
-    )
+    draw = lambda: stationary_draws(params, MODEL, None, 2, [substream(11) for _ in range(2)])
     first = draw()
     assert first[0] == first[1] and np.array_equal(first, draw())
 
@@ -235,9 +230,7 @@ def test_vg_driver_stationary_mean():
     params = CogarchParams(1.0, 1.0, 0.3)
     target = stationary_mean(params, vg)  # beta / (eta - phi * sigma^2)
     assert target == pytest.approx(1.0 / 0.7)
-    draws = stationary_draws(
-        params, vg, default_burn_in(params, vg), 400, [substream(29, i) for i in range(400)]
-    )
+    draws = stationary_draws(params, vg, None, 400, [substream(29, i) for i in range(400)])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - target) < 5.0 * se
 

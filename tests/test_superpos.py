@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from supcogarch.batch import chunked, simulate_batch, stationary_draws
-from supcogarch.charexp import ExponentContext, NoRootError, kappa_of_phi, phi_max
+from supcogarch.charexp import ExponentContext, NoRootError, is_stationary, kappa_of_phi, phi_max
 from supcogarch.cogarch import (
     CogarchParams,
     MomentDivergesError,
@@ -63,15 +63,14 @@ def test_nonstationary_atom_rejected():
 
 @pytest.mark.parametrize("model", [MODEL, VarianceGamma(1.0, 1.0)], ids=["cp_normal", "vg"])
 def test_stationarity_gate_sites(model):
-    # the atom check, the COGARCH admissibility and the tail-root entry share
-    # charexp.is_stationary; each keeps its own way of refusing
+    # the atom check, which every engine entry runs, and the tail-root entry
+    # share charexp.is_stationary; each keeps its own way of refusing
     ctx = ExponentContext(model, 1.0)
     inside, outside = 0.6 * phi_max(ctx), 1.2 * phi_max(ctx)  # inside: psi(1, phi) > 0
     _require_stationary(Mixture.from_atoms([(0.0, 0.5), (inside, 0.5)]), 1.0, model)
     with pytest.raises(NonStationaryError):
         _require_stationary(Mixture.from_atoms([(0.0, 0.5), (outside, 0.5)]), 1.0, model)
-    assert CogarchParams(1.0, 1.0, inside).is_stationary_admissible(model)
-    assert not CogarchParams(1.0, 1.0, outside).is_stationary_admissible(model)
+    assert is_stationary(ctx, inside) and not is_stationary(ctx, outside)
     with pytest.raises(NonStationaryError):
         stationary_draws(CogarchParams(1.0, 1.0, outside), model, 80.0, 1, [substream(0)])
     assert 0.0 < kappa_of_phi(ctx, inside) < 1.0
