@@ -10,6 +10,13 @@ small scale and on a mixture with a phi = 0 atom and a window short enough
 that some paths have no live marks.  These bytes pin the simulation, the q
 extraction, the jump tallies and the export together.
 
+Every file ``verify`` writes is pinned on ``verify_light`` at a small
+scale, and on the same run with a second atom at phi = 1.5, which is
+stationary but has no mean: its rows that diverge before sampling are
+written as skipped rows, at k and at k + 1, and its sup3 squared-increment
+consistency rows diverge.  These bytes pin each row's target, estimate,
+standard error, n and k, and the order of the rows.
+
 So is every file ``simulate`` writes (``config.cfg`` included: the runs
 write to a relative ``--out``), on the showcase config and on the variance
 gamma config over a short window.  Its 100-unit burn-in draws more marks
@@ -108,6 +115,41 @@ def test_qstats_bytes(name, tmp_path):
     assert main(["qstats", "--config", str(cfg), "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == QSTATS_SHA256[name]
+
+
+def _set(text: str, **keys) -> str:
+    for key, value in keys.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return text
+
+
+LIGHT_VERIFY = _set((CONFIGS / "verify_light.cfg").read_text(), replications=100, q_paths=3, tail_samples=100)
+
+VERIFY_CONFIGS = {"verify_light": LIGHT_VERIFY, "diverging_atom": _set(LIGHT_VERIFY, phis="0.12, 1.5")}
+
+VERIFY_SHA256 = {
+    "verify_light": {
+        "price_increments.csv": "eb45fe4405c0077d6de3da27dd80ddbfa4b74307c5a3fdf8e4b87cc366ccae9d",
+        "verification.csv": "27a1c022ad2252482e991fc0e0854525d84c1598f5212e314ee011c428ea23b8",
+        "verification_checks.csv": "623c741b41205a6eb37f3449ed1c10c60fc5641ad213cd3816ca280cf6ba1e05",
+    },
+    # cogarch[1.5].mean (k) and the cross covariance (k + 1) are skipped
+    # before sampling; the sup rows are sampled against diverging targets
+    "diverging_atom": {
+        "price_increments.csv": "7662e816cf5ad4fbd70af6fef59c66d88cba350741b702a54a4947116426d250",
+        "verification.csv": "35c8bd7fca63af51091dd3fdcfd04b75437f312e594803d854cbb08fabac1bdb",
+        "verification_checks.csv": "dacd55bd7dc506c056eecf3be2ac9c3e1a11b51fa77a9c097ce97942b83a0b5b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CONFIGS))
+def test_verify_bytes(name, tmp_path):
+    cfg, out = tmp_path / "v.cfg", tmp_path / "out"
+    cfg.write_text(VERIFY_CONFIGS[name])
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == VERIFY_SHA256[name]
 
 
 SHOWCASE_SIM = (CONFIGS / "two_atom_showcase.cfg").read_text()
