@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .csvio import G17, csv_text
+from .csvio import G17, analytic_cell, csv_text
 from .price import PricePath
 from .superpos import Mixture, SupPathBundle, Variant, _weighted
 
@@ -163,8 +163,8 @@ def reports_to_csv(reports: Sequence[MomentReport]) -> str:
         "name,analytic,estimate,std_error,n,k,pass",
         f"%s,%s,{G17},{G17},%s,{G17},%s",
         (
-            (r.name, "diverges" if r.analytic is None else G17 % r.analytic, r.estimate,
-             r.std_error, r.n, r.k, "undefined" if r.passed is None else r.passed)
+            (r.name, analytic_cell(r.analytic), r.estimate, r.std_error, r.n, r.k,
+             "undefined" if r.passed is None else r.passed)
             for r in reports
         ),
     )

@@ -16,25 +16,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import charexp
 from .analysis import histogram, histogram_to_csv, reports_to_csv
-from .cogarch import (
-    CogarchParams,
-    MomentDivergesError,
-    NonStationaryError,
-    cross_cov,
-    cross_moment,
-    stationary_acov,
-    stationary_mean,
-    stationary_second_moment,
-    stationary_variance,
-)
+from .cogarch import COGARCH_MOMENTS, CogarchParams, NonStationaryError, _try, cross_cov, cross_moment
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
-from .csvio import G17, csv_text
+from .csvio import G17, analytic_cell, csv_text
 from .levy import Stream, jump_path_to_csv, substream
 from .price import PRICE_MOMENTS, simulate_price, price_to_csv
 from .superpos import (
@@ -87,11 +78,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _fmt_or_diverges(fn, *args) -> str:
-    try:
-        return G17 % fn(*args)
-    except MomentDivergesError:
-        return "diverges"
+def _closed(fn, *args) -> str:
+    return analytic_cell(_try(fn, *args))
+
+
+def _moment_rows(prefix: str, moments: dict, args: tuple, lags) -> list[tuple[str, str]]:
+    """The rows of a moment table (``COGARCH_MOMENTS`` or a ``SUP_MOMENTS``
+    entry, called with ``args``): each quantity but "acov" in table order,
+    then "acov" at each lag."""
+    rows = [(f"{prefix}.{name}", _closed(fn, *args)) for name, fn in moments.items() if name != "acov"]
+    return rows + [(f"{prefix}.acov[h={h:g}]", _closed(moments["acov"], *args, h)) for h in lags]
 
 
 def cmd_analytics(cfg: ExperimentConfig) -> int:
@@ -114,45 +110,29 @@ def cmd_analytics(cfg: ExperimentConfig) -> int:
             rows.append((f"{variant.value}.tail_limit", te.limit_kind.value))
 
     for phi, _ in mix.atoms():
-        params = CogarchParams(cfg.beta, cfg.eta, phi)
         p = f"cogarch[{phi:g}]"
         rows.append((f"{p}.log_moment", G17 % charexp.log_moment(ctx, phi)))
         rows.append((f"{p}.psi1", G17 % charexp.psi(ctx, 1.0, phi)))
         rows.append((f"{p}.psi2", G17 % charexp.psi(ctx, 2.0, phi)))
-        rows.append((f"{p}.mean", _fmt_or_diverges(stationary_mean, params, model)))
-        rows.append((f"{p}.second_moment", _fmt_or_diverges(stationary_second_moment, params, model)))
-        rows.append((f"{p}.variance", _fmt_or_diverges(stationary_variance, params, model)))
-        for h in cfg.lags:
-            rows.append((f"{p}.acov[h={h:g}]", _fmt_or_diverges(stationary_acov, params, model, h)))
+        rows += _moment_rows(p, COGARCH_MOMENTS, (CogarchParams(cfg.beta, cfg.eta, phi), model), cfg.lags)
 
-    phis = mix.phis
-    for i in range(len(phis)):
-        for j in range(i + 1, len(phis)):
-            pair = f"cross[{phis[i]:g},{phis[j]:g}]"
-            rows.append((f"{pair}.moment",
-                         _fmt_or_diverges(cross_moment, cfg.beta, cfg.eta, phis[i], phis[j], model)))
-            rows.append((f"{pair}.cov",
-                         _fmt_or_diverges(cross_cov, cfg.beta, cfg.eta, phis[i], phis[j], model)))
+    for a, b in combinations(mix.phis, 2):
+        rows.append((f"cross[{a:g},{b:g}].moment", _closed(cross_moment, cfg.beta, cfg.eta, a, b, model)))
+        rows.append((f"cross[{a:g},{b:g}].cov", _closed(cross_cov, cfg.beta, cfg.eta, a, b, model)))
 
     for variant in cfg.variant_list():
         tag = variant.value
-        moments = SUP_MOMENTS[variant]
-        for name, fn in moments.items():
-            if name != "acov":
-                rows.append((f"{tag}.{name}", _fmt_or_diverges(fn, mix, cfg.beta, cfg.eta, model)))
-        for h in cfg.lags:
-            rows.append((f"{tag}.acov[h={h:g}]",
-                         _fmt_or_diverges(moments["acov"], mix, cfg.beta, cfg.eta, model, h)))
+        rows += _moment_rows(tag, SUP_MOMENTS[variant], (mix, cfg.beta, cfg.eta, model), cfg.lags)
         prices = PRICE_MOMENTS[variant]
         for r in cfg.increments:
             rows.append((f"{tag}.increment_second_moment[r={r:g}]",
-                         _fmt_or_diverges(prices["increment_second_moment"], mix, cfg.beta, cfg.eta, model, r)))
+                         _closed(prices["increment_second_moment"], mix, cfg.beta, cfg.eta, model, r)))
             if "sq_increment_cov" in prices:
                 for h in cfg.lags:
                     if h >= r:
                         rows.append((
                             f"{tag}.sq_increment_cov[r={r:g};h={h:g}]",
-                            _fmt_or_diverges(prices["sq_increment_cov"], mix, cfg.beta, cfg.eta, model, r, h),
+                            _closed(prices["sq_increment_cov"], mix, cfg.beta, cfg.eta, model, r, h),
                         ))
 
     (out / "analytics.csv").write_text(csv_text("quantity,value", "%s,%s", rows))

@@ -22,7 +22,9 @@ and for two COGARCHes driven by the same subordinator,
 
 The exponents psi1, psi2 and h come from :func:`charexp.psi` and
 :func:`charexp.h_cross`.  Infinite moments surface as MomentDivergesError
-(raised by :func:`moment_gate`), never as float inf.
+(raised by :func:`moment_gate`), never as float inf; :func:`_try` turns it
+into None.  ``COGARCH_MOMENTS`` is the table of the single-COGARCH closed
+forms that the analytics table and the verification battery both read.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "stationary_variance",
     "stationary_variance_alt",
     "stationary_acov",
+    "COGARCH_MOMENTS",
     "cross_moment",
     "cross_cov",
     "cross_acov",
@@ -288,6 +291,23 @@ def stationary_acov(params: CogarchParams, model: LevyModel, h: float) -> float:
     return math.exp(h * psi1) * stationary_variance(params, model)
 
 
+#: the closed-form stationary moments of one COGARCH, keyed by quantity in
+#: the row order of the analytics table; "acov" takes the lag h as a third
+#: argument
+COGARCH_MOMENTS = {
+    "mean": stationary_mean, "second_moment": stationary_second_moment, "variance": stationary_variance,
+    "acov": stationary_acov,
+}
+
+
+def _try(fn, *args) -> float | None:
+    """``fn(*args)``, or None where the moment diverges."""
+    try:
+        return fn(*args)
+    except MomentDivergesError:
+        return None
+
+
 def _cross_gate(
     eta: float, phi: float, phi_t: float, model: LevyModel
 ) -> tuple[float, float, float]:
@@ -342,10 +362,8 @@ def default_burn_in(params: CogarchParams, model: LevyModel) -> float:
 
 def stationary_start(params: CogarchParams, model: LevyModel) -> float:
     """Burn-in start: the stationary mean, or beta/eta where it diverges."""
-    try:
-        return stationary_mean(params, model)
-    except MomentDivergesError:
-        return params.level
+    mean = _try(stationary_mean, params, model)
+    return params.level if mean is None else mean
 
 
 def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:

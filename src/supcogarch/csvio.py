@@ -3,7 +3,8 @@
 Every number is printed with 17 significant digits (``'%.17g'``, the same
 text as ``format(x, '.17g')``), enough to round-trip any double.  A table is
 rendered by one %-template applied to each row; only optional cells (an
-empty lag, "diverges") are formatted on their own, with ``G17 % x``.
+empty lag, a closed form that may diverge) are formatted on their own,
+with ``G17 % x`` or :func:`analytic_cell`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["G17", "csv_text", "columns_to_csv", "event_columns"]
+__all__ = ["G17", "csv_text", "analytic_cell", "columns_to_csv", "event_columns"]
 
 G17 = "%.17g"
 
@@ -20,6 +21,12 @@ G17 = "%.17g"
 def csv_text(header: str, template: str, rows: Iterable[tuple]) -> str:
     """``header``, then ``template % row`` per row; newline-terminated."""
     return "\n".join([header, *map(template.__mod__, rows)]) + "\n"
+
+
+def analytic_cell(value: float | None) -> str:
+    """A closed form's cell: the number, or "diverges" where the moment is
+    infinite (None)."""
+    return "diverges" if value is None else G17 % value
 
 
 def columns_to_csv(header: str, *columns) -> str:

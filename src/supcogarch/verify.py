@@ -11,10 +11,14 @@ the numbers of one bundle, COGARCH or stationary draw per replication bit
 for bit; the identity family checks one bundle per variant (the engine at
 one replication).
 
-Tolerances: mean-type comparisons use the configured multiplier k (default
-4 standard errors); variance/covariance-type comparisons, which face heavy
-tails, use k + 1.  Path-wise identities carry fixed machine-precision
-tolerances and report as boolean check rows.
+Tolerances follow from each row's summand, the quantity averaged over the
+replications: k standard errors (``tolerance_k``, default 4) when the
+summand is at most linear in V (V, a price increment, its square, the
+product of two increments), k + 1 when it is quadratic (V^2, the product of
+two V's, the product of two squared increments), whose heavier tails the
+wider band absorbs.  Every MomentReport is written by one writer,
+:class:`_Rows`, which alone sets the band.  Path-wise identities carry
+fixed machine-precision tolerances and report as boolean check rows.
 """
 
 from __future__ import annotations
@@ -41,18 +45,9 @@ from .analysis import (
     mc_variance,
 )
 from .batch import chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
-from .cogarch import (
-    CogarchParams,
-    MomentDivergesError,
-    cross_acov,
-    cross_cov,
-    stationary_acov,
-    stationary_mean,
-    stationary_variance,
-    stationary_variance_alt,
-)
+from .cogarch import COGARCH_MOMENTS, CogarchParams, _try, cross_acov, cross_cov, stationary_variance_alt
 from .config import ExperimentConfig
-from .csvio import G17, csv_text
+from .csvio import G17, analytic_cell, csv_text
 from .levy import Stream, rng_from, substream, substreams
 from .levy import simulate_levy_path  # noqa: F401 -- perfbench/tests checks the tracer rebinds it here
 from .price import PRICE_MOMENTS, PricePath, simulate_price, sq_increment_cov_sup3
@@ -127,19 +122,45 @@ def price_rows_to_csv(rows: list[PriceRow]) -> str:
         "r,h,stat,analytic,mc,se,pass",
         f"{G17},%s,%s,%s,{G17},{G17},%s",
         (
-            (r, "" if h is None else G17 % h, rep.name,
-             "diverges" if rep.analytic is None else G17 % rep.analytic, rep.estimate, rep.std_error,
-             "undefined" if rep.passed is None else rep.passed)
+            (r, "" if h is None else G17 % h, rep.name, analytic_cell(rep.analytic), rep.estimate,
+             rep.std_error, "undefined" if rep.passed is None else rep.passed)
             for r, h, rep in rows
         ),
     )
 
 
-def _try(fn, *args):
-    try:
-        return fn(*args)
-    except MomentDivergesError:
-        return None
+@dataclass
+class _Rows:
+    """The one writer of the battery's MomentReports, into ``reports``.
+
+    ``order`` is the order in V of a row's summand: 1 when it is at most
+    linear, 2 when it is quadratic (see the module docstring)."""
+
+    k: float
+    reports: list[MomentReport]
+
+    def band(self, order: int) -> float:
+        """Standard errors allowed to a summand of this order."""
+        return {1: self.k, 2: self.k + 1.0}[order]
+
+    def _add(self, report: MomentReport) -> MomentReport:
+        self.reports.append(report)
+        return report
+
+    def compare(self, name: str, target: float | None, estimator, *samples: np.ndarray, order: int = 1) -> MomentReport:
+        """``estimator(*samples)`` (estimate, standard error) against
+        ``target``, None where it diverges; n is the sample count."""
+        est, se = estimator(*samples)
+        return self._add(MomentReport(name, target, est, se, samples[0].size, self.band(order)))
+
+    def skip(self, name: str, order: int = 1) -> MomentReport:
+        """A row whose target diverges, so that nothing is sampled."""
+        return self._add(MomentReport(name, None, math.nan, 0.0, 0, self.band(order)))
+
+    def flag(self, name: str, value: float, target: float = 1.0, n: int = 1) -> MomentReport:
+        """An exact row (no standard error; passes iff value == target): a
+        yes/no flag (1.0 or 0.0), a count or an exact value."""
+        return self._add(MomentReport(name, target, float(value), 0.0, n, self.k))
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +259,35 @@ def _cogarch_samples(cfg: ExperimentConfig, atom: int, lags: list[float]) -> np.
     )
 
 
+def _engine_samples(cfg: ExperimentConfig, variant: Variant, mix: Mixture, key: tuple, t1: float, query) -> np.ndarray:
+    """Per replication: ``query(batch)`` of the engine's ``variant`` bundles
+    of ``mix`` on [0, t1] on the streams ``key``, simulated in chunks."""
+    model = cfg.model()
+    return chunked(
+        lambda first, n: query(simulate_batch(
+            variant, mix, cfg.beta, cfg.eta, model, (0.0, t1), cfg.seed, key, n, cfg.burn_in, first,
+        )),
+        cfg.replications,
+    )
+
+
 def _cross_samples(cfg: ExperimentConfig, phi_a: float, phi_b: float, lags: list[float]) -> np.ndarray:
     """Per replication: both components of an equal-weight variant-2 pair
     at 0, and the second one at the lags."""
     mix = Mixture.from_atoms([(phi_a, 0.5), (phi_b, 0.5)])
 
-    def sample(first: int, n: int) -> np.ndarray:
-        batch = simulate_batch(
-            Variant.SUP2, mix, cfg.beta, cfg.eta, cfg.model(), (0.0, max(lags)),
-            cfg.seed, (Stream.CROSS,), n, cfg.burn_in, first,
-        )
+    def query(batch) -> np.ndarray:
         ca, cb = batch.components
         return np.column_stack([ca.v0, cb.v0, cb.values(np.array(lags))])
 
-    return chunked(sample, cfg.replications)
+    return _engine_samples(cfg, Variant.SUP2, mix, (Stream.CROSS,), max(lags), query)
 
 
 def _sup_samples(cfg: ExperimentConfig, variant: Variant, vi: int, lags: list[float]) -> np.ndarray:
     """Per replication: the aggregate at 0 and the lags."""
     qs = np.array([0.0] + lags)
-    return chunked(
-        lambda first, n: simulate_batch(
-            variant, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (0.0, max(lags)),
-            cfg.seed, (Stream.SUP, vi), n, cfg.burn_in, first,
-        ).aggregate.values(qs),
-        cfg.replications,
+    return _engine_samples(
+        cfg, variant, cfg.mixture(), (Stream.SUP, vi), max(lags), lambda batch: batch.aggregate.values(qs)
     )
 
 
@@ -274,11 +299,7 @@ def _price_samples(
     starts = np.array([0.0] + hs)
     at_r = np.array([r])
 
-    def sample(first: int, n: int) -> np.ndarray:
-        batch = simulate_batch(
-            variant, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (0.0, (max(hs) if hs else 0.0) + r),
-            cfg.seed, (Stream.PRICE, vi), n, cfg.burn_in, first,
-        )
+    def query(batch) -> np.ndarray:
         levels = batch.price_levels(np.concatenate([starts, starts + r]))
         return np.column_stack([
             levels[:, len(starts):] - levels[:, : len(starts)],
@@ -286,7 +307,7 @@ def _price_samples(
             *(c.values(at_r) for c in batch.components),
         ])
 
-    return chunked(sample, cfg.replications)
+    return _engine_samples(cfg, variant, cfg.mixture(), (Stream.PRICE, vi), (max(hs) if hs else 0.0) + r, query)
 
 
 def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
@@ -306,35 +327,41 @@ def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
     ])
 
 
+def _moment_battery(
+    rows: _Rows, prefix: str, moments: dict, args: tuple, second: str, vals: np.ndarray, lags: list[float],
+    alt=None,
+) -> None:
+    """The rows of one sampled stationary process against a moment table
+    (``COGARCH_MOMENTS`` or a ``SUP_MOMENTS`` entry, called with ``args``):
+    the mean, then ``second`` ("variance" or "second_moment"), then the
+    autocovariance at each lag.  ``vals`` holds the process at 0 and at the
+    lags.  ``alt`` is a second closed form of the variance, which must agree
+    with the table's to 1e-12 where it is finite."""
+    v0 = vals[:, 0]
+    rows.compare(f"{prefix}.mean", _try(moments["mean"], *args), mc_mean, v0)
+    target = _try(moments[second], *args)
+    estimator = mc_second_moment if second == "second_moment" else mc_variance
+    rows.compare(f"{prefix}.{second}", target, estimator, v0, order=2)
+    if alt is not None and target is not None:
+        other = alt(*args)
+        rows.flag(f"{prefix}.variance_forms_agree", abs(target - other) / max(abs(target), abs(other)) <= 1e-12)
+    for j, h in enumerate(lags):
+        target = _try(moments["acov"], *args, h)
+        rows.compare(f"{prefix}.acov[h={h:g}]", target, mc_covariance, v0, vals[:, j + 1], order=2)
+
+
 def _cogarch_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     model = cfg.model()
     lags = sorted(set(cfg.lags))
-    k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
+    rows = _Rows(cfg.tolerance_k, reports)
     for atom, phi in enumerate(cfg.phis):
-        params = CogarchParams(cfg.beta, cfg.eta, phi)
-        mean = _try(stationary_mean, params, model)
-        if mean is None:
-            reports.append(MomentReport(f"cogarch[{phi:g}].mean", None, math.nan, 0.0, 0, k))
+        args = (CogarchParams(cfg.beta, cfg.eta, phi), model)
+        prefix = f"cogarch[{phi:g}]"
+        if _try(COGARCH_MOMENTS["mean"], *args) is None:
+            rows.skip(f"{prefix}.mean")
             continue
         vals = _cogarch_samples(cfg, atom, lags)
-        v0 = vals[:, 0]
-        est, se = mc_mean(v0)
-        reports.append(MomentReport(f"cogarch[{phi:g}].mean", mean, est, se, v0.size, k))
-
-        var = _try(stationary_variance, params, model)
-        est, se = mc_variance(v0)
-        reports.append(MomentReport(f"cogarch[{phi:g}].variance", var, est, se, v0.size, kv))
-        if var is not None:
-            alt = stationary_variance_alt(params, model)
-            rel = abs(var - alt) / max(abs(var), abs(alt))
-            reports.append(
-                MomentReport(f"cogarch[{phi:g}].variance_forms_agree", 1.0,
-                             1.0 if rel <= 1e-12 else 0.0, 0.0, 1, k)
-            )
-        for j, h in enumerate(lags):
-            target = _try(stationary_acov, params, model, h)
-            est, se = mc_covariance(v0, vals[:, j + 1])
-            reports.append(MomentReport(f"cogarch[{phi:g}].acov[h={h:g}]", target, est, se, v0.size, kv))
+        _moment_battery(rows, prefix, COGARCH_MOMENTS, args, "variance", vals, lags, stationary_variance_alt)
 
 
 def _cross_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
@@ -342,62 +369,39 @@ def _cross_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
         return
     model = cfg.model()
     phi_a, phi_b = sorted(cfg.phis)[:2]
-    k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
+    rows = _Rows(cfg.tolerance_k, reports)
+    prefix = f"cross[{phi_a:g},{phi_b:g}]"
     target0 = _try(cross_cov, cfg.beta, cfg.eta, phi_a, phi_b, model)
-    lags = sorted(set(cfg.lags))
     if target0 is None:
-        reports.append(MomentReport(f"cross[{phi_a:g},{phi_b:g}].cov", None, math.nan, 0.0, 0, kv))
+        rows.skip(f"{prefix}.cov", order=2)
         return
+    lags = sorted(set(cfg.lags))
     vals = _cross_samples(cfg, phi_a, phi_b, lags)
-    est, se = mc_covariance(vals[:, 0], vals[:, 1])
-    reports.append(MomentReport(f"cross[{phi_a:g},{phi_b:g}].cov", target0, est, se, vals.shape[0], kv))
-    reports.append(
-        MomentReport(f"cross[{phi_a:g},{phi_b:g}].cov_nonnegative", 1.0,
-                     1.0 if target0 >= 0.0 and est > -kv * se else 0.0, 0.0, 1, k)
-    )
+    cov = rows.compare(f"{prefix}.cov", target0, mc_covariance, vals[:, 0], vals[:, 1], order=2)
+    rows.flag(f"{prefix}.cov_nonnegative", target0 >= 0.0 and cov.estimate > -cov.k * cov.std_error)
     for j, h in enumerate(lags):
         target = cross_acov(cfg.beta, cfg.eta, phi_a, phi_b, model, h)
-        est, se = mc_covariance(vals[:, 0], vals[:, 2 + j])
-        reports.append(MomentReport(f"cross[{phi_a:g},{phi_b:g}].acov[h={h:g}]", target, est, se, vals.shape[0], kv))
+        rows.compare(f"{prefix}.acov[h={h:g}]", target, mc_covariance, vals[:, 0], vals[:, 2 + j], order=2)
 
 
 def _sup_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
-    model = cfg.model()
-    mix = cfg.mixture()
+    args = (cfg.mixture(), cfg.beta, cfg.eta, cfg.model())
     lags = sorted(set(cfg.lags))
-    k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
+    rows = _Rows(cfg.tolerance_k, reports)
     for vi, variant in enumerate(cfg.variant_list()):
-        moments = SUP_MOMENTS[variant]
-        vals = _sup_samples(cfg, variant, vi, lags)
-        v0 = vals[:, 0]
-        tag = variant.value
-
-        est, se = mc_mean(v0)
-        target = _try(moments["mean"], mix, cfg.beta, cfg.eta, model)
-        reports.append(MomentReport(f"{tag}.mean", target, est, se, v0.size, k))
         # variant 3 checks the second moment, the others the variance
-        name, estimator = (("second_moment", mc_second_moment) if variant is Variant.SUP3
-                           else ("variance", mc_variance))
-        est, se = estimator(v0)
-        target = _try(moments[name], mix, cfg.beta, cfg.eta, model)
-        reports.append(MomentReport(f"{tag}.{name}", target, est, se, v0.size, kv))
-        for j, h in enumerate(lags):
-            target = _try(moments["acov"], mix, cfg.beta, cfg.eta, model, h)
-            est, se = mc_covariance(v0, vals[:, j + 1])
-            reports.append(MomentReport(f"{tag}.acov[h={h:g}]", target, est, se, v0.size, kv))
+        second = "second_moment" if variant is Variant.SUP3 else "variance"
+        vals = _sup_samples(cfg, variant, vi, lags)
+        _moment_battery(rows, variant.value, SUP_MOMENTS[variant], args, second, vals, lags)
 
 
 def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows: list[PriceRow]) -> None:
-    model = cfg.model()
-    mix = cfg.mixture()
-    k, kv = cfg.tolerance_k, cfg.tolerance_k + 1.0
+    rows = _Rows(cfg.tolerance_k, reports)
     r = cfg.increments[0]
+    args = (cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), r)
     hs = sorted({h for h in cfg.lags if h >= r})
-    n_atoms = len(mix)
 
-    def emit(stat: str, analytic: float | None, est: float, se: float, n: int, kk: float, h: float | None):
-        report = MomentReport(stat, analytic, est, se, n, kk)
-        reports.append(report)
+    def emit(report: MomentReport, h: float | None = None) -> None:
         price_rows.append((r, h, report))
 
     for vi, variant in enumerate(cfg.variant_list()):
@@ -406,66 +410,55 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
         inc0 = vals[:, 0]
         incs = {h: vals[:, 1 + j] for j, h in enumerate(hs)}
         vbar_r = vals[:, 1 + len(hs)]
-        comps_r = [vals[:, 2 + len(hs) + i] for i in range(n_atoms)]
-
-        est, se = mc_mean(inc0)
-        emit(f"{tag}.increment_mean", 0.0, est, se, inc0.size, k, None)
-
+        comps_r = list(vals[:, 2 + len(hs):].T)
         prices = PRICE_MOMENTS[variant]
-        second = _try(prices["increment_second_moment"], mix, cfg.beta, cfg.eta, model, r)
-        est, se = mc_second_moment(inc0)
-        emit(f"{tag}.increment_second_moment", second, est, se, inc0.size, k, None)
 
+        emit(rows.compare(f"{tag}.increment_mean", 0.0, mc_mean, inc0))
+        second = _try(prices["increment_second_moment"], *args)
+        emit(rows.compare(f"{tag}.increment_second_moment", second, mc_second_moment, inc0))
         for h in hs:
-            est, se = mc_covariance(inc0, incs[h])
-            emit(f"{tag}.increment_cov[h={h:g}]", 0.0, est, se, inc0.size, k, h)
+            emit(rows.compare(f"{tag}.increment_cov[h={h:g}]", 0.0, mc_covariance, inc0, incs[h]), h)
 
         x0sq = inc0**2
         if "sq_increment_cov" in prices:
             for h in hs:
-                closed = _try(prices["sq_increment_cov"], mix, cfg.beta, cfg.eta, model, r, h)
-                est, se = mc_covariance(x0sq, incs[h] ** 2)
-                emit(f"{tag}.sq_increment_cov[h={h:g}]", closed, est, se, x0sq.size, kv, h)
+                closed = _try(prices["sq_increment_cov"], *args, h)
+                name = f"{tag}.sq_increment_cov[h={h:g}]"
+                emit(rows.compare(name, closed, mc_covariance, x0sq, incs[h] ** 2, order=2), h)
                 if closed is not None:
-                    emit(f"{tag}.sq_increment_cov_positive[h={h:g}]", 1.0,
-                         1.0 if closed > 0.0 else 0.0, 0.0, 1, k, h)
-        else:
-            gated = _try(lambda: sq_increment_cov_sup3(mix, cfg.beta, cfg.eta, model, r, max(hs) if hs else r, 0.0, [0.0] * n_atoms))
-            for h in hs:
-                if gated is None:
-                    emit(f"{tag}.sq_increment_cov_consistency[h={h:g}]", None, math.nan, 0.0, 0, kv, h)
-                    continue
+                    emit(rows.flag(f"{tag}.sq_increment_cov_positive[h={h:g}]", closed > 0.0), h)
+            continue
+        # variant 3 has no closed form: its rows check the conditional one
+        gated = _try(sq_increment_cov_sup3, *args, max(hs) if hs else r, 0.0, [0.0] * len(comps_r))
+        for h in hs:
+            name = f"{tag}.sq_increment_cov_consistency[h={h:g}]"
+            if gated is None:
+                emit(rows.skip(name, order=2), h)
+                continue
 
-                def diff(*cols: np.ndarray, _h=h) -> float:
-                    _x0sq, _xhsq, _vbar, *_comps = cols
-                    inner_agg = float(np.cov(_x0sq, _vbar, ddof=1)[0, 1])
-                    inner_atoms = [float(np.cov(_x0sq, c, ddof=1)[0, 1]) for c in _comps]
-                    pred = sq_increment_cov_sup3(
-                        mix, cfg.beta, cfg.eta, model, r, _h, inner_agg, inner_atoms
-                    )
-                    direct = float(np.cov(_x0sq, _xhsq, ddof=1)[0, 1])
-                    return pred - direct
+            def diff(_x0sq: np.ndarray, _xhsq: np.ndarray, _vbar: np.ndarray, *_comps: np.ndarray, _h=h) -> float:
+                inner_agg = float(np.cov(_x0sq, _vbar, ddof=1)[0, 1])
+                inner_atoms = [float(np.cov(_x0sq, c, ddof=1)[0, 1]) for c in _comps]
+                pred = sq_increment_cov_sup3(*args, _h, inner_agg, inner_atoms)
+                return pred - float(np.cov(_x0sq, _xhsq, ddof=1)[0, 1])
 
-                d, se = grouped_jackknife(diff, [x0sq, incs[h] ** 2, vbar_r, *comps_r])
-                emit(f"{tag}.sq_increment_cov_consistency[h={h:g}]", 0.0, d, se, x0sq.size, kv, h)
-            if gated is not None and hs:
-                # direct estimate must be positive up to sampling noise
-                est, se = mc_covariance(x0sq, incs[hs[0]] ** 2)
-                emit(f"{tag}.sq_increment_cov_positive[h={hs[0]:g}]", 1.0,
-                     1.0 if est > -kv * se else 0.0, 0.0, 1, k, hs[0])
+            jackknife = lambda *cols: grouped_jackknife(diff, cols)
+            emit(rows.compare(name, 0.0, jackknife, x0sq, incs[h] ** 2, vbar_r, *comps_r, order=2), h)
+        if gated is not None and hs:
+            # direct estimate must be positive up to sampling noise
+            est, se = mc_covariance(x0sq, incs[hs[0]] ** 2)
+            emit(rows.flag(f"{tag}.sq_increment_cov_positive[h={hs[0]:g}]", est > -rows.band(2) * se), hs[0])
 
 
 def _q_family(
     cfg: ExperimentConfig, reports: list[MomentReport], checks: list[CheckRow]
 ) -> None:
-    k = cfg.tolerance_k
+    rows = _Rows(cfg.tolerance_k, reports)
     positive_atoms = [phi for phi in cfg.mixture().phis if phi > 0.0]
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
         cols = q_columns(cfg, variant, vi)
-        reports.append(
-            MomentReport(f"{tag}.q_bound_violations", 0.0, float(cols.violations), 0.0, cols.q.size, k)
-        )
+        rows.flag(f"{tag}.q_bound_violations", cols.violations, 0.0, cols.q.size)
         if variant is Variant.SUP1 and len(positive_atoms) >= 2:
             vol_only = cols.tally.vol_only
             checks.append(
@@ -491,7 +484,7 @@ def _tail_family(
     kappa_bar = charexp.kappa_of_phi(ctx, phi_bar)
     residual = abs(charexp.psi(ctx, kappa_bar, phi_bar))
     checks.append(_at_most("tail_kappa_residual", residual, _KAPPA_RESIDUAL))
-    reports.append(MomentReport("tail.kappa_bar", kappa_bar, kappa_bar, 0.0, 1, cfg.tolerance_k))
+    _Rows(cfg.tolerance_k, reports).flag("tail.kappa_bar", kappa_bar, kappa_bar)
 
     # Hill calibration oracle: exact Pareto samples with known exponent.
     # Band is k-aware: the Hill standard error is alpha/sqrt(k), so small

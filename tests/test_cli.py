@@ -355,12 +355,51 @@ def test_verify_and_analytics_print_the_same_sup_targets(cfg_file, tmp_path):
     verification = dict(
         line.rsplit(",", 6)[:2] for line in (out / "verification.csv").read_text().splitlines()[1:]
     )
-    sup = re.compile(r"sup[123]\.(mean|variance|second_moment|acov\[h=[^\]]+\])")
-    shared = [name for name in verification if sup.fullmatch(name) and name in analytics]
-    # per variant: the mean, the variance (second moment for variant 3), two lags
-    assert len(shared) == 12
+    moment = re.compile(r"(sup[123]|cogarch\[[^\]]+\])\.(mean|variance|second_moment|acov\[h=[^\]]+\])")
+    shared = [name for name in verification if moment.fullmatch(name) and name in analytics]
+    # per variant: the mean, the variance (second moment for variant 3), two
+    # lags; per atom: the mean, the variance, two lags
+    assert len([name for name in shared if name.startswith("sup")]) == 12
+    assert len([name for name in shared if name.startswith("cogarch")]) == 8
     for name in shared:
         assert verification[name] == analytics[name], name
+
+
+#: each verify statistic by the order in V of its summand: at most linear
+#: (a level of V, a price increment, its square, a product of two
+#: increments, and the exact rows) or quadratic
+LINEAR_STATS = {
+    "mean", "increment_mean", "increment_second_moment", "increment_cov", "variance_forms_agree",
+    "cov_nonnegative", "sq_increment_cov_positive", "q_bound_violations", "kappa_bar",
+}
+QUADRATIC_STATS = {"variance", "second_moment", "acov", "cov", "sq_increment_cov", "sq_increment_cov_consistency"}
+
+
+@pytest.mark.parametrize("phis", [(0.12, 0.06), (0.12, 1.5)], ids=["light", "diverging_atom"])
+def test_verify_band_follows_the_summand_order(phis):
+    """Every report of the battery allows tolerance_k standard errors when
+    its summand is at most linear in V and tolerance_k + 1 when it is
+    quadratic, skipped rows included (at phi = 1.5 the atom's mean, the
+    cross covariance and the sup3 consistency rows diverge)."""
+    from dataclasses import replace
+
+    from supcogarch.verify import run_verification
+
+    cfg = replace(parse_config(LIGHT_CFG), phis=phis, replications=100, q_paths=3, tail_samples=100)
+    result = run_verification(cfg)
+    seen = set()
+    for report in result.reports:
+        stat = re.fullmatch(r"(?:cogarch\[[^\]]*\]|cross\[[^\]]*\]|sup[123]|tail)\.([a-z_]+)(?:\[h=[^\]]*\])?", report.name)[1]
+        assert (stat in LINEAR_STATS) != (stat in QUADRATIC_STATS), report.name
+        want = cfg.tolerance_k if stat in LINEAR_STATS else cfg.tolerance_k + 1.0
+        assert report.k == want, report.name
+        seen.add((stat, report.passed is None and report.n == 0))
+    stats = {stat for stat, _ in seen}
+    if phis == (0.12, 0.06):
+        assert stats == LINEAR_STATS | QUADRATIC_STATS
+    else:
+        assert {("mean", True), ("cov", True), ("sq_increment_cov_consistency", True)} <= seen
+    assert all(report in result.reports for _, _, report in result.price_rows)
 
 
 def test_verify_detects_wrong_target():
