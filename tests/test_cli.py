@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -81,6 +82,83 @@ def test_config_validation_names_field():
     with pytest.raises(ConfigError) as exc:
         parse_config("[simulation]\nreplications = 10\n")
     assert exc.value.field == "simulation.replications"
+
+
+# every range rule of a single key, with one value outside it; the keys of
+# the variance gamma driver are checked under that kind only
+VG = "kind = variance_gamma\n"
+RANGE_RULES = [
+    ("model", "rate", "0.0", ""),
+    ("model", "sigma", "0.0", VG),
+    ("model", "nu", "-1.0", VG),
+    ("model", "grid_step", "0.0", VG),
+    ("cogarch", "beta", "0.0", ""),
+    ("cogarch", "eta", "-1.0", ""),
+    ("simulation", "horizon", "0.0", ""),
+    ("simulation", "replications", "99", ""),
+    ("simulation", "q_paths", "0", ""),
+    ("simulation", "tail_samples", "99", ""),
+    ("simulation", "burn_in", "0.0", ""),
+    ("simulation", "sample_grid_step", "-0.5", ""),
+    ("simulation", "threads", "0", ""),
+    ("analysis", "increments", "1.0, 0.0", ""),
+    ("analysis", "lags", "-1.0, 2.0", ""),
+    ("analysis", "tolerance_k", "0.0", ""),
+]
+
+
+@pytest.mark.parametrize("section,key,value,prefix", RANGE_RULES)
+def test_config_range_rule_names_its_key(section, key, value, prefix):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[{section}]\n{prefix}{key} = {value}\n")
+    assert exc.value.field == f"{section}.{key}"
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("simulation", "replications", "100"),
+        ("simulation", "q_paths", "1"),
+        ("simulation", "tail_samples", "100"),
+        ("simulation", "threads", "1"),
+        ("analysis", "lags", "0, 1"),
+    ],
+)
+def test_config_range_boundary_parses(section, key, value):
+    cfg = parse_config(f"[{section}]\n{key} = {value}\n")
+    assert serialize_config(cfg) == serialize_config(parse_config(serialize_config(cfg)))
+
+
+@pytest.mark.parametrize(
+    "kind,key,absent",
+    [
+        ("variance_gamma", "rate = -1", ("rate", "jumps")),
+        ("compound_poisson", "sigma = -1", ("sigma", "nu", "grid_step")),
+    ],
+)
+def test_config_model_key_of_other_kind_is_neither_checked_nor_written(kind, key, absent):
+    cfg = parse_config(f"[model]\nkind = {kind}\n{key}\n")
+    written = [line.partition(" =")[0] for line in serialize_config(cfg).splitlines()]
+    assert not set(absent) & set(written)
+
+
+SERIALIZED_SHA256 = {
+    "default": "c30ca55e14f3bc70a31e6a7759fa74f21c86762fbfe353ab1849e76302ccc003",
+    "two_atom_showcase": "f04c3b5c323233855d2cffa9d28b9c8c9947f82f7ae7ecd584c045b4f212b888",
+    "verify_heavy": "7c16515b88c1c2600b7ea003d0597d1782de6e473729d28613cbc9bbf3633cf8",
+    "verify_light": "91ead00daef0020b4043d7e34c2367c7ee1e1e874e6c0ef949022452c025009e",
+    "vg_slow_reversion": "fa98497e2577faafcc16fc96e9181fc53bc333f33408cd7ee03394b93188a809",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED_SHA256))
+def test_serialize_config_bytes(name):
+    if name == "default":
+        cfg = ExperimentConfig()
+    else:
+        cfg = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
+    digest = hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    assert digest == SERIALIZED_SHA256[name]
 
 
 NON_FINITE_FIELDS = [
