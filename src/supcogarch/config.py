@@ -1,13 +1,15 @@
 """Experiment configuration: a flat key-value text format with one section
 per concern, parsed with configparser.  Parse -> serialize -> parse is the
-identity; validation failures name the offending field."""
+identity; validation failures name the offending field.  Each key is
+declared once, on its :class:`ExperimentConfig` field (:func:`_key`)."""
 
 from __future__ import annotations
 
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 from .levy import CompoundPoisson, DEFAULT_VG_GRID_STEP, LevyModel, STANDARD_NORMAL, VarianceGamma
 from .superpos import Mixture, Variant
@@ -23,34 +25,70 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.replace(",", " ").split())
+
+
+def _float_or_none(raw: str) -> float | None:
+    """An empty value means unset (``burn_in =`` picks the automatic burn-in)."""
+    return float(raw) if raw.strip() else None
+
+
+def _key(section: str, default, parse=float, rule=None, kind=None, key=None):
+    """Declare a field's config key: ``section.key`` in the file (``key``
+    defaults to the field name), read by ``parse``; ``rule`` = (test,
+    requirement) bounds its value, and a [model] key with a ``kind`` is
+    checked and written for that model kind alone."""
+    return field(default=default, metadata={"config": (section, key, parse, rule, kind)})
+
+
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
+
+
+def _at_least(n: int) -> tuple[Callable[[int], bool], str]:
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; defaults mirror the two-atom compound
     Poisson showcase (beta = eta = 1, atoms 0.5/0.95 weighted 3:1)."""
 
-    model_kind: str = "compound_poisson"
-    rate: float = 1.0
-    jump_dist: str = "standard_normal"
-    sigma: float = 1.0
-    nu: float = 1.0
-    vg_grid_step: float = DEFAULT_VG_GRID_STEP
-    beta: float = 1.0
-    eta: float = 1.0
-    phis: tuple[float, ...] = (0.5, 0.95)
-    weights: tuple[float, ...] = (0.75, 0.25)
-    variants: tuple[str, ...] = ("sup1", "sup2", "sup3")
-    horizon: float = 100.0
-    replications: int = 4000
-    q_paths: int = 100
-    tail_samples: int = 20000
-    seed: int = 20260810
-    burn_in: float | None = None
-    sample_grid_step: float = 0.5
-    threads: int = 1  # validated and serialized; has no effect
-    increments: tuple[float, ...] = (1.0,)
-    lags: tuple[float, ...] = (1.0, 2.0, 4.0)
-    tolerance_k: float = 4.0
-    out_dir: str = "out"
+    model_kind: str = _key("model", "compound_poisson", str, key="kind")
+    rate: float = _key("model", 1.0, rule=_POSITIVE, kind="compound_poisson")
+    jump_dist: str = _key("model", "standard_normal", str, kind="compound_poisson", key="jumps")
+    sigma: float = _key("model", 1.0, rule=_POSITIVE, kind="variance_gamma")
+    nu: float = _key("model", 1.0, rule=_POSITIVE, kind="variance_gamma")
+    vg_grid_step: float = _key(
+        "model", DEFAULT_VG_GRID_STEP, rule=_POSITIVE, kind="variance_gamma", key="grid_step"
+    )
+    beta: float = _key("cogarch", 1.0, rule=_POSITIVE)
+    eta: float = _key("cogarch", 1.0, rule=_POSITIVE)
+    phis: tuple[float, ...] = _key("mixture", (0.5, 0.95), _floats)
+    weights: tuple[float, ...] = _key("mixture", (0.75, 0.25), _floats)
+    variants: tuple[str, ...] = _key("simulation", ("sup1", "sup2", "sup3"), _names)
+    horizon: float = _key("simulation", 100.0, rule=_POSITIVE)
+    replications: int = _key("simulation", 4000, int, _at_least(100))
+    q_paths: int = _key("simulation", 100, int, _at_least(1))
+    tail_samples: int = _key("simulation", 20000, int, _at_least(100))
+    seed: int = _key("simulation", 20260810, int)
+    burn_in: float | None = _key("simulation", None, _float_or_none, (lambda v: v is None or v > 0.0, "must be > 0"))
+    sample_grid_step: float = _key("simulation", 0.5, rule=_POSITIVE)
+    threads: int = _key("simulation", 1, int, _at_least(1))  # validated and serialized; has no effect
+    increments: tuple[float, ...] = _key(
+        "analysis", (1.0,), _floats, (lambda rs: rs and min(rs) > 0.0, "need positive increment lengths")
+    )
+    lags: tuple[float, ...] = _key(
+        "analysis", (1.0, 2.0, 4.0), _floats,
+        (lambda hs: all(h >= 0.0 for h in hs) and any(h > 0.0 for h in hs),
+         "need nonnegative lags, at least one positive"),
+    )
+    tolerance_k: float = _key("analysis", 4.0, rule=_POSITIVE)
+    out_dir: str = _key("output", "out", str)
 
     def model(self) -> LevyModel:
         if self.model_kind == "compound_poisson":
@@ -77,47 +115,22 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> "ExperimentConfig":
-        """Check every module-level precondition up front; raises
-        ConfigError naming the failing field."""
-        for section, key, name, parse in _KEYS:
+        """Check every module-level precondition up front: each key's
+        finiteness and range rule in file order, then the checks across
+        keys; raises ConfigError naming the failing field."""
+        for section, key, name, parse, rule, kind in _KEYS:
+            value = getattr(self, name)
             if parse in (float, _float_or_none, _floats):
-                value = getattr(self, name)
                 values = value if parse is _floats else [] if value is None else [value]
                 if not all(map(math.isfinite, values)):
                     raise ConfigError(f"{section}.{key}", f"must be finite, got {', '.join(map(str, values))}")
-        for section, key, name, parse in _KEYS:
-            if section == "model" and parse is float and key in _MODEL_KEYS.get(self.model_kind, ()):
-                if not getattr(self, name) > 0.0:
-                    raise ConfigError(f"model.{key}", f"must be > 0, got {getattr(self, name)}")
+            if rule and kind in (None, self.model_kind) and not rule[0](value):
+                raise ConfigError(f"{section}.{key}", f"{rule[1]}, got {value}")
         self.model()
-        if not self.beta > 0.0:
-            raise ConfigError("cogarch.beta", f"must be > 0, got {self.beta}")
-        if not self.eta > 0.0:
-            raise ConfigError("cogarch.eta", f"must be > 0, got {self.eta}")
         if len(self.phis) != len(self.weights):
             raise ConfigError("mixture", "phis and weights must have equal length")
         self.mixture()
         self.variant_list()
-        if not self.horizon > 0.0:
-            raise ConfigError("simulation.horizon", f"must be > 0, got {self.horizon}")
-        if self.replications < 100:
-            raise ConfigError("simulation.replications", f"need at least 100, got {self.replications}")
-        if self.q_paths < 1:
-            raise ConfigError("simulation.q_paths", f"need at least 1, got {self.q_paths}")
-        if self.tail_samples < 100:
-            raise ConfigError("simulation.tail_samples", f"need at least 100, got {self.tail_samples}")
-        if self.burn_in is not None and not self.burn_in > 0.0:
-            raise ConfigError("simulation.burn_in", f"must be > 0 when set, got {self.burn_in}")
-        if not self.sample_grid_step > 0.0:
-            raise ConfigError("simulation.sample_grid_step", "must be > 0")
-        if self.threads < 1:
-            raise ConfigError("simulation.threads", f"must be >= 1, got {self.threads}")
-        if not self.increments or any(r <= 0.0 for r in self.increments):
-            raise ConfigError("analysis.increments", "need positive increment lengths")
-        if any(h < 0.0 for h in self.lags) or not any(h > 0.0 for h in self.lags):
-            raise ConfigError("analysis.lags", "need nonnegative lags, at least one positive")
-        if not self.tolerance_k > 0.0:
-            raise ConfigError("analysis.tolerance_k", f"must be > 0, got {self.tolerance_k}")
         return self
 
     def with_overrides(
@@ -130,54 +143,14 @@ class ExperimentConfig:
         return replace(self, **{name: value for name, value in given.items() if value is not None})
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _names(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.replace(",", " ").split())
-
-
-def _float_or_none(raw: str) -> float | None:
-    """An empty value means unset (``burn_in =`` picks the automatic burn-in)."""
-    return float(raw) if raw.strip() else None
-
-
-# The one list of config keys, in file order: (section, key, field, parser).
-# parse_config reads the registry and the conversions from it,
-# serialize_config the layout, validate() the fields to check for finiteness.
-_KEYS = (
-    ("model", "kind", "model_kind", str),
-    ("model", "rate", "rate", float),
-    ("model", "jumps", "jump_dist", str),
-    ("model", "sigma", "sigma", float),
-    ("model", "nu", "nu", float),
-    ("model", "grid_step", "vg_grid_step", float),
-    ("cogarch", "beta", "beta", float),
-    ("cogarch", "eta", "eta", float),
-    ("mixture", "phis", "phis", _floats),
-    ("mixture", "weights", "weights", _floats),
-    ("simulation", "variants", "variants", _names),
-    ("simulation", "horizon", "horizon", float),
-    ("simulation", "replications", "replications", int),
-    ("simulation", "q_paths", "q_paths", int),
-    ("simulation", "tail_samples", "tail_samples", int),
-    ("simulation", "seed", "seed", int),
-    ("simulation", "burn_in", "burn_in", _float_or_none),
-    ("simulation", "sample_grid_step", "sample_grid_step", float),
-    ("simulation", "threads", "threads", int),
-    ("analysis", "increments", "increments", _floats),
-    ("analysis", "lags", "lags", _floats),
-    ("analysis", "tolerance_k", "tolerance_k", float),
-    ("output", "out_dir", "out_dir", str),
+# Every config key in file order, (section, key, field, parser, rule, kind),
+# from the field declarations: parse_config reads the registry and the
+# conversions from it, serialize_config the layout, validate() the rules.
+_KEYS = tuple(
+    (section, key or f.name, f.name, parse, rule, kind)
+    for f in fields(ExperimentConfig)
+    for section, key, parse, rule, kind in [f.metadata["config"]]
 )
-
-# The [model] keys that only one model kind reads: validate() requires its
-# float keys > 0, serialize_config writes them for that kind alone.
-_MODEL_KEYS = {
-    "compound_poisson": ("rate", "jumps"),
-    "variance_gamma": ("sigma", "nu", "grid_step"),
-}
 
 
 def _text(parse, value) -> str:
@@ -197,7 +170,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError("<file>", f"not parseable: {exc}") from exc
 
-    keys = {(section, key) for section, key, _, _ in _KEYS}
+    keys = {(section, key) for section, key, *_ in _KEYS}
     for section in parser.sections():
         if section not in {s for s, _ in keys}:
             raise ConfigError(section, "unknown section")
@@ -206,7 +179,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"{section}.{key}", "unknown key")
 
     values = {}
-    for section, key, name, parse in _KEYS:
+    for section, key, name, parse, *_ in _KEYS:
         raw = parser.get(section, key, fallback=None)
         if raw is not None:
             try:
@@ -217,11 +190,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; floats keep full precision via repr."""
-    other = {key for kind, keys in _MODEL_KEYS.items() if kind != cfg.model_kind for key in keys}
+    """Canonical text form; floats keep full precision via repr.  A [model]
+    key of another model kind is left out."""
     sections: dict[str, dict[str, str]] = {}
-    for section, key, name, parse in _KEYS:
-        if not (section == "model" and key in other):
+    for section, key, name, parse, _, kind in _KEYS:
+        if kind in (None, cfg.model_kind):
             sections.setdefault(section, {})[key] = _text(parse, getattr(cfg, name))
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
