@@ -78,7 +78,9 @@ from .cogarch import (
     MARK_BLOCK, CogarchParams, MomentDivergesError, _exp_decays, _lefts, _relax_marks, default_burn_in,
     simulate_cogarch, stationary_start,
 )
-from .levy import CompoundPoisson, JumpPath, LevyModel, _raw_marks, _tidy_marks, substreams
+from .levy import (
+    CompoundPoisson, JumpPath, LevyModel, _check_marks, _check_window, _raw_marks, _tidy_marks, substreams,
+)
 from .superpos import Mixture, Variant, _require_stationary, _weighted, sup1_mean
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
@@ -214,21 +216,6 @@ def _shift(arr: np.ndarray, start: np.ndarray, count: np.ndarray, fill: float) -
     cols = np.arange(width)
     idx = np.minimum(start[:, None] + cols, arr.shape[1] - 1)
     return np.where(cols < count[:, None], _take(arr, idx), fill)
-
-
-def _check_window(t0: float, t1: float) -> None:
-    if not t1 > t0:
-        raise ValueError(f"empty horizon [{t0}, {t1}]")
-
-
-def _check_marks(times: np.ndarray, counts: np.ndarray, t0: float, t1: float) -> None:
-    """JumpPath's invariants for every row at once: marks in (t0, t1],
-    strictly increasing."""
-    valid = np.arange(times.shape[1]) < counts[:, None]
-    if np.any(valid & ~((times > t0) & (times <= t1))):
-        raise ValueError("mark times must lie in (t0, t1]")
-    if np.any(valid[:, 1:] & ~(times[:, 1:] > times[:, :-1])):
-        raise ValueError("mark times must be strictly increasing")
 
 
 def _gaps(t: np.ndarray, times: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -133,6 +133,21 @@ class VarianceGamma:
 LevyModel = Union[CompoundPoisson, VarianceGamma]
 
 
+def _check_window(t0: float, t1: float) -> None:
+    if not t1 > t0:
+        raise ValueError(f"empty horizon [{t0}, {t1}]")
+
+
+def _check_marks(times: np.ndarray, counts: np.ndarray, t0: float, t1: float) -> None:
+    """JumpPath's invariants for every row at once: the first ``counts[r]``
+    marks of row r lie in (t0, t1] and are strictly increasing."""
+    valid = np.arange(times.shape[1]) < counts[:, None]
+    if np.any(valid & ~((times > t0) & (times <= t1))):
+        raise ValueError("mark times must lie in (t0, t1]")
+    if np.any(valid[:, 1:] & ~(times[:, 1:] > times[:, :-1])):
+        raise ValueError("mark times must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class JumpPath:
     """Finite, time-sorted stream of (time, jump size) marks on [t0, t1].
@@ -151,15 +166,11 @@ class JumpPath:
         sizes = np.asarray(self.sizes, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "sizes", sizes)
-        if not self.t1 > self.t0:
-            raise ValueError(f"empty horizon [{self.t0}, {self.t1}]")
+        _check_window(self.t0, self.t1)
         if times.shape != sizes.shape or times.ndim != 1:
             raise ValueError("times and sizes must be 1-d arrays of equal length")
         if times.size:
-            if times[0] <= self.t0 or times[-1] > self.t1:
-                raise ValueError("mark times must lie in (t0, t1]")
-            if np.any(np.diff(times) <= 0.0):
-                raise ValueError("mark times must be strictly increasing")
+            _check_marks(times[None], np.array([times.size]), self.t0, self.t1)
         times.setflags(write=False)
         sizes.setflags(write=False)
 
@@ -368,8 +379,7 @@ def simulate_levy_path(
     """Simulate the driver L on ``horizon`` as a stream of jump marks (see
     :func:`_draw_marks`).  Deterministic given (model, horizon, seed)."""
     t0, t1 = float(horizon[0]), float(horizon[1])
-    if not t1 > t0:
-        raise ValueError(f"empty horizon [{t0}, {t1}]")
+    _check_window(t0, t1)
     times, sizes = _draw_marks(model, t0, t1, rng_from(seed))
     return JumpPath(t0, t1, times, sizes)
 

@@ -175,7 +175,7 @@ def increment_autocov(
     """Cov of increments over disjoint windows vanishes for every variant."""
     if not r > 0.0 or h < r:
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
-    moment_gate(model, eta, mixture.phis, 0.5)
+    moment_gate(model, eta, mixture.phis, 1.0)  # the increments' second moments, r * E[L_1^2] * E[Vbar]
     return 0.0
 
 
@@ -300,19 +300,25 @@ def _increment_second_moment(mixture: Mixture, beta: float, eta: float, model: L
 
 #: the closed-form price moments of each variant, keyed by quantity:
 #: "increment_second_moment" takes the increment length r as a fifth
-#: argument, "sq_increment_cov" r and the lag h >= r.  The second moment is
-#: shared by all three variants; variant 3's squared-increment covariance
-#: has no closed form (see :func:`sq_increment_cov_sup3`).
+#: argument, "increment_cov" and "sq_increment_cov" r and the lag h >= r.
+#: The first two are shared by all three variants; variant 3's
+#: squared-increment covariance has no closed form (see
+#: :func:`sq_increment_cov_sup3`).
 PRICE_MOMENTS = {
     Variant.SUP1: {
         "increment_second_moment": _increment_second_moment,
+        "increment_cov": partial(increment_autocov, Variant.SUP1),
         "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP1),
     },
     Variant.SUP2: {
         "increment_second_moment": _increment_second_moment,
+        "increment_cov": partial(increment_autocov, Variant.SUP2),
         "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP2),
     },
-    Variant.SUP3: {"increment_second_moment": _increment_second_moment},
+    Variant.SUP3: {
+        "increment_second_moment": _increment_second_moment,
+        "increment_cov": partial(increment_autocov, Variant.SUP3),
+    },
 }
 
 

@@ -47,7 +47,7 @@ from .cogarch import (
     stationary_variance,
 )
 from .csvio import columns_to_csv, event_columns
-from .levy import JumpPath, LevyModel, simulate_levy_path, substream
+from .levy import JumpPath, LevyModel, _check_window, simulate_levy_path, substream
 
 __all__ = [
     "Variant",
@@ -196,7 +196,7 @@ def simulate_bundle(
     ``substream(seed, 1)``; they cover burn-in and live marks, so variant
     3's aggregate burns in jointly with its component family.  The burn-in
     defaults to that of the slowest-forgetting atom."""
-    from .batch import _bundles, _check_window  # batch builds on this module
+    from .batch import _bundles  # batch builds on this module
 
     _check_window(float(horizon[0]), float(horizon[1]))
     got = _bundles(

@@ -17,7 +17,9 @@ summand is at most linear in V (V, a price increment, its square, the
 product of two increments), k + 1 when it is quadratic (V^2, the product of
 two V's, the product of two squared increments), whose heavier tails the
 wider band absorbs.  Every MomentReport is written by one writer,
-:class:`_Rows`, which alone sets the band.  Path-wise identities carry
+:class:`_Rows`, which alone sets the band.  A row whose target diverges
+has no verdict; a family whose mean diverges is not sampled at all and
+writes one skipped mean row.  Path-wise identities carry
 fixed machine-precision tolerances and report as boolean check rows.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -328,17 +331,22 @@ def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
 
 
 def _moment_battery(
-    rows: _Rows, prefix: str, moments: dict, args: tuple, second: str, vals: np.ndarray, lags: list[float],
-    alt=None,
+    rows: _Rows, prefix: str, moments: dict, args: tuple, second: str, sample, lags: list[float], alt=None,
 ) -> None:
     """The rows of one sampled stationary process against a moment table
     (``COGARCH_MOMENTS`` or a ``SUP_MOMENTS`` entry, called with ``args``):
     the mean, then ``second`` ("variance" or "second_moment"), then the
-    autocovariance at each lag.  ``vals`` holds the process at 0 and at the
-    lags.  ``alt`` is a second closed form of the variance, which must agree
-    with the table's to 1e-12 where it is finite."""
+    autocovariance at each lag.  ``sample()`` gives the process at 0 and at
+    the lags; where the mean diverges nothing is sampled and the family is
+    one skipped mean row.  ``alt`` is a second closed form of the variance,
+    which must agree with the table's to 1e-12 where it is finite."""
+    mean = _try(moments["mean"], *args)
+    if mean is None:
+        rows.skip(f"{prefix}.mean")
+        return
+    vals = sample()
     v0 = vals[:, 0]
-    rows.compare(f"{prefix}.mean", _try(moments["mean"], *args), mc_mean, v0)
+    rows.compare(f"{prefix}.mean", mean, mc_mean, v0)
     target = _try(moments[second], *args)
     estimator = mc_second_moment if second == "second_moment" else mc_variance
     rows.compare(f"{prefix}.{second}", target, estimator, v0, order=2)
@@ -356,12 +364,10 @@ def _cogarch_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     rows = _Rows(cfg.tolerance_k, reports)
     for atom, phi in enumerate(cfg.phis):
         args = (CogarchParams(cfg.beta, cfg.eta, phi), model)
-        prefix = f"cogarch[{phi:g}]"
-        if _try(COGARCH_MOMENTS["mean"], *args) is None:
-            rows.skip(f"{prefix}.mean")
-            continue
-        vals = _cogarch_samples(cfg, atom, lags)
-        _moment_battery(rows, prefix, COGARCH_MOMENTS, args, "variance", vals, lags, stationary_variance_alt)
+        _moment_battery(
+            rows, f"cogarch[{phi:g}]", COGARCH_MOMENTS, args, "variance",
+            partial(_cogarch_samples, cfg, atom, lags), lags, stationary_variance_alt,
+        )
 
 
 def _cross_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
@@ -391,8 +397,8 @@ def _sup_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     for vi, variant in enumerate(cfg.variant_list()):
         # variant 3 checks the second moment, the others the variance
         second = "second_moment" if variant is Variant.SUP3 else "variance"
-        vals = _sup_samples(cfg, variant, vi, lags)
-        _moment_battery(rows, variant.value, SUP_MOMENTS[variant], args, second, vals, lags)
+        sample = partial(_sup_samples, cfg, variant, vi, lags)
+        _moment_battery(rows, variant.value, SUP_MOMENTS[variant], args, second, sample, lags)
 
 
 def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows: list[PriceRow]) -> None:
@@ -417,7 +423,8 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
         second = _try(prices["increment_second_moment"], *args)
         emit(rows.compare(f"{tag}.increment_second_moment", second, mc_second_moment, inc0))
         for h in hs:
-            emit(rows.compare(f"{tag}.increment_cov[h={h:g}]", 0.0, mc_covariance, inc0, incs[h]), h)
+            cov = _try(prices["increment_cov"], *args, h)
+            emit(rows.compare(f"{tag}.increment_cov[h={h:g}]", cov, mc_covariance, inc0, incs[h]), h)
 
         x0sq = inc0**2
         if "sq_increment_cov" in prices:

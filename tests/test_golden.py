@@ -13,8 +13,9 @@ extraction, the jump tallies and the export together.
 Every file ``verify`` writes is pinned on ``verify_light`` at a small
 scale, and on the same run with a second atom at phi = 1.5, which is
 stationary but has no mean: its rows that diverge before sampling are
-written as skipped rows, at k and at k + 1, and its sup3 squared-increment
-consistency rows diverge.  These bytes pin each row's target, estimate,
+written as skipped rows, at k and at k + 1 (a family whose mean diverges
+is one skipped mean row), and its price increment covariances and sup3
+squared-increment consistency rows diverge.  These bytes pin each row's target, estimate,
 standard error, n and k, and the order of the rows.
 
 So is every file ``simulate`` writes (``config.cfg`` included: the runs
@@ -133,11 +134,12 @@ VERIFY_SHA256 = {
         "verification.csv": "27a1c022ad2252482e991fc0e0854525d84c1598f5212e314ee011c428ea23b8",
         "verification_checks.csv": "623c741b41205a6eb37f3449ed1c10c60fc5641ad213cd3816ca280cf6ba1e05",
     },
-    # cogarch[1.5].mean (k) and the cross covariance (k + 1) are skipped
-    # before sampling; the sup rows are sampled against diverging targets
+    # cogarch[1.5].mean and each supN.mean (k) and the cross covariance
+    # (k + 1) are skipped before sampling; the price increment covariances
+    # are sampled against diverging targets
     "diverging_atom": {
-        "price_increments.csv": "7662e816cf5ad4fbd70af6fef59c66d88cba350741b702a54a4947116426d250",
-        "verification.csv": "35c8bd7fca63af51091dd3fdcfd04b75437f312e594803d854cbb08fabac1bdb",
+        "price_increments.csv": "a574a43e63a9bb55ca2280231e1acf60bbd469b6b648fdab2474b6aa0fe28cab",
+        "verification.csv": "e30da572c718244f96fa36e76745668db2c89aadf4debaac611f66445fde01b5",
         "verification_checks.csv": "dacd55bd7dc506c056eecf3be2ac9c3e1a11b51fa77a9c097ce97942b83a0b5b",
     },
 }

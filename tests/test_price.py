@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from supcogarch.cogarch import MomentDivergesError
+from supcogarch import charexp
+from supcogarch.cogarch import MomentDivergesError, _try
 from supcogarch.levy import CompoundPoisson
 from supcogarch.price import (
+    PRICE_MOMENTS,
     increment_autocov,
     increment_mean_and_variance,
     lag_kernel,
@@ -93,6 +95,18 @@ def test_increment_autocov_is_zero():
         assert increment_autocov(variant, MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 4.0) == 0.0
     with pytest.raises(ValueError):
         increment_autocov(Variant.SUP1, MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 0.5)
+
+
+def test_increment_autocov_needs_a_finite_mean():
+    # psi(1, 1.5) = 0.5 >= 0: E[Vbar], so E[(dG_r)^2], diverges and the
+    # increments have no covariance, although psi(0.5, 1.5) < 0
+    mix = Mixture.from_atoms([(0.12, 0.6), (1.5, 0.4)])
+    ctx = charexp.ExponentContext(MODEL, 1.0)
+    assert charexp.psi(ctx, 0.5, 1.5) < 0.0 < charexp.psi(ctx, 1.0, 1.5)
+    for variant in Variant:
+        with pytest.raises(MomentDivergesError):
+            increment_autocov(variant, mix, 1.0, 1.0, MODEL, 1.0, 2.0)
+        assert _try(PRICE_MOMENTS[variant]["increment_cov"], mix, 1.0, 1.0, MODEL, 1.0, 2.0) is None
 
 
 def test_lag_kernel_limits():
