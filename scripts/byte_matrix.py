@@ -83,16 +83,12 @@ def check(name: str, command: str, text: str, trees: tuple[Path, Path], work: Pa
         [sys.executable, str(COMPARE), str(run_dir / "parent"), str(run_dir / "change")],
         capture_output=True, text=True, check=False,
     )
-    status = proc.returncode
-    notes = []
-    if code_a != code_b:
-        status, notes = 2, notes + ["exit codes differ"]
-    if stdout_a != stdout_b:
-        status, notes = 2, notes + ["stdout differs"]
-    line = f"{name}: exit {code_a} / {code_b}, compare_outputs {proc.returncode}" + "".join(f", {n}" for n in notes)
+    notes = [note for note, differs in (("exit codes differ", code_a != code_b), ("stdout differs", stdout_a != stdout_b))
+             if differs]
+    line = ", ".join([f"{name}: exit {code_a} / {code_b}", f"compare_outputs {proc.returncode}", *notes])
     if proc.returncode:
         line += "\n" + proc.stdout.rstrip()
-    return line, status
+    return line, 2 if notes else proc.returncode
 
 
 def main(argv: list[str] | None = None) -> int:
