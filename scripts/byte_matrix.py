@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two trees write the same output bytes, in one command.
 
-    python scripts/byte_matrix.py PARENT_DIR CHANGE_DIR [--work DIR] [--jobs N]
+    python scripts/byte_matrix.py PARENT_DIR CHANGE_DIR
 
 PARENT_DIR and CHANGE_DIR are two copies of the repository (for example
 made with ``git archive``).  The matrix runs, in each tree on that tree's
@@ -21,8 +21,9 @@ whose two command exit codes or whose stdout (with the output directory
 masked) differ counts as status 2.
 
 Exit code: the worst status over all runs (0 when every output file is
-byte-identical and every exit code and stdout match).  Outputs go to
-``--work`` (default: a temporary directory, removed at the end).
+byte-identical and every exit code and stdout match).  Runs go, up to
+``min(4, cpu count)`` at a time, to a temporary directory, which is removed
+when the worst status is 0 and otherwise kept, with its path printed.
 Standard library only.
 """
 
@@ -95,25 +96,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--work", type=Path, default=None, help="directory for configs and outputs (kept)")
-    parser.add_argument("--jobs", type=int, default=1, help="runs at a time (each run is two commands in turn)")
     args = parser.parse_args(argv)
     for tree in (args.parent, args.change):
         if not (tree / "src" / "supcogarch").is_dir():
             parser.error(f"no src/supcogarch in {tree}")
-    work = args.work or Path(tempfile.mkdtemp(prefix="byte_matrix_"))
-    try:
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            results = pool.map(
-                lambda run: check(*run, (args.parent, args.change), work), matrix(args.change / "configs")
-            )
-            worst = 0
-            for line, status in results:
-                print(line, flush=True)
-                worst = max(worst, status)
-    finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+    work = Path(tempfile.mkdtemp(prefix="byte_matrix_"))
+    worst = 0
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        results = pool.map(lambda run: check(*run, (args.parent, args.change), work), matrix(args.change / "configs"))
+        for line, status in results:
+            print(line, flush=True)
+            worst = max(worst, status)
+    if worst:
+        print(f"outputs kept in {work}")
+    else:
+        shutil.rmtree(work, ignore_errors=True)
     print(f"worst status: {worst}")
     return worst
 

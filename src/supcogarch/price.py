@@ -298,6 +298,10 @@ def _increment_second_moment(mixture: Mixture, beta: float, eta: float, model: L
     return increment_mean_and_variance(Variant.SUP1, mixture, beta, eta, model, r)[1]
 
 
+def _increment_cov(mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float, h: float) -> float:
+    return increment_autocov(Variant.SUP1, mixture, beta, eta, model, r, h)
+
+
 #: the closed-form price moments of each variant, keyed by quantity:
 #: "increment_second_moment" takes the increment length r as a fifth
 #: argument, "increment_cov" and "sq_increment_cov" r and the lag h >= r.
@@ -307,17 +311,17 @@ def _increment_second_moment(mixture: Mixture, beta: float, eta: float, model: L
 PRICE_MOMENTS = {
     Variant.SUP1: {
         "increment_second_moment": _increment_second_moment,
-        "increment_cov": partial(increment_autocov, Variant.SUP1),
+        "increment_cov": _increment_cov,
         "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP1),
     },
     Variant.SUP2: {
         "increment_second_moment": _increment_second_moment,
-        "increment_cov": partial(increment_autocov, Variant.SUP2),
+        "increment_cov": _increment_cov,
         "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP2),
     },
     Variant.SUP3: {
         "increment_second_moment": _increment_second_moment,
-        "increment_cov": partial(increment_autocov, Variant.SUP3),
+        "increment_cov": _increment_cov,
     },
 }
 
