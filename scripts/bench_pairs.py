@@ -16,10 +16,14 @@ first in even pairs and the change first in odd ones.  Each run's last output li
 The record holds ``what`` and ``claim`` as given, a ``summary`` per
 workload and end-to-end metric of BENCHMARK.json (each side's median and
 quartiles, ``statistics.quantiles`` inclusive, the change of the medians
-in percent, and ``change_better_pairs``: the pairs in which the change beat
-the parent, ties counting for neither), the workload's ``failed_runs``
-(command runs that failed, both sides) and every run.  A summary is also
-printed, one line per workload and metric.  Standard library only.
+in percent, ``change_better_pairs``: the pairs in which the change beat
+the parent, ties counting for neither, and ``within_bound``: whether the
+change's median is worse than the parent's by at most the metric's
+``bound``, a fraction of the parent's median, in the direction ``better``),
+the workload's ``failed_runs`` (command runs that failed, both sides) and
+every run.  A summary is also printed, one line per workload and metric.
+The exit code is 1 when a median is out of its bound, else 0.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             )
         row["change_better_pairs"] = won
         row["median_change_pct"] = 100.0 * (row["change_median"] / row["parent_median"] - 1.0)
+        limit = row["parent_median"] * (1.0 + m["bound"] if lower else 1.0 - m["bound"])
+        row["within_bound"] = row["change_median"] <= limit if lower else row["change_median"] >= limit
         out[name] = row
     out["failed_runs"] = sum(r["result"]["failed"] if r["result"] else 1 for r in runs)
     return out
@@ -113,12 +119,14 @@ def main(argv: list[str] | None = None) -> int:
             if name != "failed_runs":
                 print(f"{workload} {name}: {row['parent_median']:.6g} -> {row['change_median']:.6g} "
                       f"({row['median_change_pct']:+.1f}%), change better in {row['change_better_pairs']}"
-                      f"/{row['pairs']} pairs, parent quartiles {row['parent_quartiles']}")
+                      f"/{row['pairs']} pairs, parent quartiles {row['parent_quartiles']}, "
+                      f"within bound: {row['within_bound']}")
         print(f"{workload} failed_runs: {summary[workload]['failed_runs']}")
 
     record = {"what": args.what, "claim": args.claim, "summary": summary, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    rows = [row for wl in summary.values() for name, row in wl.items() if name != "failed_runs"]
+    return 0 if all(row["within_bound"] for row in rows) else 1
 
 
 if __name__ == "__main__":

@@ -49,16 +49,22 @@ every number equals that of the serial simulators kept in
 Padded arrays hold replication r in row r; columns past a row's mark count
 hold +inf times, so they sort after every query, and zero sizes.  A batch
 holds every replication's live window, so callers bound memory by
-simulating ranges of replications (:func:`chunked`); within a call, long
-burn-ins are drawn and burned in a chunk of replications at a time.  The
-draws of :func:`simulate_batch`, :func:`simulate_cogarch_batch` and
-:func:`stationary_draws` go through :func:`analysis.run_replications`, so
-tracing tools count one replication per replication; the recursions run
-outside it.  A replication makes generator calls only (its raw marks,
-variant 3's uniforms for them), so its span times those alone; a chunk is
-then padded, tidied (:func:`levy._tidy_marks`) and checked at once, row r
-picking atoms by the first of its uniforms, one per kept mark.  A single
-bundle is not a replication and is not counted; it draws its drivers through
+simulating ranges of replications (:func:`chunked`, ``verify.q_columns``);
+within a call, they are drawn and burned in by chunks.  One rule splits
+rows (:func:`_parts`): the fewest even ranges under a cap, ROWS_PER_CALL for
+:func:`chunked`, and for a burn-in chunk _CHUNK_ROWS or about _CHUNK_MARKS
+drawn marks a driver.  The padded recursion builds its per-mark arrays one
+block of _RANK_BLOCK ranks at a time, so its scratch does not grow with the
+marks a row.  The draws of :func:`simulate_batch`,
+:func:`simulate_cogarch_batch` and :func:`stationary_draws` go through
+:func:`analysis.run_replications`, so tracing tools count one replication
+per replication; the recursions run outside it.  A replication makes
+generator calls only (its raw marks, variant 3's uniforms for them), so its
+span times those alone; a chunk is then padded, tidied
+(:func:`levy._tidy_marks`), checked and burned in one driver at a time,
+each replication's raw arrays dropped once padded, row r picking atoms by
+the first of its uniforms, one per kept mark.  A single bundle is not a
+replication and is not counted; it draws its drivers through
 :func:`levy.simulate_levy_path`, and the scalar kernels record its
 components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
 """
@@ -88,8 +94,14 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 #: replications per engine call in :func:`chunked`; bounds the memory of a
 #: batch's paths and of its queries
 ROWS_PER_CALL = 1024
-#: drawn marks held at once; replications are drawn and burned in by chunks
-_CHUNK_MARKS = 1 << 15
+#: a burn-in chunk holds at most _CHUNK_ROWS replications (by then the
+#: padded loop's per-rank overhead is amortized) and about _CHUNK_MARKS
+#: drawn marks a driver (its drivers are padded and burned in one at a
+#: time); calls and chunks split their rows evenly (:func:`_parts`)
+_CHUNK_ROWS = 256
+_CHUNK_MARKS = 1 << 17
+#: mark ranks per block of :func:`_recurse`, whose scratch is rows x block
+_RANK_BLOCK = 256
 #: fewer rows step on the scalar kernels, where the per-rank numpy overhead
 #: would lose: components burn in on the padded arrays from 64 rows x
 #: components on, variant 3 from 32 rows (the measured crossovers on
@@ -99,6 +111,13 @@ _CHUNK_MARKS = 1 << 15
 #: marks a row)
 _MIN_BATCH_STEPS = 64
 _MIN_BATCH_ROWS_SUP3 = 32
+
+
+def _parts(n: int, cap: int) -> list[range]:
+    """Rows 0 .. n - 1 in the fewest consecutive ranges of at most ``cap``
+    rows, whose lengths differ by at most one."""
+    k = -(-n // max(cap, 1))
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _rank(times: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -253,50 +272,50 @@ def _recurse(
     the variant-3 aggregate taking the scaled jump of atom ``picks``:
     relax every state toward ``level``, then jump.  Rows are sorted by mark
     count so that the rows still running at rank k are a leading slice.
-    Returns the states and the time after each row's last mark, plus the
-    per-mark values when ``record``."""
-    n, width = times.shape
-    valid = np.arange(width) < counts[:, None]
-    gaps, dec = _gaps(t, times, valid), np.ones(times.shape)
-    blocks = (_exp_decays(eta, gaps[lo: lo + MARK_BLOCK]) for lo in range(0, gaps.size, MARK_BLOCK))
-    dec[valid] = np.fromiter(chain.from_iterable(blocks), float, gaps.size)
+    Its per-mark arrays (gaps, decays, jump factors, variant 3's picks) are
+    built for one block of _RANK_BLOCK ranks at a time.  Returns the states
+    and the time after each row's last mark, plus the per-mark values when
+    ``record``."""
     phi_arr = np.asarray(phis, dtype=float)
     t_end = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
 
-    order = np.argsort(-counts, kind="stable")
-    alive = np.count_nonzero(valid[order], axis=0)
-    dec, ds, v = dec[order], sizes[order], v[:, order]
-    phi_col = phi_arr[:, None]
+    order, ascending, kmax = np.argsort(-counts, kind="stable"), np.sort(counts), int(counts.max(initial=0))
     agg = vbar is not None
-    if agg:
-        vbar = vbar[order]
-        pick = picks[order]
-        phi_pick = phi_arr[pick]
+    v, vbar = v[:, order], vbar[order] if agg else None
     rec = _Record.zeros(v.shape, times.shape, agg) if record else None
-    for k in range(int(counts.max(initial=0))):
-        m = int(alive[k])
-        d = dec[:m, k]
-        left = level + (v[:, :m] - level) * d
+    for lo in range(0, kmax, _RANK_BLOCK):
+        ranks = np.arange(lo, min(lo + _RANK_BLOCK, kmax))
+        alive = counts.size - np.searchsorted(ascending, ranks, side="right")
+        rows, cols = order[: alive[0]], slice(lo, ranks[-1] + 1)
+        block = times[rows, cols]
+        valid = ranks < counts[rows, None]
+        gaps, dec = _gaps(times[rows, lo - 1] if lo else t[rows], block, valid), np.ones(block.shape)
+        pieces = (_exp_decays(eta, gaps[i: i + MARK_BLOCK]) for i in range(0, gaps.size, MARK_BLOCK))
+        dec[valid] = np.fromiter(chain.from_iterable(pieces), float, gaps.size)
+        ds = sizes[rows, cols]
+        fac = 1.0 + phi_arr[:, None, None] * ds
         if agg:
-            vbar_left = level + (vbar[:m] - level) * d
-            vbar[:m] = vbar_left + phi_pick[:m, k] * left[pick[:m, k], np.arange(m)] * ds[:m, k]
+            pick = picks[rows, cols]
+            phi_pick = phi_arr[pick]
+        out = _Record.zeros((v.shape[0], len(rows)), block.shape, agg) if record else None
+        for j, m in enumerate(alive.tolist()):
+            d = dec[:m, j]
+            left = level + (v[:, :m] - level) * d
+            if agg:
+                vbar_left = level + (vbar[:m] - level) * d
+                np.add(vbar_left, phi_pick[:m, j] * left[pick[:m, j], np.arange(m)] * ds[:m, j], out=vbar[:m])
+                if record:
+                    out.agg_left[:m, j], out.agg_post[:m, j] = vbar_left, vbar[:m]
+            np.multiply(left, fac[:, :m, j], out=v[:, :m])
             if record:
-                rec.agg_left[:m, k] = vbar_left
-                rec.agg_post[:m, k] = vbar[:m]
-        v[:, :m] = left * (1.0 + phi_col * ds[:m, k])
+                out.left[:, :m, j], out.post[:, :m, j] = left, v[:, :m]
         if record:
-            rec.left[:, :m, k] = left
-            rec.post[:, :m, k] = v[:, :m]
+            rec.left[:, rows, cols], rec.post[:, rows, cols] = out.left, out.post
+            if agg:
+                rec.agg_left[rows, cols], rec.agg_post[rows, cols] = out.agg_left, out.agg_post
 
     back = np.argsort(order)
-    v = v[:, back]
-    if agg:
-        vbar = vbar[back]
-    if record:
-        rec.left, rec.post = rec.left[:, back], rec.post[:, back]
-        if agg:
-            rec.agg_left, rec.agg_post = rec.agg_left[back], rec.agg_post[back]
-    return v, vbar, t_end, rec
+    return v[:, back], None if vbar is None else vbar[back], t_end, rec
 
 
 def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) -> list[float]:
@@ -317,7 +336,8 @@ def _scalar_rows(
     picks: np.ndarray | None, record: bool, t_end: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
     """The steps of :func:`_recurse` on the scalar kernels, for few rows.
-    The marks go by blocks of columns, about MARK_BLOCK marks a block, whose
+    The marks go by blocks of columns, about MARK_BLOCK marks and at least
+    _RANK_BLOCK columns a block (fewer make many short row loops), whose
     decays (:func:`cogarch._exp_decays`), jump factors 1 + phi dS and
     variant-3 jump terms phi_j V^j_{T-} dS are computed column-wise, once
     for every state on a row's driver; each state of each row then steps one
@@ -338,7 +358,7 @@ def _scalar_rows(
                 v[a, r] = got.post[-1] if c else v[a, r]
         return v, vbar, t_last, rec
     phi_arr = np.asarray(phis, dtype=float)
-    step = max(1, MARK_BLOCK // n)
+    step = max(_RANK_BLOCK, MARK_BLOCK // n)
     for lo in range(0, max(cl, default=0), step):
         cols = slice(lo, lo + step)
         ds = sizes[:, cols]
@@ -431,48 +451,50 @@ def _simulate(
     t_start, t0, t1 = window
     size = len(phis) // n_drivers
     groups = [slice(d * size, (d + 1) * size) for d in range(n_drivers)]
-    per_rep = n_drivers * _expected_marks(model, t1 - t_start)
-    step = max(1, int(_CHUNK_MARKS // max(per_rep, 1.0)))
+    cap = min(_CHUNK_ROWS, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
 
-    def draw(seeds: Sequence[ISeedSequence]):
+    def draw(seeds: Sequence[ISeedSequence]) -> tuple:
         if draw_path is None:
             marks = [_raw_marks(model, t_start, t1, np.random.default_rng(s)) for s in seeds[:n_drivers]]
         else:
             marks = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in seeds[:n_drivers])]
-        return marks, None if picks is None else np.random.default_rng(seeds[n_drivers]).random(len(marks[0][0]))
+        u = None if picks is None else np.random.default_rng(seeds[n_drivers]).random(len(marks[0][0]))
+        return (*chain.from_iterable(marks), u)
 
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in range(n_drivers)]
-    for lo in range(0, n, step):
-        rows = min(step, n - lo)
-        seeds = list(zip(*(s[lo: lo + rows] for s in streams)))
+    for part in _parts(n, cap):
+        rows = len(part)
+        seeds = list(zip(*(s[part.start: part.stop] for s in streams)))
         if draw_path is None:
             drawn = run_replications(lambda i, _seeds=seeds: draw(_seeds[i]), rows)
         else:
-            drawn = [draw(s) for s in seeds]
-        padded = []
+            drawn = map(draw, seeds)
+        # item j of every draw (times and L sizes per driver, the uniforms), dropped
+        # once padded: a driver is padded, tidied and burned in before the next
+        items = dict(enumerate(zip(*drawn)))
+        del drawn
         for d in range(n_drivers):
-            times, l_sizes = _pad([p[d][0] for p, _ in drawn], math.inf), _pad([p[d][1] for p, _ in drawn], 0.0)
-            counts = np.array([len(p[d][0]) for p, _ in drawn])
+            counts = np.array([len(x) for x in items[2 * d]])
+            times, l_sizes = _pad(items.pop(2 * d), math.inf), _pad(items.pop(2 * d + 1), 0.0)
             if draw_path is None:
                 times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, counts)
                 _check_marks(times, counts, t_start, t1)
-            pk = None if picks is None or d else picks(_pad([u for _, u in drawn], 0.0)[:, : times.shape[1]])
-            padded.append((times, l_sizes, counts, pk))
-        del drawn  # the padded copies replace the per-replication arrays
-        for d, (times, l_sizes, counts, pk) in enumerate(padded):
+            pk = None if picks is None or d else picks(_pad(items.pop(2 * n_drivers), 0.0)[:, : times.shape[1]])
             n_burn = np.count_nonzero(times <= t0, axis=1)
             n_live = counts - n_burn
             live[d].append((
                 _shift(times, n_burn, n_live, math.inf), _shift(l_sizes, n_burn, n_live, 0.0), n_live,
                 None if pk is None else _shift(pk, n_burn, n_live, 0),
             ))
+            l_sizes **= 2  # the squared jumps S, in place: the live L marks are copied
             v = np.tile(np.array(starts[groups[d]])[:, None], (1, rows))
             vb = None if vbar is None else np.full(rows, vbar)
             states[d].append(_steps(
-                beta, eta, phis[groups[d]], v, vb, np.full(rows, t_start), times, l_sizes**2, n_burn, pk, False,
+                beta, eta, phis[groups[d]], v, vb, np.full(rows, t_start), times, l_sizes, n_burn, pk, False,
                 t0 if relax else None,
             ))
+            del times, l_sizes, pk  # freed before the next driver or chunk is padded
 
     drivers = [
         (_stack([c[0] for c in live[d]], math.inf), _stack([c[1] for c in live[d]], 0.0),
@@ -652,9 +674,7 @@ def stationary_draws(
 
 
 def chunked(sample: Callable[[int, int], np.ndarray], n: int) -> np.ndarray:
-    """``sample(first, count)`` over consecutive ranges of at most
-    ROWS_PER_CALL replications, stacked into the (n, q) samples of
+    """``sample(first, count)`` over the even ranges of at most ROWS_PER_CALL
+    replications (:func:`_parts`), stacked into the (n, q) samples of
     replications 0 .. n - 1."""
-    return np.concatenate(
-        [sample(lo, min(ROWS_PER_CALL, n - lo)) for lo in range(0, n, ROWS_PER_CALL)]
-    )
+    return np.concatenate([sample(part.start, len(part)) for part in _parts(n, ROWS_PER_CALL)])

@@ -162,11 +162,15 @@ def cmd_qstats(cfg: ExperimentConfig) -> int:
     """Jump-ratio samples, jump-type tallies, and log-q histograms."""
     out = _outdir(cfg)
     summary = []
+    phis = cfg.mixture().phis
+    labels = [G17 % phi for phi in phis]  # variant 3 draws atoms: each label is formatted once
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
         cols = q_columns(cfg, variant, vi)
         n = cols.q.size
-        chosen = [""] * n if cols.chosen_phi is None else [G17 % phi for phi in cols.chosen_phi.tolist()]
+        chosen = [""] * n
+        if cols.chosen_phi is not None:
+            chosen = [labels[a] for a in np.searchsorted(phis, cols.chosen_phi).tolist()]
         (out / f"{tag}_q.csv").write_text(csv_text(
             "time,q,chosen_phi", f"{G17},{G17},%s", zip(cols.time.tolist(), cols.q.tolist(), chosen),
         ))

@@ -155,12 +155,19 @@ def increment_mean_and_variance(
 ) -> tuple[float, float]:
     """(E[dG_r], E[(dG_r)^2]) = (0, r * E[L_1^2] * E[Vbar]); the mean
     formula is shared by all three variants."""
+    mean = _increment_mean(mixture, beta, eta, model, r)
+    e2 = l_moments(model)[0]
+    mean_bar = sup1_mean(mixture, beta, eta, model)  # same formula for all variants
+    return mean, r * e2 * mean_bar
+
+
+def _increment_mean(mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float) -> float:
+    """E[dG_r] = 0 for every variant, where E[sqrt(Vbar)] is finite: the
+    moment gate at order 0.5."""
     if not r > 0.0:
         raise ValueError(f"increment length must be > 0, got {r}")
     moment_gate(model, eta, mixture.phis, 0.5)
-    e2 = l_moments(model)[0]
-    mean_bar = sup1_mean(mixture, beta, eta, model)  # same formula for all variants
-    return 0.0, r * e2 * mean_bar
+    return 0.0
 
 
 def increment_autocov(
@@ -302,27 +309,20 @@ def _increment_cov(mixture: Mixture, beta: float, eta: float, model: LevyModel, 
     return increment_autocov(Variant.SUP1, mixture, beta, eta, model, r, h)
 
 
+_SHARED = {
+    "increment_mean": _increment_mean, "increment_second_moment": _increment_second_moment,
+    "increment_cov": _increment_cov,
+}
 #: the closed-form price moments of each variant, keyed by quantity:
-#: "increment_second_moment" takes the increment length r as a fifth
-#: argument, "increment_cov" and "sq_increment_cov" r and the lag h >= r.
-#: The first two are shared by all three variants; variant 3's
-#: squared-increment covariance has no closed form (see
+#: "increment_mean" and "increment_second_moment" take the increment length
+#: r as a fifth argument, "increment_cov" and "sq_increment_cov" r and the
+#: lag h >= r.  The first three are shared by all three variants (_SHARED);
+#: variant 3's squared-increment covariance has no closed form (see
 #: :func:`sq_increment_cov_sup3`).
 PRICE_MOMENTS = {
-    Variant.SUP1: {
-        "increment_second_moment": _increment_second_moment,
-        "increment_cov": _increment_cov,
-        "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP1),
-    },
-    Variant.SUP2: {
-        "increment_second_moment": _increment_second_moment,
-        "increment_cov": _increment_cov,
-        "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP2),
-    },
-    Variant.SUP3: {
-        "increment_second_moment": _increment_second_moment,
-        "increment_cov": _increment_cov,
-    },
+    Variant.SUP1: {**_SHARED, "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP1)},
+    Variant.SUP2: {**_SHARED, "sq_increment_cov": partial(sq_increment_cov_closed, Variant.SUP2)},
+    Variant.SUP3: _SHARED,
 }
 
 

@@ -47,7 +47,7 @@ from .analysis import (
     mc_second_moment,
     mc_variance,
 )
-from .batch import chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
+from .batch import _parts, chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
 from .cogarch import COGARCH_MOMENTS, CogarchParams, _try, cross_acov, cross_cov, stationary_variance_alt
 from .config import ExperimentConfig
 from .csvio import G17, analytic_cell, csv_text
@@ -77,9 +77,9 @@ _PARETO_RTOL = 0.10
 #: applied only when the exponent is small enough to be estimable at desk scale
 _HILL_BAND = (-0.8, 1.3)
 _HILL_MAX_KAPPA = 4.0
-#: replications per engine call of :func:`q_columns`; all q paths of a run
-#: at once would raise its peak memory
-_Q_ROWS_PER_CALL = 64
+#: most replications per engine call of :func:`q_columns` (split evenly);
+#: all q paths of a run at once would raise its peak memory
+_Q_ROWS_PER_CALL = 128
 
 
 @dataclass(frozen=True)
@@ -322,11 +322,11 @@ def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
         extract_q_batch(
             simulate_batch(
                 variant, mix, cfg.beta, cfg.eta, cfg.model(), (0.0, cfg.horizon), cfg.seed,
-                (Stream.Q, vi), min(_Q_ROWS_PER_CALL, cfg.q_paths - lo), cfg.burn_in, lo,
+                (Stream.Q, vi), len(part), cfg.burn_in, part.start,
             ),
             variant, mix,
         )
-        for lo in range(0, cfg.q_paths, _Q_ROWS_PER_CALL)
+        for part in _parts(cfg.q_paths, _Q_ROWS_PER_CALL)
     ])
 
 
@@ -419,7 +419,7 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
         comps_r = list(vals[:, 2 + len(hs):].T)
         prices = PRICE_MOMENTS[variant]
 
-        emit(rows.compare(f"{tag}.increment_mean", 0.0, mc_mean, inc0))
+        emit(rows.compare(f"{tag}.increment_mean", _try(prices["increment_mean"], *args), mc_mean, inc0))
         second = _try(prices["increment_second_moment"], *args)
         emit(rows.compare(f"{tag}.increment_second_moment", second, mc_second_moment, inc0))
         for h in hs:

@@ -12,6 +12,7 @@ approximately.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -220,20 +221,41 @@ def test_bundle_batch_matches_every_path(variant):
         assert np.array_equal(got.driver_times[0][rep, :count], price.times)
 
 
-@pytest.mark.parametrize(
-    "rows, chunk_marks, min_rows",
-    [(7, 1 << 30, 1), (1 << 30, 2000, 1), (1 << 30, 2000, 1 << 30)],
-    ids=["several_calls", "several_burn_in_chunks", "scalar_burn_in"],
-)
-def test_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
-    """Several engine calls per family, several burn-in chunks per call
-    (about 40 replications each) and the scalar burn-in loops all give the
-    serial numbers."""
-    monkeypatch.setattr(batch, "ROWS_PER_CALL", rows)
+BIG = 1 << 30
+#: (ROWS_PER_CALL or _Q_ROWS_PER_CALL, _CHUNK_MARKS, _CHUNK_ROWS, _RANK_BLOCK,
+#: the scalar crossovers, rows): the engine's splits, forced small
+CHUNKING = {
+    "several_calls": (7, BIG, BIG, 256, 1, None),
+    "several_burn_in_chunks": (BIG, 2000, BIG, 256, 1, None),
+    "scalar_burn_in": (BIG, 2000, BIG, 256, BIG, None),
+    "rank_block_of_one": (BIG, BIG, BIG, 1, 1, None),
+    # rows of about 45 burn-in marks: blocks end inside every row
+    "short_rank_blocks": (BIG, BIG, BIG, 7, 1, None),
+    # 129 rows: three calls of 43, each burned in as chunks of 14, 14 and 15
+    "uneven_split": (64, BIG, 16, 256, 1, 129),
+}
+
+
+def _force_chunking(monkeypatch, module, name, case) -> int | None:
+    rows, chunk_marks, chunk_rows, rank_block, min_rows, n = CHUNKING[case]
+    monkeypatch.setattr(module, name, rows)
     monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
+    monkeypatch.setattr(batch, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(batch, "_RANK_BLOCK", rank_block)
     monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
     monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+    return n
+
+
+@pytest.mark.parametrize("case", list(CHUNKING))
+def test_chunking_matches_serial(monkeypatch, case):
+    """Several engine calls per family, several burn-in chunks per call
+    (about 40 replications each), the scalar burn-in loops, rank blocks of
+    one and of fewer ranks than a row's marks, and rows that split unevenly
+    all give the serial numbers."""
+    n = _force_chunking(monkeypatch, batch, "ROWS_PER_CALL", case)
     cfg = CASES["cp_default_burn"]
+    cfg = cfg if n is None else replace(cfg, replications=n)
     lags = _lags(cfg)
     for variant in Variant:
         assert np.array_equal(verify._sup_samples(cfg, variant, 0, lags), oracle_sup(cfg, variant, 0, lags))
@@ -242,6 +264,39 @@ def test_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
     )
     assert np.array_equal(verify._cross_samples(cfg, 0.06, 0.12, lags), oracle_cross(cfg, 0.06, 0.12, lags))
     assert np.array_equal(verify._cogarch_samples(cfg, 0, lags), oracle_cogarch(cfg, 0, lags))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 600))
+def test_parts_are_even_and_capped(n, cap):
+    """The one split rule of engine calls, burn-in chunks and q calls: the
+    fewest consecutive ranges of at most cap rows, one row apart at most."""
+    parts = batch._parts(n, cap)
+    assert [r for part in parts for r in part] == list(range(n))
+    assert len(parts) == -(-n // cap)
+    sizes = [len(part) for part in parts]
+    assert all(0 < size <= cap for size in sizes)
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
+def test_padded_burn_in_scratch_does_not_grow_with_marks():
+    """The padded kernel builds its per-mark arrays one block of ranks at a
+    time, so a burn-in of 64 rows through 16,000 marks a row needs less than
+    twice the traced scratch, above its inputs, of one through 2,000 (eight
+    times as much when the arrays spanned all marks)."""
+    def peak(marks: int) -> int:
+        n, rng = 64, np.random.default_rng(marks)
+        times = np.cumsum(rng.exponential(1.0, (n, marks)), axis=1)
+        sizes = rng.standard_normal((n, marks)) ** 2
+        counts = marks - rng.integers(0, 50, n)
+        tracemalloc.start()
+        try:
+            batch._recurse(1.0, 1.0, (0.05, 0.1), np.ones((2, n)), None, np.zeros(n), times, sizes, counts, None, False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16000) < 2 * peak(2000)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +418,7 @@ def test_scalar_kernels_match_serial_loops(monkeypatch, model, eta):
     monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", 1 << 30)
     monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", 1 << 30)
     block, n = cogarch.MARK_BLOCK, 10
-    per_row = block // n  # the block length of ten rows at once
+    per_row = max(batch._RANK_BLOCK, block // n)  # the block length of ten rows at once
     counts = np.array([0, 1, 2, per_row - 1, per_row, per_row + 1, block - 1, block, block + 1, 2 * block + 3])
     beta, t_lo, t_hi = 1.3 * eta, -1.0, 14.0
     level = beta / eta
@@ -510,18 +565,15 @@ def test_q_cases_cover_empty_windows_and_price_only_jumps():
     assert verify.q_columns(cfg, Variant.SUP1, 1).tally.price_only > 0
 
 
-@pytest.mark.parametrize(
-    "rows, chunk_marks, min_rows",
-    [(7, 1 << 30, 1), (1 << 30, 200, 1), (1 << 30, 200, 1 << 30)],
-    ids=["several_calls", "several_burn_in_chunks", "scalar_burn_in"],
-)
-def test_q_chunking_matches_serial(monkeypatch, rows, chunk_marks, min_rows):
-    monkeypatch.setattr(verify, "_Q_ROWS_PER_CALL", rows)
-    monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
-    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
-    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+@pytest.mark.parametrize("case", list(CHUNKING))
+def test_q_chunking_matches_serial(monkeypatch, case):
+    n = _force_chunking(monkeypatch, verify, "_Q_ROWS_PER_CALL", case)
+    if CHUNKING[case][1] == 2000:  # burn-in chunks of about 5 rows: 10 to 20 marks a row
+        monkeypatch.setattr(batch, "_CHUNK_MARKS", 200)
+    cfg = Q_CASES["zero_atom"]
+    cfg = cfg if n is None else replace(cfg, q_paths=n)
     for variant in Variant:
-        assert_q_matches_serial(Q_CASES["zero_atom"], variant, 0)
+        assert_q_matches_serial(cfg, variant, 0)
 
 
 def test_q_bound_violations_counted_as_serial(monkeypatch):

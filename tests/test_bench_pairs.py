@@ -9,7 +9,9 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "replications_per_s", "better": "higher"}]
+METRICS = [
+    {"name": "wall_s", "better": "lower", "bound": 0.1}, {"name": "replications_per_s", "better": "higher", "bound": 0.1},
+]
 
 
 def _run(pair, side, wall, rate, failed=0):
@@ -39,3 +41,20 @@ def test_summarize_counts_wins_ties_and_failures():
     assert rate["parent_median"] == 10.0 and rate["change_median"] == 11.0
     # the missing result counts once, beside the failures a result reports
     assert got["failed_runs"] == 3
+
+
+def test_within_bound_judges_each_median_in_its_direction():
+    """A median 11% worse than a bound of 0.1 is out of bound, 9% worse is
+    within it; a higher-is-better metric is worse when it falls."""
+    def within(wall, rate):
+        runs = [_run(0, "parent", 1.0, 100.0), _run(0, "change", wall, rate)]
+        got = bench_pairs.summarize(runs, METRICS)
+        return got["wall_s"]["within_bound"], got["replications_per_s"]["within_bound"]
+
+    assert within(1.11, 89.0) == (False, False)
+    assert within(1.09, 91.0) == (True, True)
+    # each metric in its own direction: a much lower wall time and a much
+    # higher rate are improvements, never out of bound
+    assert within(0.5, 150.0) == (True, True)
+    assert within(1.11, 150.0) == (False, True)
+    assert within(0.5, 89.0) == (True, False)

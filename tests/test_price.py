@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from supcogarch import charexp
+from supcogarch import charexp, verify
 from supcogarch.cogarch import MomentDivergesError, _try
+from supcogarch.config import ExperimentConfig
 from supcogarch.levy import CompoundPoisson
 from supcogarch.price import (
     PRICE_MOMENTS,
@@ -107,6 +108,23 @@ def test_increment_autocov_needs_a_finite_mean():
         with pytest.raises(MomentDivergesError):
             increment_autocov(variant, mix, 1.0, 1.0, MODEL, 1.0, 2.0)
         assert _try(PRICE_MOMENTS[variant]["increment_cov"], mix, 1.0, 1.0, MODEL, 1.0, 2.0) is None
+
+
+
+def test_increment_mean_needs_a_finite_root_moment():
+    # psi(0.5, 2.5) = 0.21 >= 0: E[sqrt(Vbar)], so E[dG_r], diverges, though
+    # the mixture is stationary; verify's increment_mean rows are then undefined
+    mix = Mixture.from_atoms([(0.12, 0.6), (2.5, 0.4)])
+    ctx = charexp.ExponentContext(MODEL, 1.0)
+    assert charexp.is_stationary(ctx, 2.5) and charexp.psi(ctx, 0.5, 2.5) > 0.2
+    for variant in Variant:
+        assert _try(PRICE_MOMENTS[variant]["increment_mean"], mix, 1.0, 1.0, MODEL, 1.0) is None
+        assert PRICE_MOMENTS[variant]["increment_mean"](MOMENT_MIX, 1.0, 1.0, MODEL, 1.0) == 0.0
+    cfg = ExperimentConfig(phis=(0.12, 2.5), weights=(0.6, 0.4), replications=40, burn_in=40.0)
+    reports: list = []
+    verify._price_family(cfg, reports, [])
+    means = [rep for rep in reports if rep.name.endswith(".increment_mean")]
+    assert len(means) == 3 and all(rep.analytic is None and rep.passed is None for rep in means)
 
 
 def test_lag_kernel_limits():
