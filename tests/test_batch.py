@@ -250,9 +250,9 @@ def _force_chunking(monkeypatch, module, name, case) -> int | None:
 @pytest.mark.parametrize("case", list(CHUNKING))
 def test_chunking_matches_serial(monkeypatch, case):
     """Several engine calls per family, several burn-in chunks per call
-    (about 40 replications each), the scalar burn-in loops, rank blocks of
-    one and of fewer ranks than a row's marks, and rows that split unevenly
-    all give the serial numbers."""
+    (two of 30 replications), the scalar burn-in loops, rank blocks of one
+    and of fewer ranks than a row's marks, and rows that split unevenly all
+    give the serial numbers."""
     n = _force_chunking(monkeypatch, batch, "ROWS_PER_CALL", case)
     cfg = CASES["cp_default_burn"]
     cfg = cfg if n is None else replace(cfg, replications=n)
@@ -568,8 +568,6 @@ def test_q_cases_cover_empty_windows_and_price_only_jumps():
 @pytest.mark.parametrize("case", list(CHUNKING))
 def test_q_chunking_matches_serial(monkeypatch, case):
     n = _force_chunking(monkeypatch, verify, "_Q_ROWS_PER_CALL", case)
-    if CHUNKING[case][1] == 2000:  # burn-in chunks of about 5 rows: 10 to 20 marks a row
-        monkeypatch.setattr(batch, "_CHUNK_MARKS", 200)
     cfg = Q_CASES["zero_atom"]
     cfg = cfg if n is None else replace(cfg, q_paths=n)
     for variant in Variant:
