@@ -23,14 +23,13 @@ substream(seed, *key, r))``.  A COGARCH replication of
 stationary draw of :func:`stationary_draws` from the stream its caller
 names.  The streams of a call come from one :func:`levy.substreams` pass
 per driver and one for the pi-draws, not from a SeedSequence per
-replication.  The exact recursions then run mark rank by mark rank across
-the replications on padded 2-D arrays or, when there are too few rows for
-the per-rank numpy overhead to pay off, row by row on the scalar kernels
-(:func:`_scalar_rows`: one tight loop per state over blocks of marks).
-Both do one replication's floating-point operations in the same order, so
-no number depends on which runs or on the number of replications, and
-every number equals that of the serial simulators kept in
-``tests/serial_oracle.py``:
+replication.  The exact recursions then run in one loop over blocks of mark
+ranks (:func:`_steps`), each block's per-mark arrays built once and stepped
+rank by rank across the replications or, when there are too few rows for
+the per-rank numpy overhead to pay off, row by row on Python lists.  Both
+do one replication's floating-point operations in the same order, so no
+number depends on which runs or on the number of replications, and every
+number equals that of the serial simulators in ``tests/serial_oracle.py``:
 
 * per-mark decays exp(-eta (T - t)) come from ``math.exp``, through
   :func:`cogarch._exp_decays` only (``np.exp`` rounds differently on some
@@ -53,9 +52,8 @@ simulating ranges of replications (:func:`chunked`, ``verify.q_columns``);
 within a call, they are drawn and burned in by chunks.  One rule splits
 rows (:func:`_parts`): the fewest even ranges under a cap, ROWS_PER_CALL for
 :func:`chunked`, and for a burn-in chunk _CHUNK_ROWS or about _CHUNK_MARKS
-drawn marks a driver.  The padded recursion builds its per-mark arrays one
-block of _RANK_BLOCK ranks at a time, so its scratch does not grow with the
-marks a row.  The draws of :func:`simulate_batch`,
+drawn marks a driver; the recursion's scratch does not grow with the marks
+a row.  The draws of :func:`simulate_batch`,
 :func:`simulate_cogarch_batch` and :func:`stationary_draws` go through
 :func:`analysis.run_replications`, so tracing tools count one replication
 per replication; the recursions run outside it.  A replication makes
@@ -65,15 +63,15 @@ span times those alone; a chunk is then padded, tidied
 each replication's raw arrays dropped once padded, row r picking atoms by
 the first of its uniforms, one per kept mark.  A single bundle is not a
 replication and is not counted; it draws its drivers through
-:func:`levy.simulate_levy_path`, and the scalar kernels record its
-components of variants 1 and 2 by :func:`cogarch.simulate_cogarch`.
+:func:`levy.simulate_levy_path`, and its components of variants 1 and 2
+are recorded by :func:`cogarch.simulate_cogarch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,20 +93,20 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 #: batch's paths and of its queries
 ROWS_PER_CALL = 1024
 #: a burn-in chunk holds at most _CHUNK_ROWS replications (by then the
-#: padded loop's per-rank overhead is amortized) and about _CHUNK_MARKS
+#: rank-major stepper's per-rank overhead is amortized) and about _CHUNK_MARKS
 #: drawn marks a driver (its drivers are padded and burned in one at a
 #: time); calls and chunks split their rows evenly (:func:`_parts`)
 _CHUNK_ROWS = 256
 _CHUNK_MARKS = 1 << 17
-#: mark ranks per block of :func:`_recurse`, whose scratch is rows x block
+#: mark ranks per block of :func:`_steps` at least (MARK_BLOCK // rows for
+#: fewer than 8 rows), whose scratch is rows x block
 _RANK_BLOCK = 256
-#: fewer rows step on the scalar kernels, where the per-rank numpy overhead
-#: would lose: components burn in on the padded arrays from 64 rows x
-#: components on, variant 3 from 32 rows (the measured crossovers on
-#: variance gamma draws of 1000 marks a row); components record the live
-#: window there from half as many rows, variant 3 from as many (measured on
-#: compound Poisson windows of 100 marks and variance gamma windows of 1000
-#: marks a row)
+#: fewer rows step row by row, where the per-rank numpy overhead would
+#: lose: components burn in rank by rank from 64 rows x components on,
+#: variant 3 from 32 rows (the measured crossovers on variance gamma draws
+#: of 1000 marks a row); components record the live window so from half as
+#: many rows, variant 3 from as many (measured on compound Poisson windows
+#: of 100 marks and variance gamma windows of 1000 marks a row)
 _MIN_BATCH_STEPS = 64
 _MIN_BATCH_ROWS_SUP3 = 32
 
@@ -208,7 +206,7 @@ class BundleBatch:
 
 
 # ---------------------------------------------------------------------------
-# padded marks and the rank-by-rank recursion
+# padded marks and the block loop of the recursion
 
 
 def _pad(rows: Sequence[np.ndarray], fill: float, dtype=float) -> np.ndarray:
@@ -237,14 +235,6 @@ def _shift(arr: np.ndarray, start: np.ndarray, count: np.ndarray, fill: float) -
     return np.where(cols < count[:, None], _take(arr, idx), fill)
 
 
-def _gaps(t: np.ndarray, times: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """T - t_prev at the valid marks, row after row; a row's first mark
-    follows its time ``t``.  Their decays come from
-    :func:`cogarch._exp_decays`."""
-    prev = np.concatenate([t[:, None], times[:, :-1]], axis=1)
-    return times[valid] - prev[valid]
-
-
 @dataclass
 class _Record:
     """Per-mark values of a recorded recursion: components (A, n, N), the
@@ -262,60 +252,22 @@ class _Record:
                    np.zeros(marks) if agg else None, np.zeros(marks) if agg else None)
 
 
-def _recurse(
-    eta: float, level: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
-    t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-    picks: np.ndarray | None, record: bool,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
-    """Exact steps over padded subordinator marks for a component family
-    with scales ``phis`` (states ``v``, shape (A, n)) and, given ``vbar``,
-    the variant-3 aggregate taking the scaled jump of atom ``picks``:
-    relax every state toward ``level``, then jump.  Rows are sorted by mark
-    count so that the rows still running at rank k are a leading slice.
-    Its per-mark arrays (gaps, decays, jump factors, variant 3's picks) are
-    built for one block of _RANK_BLOCK ranks at a time.  Returns the states
-    and the time after each row's last mark, plus the per-mark values when
-    ``record``."""
-    phi_arr = np.asarray(phis, dtype=float)
-    t_end = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
-
-    order, ascending, kmax = np.argsort(-counts, kind="stable"), np.sort(counts), int(counts.max(initial=0))
-    agg = vbar is not None
-    v, vbar = v[:, order], vbar[order] if agg else None
-    rec = _Record.zeros(v.shape, times.shape, agg) if record else None
-    for lo in range(0, kmax, _RANK_BLOCK):
-        ranks = np.arange(lo, min(lo + _RANK_BLOCK, kmax))
-        alive = counts.size - np.searchsorted(ascending, ranks, side="right")
-        rows, cols = order[: alive[0]], slice(lo, ranks[-1] + 1)
-        block = times[rows, cols]
-        valid = ranks < counts[rows, None]
-        gaps, dec = _gaps(times[rows, lo - 1] if lo else t[rows], block, valid), np.ones(block.shape)
-        pieces = (_exp_decays(eta, gaps[i: i + MARK_BLOCK]) for i in range(0, gaps.size, MARK_BLOCK))
-        dec[valid] = np.fromiter(chain.from_iterable(pieces), float, gaps.size)
-        ds = sizes[rows, cols]
-        fac = 1.0 + phi_arr[:, None, None] * ds
-        if agg:
-            pick = picks[rows, cols]
-            phi_pick = phi_arr[pick]
-        out = _Record.zeros((v.shape[0], len(rows)), block.shape, agg) if record else None
-        for j, m in enumerate(alive.tolist()):
-            d = dec[:m, j]
-            left = level + (v[:, :m] - level) * d
-            if agg:
-                vbar_left = level + (vbar[:m] - level) * d
-                np.add(vbar_left, phi_pick[:m, j] * left[pick[:m, j], np.arange(m)] * ds[:m, j], out=vbar[:m])
-                if record:
-                    out.agg_left[:m, j], out.agg_post[:m, j] = vbar_left, vbar[:m]
-            np.multiply(left, fac[:, :m, j], out=v[:, :m])
-            if record:
-                out.left[:, :m, j], out.post[:, :m, j] = left, v[:, :m]
-        if record:
-            rec.left[:, rows, cols], rec.post[:, rows, cols] = out.left, out.post
-            if agg:
-                rec.agg_left[rows, cols], rec.agg_post[rows, cols] = out.agg_left, out.agg_post
-
-    back = np.argsort(order)
-    return v[:, back], None if vbar is None else vbar[back], t_end, rec
+def _by_rank(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> None:
+    """The rank-major stepper of :func:`_steps`: one numpy step per rank
+    across the rows running there, a leading slice of the sorted rows."""
+    dec = np.ones(valid.shape)
+    dec[valid] = np.fromiter(decays, float)
+    for j, m in enumerate(valid.sum(axis=0).tolist()):
+        d = dec[:m, j]
+        left = level + (v[:, :m] - level) * d
+        if vbar is not None:
+            vbar_left = level + (vbar[:m] - level) * d
+            np.add(vbar_left, phi_pick[:m, j] * left[pick[:m, j], np.arange(m)] * ds[:m, j], out=vbar[:m])
+            if out is not None:
+                out.agg_left[:m, j], out.agg_post[:m, j] = vbar_left, vbar[:m]
+        np.multiply(left, fac[:, :m, j], out=v[:, :m])
+        if out is not None:
+            out.left[:, :m, j], out.post[:, :m, j] = left, v[:, :m]
 
 
 def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) -> list[float]:
@@ -330,65 +282,30 @@ def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) 
     return out
 
 
-def _scalar_rows(
-    beta: float, eta: float, phis: Sequence[float], v: np.ndarray, vbar: np.ndarray | None,
-    t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-    picks: np.ndarray | None, record: bool, t_end: float | None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
-    """The steps of :func:`_recurse` on the scalar kernels, for few rows.
-    The marks go by blocks of columns, about MARK_BLOCK marks and at least
-    _RANK_BLOCK columns a block (fewer make many short row loops), whose
-    decays (:func:`cogarch._exp_decays`), jump factors 1 + phi dS and
-    variant-3 jump terms phi_j V^j_{T-} dS are computed column-wise, once
-    for every state on a row's driver; each state of each row then steps one
-    tight loop through them.  A recorded window without aggregate is
-    recorded by :func:`cogarch.simulate_cogarch` on a path ending at
-    ``t_end``, as one bundle ran before the engine."""
-    level, n = beta / eta, times.shape[0]
-    v, vbar = v.copy(), None if vbar is None else vbar.copy()
-    cl = counts.tolist()
-    t_last = np.array([times[r, c - 1] if c else t[r] for r, c in enumerate(cl)])
-    rec = _Record.zeros(v.shape, times.shape, vbar is not None) if record else None
-    if record and vbar is None:
-        for r, c in enumerate(cl):
-            path = JumpPath(float(t[r]), t_end, times[r, :c], sizes[r, :c])
-            for a, phi in enumerate(phis):
-                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, r]))
-                rec.left[a, r, :c], rec.post[a, r, :c] = got.left, got.post
-                v[a, r] = got.post[-1] if c else v[a, r]
-        return v, vbar, t_last, rec
-    phi_arr = np.asarray(phis, dtype=float)
-    step = max(_RANK_BLOCK, MARK_BLOCK // n)
-    for lo in range(0, max(cl, default=0), step):
-        cols = slice(lo, lo + step)
-        ds = sizes[:, cols]
-        kl = [min(max(c - lo, 0), ds.shape[1]) for c in cl]
-        alive = [r for r in range(n) if kl[r]]
-        valid = np.arange(ds.shape[1]) < (counts - lo)[:, None]
-        flat = list(_exp_decays(eta, _gaps(t if lo == 0 else times[:, lo - 1], times[:, cols], valid)))
-        dec = [flat[end - k: end] for end, k in zip(accumulate(kl), kl)]
-        fac = 1.0 + phi_arr[:, None, None] * ds
-        fl = fac.tolist()
-        if vbar is None:
-            for r in alive:
-                v[:, r] = [_relax_marks(level, x, dec[r], fl[a][r]) for a, x in enumerate(v[:, r].tolist())]
-            continue
-        left = rec.left[:, :, cols] if record else np.zeros(fac.shape)
-        agg_left = rec.agg_left[:, cols] if record else np.zeros(ds.shape)
-        for r in alive:
-            k = kl[r]
-            left[:, r, :k] = lefts = [_lefts(level, x, dec[r], fl[a][r]) for a, x in enumerate(v[:, r].tolist())]
-            v[:, r] = [x[-1] * fl[a][r][k - 1] for a, x in enumerate(lefts)]
-        pk = picks[:, cols]
-        jump = phi_arr[pk] * left[pk, np.arange(n)[:, None], np.arange(ds.shape[1])] * ds
-        jl = jump.tolist()
-        for r in alive:
-            k = kl[r]
-            agg_left[r, :k] = bars = _agg_lefts(level, float(vbar[r]), dec[r], jl[r])
-            vbar[r] = bars[-1] + jl[r][k - 1]
-        if record:
-            rec.post[:, :, cols], rec.agg_post[:, cols] = left * fac, agg_left + jump
-    return v, vbar, t_last, rec
+def _by_row(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> None:
+    """The row-major stepper of :func:`_steps`: each state of each row steps
+    one tight loop (:func:`cogarch._relax_marks`, :func:`cogarch._lefts`,
+    :func:`_agg_lefts`) through the block as Python lists."""
+    ks = valid.sum(axis=1).tolist()  # marks a row
+    dl, fl = [list(islice(decays, k)) for k in ks], fac.tolist()
+    if vbar is None and out is None:
+        for i, d in enumerate(dl):
+            v[:, i] = [_relax_marks(level, x, d, fl[a][i]) for a, x in enumerate(v[:, i].tolist())]
+        return
+    left = np.zeros(fac.shape) if out is None else out.left
+    for i, k in enumerate(ks):
+        left[:, i, :k] = lefts = [_lefts(level, x, dl[i], fl[a][i]) for a, x in enumerate(v[:, i].tolist())]
+        v[:, i] = [x[-1] * fl[a][i][k - 1] for a, x in enumerate(lefts)]
+    if vbar is not None:
+        jump = phi_pick * left[pick, np.arange(len(ks))[:, None], np.arange(valid.shape[1])] * ds
+        agg_left, jl, start = np.zeros(ds.shape) if out is None else out.agg_left, jump.tolist(), vbar.tolist()
+        for i, k in enumerate(ks):
+            agg_left[i, :k] = bars = _agg_lefts(level, start[i], dl[i], jl[i])
+            vbar[i] = bars[-1] + jl[i][k - 1]
+    if out is not None:
+        out.post[:] = left * fac
+        if vbar is not None:
+            out.agg_post[:] = out.agg_left + jump
 
 
 def _steps(
@@ -396,24 +313,65 @@ def _steps(
     t: np.ndarray, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
     picks: np.ndarray | None, record: bool, t_end: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, _Record | None]:
-    """Exact steps over padded marks in (t, t_end], a burn-in (``record``
-    false) or the live window: on the padded arrays (:func:`_recurse`) from
-    the crossover row count on, row by row on the scalar kernels below it.
-    Both do the same floating-point operations, so the choice never changes
-    a bit.  A burn-in relaxes every state to ``t_end`` after its last mark,
-    or leaves it there when ``t_end`` is None."""
-    min_rows = _MIN_BATCH_ROWS_SUP3 if vbar is not None else _MIN_BATCH_STEPS / len(phis) / (1 + record)
-    level = beta / eta
-    if times.shape[0] < min_rows:
-        v, vbar, t, rec = _scalar_rows(beta, eta, phis, v, vbar, t, times, sizes, counts, picks, record, t_end)
-    else:
-        v, vbar, t, rec = _recurse(eta, level, phis, v, vbar, t, times, sizes, counts, picks, record)
+    """Exact steps over padded subordinator marks in (t, t_end], a burn-in
+    (``record`` false) or the live window, of components with scales
+    ``phis`` (states ``v``, shape (A, n)) and, given ``vbar``, variant 3's
+    aggregate taking the scaled jump of atom ``picks``: relax each state
+    toward beta/eta, then jump.  The rows, sorted by mark count so that
+    those still running at rank k are a leading slice, go by blocks of
+    max(_RANK_BLOCK, MARK_BLOCK // n) ranks whose gaps, decays, factors
+    1 + phi dS and picks are built once, then stepped by :func:`_by_rank`
+    from the crossover row count on and by :func:`_by_row` below it, with
+    the same floating-point operations.  Returns the states and the time
+    after each row's last mark, plus the per-mark values when ``record``; a
+    burn-in relaxes every state to ``t_end`` after its last mark, or leaves
+    it there when ``t_end`` is None."""
+    n, level, agg = times.shape[0], beta / eta, vbar is not None
+    min_rows = _MIN_BATCH_ROWS_SUP3 if agg else _MIN_BATCH_STEPS / len(phis) / (1 + record)
+    t_last = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
+    if record and not agg and n < min_rows:
+        # below the crossover, components record by simulate_cogarch on a path
+        # ending at t_end, as one bundle ran before the engine: tracing tools
+        # time a single bundle's recursion there (the cogarch.recursion span)
+        rec, v = _Record.zeros(v.shape, times.shape, False), v.copy()
+        for r, c in enumerate(counts.tolist()):
+            path = JumpPath(float(t[r]), t_end, times[r, :c], sizes[r, :c])
+            for a, phi in enumerate(phis):
+                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, r]))
+                rec.left[a, r, :c], rec.post[a, r, :c] = got.left, got.post
+                v[a, r] = got.post[-1] if c else v[a, r]
+        return v, None, t_last, rec
+
+    order, kmax = np.argsort(-counts, kind="stable"), int(counts.max(initial=0))
+    v, vbar = v[:, order], vbar[order] if agg else None
+    rec = _Record.zeros(v.shape, times.shape, agg) if record else None
+    phi_arr, step = np.asarray(phis, dtype=float), _by_row if n < min_rows else _by_rank
+    width = max(_RANK_BLOCK, MARK_BLOCK // n)
+    for lo in range(0, kmax, width):
+        rows, cols = order[: np.count_nonzero(counts > lo)], slice(lo, min(lo + width, kmax))
+        block, valid = times[rows, cols], np.arange(lo, cols.stop) < counts[rows, None]
+        # the gaps T - t_prev at the valid marks, row after row; a row's first mark follows t
+        prev = np.concatenate([(times[rows, lo - 1] if lo else t[rows])[:, None], block[:, :-1]], axis=1)
+        gaps = block[valid] - prev[valid]
+        # their decays, computed lazily MARK_BLOCK at a time as the stepper takes them
+        decays = chain.from_iterable(_exp_decays(eta, gaps[i: i + MARK_BLOCK]) for i in range(0, gaps.size, MARK_BLOCK))
+        ds, pick = sizes[rows, cols], picks[rows, cols] if agg else None
+        out = _Record.zeros((v.shape[0], len(rows)), block.shape, agg) if record else None
+        step(level, v, vbar, valid, decays, 1.0 + phi_arr[:, None, None] * ds, ds, pick,
+             None if pick is None else phi_arr[pick], out)
+        if record:
+            rec.left[:, rows, cols], rec.post[:, rows, cols] = out.left, out.post
+            if agg:
+                rec.agg_left[rows, cols], rec.agg_post[rows, cols] = out.agg_left, out.agg_post
+
+    back = np.argsort(order)
+    v, vbar = v[:, back], vbar[back] if agg else None
     if not record and t_end is not None:
-        end = np.fromiter(_exp_decays(eta, t_end - t), float, t.size)
+        end = np.fromiter(_exp_decays(eta, t_end - t_last), float, n)
         v = level + (v - level) * end
         vbar = None if vbar is None else level + (vbar - level) * end
-        t = np.full(t.size, t_end)
-    return v, vbar, t, rec
+        t_last = np.full(n, t_end)
+    return v, vbar, t_last, rec
 
 
 # ---------------------------------------------------------------------------

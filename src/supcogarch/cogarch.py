@@ -165,15 +165,16 @@ class PathRecord:
         return min(lo, self.v0, self.final_value())
 
 
-#: marks per block of the scalar kernels, which bounds their per-mark
-#: arrays and lists
+#: marks per block of the Python-list loops (``simulate_cogarch``,
+#: ``evolve_value`` and the engine's row-major stepper), which bounds their
+#: per-mark lists
 MARK_BLOCK = 2048
 
 
 def _exp_decays(eta: float, gaps: np.ndarray) -> Iterator[float]:
-    """exp(-eta * gap) for each gap, by ``math.exp``: the decay rule of
-    every recursion, padded or scalar (``np.exp`` rounds differently on some
-    inputs, and every recursion must give the serial loops' bits)."""
+    """exp(-eta * gap) for each gap, by ``math.exp``: the one decay rule of
+    every recursion, row-major or rank-major (``np.exp`` rounds differently
+    on some inputs, and every recursion must give the serial loops' bits)."""
     return map(math.exp, (-eta * gaps).tolist())
 
 
@@ -201,17 +202,17 @@ def evolve_value(
     params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float
 ) -> float:
     """Exact evolution through the marks of ``s_path`` from ``t_start``,
-    relaxed up to ``t_end``; returns V(t_end).  The same arithmetic as
-    :func:`simulate_cogarch`, without recording the per-event values, on
-    one plain loop; each draw of :func:`batch.stationary_draws` equals it
+    relaxed up to ``t_end``; returns V(t_end).  The steps of
+    :func:`simulate_cogarch` by :func:`_relax_marks`, without recording the
+    per-event values; each draw of :func:`batch.stationary_draws` equals it
     on that draw's path."""
-    level, eta, phi = params.level, params.eta, params.phi
-    exp = math.exp
-    t = t_start
-    for T, ds in zip(s_path.times.tolist(), s_path.sizes.tolist()):
-        v = (level + (v - level) * exp(-eta * (T - t))) * (1.0 + phi * ds)
-        t = T
-    return level + (v - level) * exp(-eta * (t_end - t))
+    times, fac = s_path.times, 1.0 + params.phi * s_path.sizes
+    gaps = times - np.concatenate(([t_start], times[:-1]))
+    for lo in range(0, times.size, MARK_BLOCK):
+        decays = list(_exp_decays(params.eta, gaps[lo: lo + MARK_BLOCK]))
+        v = _relax_marks(params.level, v, decays, fac[lo: lo + MARK_BLOCK].tolist())
+    t = float(times[-1]) if times.size else t_start
+    return params.level + (v - params.level) * math.exp(-params.eta * (t_end - t))
 
 
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:

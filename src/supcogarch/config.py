@@ -130,7 +130,8 @@ class ExperimentConfig:
         if len(self.phis) != len(self.weights):
             raise ConfigError("mixture", "phis and weights must have equal length")
         self.mixture()
-        self.variant_list()
+        if len(set(self.variant_list())) < len(self.variants):
+            raise ConfigError("simulation.variants", f"duplicate variant in {', '.join(self.variants)}")
         return self
 
     def with_overrides(

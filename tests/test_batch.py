@@ -222,8 +222,9 @@ def test_bundle_batch_matches_every_path(variant):
 
 
 BIG = 1 << 30
-#: (ROWS_PER_CALL or _Q_ROWS_PER_CALL, _CHUNK_MARKS, _CHUNK_ROWS, _RANK_BLOCK,
-#: the scalar crossovers, rows): the engine's splits, forced small
+#: (ROWS_PER_CALL or _Q_ROWS_PER_CALL, _CHUNK_MARKS, _CHUNK_ROWS, the block
+#: width (_RANK_BLOCK and the engine's MARK_BLOCK), the row-major crossovers,
+#: rows): the engine's splits, forced small
 CHUNKING = {
     "several_calls": (7, BIG, BIG, 256, 1, None),
     "several_burn_in_chunks": (BIG, 2000, BIG, 256, 1, None),
@@ -242,6 +243,7 @@ def _force_chunking(monkeypatch, module, name, case) -> int | None:
     monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
     monkeypatch.setattr(batch, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(batch, "_RANK_BLOCK", rank_block)
+    monkeypatch.setattr(batch, "MARK_BLOCK", rank_block)
     monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
     monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
     return n
@@ -250,7 +252,7 @@ def _force_chunking(monkeypatch, module, name, case) -> int | None:
 @pytest.mark.parametrize("case", list(CHUNKING))
 def test_chunking_matches_serial(monkeypatch, case):
     """Several engine calls per family, several burn-in chunks per call
-    (two of 30 replications), the scalar burn-in loops, rank blocks of one
+    (two of 30 replications), the row-major burn-in, rank blocks of one
     and of fewer ranks than a row's marks, and rows that split unevenly all
     give the serial numbers."""
     n = _force_chunking(monkeypatch, batch, "ROWS_PER_CALL", case)
@@ -279,24 +281,38 @@ def test_parts_are_even_and_capped(n, cap):
     assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
-def test_padded_burn_in_scratch_does_not_grow_with_marks():
-    """The padded kernel builds its per-mark arrays one block of ranks at a
-    time, so a burn-in of 64 rows through 16,000 marks a row needs less than
-    twice the traced scratch, above its inputs, of one through 2,000 (eight
-    times as much when the arrays spanned all marks)."""
-    def peak(marks: int) -> int:
-        n, rng = 64, np.random.default_rng(marks)
-        times = np.cumsum(rng.exponential(1.0, (n, marks)), axis=1)
-        sizes = rng.standard_normal((n, marks)) ** 2
-        counts = marks - rng.integers(0, 50, n)
-        tracemalloc.start()
-        try:
-            batch._recurse(1.0, 1.0, (0.05, 0.1), np.ones((2, n)), None, np.zeros(n), times, sizes, counts, None, False)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _burn_in_peak(rows: int, marks: int) -> int:
+    """Traced peak, above its inputs, of a burn-in of ``rows`` rows of about
+    ``marks`` marks each on two states through _steps."""
+    rng = np.random.default_rng(marks)
+    times = np.cumsum(rng.exponential(1.0, (rows, marks)), axis=1)
+    sizes = rng.standard_normal((rows, marks)) ** 2
+    counts = marks - rng.integers(0, 50, rows)
+    tracemalloc.start()
+    try:
+        batch._steps(
+            1.0, 1.0, (0.05, 0.1), np.ones((2, rows)), None, np.zeros(rows), times, sizes, counts, None, False, None,
+        )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    assert peak(16000) < 2 * peak(2000)
+
+def test_padded_burn_in_scratch_does_not_grow_with_marks():
+    """The engine builds its per-mark arrays one block of ranks at a time,
+    so a burn-in of 64 rows (the rank-major stepper) through 16,000 marks a
+    row needs less than twice the traced scratch, above its inputs, of one
+    through 2,000 (eight times as much when the arrays spanned all marks)."""
+    assert 64 >= batch._MIN_BATCH_STEPS / 2
+    assert _burn_in_peak(64, 16000) < 2 * _burn_in_peak(64, 2000)
+
+
+def test_row_major_burn_in_scratch_does_not_grow_with_marks():
+    """One row burns in on the row-major stepper, its block's Python lists
+    bounded by MARK_BLOCK marks: through 16,000 marks it needs less than
+    twice the traced scratch of one through 2,000."""
+    assert 1 < batch._MIN_BATCH_STEPS / 2
+    assert _burn_in_peak(1, 16000) < 2 * _burn_in_peak(1, 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +369,9 @@ def test_simulate_bundle_empty_live_window(variant):
 
 @pytest.mark.parametrize("min_rows", [None, 1], ids=["scalar_recording", "padded_recording"])
 def test_simulate_bundle_long_vg_row(monkeypatch, min_rows):
-    """Thousands of marks in one row: recorded on the scalar kernels, and,
-    forced onto the padded per-rank loop, with the same numbers."""
+    """Thousands of marks in one row: recorded on the row-major stepper (or,
+    for a component, by simulate_cogarch), and, forced onto the rank-major
+    stepper, with the same numbers."""
     if min_rows is not None:
         monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
         monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
@@ -397,7 +414,7 @@ def test_simulate_bundle_raises_as_the_oracle(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the scalar kernels against the serial loops
+# both steppers against the serial loops
 
 KERNEL_PHIS = (0.0, 0.3, 0.7)
 #: driver and rate eta, stationary at every scale in KERNEL_PHIS
@@ -408,15 +425,16 @@ KERNEL_MODELS = {
 }
 
 
+@pytest.mark.parametrize("min_rows", [1 << 30, 1], ids=["row_major", "rank_major"])
 @pytest.mark.parametrize("model, eta", list(KERNEL_MODELS.values()), ids=list(KERNEL_MODELS))
-def test_scalar_kernels_match_serial_loops(monkeypatch, model, eta):
+def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     """Rows of 0, 1 and 2 marks and of one below, at and one above the
-    kernels' block length, forced onto the scalar kernels, ten rows at once
-    and each row alone: burned in and relaxed to t_end, burned in and left
-    at the last mark, and recorded, with and without variant 3's aggregate,
-    each number equal to the serial loops'."""
-    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", 1 << 30)
-    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", 1 << 30)
+    block length, forced onto the row-major or the rank-major stepper, ten
+    rows at once and each row alone: burned in and relaxed to t_end, burned
+    in and left at the last mark, and recorded, with and without variant
+    3's aggregate, each number equal to the serial loops'."""
+    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
+    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
     block, n = cogarch.MARK_BLOCK, 10
     per_row = max(batch._RANK_BLOCK, block // n)  # the block length of ten rows at once
     counts = np.array([0, 1, 2, per_row - 1, per_row, per_row + 1, block - 1, block, block + 1, 2 * block + 3])
@@ -488,9 +506,9 @@ def test_scalar_kernels_match_serial_loops(monkeypatch, model, eta):
 # stationary draws: the tail family on the engine
 
 STATIONARY_CASES = {
-    # at least _MIN_BATCH_STEPS rows: burned in on the padded arrays
+    # at least _MIN_BATCH_STEPS rows: burned in on the rank-major stepper
     "cp_padded": (CompoundPoisson(1.0), CogarchParams(1.0, 1.0, 0.5), 80, 80.0),
-    # fewer rows than the recording crossover: the scalar kernels, whose
+    # fewer rows than the recording crossover: the row-major stepper, whose
     # recording pass must be skipped on the empty live window
     "vg_scalar": (VarianceGamma(1.0, 1.0, grid_step=2.0**-6), CogarchParams(1.0, 0.05, 0.045), 20, 30.0),
     # phi = 0: every draw is the level beta/eta exactly
@@ -516,9 +534,21 @@ def test_stationary_draws_match_serial(case):
         assert np.all(got == params.level)
 
 
+@pytest.mark.parametrize("marks", [0, 1, cogarch.MARK_BLOCK, 2 * cogarch.MARK_BLOCK + 3])
+def test_evolve_value_matches_serial_loop(marks):
+    """cogarch.evolve_value steps blocks of MARK_BLOCK marks through
+    _relax_marks, with the serial loop's bits within and across blocks."""
+    params = CogarchParams(1.0, 0.05, 0.045)
+    drawn = squared_jumps(simulate_levy_path(VarianceGamma(1.0, 1.0, grid_step=2.0**-6), (-80.0, 0.0), 62))
+    assert len(drawn) >= marks
+    path = JumpPath(-80.0, 0.0, drawn.times[:marks], drawn.sizes[:marks])
+    want = serial_oracle.evolve_value(params, path, 1.1, -80.0, 0.5)
+    assert cogarch.evolve_value(params, path, 1.1, -80.0, 0.5) == want
+
+
 def test_stationary_cases_cover_both_kernels():
-    """One case burns in on the padded arrays, one records on the scalar
-    kernels (a component records there below _MIN_BATCH_STEPS / 2 rows)."""
+    """One case burns in on the rank-major stepper, one on the row-major one
+    (a component records there below _MIN_BATCH_STEPS / 2 rows)."""
     assert STATIONARY_CASES["cp_padded"][2] >= batch._MIN_BATCH_STEPS
     assert STATIONARY_CASES["vg_scalar"][2] < batch._MIN_BATCH_STEPS / 2
 

@@ -84,6 +84,19 @@ def test_config_validation_names_field():
     assert exc.value.field == "simulation.replications"
 
 
+def test_config_rejects_duplicate_variants(tmp_path, capsys):
+    """A variant named twice would run twice, its second bundle overwriting
+    the first's CSVs and its q rows doubled: it is refused up front."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[simulation]\nvariants = sup1, sup2, sup1\n")
+    assert exc.value.field == "simulation.variants"
+    path = tmp_path / "dup.cfg"
+    path.write_text(LIGHT_CFG.replace("variants = sup1, sup2, sup3", "variants = sup1, sup1"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "simulation.variants" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # every range rule of a single key, with one value outside it; the keys of
 # the variance gamma driver are checked under that kind only
 VG = "kind = variance_gamma\n"
