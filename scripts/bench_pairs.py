@@ -10,8 +10,11 @@ PARENT_DIR and CHANGE_DIR are two copies of the repository (for example
 made with ``git archive``).  Pair i of a workload runs
 ``perfbench/run.py --workload W --seed FIRST_SEED + i --seconds S --trace 0``
 (S the ``run_seconds`` of BENCHMARK.json) once in each tree, the parent
-first in even pairs and the change first in odd ones.  Each run's last output line (the result) and the line before it
-(the run context) are kept; nothing under ``perfbench/`` is touched.
+first in even pairs and the change first in odd ones.  Each run's last
+output line (the result) and the line before it (the run context) are
+kept; nothing under ``perfbench/`` is touched.  After its pairs, each
+workload is run once more per tree with ``--trace 1`` at seed FIRST_SEED,
+and the per-layer medians it reports are kept.
 
 The record holds ``what`` and ``claim`` as given, a ``summary`` per
 workload and end-to-end metric of BENCHMARK.json (each side's median and
@@ -20,10 +23,12 @@ in percent, ``change_better_pairs``: the pairs in which the change beat
 the parent, ties counting for neither, and ``within_bound``: whether the
 change's median is worse than the parent's by at most the metric's
 ``bound``, a fraction of the parent's median, in the direction ``better``),
-the workload's ``failed_runs`` (command runs that failed, both sides) and
-every run.  A summary is also printed, one line per workload and metric.
-The exit code is 1 when a median is out of its bound, else 0.  Standard
-library only.
+the workload's ``failed_runs`` (command runs that failed, both sides),
+every run, and ``layers``: per workload and side, the traced run's
+per-layer metric values (None when it failed).  A summary is also
+printed, one line per workload and metric, and the traced CSV export
+layer of each workload.  The exit code is 1 when a median is out of its
+bound, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ _CONTEXT_KEYS = (
 )
 
 
-def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_one(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in ``tree``: its exit code, context and result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -88,6 +93,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def layer_values(run: dict) -> dict | None:
+    """A traced run's per-layer metrics, name -> value, or None if it failed."""
+    if run["result"] is None:
+        return None
+    return {name: m["value"] for name, m in run["result"]["metrics"].items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -103,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs: list[dict] = []
     summary: dict = {}
+    layers: dict = {}
     for spec in args.pairs:
         workload, _, count = spec.partition("=")
         wl_runs = []
@@ -122,8 +135,17 @@ def main(argv: list[str] | None = None) -> int:
                       f"/{row['pairs']} pairs, parent quartiles {row['parent_quartiles']}, "
                       f"within bound: {row['within_bound']}")
         print(f"{workload} failed_runs: {summary[workload]['failed_runs']}")
+        layers[workload] = {}
+        for side in ("parent", "change"):
+            traced = run_one(getattr(args, side), workload, args.first_seed, seconds, trace=1)
+            layers[workload][side] = layer_values(traced)
+            print(f"{workload} traced {side}: exit {traced['exit']}", file=sys.stderr, flush=True)
+        if all(layers[workload].values()):
+            for name in ("cli.csv_self_s", "cli.csv_rows_per_s"):
+                print(f"{workload} {name}: {layers[workload]['parent'][name]:.6g} -> "
+                      f"{layers[workload]['change'][name]:.6g} (traced)")
 
-    record = {"what": args.what, "claim": args.claim, "summary": summary, "runs": runs}
+    record = {"what": args.what, "claim": args.claim, "summary": summary, "runs": runs, "layers": layers}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     rows = [row for wl in summary.values() for name, row in wl.items() if name != "failed_runs"]
     return 0 if all(row["within_bound"] for row in rows) else 1

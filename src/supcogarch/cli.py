@@ -25,7 +25,7 @@ from . import charexp
 from .analysis import histogram, histogram_to_csv, reports_to_csv
 from .cogarch import COGARCH_MOMENTS, CogarchParams, NonStationaryError, _try, cross_cov, cross_moment
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
-from .csvio import G17, analytic_cell, csv_text
+from .csvio import G17, analytic_cell, columns_to_csv, csv_text
 from .levy import Stream, jump_path_to_csv, substream
 from .price import PRICE_MOMENTS, simulate_price, price_to_csv
 from .superpos import (
@@ -58,6 +58,8 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """One seeded path bundle per requested variant, exported as CSV."""
+    if (points := cfg.horizon / cfg.sample_grid_step) > 1e7:  # the rows of a bundle CSV
+        raise ConfigError("simulation.sample_grid_step", f"{points:.3g} export grid points, more than 1e7")
     out = _outdir(cfg)
     model = cfg.model()
     mix = cfg.mixture()
@@ -162,18 +164,11 @@ def cmd_qstats(cfg: ExperimentConfig) -> int:
     """Jump-ratio samples, jump-type tallies, and log-q histograms."""
     out = _outdir(cfg)
     summary = []
-    phis = cfg.mixture().phis
-    labels = [G17 % phi for phi in phis]  # variant 3 draws atoms: each label is formatted once
     for vi, variant in enumerate(cfg.variant_list()):
         tag = variant.value
         cols = q_columns(cfg, variant, vi)
         n = cols.q.size
-        chosen = [""] * n
-        if cols.chosen_phi is not None:
-            chosen = [labels[a] for a in np.searchsorted(phis, cols.chosen_phi).tolist()]
-        (out / f"{tag}_q.csv").write_text(csv_text(
-            "time,q,chosen_phi", f"{G17},{G17},%s", zip(cols.time.tolist(), cols.q.tolist(), chosen),
-        ))
+        (out / f"{tag}_q.csv").write_text(columns_to_csv("time,q,chosen_phi", cols.time, cols.q, cols.chosen_phi))
         if n:
             (out / f"{tag}_logq_hist.csv").write_text(histogram_to_csv(histogram(np.log(cols.q), bins=50)))
         t = cols.tally

@@ -58,3 +58,11 @@ def test_within_bound_judges_each_median_in_its_direction():
     assert within(0.5, 150.0) == (True, True)
     assert within(1.11, 150.0) == (False, True)
     assert within(0.5, 89.0) == (True, False)
+
+
+def test_layer_values_keep_each_traced_metric_or_none():
+    traced = {"result": {"failed": 0, "metrics": {
+        "cli.csv_self_s": {"value": 0.1, "unit": "s"}, "cli.csv_rows_per_s": {"value": 1e6, "unit": "1/s"},
+    }}}
+    assert bench_pairs.layer_values(traced) == {"cli.csv_self_s": 0.1, "cli.csv_rows_per_s": 1e6}
+    assert bench_pairs.layer_values({"result": None}) is None

@@ -97,6 +97,22 @@ def test_config_rejects_duplicate_variants(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_an_absurd_export_grid(tmp_path, capsys):
+    """A grid step of 1e-9 over a horizon of 100 would ask numpy for a
+    745 GiB grid: simulate fails fast naming the key and writes nothing.
+    qstats and analytics do not read the key and still run."""
+    path = tmp_path / "grid.cfg"
+    path.write_text(LIGHT_CFG.replace("sample_grid_step = 1.0", "sample_grid_step = 1e-9")
+                    .replace("horizon = 20.0", "horizon = 100.0"))
+    assert parse_config(path.read_text()).sample_grid_step == 1e-9
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "simulation.sample_grid_step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["qstats", "--config", str(path), "--out", str(tmp_path / "q")]) == 0
+    assert main(["analytics", "--config", str(path), "--out", str(tmp_path / "q")]) == 0
+    assert (tmp_path / "q" / "sup3_q.csv").exists() and (tmp_path / "q" / "analytics.csv").exists()
+
+
 # every range rule of a single key, with one value outside it; the keys of
 # the variance gamma driver are checked under that kind only
 VG = "kind = variance_gamma\n"

@@ -1,8 +1,10 @@
 """The shared CSV writer: byte equality of the column-wise path exporters
-with the scalar per-cell exporters they replaced, and the formatting
-identity the writer rests on."""
+with the scalar per-cell exporters they replaced, the formatting identity
+the writer rests on, and the exactness and scratch of its numeric kernel."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supcogarch.cogarch import CogarchParams, evolve_value, path_to_csv, simulate_cogarch
+from supcogarch import csvio
 from supcogarch.csvio import G17, columns_to_csv, csv_text
 from supcogarch.levy import CompoundPoisson, JumpPath, VarianceGamma, squared_jumps
 from supcogarch.superpos import Mixture, Variant, bundle_to_csv, simulate_bundle
@@ -146,3 +149,117 @@ def test_g17_template_matches_format(x):
 def test_g17_template_matches_format_on_bit_patterns(bits):
     x = float(np.array(bits, dtype=np.uint64).view(np.float64))
     assert G17 % x == format(x, ".17g")
+
+
+# ---------------------------------------------------------------------------
+# the numeric kernel behind columns_to_csv against the G17 row template
+
+
+def assert_kernel_exact(values, ncols=1):
+    """columns_to_csv prints ``values`` (as ``ncols`` columns, row-major)
+    byte for byte as the ``csv_text`` row template does."""
+    table = np.asarray(values, dtype=float).reshape(-1, ncols)
+    want = csv_text("x", ",".join([G17] * ncols), map(tuple, table.tolist()))
+    assert columns_to_csv("x", *table.T) == want
+
+
+def _bits(words):
+    return np.asarray(words, dtype=np.uint64).view(np.float64)
+
+
+POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+AROUND_POWERS = _bits(POWERS.view(np.uint64)[:, None] + np.arange(-16, 17).astype(np.uint64)).ravel()
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+           2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.5, 1e16, 1e17, 1e-4, 1e-5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=2, max_size=64))
+def test_kernel_matches_template_on_bit_patterns(words):
+    assert_kernel_exact(_bits(words))
+    assert_kernel_exact(_bits(words[: len(words) // 2 * 2]), 2)
+
+
+def test_kernel_matches_template_around_powers_of_ten():
+    """16 ulps either side of every float("1e{k}"), both signs: the cells
+    where floor(log10|x|) or the digit count can be off by one."""
+    assert_kernel_exact(np.concatenate([AROUND_POWERS, -AROUND_POWERS]), 3)
+
+
+def test_kernel_matches_template_on_special_and_subnormal_values():
+    rng = np.random.default_rng(0)
+    subnormal = _bits(rng.integers(1, 2**52, 2000, dtype=np.uint64))
+    assert_kernel_exact(np.concatenate([SPECIAL, subnormal, -subnormal]), 2)
+
+
+def test_kernel_matches_template_on_ties_and_exact_values():
+    """Exact decimal ties at the 17th digit (a 15-digit integer plus an odd
+    eighth; odd multiples of 2^-25 and 2^-k), which G17 rounds half to even,
+    and exact 17-digit values (a 16-digit integer below 2^52 plus one half)."""
+    rng = np.random.default_rng(1)
+    n15 = rng.integers(10**14, 10**15, 500).astype(float)
+    n16 = rng.integers(10**15, 2**52, 500).astype(float)
+    dyadic = [m * 2.0**k for k in range(-120, 120) for m in (1, 3, 5, 7)]
+    assert_kernel_exact(np.concatenate([n15 + 0.125, n15 + 0.375, n15 + 0.875, n16 + 0.5, dyadic]), 2)
+
+
+def test_kernel_matches_template_on_vg_grid_times():
+    assert_kernel_exact(np.arange(100 * 256 + 1) * 2.0**-8)
+
+
+def test_kernel_on_empty_and_single_rows():
+    assert columns_to_csv("a,b", np.array([]), np.array([])) == "a,b\n"
+    assert_kernel_exact([math.pi, -1e-300])
+    assert_kernel_exact([math.pi, -1e-300], 2)
+    assert columns_to_csv("a,b,c", [2.5], None, [0.0]) == "a,b,c\n2.5,,0\n"
+    with pytest.raises(ValueError):
+        columns_to_csv("a,b", [1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("shift", [-0.25, 0.25])
+def test_kernel_falls_back_where_log10_is_off_by_one(monkeypatch, shift):
+    """E comes from float64 log10.  Where E is one too small or too large,
+    s leaves [1e16, 1e17 - 1) and the cell falls back: shifting log10 by a
+    quarter moves E by one on about a quarter of all cells."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    rng = np.random.default_rng(3)
+    assert_kernel_exact(np.concatenate([AROUND_POWERS, rng.standard_normal(4000) * 10.0 ** rng.integers(-9, 9, 4000)]))
+
+
+def test_kernel_fallback_alone_prints_the_same(monkeypatch):
+    """Without a 64-bit long double significand every cell is printed by
+    G17 itself."""
+    rng = np.random.default_rng(2)
+    values = np.concatenate([SPECIAL, rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)])
+    monkeypatch.setattr(csvio, "_EXACT", False)
+    assert_kernel_exact(values, 2)
+
+
+@pytest.mark.skipif(not csvio._EXACT, reason="long double has less than a 64-bit significand")
+def test_kernel_scale_table_is_correctly_rounded():
+    """Each table entry is 64 10^(16-E) to within 2^-64 relative, the rounding
+    the kernel's error bound assumes."""
+    for e, entry in zip(range(csvio._E0, 309), csvio._tables()[0]):
+        exact = Fraction(10) ** (16 - e) * 64
+        assert abs(Fraction(*entry.as_integer_ratio()) / exact - 1) <= Fraction(1, 2**64)
+
+
+def _csv_scratch(rows: int) -> int:
+    """Traced peak of columns_to_csv on ``rows`` x 4 columns above its
+    inputs and twice its text: at the end the text is held as its chunks and
+    as their join."""
+    columns = list(np.random.default_rng(rows).standard_normal((4, rows)))
+    tracemalloc.start()
+    try:
+        text = columns_to_csv("a,b,c,d", *columns)
+        return tracemalloc.get_traced_memory()[1] - 2 * len(text)
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_scratch_does_not_grow_with_rows():
+    """The kernel formats one chunk of cells at a time: four times the rows
+    add less than 1 MiB of scratch, where one table-sized float array alone
+    would add 4.6 MiB."""
+    assert _csv_scratch(200_000) < _csv_scratch(50_000) + 2**20
