@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .csvio import G17, analytic_cell, csv_text
+from .csvio import G17, analytic_cell, columns_to_csv, csv_text
 from .price import PricePath
 from .superpos import Mixture, SupPathBundle, Variant, _weighted
 
@@ -427,7 +427,7 @@ def histogram(values: Sequence[float], bins: int) -> list[tuple[float, float, in
 
 
 def histogram_to_csv(rows: Sequence[tuple[float, float, int]]) -> str:
-    return csv_text("bin_left,bin_right,count", f"{G17},{G17},%s", map(tuple, rows))
+    return columns_to_csv("bin_left,bin_right,count", *np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 def has_interior_gap(counts: Sequence[int]) -> bool:

@@ -13,23 +13,25 @@ integrals against the subordinator Levy measure nu_S, evaluated per driver:
 * compound Poisson with a custom jump law: a Gauss rule matched to the
   supplied raw moments (exact through polynomial degree 7, a documented
   approximation for non-integer u);
-* variance gamma: adaptive quadrature against the closed-form Levy density
-  (the only use of scipy, imported there).
+* variance gamma: exp-sinh quadrature (Takahasi & Mori 1974) against the
+  closed-form Levy density, step halved from 1/4 to 1/128 until stable.
 
-For u in {1, 2} the exact closed forms in (E[S_1], Var[S_1]) override
-quadrature.  The stationarity gate :func:`is_stationary` needs no
-integral inside the first-moment region.  Root finding is plain bisection
-after geometric bracket expansion; the bracketed functions are monotone or
-convex where roots are sought.
+One loop refines every driver's rules and raises DivergentIntegralError on
+a value that is not finite.  For u in {1, 2} the exact closed forms in
+(E[S_1], Var[S_1]) override quadrature.  The stationarity gate
+:func:`is_stationary` needs no integral inside the first-moment region.
+Root finding is plain bisection after geometric bracket expansion; the
+bracketed functions are monotone or convex where roots are sought.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,6 +56,8 @@ _REFINE_RTOL = 1e-11
 _ROOT_XTOL_PHI = 1e-10
 _ROOT_XTOL_KAPPA = 1e-12
 _BRACKET_CAP = 2.0 ** 60
+_EXP_SINH_STEPS = tuple(2.0 ** -k for k in range(2, 8))
+_EXP_SINH_XMAX = 740.0
 #: raw scipy.special.roots_hermite(n) for n in _GH_LEVELS: shape (2, sum of
 #: levels), nodes then weights, written by scripts/make_hermite_rules.py
 HERMITE_RULES_FILE = Path(__file__).with_name("hermite_rules.npy")
@@ -80,19 +84,14 @@ class ExponentContext:
 
 
 @lru_cache(maxsize=None)
-def _hermite_table() -> np.ndarray:
+def _hermite_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per level of _GH_LEVELS, nodes and weights for weight exp(-x^2),
+    mapped to N(0,1) by y = sqrt(2) x."""
     table = np.load(HERMITE_RULES_FILE, allow_pickle=False)
     if table.shape != (2, sum(_GH_LEVELS)) or table.dtype != np.float64:
         raise ValueError(f"{HERMITE_RULES_FILE} holds {table.dtype} {table.shape}; regenerate it")
-    return table
-
-
-@lru_cache(maxsize=None)
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights for weight exp(-x^2); y = sqrt(2) x maps to N(0,1)
-    start = sum(_GH_LEVELS[: _GH_LEVELS.index(n)])
-    x, w = _hermite_table()[:, start : start + n]
-    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    levels = np.split(table, np.cumsum(_GH_LEVELS)[:-1], axis=1)
+    return tuple((math.sqrt(2.0) * x, w / math.sqrt(math.pi)) for x, w in levels)
 
 
 @lru_cache(maxsize=None)
@@ -115,53 +114,60 @@ def _moment_rule(moments: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _refined(values: list[float]) -> float:
-    """Pick the converged value from a refinement sequence; detect blow-up."""
-    grew = 0
-    for prev, cur in zip(values, values[1:]):
+def _refined(values: Iterable[float]) -> float:
+    """Pick the converged value from a refinement sequence; detect blow-up.
+    Later values are not computed once two agree."""
+    values = iter(values)
+    prev, grew = next(values), 0
+    for cur in values:
         if abs(cur - prev) <= _REFINE_RTOL * (1.0 + abs(cur)):
             return cur
         grew = grew + 1 if abs(cur) > 2.0 * abs(prev) + 1.0 else 0
         if grew >= 3:
             raise DivergentIntegralError("integral grows without bound under refinement")
-    return values[-1]
+        prev = cur
+    return prev
+
+
+@lru_cache(maxsize=None)
+def _exp_sinh_rules(c: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Exp-sinh rules (Takahasi & Mori 1974) for integral g(y) exp(-c y) dy / y
+    over y > 0, one per step h in _EXP_SINH_STEPS: the trapezoid rule in t on
+    [-4, 4] after c y = x = exp(pi/2 sinh t), dy / y = (pi/2) cosh t dt.
+    Nodes with x >= _EXP_SINH_XMAX, where exp(-x) underflows, are dropped."""
+    rules = []
+    for h in _EXP_SINH_STEPS:
+        k = round(4.0 / h)
+        t = h * np.arange(-k, k + 1)
+        x = np.exp(0.5 * math.pi * np.sinh(t))
+        t, x = t[x < _EXP_SINH_XMAX], x[x < _EXP_SINH_XMAX]
+        rules.append((x / c, np.exp(-x) * np.cosh(t) * (0.5 * math.pi * h)))
+    return tuple(rules)
 
 
 def _s_integral(model: LevyModel, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """integral of f against nu_S, i.e. integral of f(y^2) against nu_L.
 
-    f must vanish at 0 and grow at most polynomially where E[S_1^u] is
-    finite; both shipped drivers then give convergent integrals.
+    Each driver gives a scale and refinement levels (nodes y, weights w)
+    with the integral ~ scale * sum(w * f(y^2)) per level.  f must vanish at
+    0 and grow at most polynomially where E[S_1^u] is finite; both shipped
+    drivers then give convergent integrals.  A value that overflows a
+    double counts as divergent.
     """
     if isinstance(model, CompoundPoisson):
         jumps: JumpDistribution = model.jumps
-        if jumps is not None and jumps.name == "standard_normal":
-            vals = []
-            for n in _GH_LEVELS:
-                y, w = _hermite_rule(n)
-                vals.append(model.rate * float(np.sum(w * f(y * y))))
-            return _refined(vals)
-        nodes, weights = _moment_rule(jumps.raw_moments)
-        return model.rate * float(np.sum(weights * f(nodes * nodes)))
-
-    if isinstance(model, VarianceGamma):
-        from scipy import integrate
-
-        # nu_L(dy) = (1/(nu |y|)) exp(-c |y|) dy with c = sqrt(2/nu)/sigma
-        c = math.sqrt(2.0 / model.nu) / model.sigma
-        scale = 2.0 / model.nu
-
-        def integrand(y: float) -> float:
-            return scale * f(np.array(y * y)) / y * math.exp(-c * y)
-
-        val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-        if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):
-            raise DivergentIntegralError(
-                f"quadrature against the VG Levy density did not converge (err={err})"
-            )
-        return val
-
-    raise TypeError(f"unsupported Levy model: {model!r}")
+        normal = jumps is not None and jumps.name == "standard_normal"
+        scale, rules = model.rate, _hermite_rules() if normal else [_moment_rule(jumps.raw_moments)]
+    elif isinstance(model, VarianceGamma):
+        # nu_L(dy) = (1/(nu |y|)) exp(-c |y|) dy with c = sqrt(2/nu)/sigma, both signs
+        scale, rules = 2.0 / model.nu, _exp_sinh_rules(math.sqrt(2.0 / model.nu) / model.sigma)
+    else:
+        raise TypeError(f"unsupported Levy model: {model!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _refined(scale * float(np.sum(w * f(y * y))) for y, w in rules)
+    if not math.isfinite(val):
+        raise DivergentIntegralError(f"the integral against nu_S is not finite ({val})")
+    return val
 
 
 def psi(ctx: ExponentContext, u: float, phi: float) -> float:
@@ -213,11 +219,17 @@ def is_stationary(ctx: ExponentContext, phi: float) -> bool:
     return log_moment(ctx, phi) < ctx.eta
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    # caller guarantees f(lo) < 0 <= f(hi)
+def _root(g: Callable[[float], float], below: Callable[[float, float], bool], lo: float, hi: float,
+          xtol: float, error: Exception) -> float:
+    """Root of g: hi doubles while below(g(hi), 0) (``error`` past
+    _BRACKET_CAP), then bisection keeps g(lo) < 0 <= g(hi) down to xtol."""
+    while below(g(hi), 0.0):
+        hi *= 2.0
+        if hi > _BRACKET_CAP:
+            raise error
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -229,12 +241,7 @@ def phi_max(ctx: ExponentContext) -> float:
     log_moment(phi) = eta.  log_moment is continuous, strictly increasing
     and unbounded in phi, so bracketing plus bisection suffices."""
     g = lambda p: log_moment(ctx, p) - ctx.eta
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:  # pragma: no cover - defensive
-            raise NoRootError("failed to bracket the stationarity boundary")
-    return _bisect(g, 0.0, hi, _ROOT_XTOL_PHI)
+    return _root(g, operator.lt, 0.0, 1.0, _ROOT_XTOL_PHI, NoRootError("failed to bracket the stationarity boundary"))
 
 
 def kappa_of_phi(ctx: ExponentContext, phi: float) -> float:
@@ -260,12 +267,8 @@ def kappa_of_phi(ctx: ExponentContext, phi: float) -> float:
         lo /= 2.0
     else:  # pragma: no cover - defensive
         raise NoRootError("could not find a negative section of psi")
-    hi = max(2.0 * lo, 1.0)
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise DivergentIntegralError("psi never turns positive; tail root out of reach")
-    return _bisect(g, lo, hi, _ROOT_XTOL_KAPPA)
+    error = DivergentIntegralError("psi never turns positive; tail root out of reach")
+    return _root(g, operator.le, lo, max(2.0 * lo, 1.0), _ROOT_XTOL_KAPPA, error)
 
 
 def phi_max_kappa(ctx: ExponentContext, kappa: float) -> float:
@@ -274,12 +277,7 @@ def phi_max_kappa(ctx: ExponentContext, kappa: float) -> float:
     if not kappa > 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     g = lambda p: psi(ctx, kappa, p)
-    hi = 1.0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:  # pragma: no cover - defensive
-            raise NoRootError("failed to bracket the moment boundary")
-    return _bisect(g, 0.0, hi, _ROOT_XTOL_PHI)
+    return _root(g, operator.le, 0.0, 1.0, _ROOT_XTOL_PHI, NoRootError("failed to bracket the moment boundary"))
 
 
 def h_cross(ctx: ExponentContext, phi: float, phi_t: float) -> float:

@@ -1,10 +1,10 @@
 """The package's one CSV writer.
 
 Every number is printed with 17 significant digits (``'%.17g'``, the same
-text as ``format(x, '.17g')``), enough to round-trip any double.  A mixed
-table is rendered by one %-template applied to each row; only optional
-cells (an empty lag, a closed form that may diverge) are formatted on their
-own, with ``G17 % x`` or :func:`analytic_cell`.
+text as ``format(x, '.17g')``), enough to round-trip any double.  A table
+with text cells is rendered by one %-template applied to each row; only
+optional cells (an empty lag, a closed form that may diverge) are formatted
+on their own, with ``G17 % x`` or :func:`analytic_cell`.
 
 A numeric table (:func:`columns_to_csv`) goes through an exact vectorised
 kernel, ``_CHUNK`` cells at a time.  The 17 digits of |x| are the integer

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from supcogarch.charexp import (
     _GH_LEVELS,
+    _REFINE_RTOL,
     DivergentIntegralError,
     ExponentContext,
     NoRootError,
-    _hermite_rule,
+    _hermite_rules,
     _refined,
+    _s_integral,
     h_cross,
     h_kappa,
     is_stationary,
@@ -155,6 +157,31 @@ def test_vg_log_moment_and_kappa():
     assert abs(psi(VG_CTX, kappa, 0.5)) < 1e-6
 
 
+@pytest.mark.parametrize("sigma, nu", [(1.0, 1.0), (0.5, 0.2), (2.0, 3.0)])
+def test_vg_exp_sinh_rule_matches_scipy_quad(sigma, nu):
+    from scipy import integrate
+
+    model = VarianceGamma(sigma, nu)
+    c = math.sqrt(2.0 / nu) / sigma
+    for phi in (0.02, 0.045, 0.2, 0.5, 0.9, 4.0):
+        fs = [lambda y: np.log1p(phi * y)]
+        fs += [lambda y, u=u: (1.0 + phi * y) ** u - 1.0 for u in (0.5, 2.2, 3.3, 8.0)]
+        for f in fs:
+            ref, _ = integrate.quad(
+                lambda y: 2.0 / nu * f(np.array(y * y)) / y * math.exp(-c * y),
+                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=1000,
+            )
+            assert _s_integral(model, f) == pytest.approx(ref, rel=_REFINE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("ctx", [CTX, VG_CTX], ids=["cp_normal", "vg"])
+@pytest.mark.parametrize("u", [150.0, 400.0])
+def test_integral_that_overflows_raises(ctx, u):
+    # the true values overflow a double: the sums come out inf or nan
+    with pytest.raises(DivergentIntegralError):
+        psi(ctx, u, 0.5)
+
+
 def test_custom_moment_rule_matches_hermite_for_low_degree():
     # 4-node moment rule is exact through degree 7, so psi at u = 3 agrees
     custom = JumpDistribution(
@@ -171,7 +198,7 @@ def test_shipped_hermite_rules_match_scipy(n):
     from scipy.special import roots_hermite
 
     x, w = roots_hermite(n)
-    y, p = _hermite_rule(n)
+    y, p = _hermite_rules()[_GH_LEVELS.index(n)]
     assert np.array_equal(y, math.sqrt(2.0) * x)
     assert np.array_equal(p, w / math.sqrt(math.pi))
 
