@@ -410,20 +410,18 @@ def extract_q_batch(batch: "BundleBatch", variant: Variant, mixture: Mixture) ->
 
 
 def histogram(values: Sequence[float], bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width bins over [min, max]; a constant sample collapses to a
-    single full bin.  Rows are (bin_left, bin_right, count)."""
+    """Equal-width bins over [min, max]; a constant sample, or one too narrow
+    for bins of positive width, is one full bin.  Rows: (bin_left, bin_right, count)."""
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("histogram needs at least one value")
     if not bins >= 1:
         raise ValueError(f"need at least one bin, got {bins}")
     lo, hi = float(np.min(x)), float(np.max(x))
-    if lo == hi:
+    if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0.0).all():  # np.histogram's edges
         return [(lo, hi, int(x.size))]
     counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-    ]
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def histogram_to_csv(rows: Sequence[tuple[float, float, int]]) -> str:

@@ -31,9 +31,9 @@ do one replication's floating-point operations in the same order, so no
 number depends on which runs or on the number of replications, and every
 number equals that of the serial simulators in ``tests/serial_oracle.py``:
 
-* per-mark decays exp(-eta (T - t)) come from ``math.exp``, through
-  :func:`cogarch._exp_decays` only (``np.exp`` rounds differently on some
-  inputs); each is computed once per mark and shared by every state on
+* per-mark decays exp(-eta (T - t)) come from :func:`cogarch._exp_decays`
+  only, one numpy pass a block with ``math.exp``'s bits (complex ``np.exp``,
+  see there); each is computed once per mark and shared by every state on
   that driver;
 * jump factors 1 + phi dS and variant 3's jump terms phi_j V^j_{T-} dS are
   the serial loops' products, computed column-wise;
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -256,7 +256,7 @@ def _by_rank(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> Non
     """The rank-major stepper of :func:`_steps`: one numpy step per rank
     across the rows running there, a leading slice of the sorted rows."""
     dec = np.ones(valid.shape)
-    dec[valid] = np.fromiter(decays, float)
+    dec[valid] = decays
     for j, m in enumerate(valid.sum(axis=0).tolist()):
         d = dec[:m, j]
         left = level + (v[:, :m] - level) * d
@@ -287,7 +287,7 @@ def _by_row(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> None
     one tight loop (:func:`cogarch._relax_marks`, :func:`cogarch._lefts`,
     :func:`_agg_lefts`) through the block as Python lists."""
     ks = valid.sum(axis=1).tolist()  # marks a row
-    dl, fl = [list(islice(decays, k)) for k in ks], fac.tolist()
+    dl, fl = [decays[end - k: end].tolist() for k, end in zip(ks, accumulate(ks))], fac.tolist()
     if vbar is None and out is None:
         for i, d in enumerate(dl):
             v[:, i] = [_relax_marks(level, x, d, fl[a][i]) for a, x in enumerate(v[:, i].tolist())]
@@ -350,11 +350,9 @@ def _steps(
     for lo in range(0, kmax, width):
         rows, cols = order[: np.count_nonzero(counts > lo)], slice(lo, min(lo + width, kmax))
         block, valid = times[rows, cols], np.arange(lo, cols.stop) < counts[rows, None]
-        # the gaps T - t_prev at the valid marks, row after row; a row's first mark follows t
+        # decays of the gaps T - t_prev at the valid marks, row after row; a row's first mark follows t
         prev = np.concatenate([(times[rows, lo - 1] if lo else t[rows])[:, None], block[:, :-1]], axis=1)
-        gaps = block[valid] - prev[valid]
-        # their decays, computed lazily MARK_BLOCK at a time as the stepper takes them
-        decays = chain.from_iterable(_exp_decays(eta, gaps[i: i + MARK_BLOCK]) for i in range(0, gaps.size, MARK_BLOCK))
+        decays = _exp_decays(eta, block[valid] - prev[valid])
         ds, pick = sizes[rows, cols], picks[rows, cols] if agg else None
         out = _Record.zeros((v.shape[0], len(rows)), block.shape, agg) if record else None
         step(level, v, vbar, valid, decays, 1.0 + phi_arr[:, None, None] * ds, ds, pick,
@@ -367,7 +365,7 @@ def _steps(
     back = np.argsort(order)
     v, vbar = v[:, back], vbar[back] if agg else None
     if not record and t_end is not None:
-        end = np.fromiter(_exp_decays(eta, t_end - t_last), float, n)
+        end = _exp_decays(eta, t_end - t_last)
         v = level + (v - level) * end
         vbar = None if vbar is None else level + (vbar - level) * end
         t_last = np.full(n, t_end)

@@ -222,13 +222,12 @@ def is_stationary(ctx: ExponentContext, phi: float) -> bool:
 def _root(g: Callable[[float], float], below: Callable[[float, float], bool], lo: float, hi: float,
           xtol: float, error: Exception) -> float:
     """Root of g: hi doubles while below(g(hi), 0) (``error`` past
-    _BRACKET_CAP), then bisection keeps g(lo) < 0 <= g(hi) down to xtol."""
+    _BRACKET_CAP), then bisection keeps g(lo) < 0 <= g(hi) down to xtol or adjacent doubles."""
     while below(g(hi), 0.0):
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise error
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > xtol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if g(mid) < 0.0:
             lo = mid
         else:

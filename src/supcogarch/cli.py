@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, NonStationaryError) as exc:
+    except (ConfigError, NonStationaryError, charexp.NoRootError, charexp.DivergentIntegralError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -254,6 +254,15 @@ def test_histogram_single_value():
     assert rows == [(2.0, 2.0, 7)]
 
 
+def test_histogram_over_too_few_doubles_collapses():
+    """A range of a few doubles cannot hold 50 bins of positive width (the
+    log q of a one-atom mixture): one full bin, as for a constant sample."""
+    lo = math.log(0.3)
+    values = [lo, math.nextafter(lo, 0.0), math.nextafter(math.nextafter(lo, 0.0), 0.0)] * 3
+    assert histogram(values, bins=50) == [(lo, max(values), 9)]
+    assert len(histogram(values, bins=2)) == 2
+
+
 def test_histogram_rejects_empty():
     with pytest.raises(ValueError):
         histogram([], bins=4)

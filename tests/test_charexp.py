@@ -1,4 +1,5 @@
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -98,6 +99,20 @@ def test_phi_max_properties():
     assert abs(log_moment(CTX, pm) - CTX.eta) < 1e-8
     bigger = phi_max(ExponentContext(CompoundPoisson(1.0), 2.0))
     assert bigger > pm
+
+
+def test_phi_max_ends_where_doubles_are_coarser_than_xtol():
+    """At sigma = 1e-4 the VG stationarity boundary lies near 5.3e6, where
+    adjacent doubles are 9.3e-10 apart, more than the bisection's 1e-10:
+    the bisection stops at adjacent doubles around the root."""
+    ctx = ExponentContext(VarianceGamma(1e-4, 1.0), 1.0)
+    start = time.perf_counter()
+    root = phi_max(ctx)
+    assert time.perf_counter() - start < 1.0
+    assert math.ulp(root) > 1e-10
+    g = lambda p: log_moment(ctx, p) - ctx.eta
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+    assert (g(below) < 0.0 <= g(root)) or (g(root) < 0.0 <= g(above))
 
 
 def test_kappa_bracket_and_residual():

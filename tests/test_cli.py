@@ -277,6 +277,23 @@ def test_cli_non_stationary_atom_is_validation_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    # the VG stationarity boundary lies past the bracket cap
+    ("nu", "1e6", "failed to bracket the stationarity boundary"),
+    # phi_max is 5.3e6, and psi overflows before it turns positive at phi_bar
+    ("sigma", "1e-4", "the integral against nu_S is not finite"),
+])
+def test_cli_analytics_out_of_reach_is_validation_error(tmp_path, capsys, key, value, message):
+    """A boundary or tail exponent out of reach: exit 1 with the message,
+    no traceback."""
+    bad = tmp_path / "vg.cfg"
+    bad.write_text((REPO / "configs" / "vg_slow_reversion.cfg").read_text().replace(f"{key} = 1.0", f"{key} = {value}"))
+    assert main(["analytics", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "analytics"])
 def test_cli_non_finite_horizon_is_config_error(tmp_path, capsys, command):
     bad = tmp_path / "inf.cfg"
@@ -579,6 +596,25 @@ def test_qstats_outputs(cfg_file, tmp_path):
     assert int(rows["sup2"][4]) == 0
     assert (out / "sup3_logq_hist.csv").exists()
     assert (out / "sup1_q.csv").read_text().startswith("time,q,chosen_phi")
+
+
+def test_qstats_one_atom_mixture(tmp_path):
+    """Every q of a one-atom mixture is its phi up to rounding, so log q
+    spans a few doubles and one histogram bin holds all of a variant's
+    samples."""
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(
+        (REPO / "configs" / "verify_light.cfg").read_text()
+        .replace("phis = 0.12, 0.06", "phis = 0.3").replace("weights = 0.6, 0.4", "weights = 1.0")
+        .replace("q_paths = 50", "q_paths = 5")
+    )
+    out = tmp_path / "q"
+    assert main(["qstats", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = [line.split(",") for line in (out / "q_summary.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in summary] == ["sup1", "sup2", "sup3"]
+    for tag, _, n, *_ in summary:
+        hist = (out / f"{tag}_logq_hist.csv").read_text().splitlines()[1:]
+        assert int(n) > 0 and sum(int(row.split(",")[2]) for row in hist) == int(n)
 
 
 def test_threads_flag_preserves_bytes(cfg_file, tmp_path):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supcogarch.batch import stationary_draws
 from supcogarch.charexp import ExponentContext, log_moment, phi_max
 from supcogarch.cogarch import (
+    _exp_decays,
     CogarchParams,
     MomentDivergesError,
     NonStationaryError,
@@ -30,6 +31,39 @@ MODEL = CompoundPoisson(1.0)
 
 def _s_path(seed: int, horizon=(0.0, 20.0)) -> JumpPath:
     return squared_jumps(simulate_levy_path(MODEL, horizon, seed))
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+#: exp(x) is 1 at -0.0, subnormal below about -708.4, the least subnormal
+#: at -745.13 and 0 from -745.14 on
+DECAY_EDGES = [-0.0, -1e-300, -708.4, -708.5, -730.0, -745.0, -745.13, -745.14, -1e4, -math.inf]
+
+
+#: bit patterns of gaps in [0, +inf], and of gaps in [1e-3, 746], where
+#: the results are normal and not 1
+GAP_BITS = st.integers(0, 0x7FF0000000000000) | st.integers(int(_bits(1e-3)), int(_bits(746.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GAP_BITS, min_size=1, max_size=64))
+@example([int(_bits(-x)) for x in DECAY_EDGES])
+def test_exp_decays_give_math_exp_bits(patterns):
+    """The decay kernel returns math.exp's bits at every x <= 0, as a block
+    and one value at a time (gaps -x at eta = 1, where -eta * gap is x)."""
+    gaps = np.array(patterns, dtype=np.uint64).view(float)
+    want = [math.exp(-g) for g in gaps.tolist()]
+    assert np.array_equal(_bits(_exp_decays(1.0, gaps)), _bits(want))
+    assert [float(_exp_decays(1.0, g)) for g in gaps.tolist()] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-6, 1e6), st.lists(st.floats(0.0, 1e3), min_size=1, max_size=64))
+def test_exp_decays_take_minus_eta_times_gap(eta, gaps):
+    want = [math.exp(-eta * g) for g in gaps]
+    assert np.array_equal(_bits(_exp_decays(eta, np.array(gaps))), _bits(want))
 
 
 def test_params_validation():
