@@ -64,7 +64,9 @@ each replication's raw arrays dropped once padded, row r picking atoms by
 the first of its uniforms, one per kept mark.  A single bundle is not a
 replication and is not counted; it draws its drivers through
 :func:`levy.simulate_levy_path`, and its components of variants 1 and 2
-are recorded by :func:`cogarch.simulate_cogarch`.
+are recorded by :func:`cogarch.simulate_cogarch`, the engine's one call of
+it, so tracing tools time that bundle's recursion.  Every batch, however
+few its rows, records on :func:`_steps`.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import run_replications
 from .cogarch import (
-    MARK_BLOCK, CogarchParams, MomentDivergesError, _exp_decays, _lefts, _relax_marks, default_burn_in,
+    MARK_BLOCK, CogarchParams, MomentDivergesError, _exp_decays, _lefts, default_burn_in,
     simulate_cogarch, stationary_start,
 )
 from .levy import (
@@ -104,7 +106,7 @@ _RANK_BLOCK = 256
 #: fewer rows step row by row, where the per-rank numpy overhead would
 #: lose: components burn in rank by rank from 64 rows x components on,
 #: variant 3 from 32 rows (the measured crossovers on variance gamma draws
-#: of 1000 marks a row); components record the live window so from half as
+#: of 1000 marks a row); components record the live window so from 2/3 as
 #: many rows, variant 3 from as many (measured on compound Poisson windows
 #: of 100 marks and variance gamma windows of 1000 marks a row)
 _MIN_BATCH_STEPS = 64
@@ -270,6 +272,14 @@ def _by_rank(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> Non
             out.left[:, :m, j], out.post[:, :m, j] = left, v[:, :m]
 
 
+def _relax_marks(level: float, v: float, decays: list[float], factors: list[float]) -> float:
+    """Exact steps from state v: relax toward ``level`` by each decay, then
+    jump by each factor 1 + phi dS; returns the state after the last mark."""
+    for d, f in zip(decays, factors):
+        v = (level + (v - level) * d) * f
+    return v
+
+
 def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) -> list[float]:
     """Variant 3's aggregate from state v: relax by each decay, then add
     each jump phi_j V^j_{T-} dS_T; returns the left limit at each mark."""
@@ -284,7 +294,7 @@ def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) 
 
 def _by_row(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> None:
     """The row-major stepper of :func:`_steps`: each state of each row steps
-    one tight loop (:func:`cogarch._relax_marks`, :func:`cogarch._lefts`,
+    one tight loop (:func:`_relax_marks`, :func:`cogarch._lefts`,
     :func:`_agg_lefts`) through the block as Python lists."""
     ks = valid.sum(axis=1).tolist()  # marks a row
     dl, fl = [decays[end - k: end].tolist() for k, end in zip(ks, accumulate(ks))], fac.tolist()
@@ -323,25 +333,12 @@ def _steps(
     1 + phi dS and picks are built once, then stepped by :func:`_by_rank`
     from the crossover row count on and by :func:`_by_row` below it, with
     the same floating-point operations.  Returns the states and the time
-    after each row's last mark, plus the per-mark values when ``record``; a
-    burn-in relaxes every state to ``t_end`` after its last mark, or leaves
-    it there when ``t_end`` is None."""
+    after each row's last mark, plus the per-mark values when ``record``.
+    ``t_end`` only ends a burn-in: given, every state relaxes to it after
+    its last mark, and the time returned is ``t_end``; a record passes None."""
     n, level, agg = times.shape[0], beta / eta, vbar is not None
-    min_rows = _MIN_BATCH_ROWS_SUP3 if agg else _MIN_BATCH_STEPS / len(phis) / (1 + record)
+    min_rows = _MIN_BATCH_ROWS_SUP3 if agg else _MIN_BATCH_STEPS / len(phis) / (1 + record / 2)
     t_last = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
-    if record and not agg and n < min_rows:
-        # below the crossover, components record by simulate_cogarch on a path
-        # ending at t_end, as one bundle ran before the engine: tracing tools
-        # time a single bundle's recursion there (the cogarch.recursion span)
-        rec, v = _Record.zeros(v.shape, times.shape, False), v.copy()
-        for r, c in enumerate(counts.tolist()):
-            path = JumpPath(float(t[r]), t_end, times[r, :c], sizes[r, :c])
-            for a, phi in enumerate(phis):
-                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, r]))
-                rec.left[a, r, :c], rec.post[a, r, :c] = got.left, got.post
-                v[a, r] = got.post[-1] if c else v[a, r]
-        return v, None, t_last, rec
-
     order, kmax = np.argsort(-counts, kind="stable"), int(counts.max(initial=0))
     v, vbar = v[:, order], vbar[order] if agg else None
     rec = _Record.zeros(v.shape, times.shape, agg) if record else None
@@ -364,7 +361,7 @@ def _steps(
 
     back = np.argsort(order)
     v, vbar = v[:, back], vbar[back] if agg else None
-    if not record and t_end is not None:
+    if t_end is not None:
         end = _exp_decays(eta, t_end - t_last)
         v = level + (v - level) * end
         vbar = None if vbar is None else level + (vbar - level) * end
@@ -463,10 +460,16 @@ def _simulate(
         v = np.concatenate([c[0] for c in chunks], axis=1)
         vb = None if vbar is None else np.concatenate([c[1] for c in chunks])
         t = np.concatenate([c[2] for c in chunks])
-        if t1 > t0:
-            rec = _steps(beta, eta, phis[group], v, vb, t, times, l_sizes**2, counts, pk, True, t1)[3]
-        else:  # an empty live window has no marks to record
+        if t1 <= t0:  # an empty live window has no marks to record
             rec = _Record.zeros(v.shape, times.shape, vb is not None)
+        elif draw_path is None or vb is not None:
+            rec = _steps(beta, eta, phis[group], v, vb, t, times, l_sizes**2, counts, pk, True, None)[3]
+        else:  # one bundle's components: tracing tools time its cogarch.recursion span
+            c, rec = int(counts[0]), _Record.zeros(v.shape, times.shape, False)
+            path = JumpPath(float(t[0]), t1, times[0, :c], l_sizes[0, :c] ** 2)
+            for a, phi in enumerate(phis[group]):
+                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, 0]))
+                rec.left[a, 0, :c], rec.post[a, 0, :c] = got.left, got.post
         out.append((t, v, vb, rec))
     return out, drivers
 

@@ -165,9 +165,9 @@ class PathRecord:
         return min(lo, self.v0, self.final_value())
 
 
-#: marks per block of the Python-list loops (``simulate_cogarch``,
-#: ``evolve_value`` and the engine's row-major stepper), which bounds their
-#: per-mark lists
+#: marks per block of the Python-list loop of ``simulate_cogarch`` and, over
+#: the rows, of ``batch._steps`` (which ``evolve_value`` runs at one row),
+#: which bounds their per-mark lists
 MARK_BLOCK = 2048
 
 
@@ -181,17 +181,9 @@ def _exp_decays(eta: float, gaps: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z).real
 
 
-def _relax_marks(level: float, v: float, decays: list[float], factors: list[float]) -> float:
-    """Exact steps from state v: relax toward ``level`` by each decay, then
-    jump by each factor 1 + phi dS; returns the state after the last mark."""
-    for d, f in zip(decays, factors):
-        v = (level + (v - level) * d) * f
-    return v
-
-
 def _lefts(level: float, v: float, decays: list[float], factors: list[float]) -> list[float]:
-    """The steps of :func:`_relax_marks`, returning the left limit at each
-    mark; the state after mark k is ``lefts[k] * factors[k]``."""
+    """The steps of :func:`batch._relax_marks`, returning the left limit at
+    each mark; the state after mark k is ``lefts[k] * factors[k]``."""
     out: list[float] = []
     append = out.append
     for d, f in zip(decays, factors):
@@ -205,17 +197,15 @@ def evolve_value(
     params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float
 ) -> float:
     """Exact evolution through the marks of ``s_path`` from ``t_start``,
-    relaxed up to ``t_end``; returns V(t_end).  The steps of
-    :func:`simulate_cogarch` by :func:`_relax_marks`, without recording the
-    per-event values; each draw of :func:`batch.stationary_draws` equals it
-    on that draw's path."""
-    times, fac = s_path.times, 1.0 + params.phi * s_path.sizes
-    gaps = times - np.concatenate(([t_start], times[:-1]))
-    for lo in range(0, times.size, MARK_BLOCK):
-        decays = _exp_decays(params.eta, gaps[lo: lo + MARK_BLOCK]).tolist()
-        v = _relax_marks(params.level, v, decays, fac[lo: lo + MARK_BLOCK].tolist())
-    t = float(times[-1]) if times.size else t_start
-    return params.level + (v - params.level) * float(_exp_decays(params.eta, t_end - t))
+    relaxed up to ``t_end``; returns V(t_end).  The engine's burn-in
+    (:func:`batch._steps`) on ``s_path`` as a one-row batch, so each draw of
+    :func:`batch.stationary_draws` equals it on that draw's path."""
+    from . import batch  # batch builds on this module
+
+    times, sizes = batch._pad([s_path.times], math.inf), batch._pad([s_path.sizes], 0.0)
+    got = batch._steps(params.beta, params.eta, (params.phi,), np.full((1, 1), float(v)), None,
+                       np.full(1, float(t_start)), times, sizes, np.full(1, len(s_path)), None, False, t_end)
+    return float(got[0][0, 0])
 
 
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:

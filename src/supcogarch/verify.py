@@ -352,7 +352,7 @@ def _moment_battery(
     rows.compare(f"{prefix}.{second}", target, estimator, v0, order=2)
     if alt is not None and target is not None:
         other = alt(*args)
-        rows.flag(f"{prefix}.variance_forms_agree", abs(target - other) / max(abs(target), abs(other)) <= 1e-12)
+        rows.flag(f"{prefix}.variance_forms_agree", abs(target - other) <= 1e-12 * max(abs(target), abs(other)))
     for j, h in enumerate(lags):
         target = _try(moments["acov"], *args, h)
         rows.compare(f"{prefix}.acov[h={h:g}]", target, mc_covariance, v0, vals[:, j + 1], order=2)
@@ -384,7 +384,7 @@ def _cross_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
     lags = sorted(set(cfg.lags))
     vals = _cross_samples(cfg, phi_a, phi_b, lags)
     cov = rows.compare(f"{prefix}.cov", target0, mc_covariance, vals[:, 0], vals[:, 1], order=2)
-    rows.flag(f"{prefix}.cov_nonnegative", target0 >= 0.0 and cov.estimate > -cov.k * cov.std_error)
+    rows.flag(f"{prefix}.cov_nonnegative", target0 >= 0.0 and cov.estimate >= -cov.k * cov.std_error)
     for j, h in enumerate(lags):
         target = cross_acov(cfg.beta, cfg.eta, phi_a, phi_b, model, h)
         rows.compare(f"{prefix}.acov[h={h:g}]", target, mc_covariance, vals[:, 0], vals[:, 2 + j], order=2)

@@ -369,9 +369,10 @@ def test_simulate_bundle_empty_live_window(variant):
 
 @pytest.mark.parametrize("min_rows", [None, 1], ids=["scalar_recording", "padded_recording"])
 def test_simulate_bundle_long_vg_row(monkeypatch, min_rows):
-    """Thousands of marks in one row: recorded on the row-major stepper (or,
-    for a component, by simulate_cogarch), and, forced onto the rank-major
-    stepper, with the same numbers."""
+    """Thousands of marks in one row: burned in (and, for variant 3,
+    recorded) on the row-major stepper, its components recorded by
+    simulate_cogarch, and, forced onto the rank-major stepper, with the
+    same numbers."""
     if min_rows is not None:
         monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
         monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
@@ -413,6 +414,23 @@ def test_simulate_bundle_raises_as_the_oracle(monkeypatch):
         assert kind is ValueError and message.startswith("v0 must be > 0, got -")
 
 
+def test_only_a_single_bundle_records_by_simulate_cogarch(monkeypatch):
+    """The engine records through simulate_cogarch (looked up as
+    batch.simulate_cogarch) only for one bundle of variant 1 or 2, one call
+    a component, so tracing tools still time its cogarch.recursion span; a
+    6-row batch of any variant and a single variant-3 bundle record on
+    _steps."""
+    real, calls = batch.simulate_cogarch, []
+    monkeypatch.setattr(batch, "simulate_cogarch", lambda *args: calls.append(args) or real(*args))
+    model, mix = BASE.model(), BASE.mixture()
+    for vi, variant in enumerate(Variant):
+        simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, 5.0), 5, (vi,), 6, 10.0)
+        assert calls == [], variant
+        superpos.simulate_bundle(variant, mix, 1.0, 1.0, model, (0.0, 5.0), substream(5, vi), 10.0)
+        assert len(calls) == (0 if variant is Variant.SUP3 else len(mix.phis)), variant
+        calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # both steppers against the serial loops
 
@@ -432,7 +450,9 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     block length, forced onto the row-major or the rank-major stepper, ten
     rows at once and each row alone: burned in and relaxed to t_end, burned
     in and left at the last mark, and recorded, with and without variant
-    3's aggregate, each number equal to the serial loops'."""
+    3's aggregate, each number equal to the serial loops'.  The row-major
+    record without an aggregate is the one every few-row component record
+    takes (no other test reaches it)."""
     monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
     monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
     block, n = cogarch.MARK_BLOCK, 10
@@ -536,8 +556,8 @@ def test_stationary_draws_match_serial(case):
 
 @pytest.mark.parametrize("marks", [0, 1, cogarch.MARK_BLOCK, 2 * cogarch.MARK_BLOCK + 3])
 def test_evolve_value_matches_serial_loop(marks):
-    """cogarch.evolve_value steps blocks of MARK_BLOCK marks through
-    _relax_marks, with the serial loop's bits within and across blocks."""
+    """cogarch.evolve_value, a one-row burn-in of batch._steps in blocks of
+    MARK_BLOCK marks, has the serial loop's bits within and across blocks."""
     params = CogarchParams(1.0, 0.05, 0.045)
     drawn = squared_jumps(simulate_levy_path(VarianceGamma(1.0, 1.0, grid_step=2.0**-6), (-80.0, 0.0), 62))
     assert len(drawn) >= marks
@@ -548,9 +568,9 @@ def test_evolve_value_matches_serial_loop(marks):
 
 def test_stationary_cases_cover_both_kernels():
     """One case burns in on the rank-major stepper, one on the row-major one
-    (a component records there below _MIN_BATCH_STEPS / 2 rows)."""
+    (a component records there below _MIN_BATCH_STEPS / 1.5 rows)."""
     assert STATIONARY_CASES["cp_padded"][2] >= batch._MIN_BATCH_STEPS
-    assert STATIONARY_CASES["vg_scalar"][2] < batch._MIN_BATCH_STEPS / 2
+    assert STATIONARY_CASES["vg_scalar"][2] < batch._MIN_BATCH_STEPS / 1.5
 
 
 Q_CASES = {

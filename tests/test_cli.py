@@ -564,6 +564,26 @@ def test_verify_q_family_without_samples_is_undefined():
     assert verify.VerificationResult([sup1], [], []).failures() == []
 
 
+def test_verify_zero_atom_mixture(tmp_path):
+    """A phi = 0 atom (variant 3's price-only jumps) has a variance of 0 in
+    both closed forms and a constant component, whose covariance with the
+    other atom has estimate and standard error 0: the two rows comparing
+    them pass instead of dividing by zero or failing a strict inequality.
+    The exit code is 0 or 2, as Monte Carlo rows may fail by chance."""
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        (REPO / "configs" / "verify_light.cfg").read_text()
+        .replace("phis = 0.12, 0.06", "phis = 0.0, 0.12").replace("weights = 0.6, 0.4", "weights = 0.4, 0.6")
+        .replace("replications = 4000", "replications = 500").replace("q_paths = 50", "q_paths = 3")
+        .replace("tail_samples = 20000", "tail_samples = 100")
+    )
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+    verdicts = dict(line.rsplit(",", 6)[::6] for line in (out / "verification.csv").read_text().splitlines()[1:])
+    assert verdicts["cogarch[0].variance_forms_agree"] == "True"
+    assert verdicts["cross[0,0.12].cov_nonnegative"] == "True"
+
+
 def test_verify_exit_code_on_injected_failure(cfg_file, tmp_path, monkeypatch):
     import supcogarch.cli as cli
     from supcogarch.analysis import MomentReport

@@ -22,17 +22,25 @@ So is every file ``simulate`` writes (``config.cfg`` included: the runs
 write to a relative ``--out``), on the showcase config and on the variance
 gamma config over a short window.  Its 100-unit burn-in draws more marks
 than one engine chunk holds, so each bundle burns in on the scalar kernels.
+
+Last, each benchmark workload of ``perfbench/workloads.py`` at its default
+seed must write the bytes recorded in ``perfbench/digests.json``, run as
+``perfbench/record_digests.py`` runs it.
 """
 
 import hashlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from supcogarch.cli import main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (perfbench/workloads.py)
 
 SHOWCASE_Q = re.sub(r"(?m)^q_paths = .*$", "q_paths = 20", (CONFIGS / "two_atom_showcase.cfg").read_text())
 
@@ -200,3 +208,12 @@ def test_simulate_bytes(name, tmp_path, monkeypatch):
     assert main(["simulate", "--config", "sim.cfg", "--out", "out"]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
     assert digests == SIMULATE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_default_seed_bytes(name, tmp_path, monkeypatch):
+    wl = workloads.WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("workload.cfg").write_text(workloads.generate_config(ROOT, wl, workloads.DEFAULT_SEED))
+    assert main([wl.command, "--config", "workload.cfg"]) == 0
+    assert workloads.output_digests(Path(workloads.OUT_DIR)) == workloads.recorded_digests(name)
