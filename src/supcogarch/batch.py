@@ -47,26 +47,29 @@ number equals that of the serial simulators in ``tests/serial_oracle.py``:
 
 Padded arrays hold replication r in row r; columns past a row's mark count
 hold +inf times, so they sort after every query, and zero sizes.  A batch
-holds every replication's live window, so callers bound memory by
-simulating ranges of replications (:func:`chunked`, ``verify.q_columns``);
-within a call, they are drawn and burned in by chunks.  One rule splits
-rows (:func:`_parts`): the fewest even ranges under a cap, ROWS_PER_CALL for
-:func:`chunked`, and for a burn-in chunk _CHUNK_ROWS or about _CHUNK_MARKS
-drawn marks a driver; the recursion's scratch does not grow with the marks
-a row.  The draws of :func:`simulate_batch`,
+holds every replication's live window, so callers bound memory by simulating
+ranges of replications (:func:`chunked`, ``verify.q_columns``); within a
+call, they are drawn and burned in by chunks.  One rule splits rows
+(:func:`_parts`): the fewest even ranges under a cap, ROWS_PER_CALL for
+:func:`chunked`, _CHUNK_ROWS for ``verify.q_columns`` (a call's q paths then
+burn in as one chunk, one rank loop a driver, where their marks fit), and
+for a burn-in chunk _CHUNK_ROWS or about _CHUNK_MARKS drawn marks a driver.
+The recursion's scratch grows neither with the marks a row nor, past 128
+rows, with the rows: a block of :func:`_steps` holds _RANK_BLOCK ranks up to
+there, then 16 MARK_BLOCK // rows.  The draws of :func:`simulate_batch`,
 :func:`simulate_cogarch_batch` and :func:`stationary_draws` go through
 :func:`analysis.run_replications`, so tracing tools count one replication
 per replication; the recursions run outside it.  A replication makes
 generator calls only (its raw marks, variant 3's uniforms for them), so its
-span times those alone; a chunk is then padded, tidied
-(:func:`levy._tidy_marks`), checked and burned in one driver at a time,
-each replication's raw arrays dropped once padded, row r picking atoms by
-the first of its uniforms, one per kept mark.  A single bundle is not a
+span times those alone; a chunk is then padded (:func:`_pad`), tidied in
+place (:func:`levy._tidy_marks`), checked and burned in one driver at a
+time, each replication's raw arrays dropped once copied, row r picking atoms
+by the first of its uniforms, one per kept mark.  A single bundle is not a
 replication and is not counted; it draws its drivers through
-:func:`levy.simulate_levy_path`, and its components of variants 1 and 2
-are recorded by :func:`cogarch.simulate_cogarch`, the engine's one call of
-it, so tracing tools time that bundle's recursion.  Every batch, however
-few its rows, records on :func:`_steps`.
+:func:`levy.simulate_levy_path`, and its components of variants 1 and 2 are
+recorded by :func:`cogarch.simulate_cogarch`, the engine's one call of it,
+so tracing tools time that bundle's recursion.  Every batch, however few its
+rows, records on :func:`_steps`.
 """
 
 from __future__ import annotations
@@ -95,13 +98,16 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 #: batch's paths and of its queries
 ROWS_PER_CALL = 1024
 #: a burn-in chunk holds at most _CHUNK_ROWS replications (by then the
-#: rank-major stepper's per-rank overhead is amortized) and about _CHUNK_MARKS
-#: drawn marks a driver (its drivers are padded and burned in one at a
-#: time); calls and chunks split their rows evenly (:func:`_parts`)
+#: rank-major stepper's per-rank overhead is amortized), also the most rows
+#: of a ``verify.q_columns`` call, and about _CHUNK_MARKS drawn marks a
+#: driver: 2^18 takes 256 rows of 1,000 marks (its drivers are padded, each
+#: raw row copied once, and burned in one at a time); calls and chunks split
+#: their rows evenly (:func:`_parts`)
 _CHUNK_ROWS = 256
-_CHUNK_MARKS = 1 << 17
-#: mark ranks per block of :func:`_steps` at least (MARK_BLOCK // rows for
-#: fewer than 8 rows), whose scratch is rows x block
+_CHUNK_MARKS = 1 << 18
+#: mark ranks per block of :func:`_steps`: _RANK_BLOCK up to 128 rows, then
+#: 16 MARK_BLOCK // rows, so a block's scratch (rows x ranks) stops growing
+#: with the rows; MARK_BLOCK // rows below 8 rows
 _RANK_BLOCK = 256
 #: fewer rows step row by row, where the per-rank numpy overhead would
 #: lose: components burn in rank by rank from 64 rows x components on,
@@ -211,11 +217,14 @@ class BundleBatch:
 # padded marks and the block loop of the recursion
 
 
-def _pad(rows: Sequence[np.ndarray], fill: float, dtype=float) -> np.ndarray:
-    """Rows of unequal length as one (len(rows), max(1, longest)) array."""
-    counts = np.array([len(x) for x in rows], dtype=int)
-    out = np.full((len(rows), max(1, int(counts.max(initial=0)))), fill, dtype=dtype)
-    out[np.arange(out.shape[1]) < counts[:, None]] = np.concatenate([np.empty(0, dtype), *rows])
+def _pad(rows: list[np.ndarray], fill: float, dtype=float) -> np.ndarray:
+    """Rows of unequal length as one (len(rows), max(1, longest)) array,
+    copied row by row; each item of ``rows`` is set to None once copied, so
+    a raw row the caller holds nowhere else is freed as it goes."""
+    out = np.full((len(rows), max(1, max(map(len, rows), default=0))), fill, dtype=dtype)
+    for r, x in enumerate(rows):
+        out[r, : len(x)] = x
+        rows[r] = None
     return out
 
 
@@ -329,7 +338,8 @@ def _steps(
     aggregate taking the scaled jump of atom ``picks``: relax each state
     toward beta/eta, then jump.  The rows, sorted by mark count so that
     those still running at rank k are a leading slice, go by blocks of
-    max(_RANK_BLOCK, MARK_BLOCK // n) ranks whose gaps, decays, factors
+    max(MARK_BLOCK // n, min(_RANK_BLOCK, 16 MARK_BLOCK // n)) ranks (at
+    least one) whose gaps, decays, factors
     1 + phi dS and picks are built once, then stepped by :func:`_by_rank`
     from the crossover row count on and by :func:`_by_row` below it, with
     the same floating-point operations.  Returns the states and the time
@@ -343,7 +353,7 @@ def _steps(
     v, vbar = v[:, order], vbar[order] if agg else None
     rec = _Record.zeros(v.shape, times.shape, agg) if record else None
     phi_arr, step = np.asarray(phis, dtype=float), _by_row if n < min_rows else _by_rank
-    width = max(_RANK_BLOCK, MARK_BLOCK // n)
+    width = max(1, MARK_BLOCK // n, min(_RANK_BLOCK, 16 * MARK_BLOCK // n))
     for lo in range(0, kmax, width):
         rows, cols = order[: np.count_nonzero(counts > lo)], slice(lo, min(lo + width, kmax))
         block, valid = times[rows, cols], np.arange(lo, cols.stop) < counts[rows, None]
@@ -423,9 +433,9 @@ def _simulate(
             drawn = run_replications(lambda i, _seeds=seeds: draw(_seeds[i]), rows)
         else:
             drawn = map(draw, seeds)
-        # item j of every draw (times and L sizes per driver, the uniforms), dropped
-        # once padded: a driver is padded, tidied and burned in before the next
-        items = dict(enumerate(zip(*drawn)))
+        # item j of every draw (times and L sizes per driver, the uniforms), each row
+        # dropped once padded: a driver is padded, tidied and burned in before the next
+        items = dict(enumerate(map(list, zip(*drawn))))
         del drawn
         for d in range(n_drivers):
             counts = np.array([len(x) for x in items[2 * d]])

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import charexp
-from .csvio import columns_to_csv, event_columns
+from .csvio import columns_to_csv, event_columns, off_events
 from .levy import JumpPath, LevyModel, s_moments
 
 __all__ = [
@@ -368,7 +368,7 @@ def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:
         grid = np.arange(record.t0 + grid_step, record.t1 + 1e-12, grid_step)
     else:
         grid = np.array([record.t1])
-    grid = grid[~np.isin(grid, record.times)]
+    grid = off_events(grid, record.times)
     n, ones = grid.size + 1, np.ones(len(record))
     columns = event_columns(
         np.concatenate([[record.t0], grid]),

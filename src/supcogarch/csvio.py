@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["G17", "csv_text", "analytic_cell", "columns_to_csv", "event_columns"]
+__all__ = ["G17", "csv_text", "analytic_cell", "columns_to_csv", "off_events", "event_columns"]
 
 G17 = "%.17g"
 
@@ -67,7 +67,8 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
         e = np.where(np.isfinite(e), e, 0).astype(np.intp)
         v = (a.astype(np.longdouble) * scale[e - _E0]).astype(np.uint64)
     ok = _EXACT & np.isfinite(x) & (v >= np.uint64(64 * 10**16)) & (v < np.uint64(64 * (10**17 - 1)))
-    ok &= ~np.isin(v & np.uint64(63), (31, 32))  # the fraction of s is at least 1/64 from 1/2
+    frac = v & np.uint64(63)
+    ok &= (frac != 31) & (frac != 32)  # the fraction of s is at least 1/64 from 1/2
     # sort by layout: fixed style by E (-4 ... 16), exponent style (17), fallback (18)
     key = np.where(ok, np.where((e >= -4) & (e <= 16), e, 17), 18).astype(np.int8)
     order = np.argsort(key, kind="stable")
@@ -118,6 +119,12 @@ def columns_to_csv(header: str, *columns) -> str:
         cells[:, -1, -1] = ord("\n")
         parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
+
+
+def off_events(grid: np.ndarray, event_t: np.ndarray) -> np.ndarray:
+    """The points of ``grid`` that are not among the ascending times
+    ``event_t``: a point is one when no event time equals it."""
+    return grid[np.searchsorted(event_t, grid) == np.searchsorted(event_t, grid, side="right")]
 
 
 def event_columns(plain_t: np.ndarray, event_t: np.ndarray, columns) -> list[np.ndarray]:

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-# numpy loads these lazily on first use (default_rng, np.unique); load them
-# at import so that their cost stays in set-up, not in the first command.
-import numpy.ma  # noqa: F401
+# numpy loads numpy.random lazily (default_rng): load it at import, so that its cost stays
+# in set-up.  No command calls np.unique or np.isin, which would load numpy.ma.
 import numpy.random  # noqa: F401
 
 from .csvio import columns_to_csv
@@ -337,17 +336,21 @@ def _tidy_marks(
     model: LevyModel, t0: float, t1: float, times: np.ndarray, sizes: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rest of a draw on (t0, t1], on (rows, width) raw marks padded with
-    +inf times and zero sizes past ``counts``.  Compound Poisson: move a
-    time drawn on t0 to t1 (``Generator.uniform`` draws on [t0, t1); this
-    maps a uniform of 0 to 1), sort each row's times (the i.i.d. sizes keep
-    their order), drop zero sizes, then ties (times no later than the last
-    kept one before them).  Variance gamma: drop increments whose square
-    would be subnormal.  Returns the kept marks left-aligned, padded alike,
-    and their counts."""
+    +inf times and zero sizes past ``counts``.  Compound Poisson, in place on
+    ``times``: move a time drawn on t0 to t1 (``Generator.uniform`` draws on
+    [t0, t1); this maps a uniform of 0 to 1), sort each row's times (the
+    i.i.d. sizes keep their order), drop zero sizes, then ties (times no
+    later than the last kept one before them: the time before, sorted, when
+    no size is zero, else a running maximum over the kept times).  Variance
+    gamma: drop increments whose square would be subnormal.  Returns the
+    kept marks left-aligned, padded alike, and their counts."""
     if isinstance(model, CompoundPoisson):
-        times = np.sort(np.where(times > t0, times, t1), axis=1)
+        times[times <= t0] = t1
+        times.sort(axis=1)
         keep = sizes != 0.0  # false on the padding too
-        before = np.maximum.accumulate(np.where(keep, times, -math.inf), axis=1)
+        before = times
+        if np.count_nonzero(keep) < counts.sum():
+            before = np.maximum.accumulate(np.where(keep, times, -math.inf), axis=1)
         keep[:, 1:] &= times[:, 1:] > before[:, :-1]
     else:
         keep = np.abs(sizes) > 2.0**-511

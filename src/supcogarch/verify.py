@@ -47,7 +47,7 @@ from .analysis import (
     mc_second_moment,
     mc_variance,
 )
-from .batch import _parts, chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
+from .batch import _CHUNK_ROWS, _parts, chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
 from .cogarch import COGARCH_MOMENTS, CogarchParams, _try, cross_acov, cross_cov, stationary_variance_alt
 from .config import ExperimentConfig
 from .csvio import G17, analytic_cell, csv_text
@@ -77,9 +77,6 @@ _PARETO_RTOL = 0.10
 #: applied only when the exponent is small enough to be estimable at desk scale
 _HILL_BAND = (-0.8, 1.3)
 _HILL_MAX_KAPPA = 4.0
-#: most replications per engine call of :func:`q_columns` (split evenly);
-#: all q paths of a run at once would raise its peak memory
-_Q_ROWS_PER_CALL = 128
 
 
 @dataclass(frozen=True)
@@ -206,8 +203,8 @@ def bundle_identity_checks(bundle: SupPathBundle) -> list[CheckRow]:
 
     if bundle.variant is Variant.SUP1:
         # independent drivers almost surely never share a mark time
-        all_marks = np.concatenate([d.times for d in bundle.drivers])
-        dup = int(all_marks.size - np.unique(all_marks).size)
+        all_marks = np.sort(np.concatenate([d.times for d in bundle.drivers]))
+        dup = int(np.count_nonzero(all_marks[1:] == all_marks[:-1]))
         checks.append(CheckRow(f"{tag}_jump_disjointness", float(dup), "== 0", dup == 0))
         # each aggregate jump is the single jumping component's scaled jump
         worst = 0.0
@@ -316,7 +313,8 @@ def _price_samples(
 def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
     """q samples, jump tallies and q-bound violations of the ``q_paths``
     bundles on the stream ``(Stream.Q, vi)``, which ``qstats`` and the q
-    family share."""
+    family share.  A call of the engine takes at most a burn-in chunk's rows
+    (``_CHUNK_ROWS``, split evenly): one rank loop a driver, if the marks fit."""
     mix = cfg.mixture()
     return QColumns.concat([
         extract_q_batch(
@@ -326,7 +324,7 @@ def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
             ),
             variant, mix,
         )
-        for part in _parts(cfg.q_paths, _Q_ROWS_PER_CALL)
+        for part in _parts(cfg.q_paths, _CHUNK_ROWS)
     ])
 
 

@@ -222,7 +222,7 @@ def test_bundle_batch_matches_every_path(variant):
 
 
 BIG = 1 << 30
-#: (ROWS_PER_CALL or _Q_ROWS_PER_CALL, _CHUNK_MARKS, _CHUNK_ROWS, the block
+#: (ROWS_PER_CALL or verify's _CHUNK_ROWS, _CHUNK_MARKS, _CHUNK_ROWS, the block
 #: width (_RANK_BLOCK and the engine's MARK_BLOCK), the row-major crossovers,
 #: rows): the engine's splits, forced small
 CHUNKING = {
@@ -313,6 +313,31 @@ def test_row_major_burn_in_scratch_does_not_grow_with_marks():
     twice the traced scratch of one through 2,000."""
     assert 1 < batch._MIN_BATCH_STEPS / 2
     assert _burn_in_peak(1, 16000) < 2 * _burn_in_peak(1, 2000)
+
+
+def test_padded_burn_in_scratch_does_not_grow_with_rows():
+    """Past 128 rows a block takes fewer ranks (16 MARK_BLOCK // rows), so a
+    burn-in of 512 rows needs less than twice the traced scratch of one of
+    128 (about four times as much with blocks of _RANK_BLOCK ranks)."""
+    assert _burn_in_peak(512, 2000) < 2 * _burn_in_peak(128, 2000)
+
+
+def test_pad_holds_its_rows_once():
+    """_pad copies row by row into its output and drops each row it copied,
+    so its traced peak, above its inputs, is about the padded array: no
+    concatenated copy of the rows (twice the output when there was one)."""
+    rng = np.random.default_rng(5)
+    rows = [rng.standard_normal(900 - int(k)) for k in rng.integers(0, 60, 200)]
+    want = [x.copy() for x in rows]
+    tracemalloc.start()
+    try:
+        out = batch._pad(rows, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes and rows == [None] * 200
+    for x, row in zip(want, out):
+        assert np.array_equal(row[: x.size], x) and np.isinf(row[x.size:]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +642,10 @@ def test_q_cases_cover_empty_windows_and_price_only_jumps():
 
 @pytest.mark.parametrize("case", list(CHUNKING))
 def test_q_chunking_matches_serial(monkeypatch, case):
-    n = _force_chunking(monkeypatch, verify, "_Q_ROWS_PER_CALL", case)
+    """q_columns splits its paths into engine calls by _CHUNK_ROWS, the
+    burn-in chunk's row cap, which verify imports: patched there apart from
+    batch's, the calls and the burn-in chunks split as the case says."""
+    n = _force_chunking(monkeypatch, verify, "_CHUNK_ROWS", case)
     cfg = Q_CASES["zero_atom"]
     cfg = cfg if n is None else replace(cfg, q_paths=n)
     for variant in Variant:
@@ -837,7 +865,10 @@ TIDY_CASES = {
 def test_tidy_pass_matches_the_per_row_draw(case):
     """The engine's padded marks and variant-3 pi-picks, tidied once per
     chunk, and the one-row draw of a single bundle equal the frozen
-    per-row draw and Generator.choice, on rows that lose marks."""
+    per-row draw and Generator.choice, on rows that lose marks.  The
+    compound Poisson cases reach both ways of dropping ties: ``zero_sizes``
+    the running maximum over the kept times, ``tied_times`` (no zero size)
+    the comparison with the time before."""
     model, (t0, t1) = TIDY_CASES[case]
     seed, n = 17, 12
     times, sizes, counts, picks = _engine_draws(model, t0, t1, seed, n)

@@ -105,6 +105,15 @@ def test_bundle_csv_matches_scalar_exporter_when_grid_hits_events(variant, grid_
         assert path_to_csv(c, grid_step) == scalar_path_to_csv(c, grid_step)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.lists(st.integers(0, 40), max_size=30))
+def test_off_events_is_the_isin_filter(grid, events):
+    """The export grid filter is numpy's float np.isin filter, on event
+    times that are ascending, empty or repeated."""
+    grid, events = np.array(grid, float) / 8, np.sort(np.array(events, float)) / 8
+    assert np.array_equal(csvio.off_events(grid, events), grid[~np.isin(grid, events)])
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("grid_step", [None, 0.25])
 def test_bundle_csv_matches_scalar_exporter_without_events(variant, grid_step):
