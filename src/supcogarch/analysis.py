@@ -282,7 +282,10 @@ def _q_bound_masks(
     """Path-wise bounds on the jump ratio, exact algebra up to roundoff:
     variant 1: q <= phi_bar; variant 2: phi_low <= q <= phi_bar; variant 3:
     q >= phi_bar when the draw hit the top atom and q <= phi_low when it hit
-    phi_low, here the smallest atom, zero or not.  Each bound's label and mask."""
+    phi_low, here the smallest atom, zero or not.  Each bound's label and mask.
+    With phi_low = 0 the low-draw bound checks no sample, so
+    ``sup3.q_bound_violations`` cannot fail there: a zero draw moves only the
+    price and is never a q sample."""
     phi_bar, phi_low = mixture.phi_bar, min(mixture.phis)
     up_tol, lo_tol = _Q_BOUND_RTOL * max(1.0, phi_bar), _Q_BOUND_RTOL * max(1.0, phi_low)
     if variant is Variant.SUP3:

@@ -50,13 +50,13 @@ hold +inf times, so they sort after every query, and zero sizes.  A batch
 holds every replication's live window, so callers bound memory by simulating
 ranges of replications (:func:`chunked`, ``verify.q_columns``); within a
 call, they are drawn and burned in by chunks.  One rule splits rows
-(:func:`_parts`): the fewest even ranges under a cap, ROWS_PER_CALL for
-:func:`chunked`, _CHUNK_ROWS for ``verify.q_columns`` (a call's q paths then
-burn in as one chunk, one rank loop a driver, where their marks fit), and
-for a burn-in chunk _CHUNK_ROWS or about _CHUNK_MARKS drawn marks a driver.
-The recursion's scratch grows neither with the marks a row nor, past 128
-rows, with the rows: a block of :func:`_steps` holds _RANK_BLOCK ranks up to
-there, then 16 MARK_BLOCK // rows.  The draws of :func:`simulate_batch`,
+(:func:`_parts`): the fewest even ranges under a cap, and one cap,
+ROWS_PER_CALL, bounds the rows of both an engine call (:func:`_calls`) and
+a burn-in chunk, which also holds about _CHUNK_MARKS drawn marks a driver at
+most, so a call's rows burn in as one chunk, one rank loop a driver, where
+their marks fit.  The recursion's scratch grows neither with the marks a
+row nor, past 128 rows, with the rows: a block of :func:`_steps` holds
+_RANK_BLOCK ranks up to there, then 16 MARK_BLOCK // rows.  The draws of :func:`simulate_batch`,
 :func:`simulate_cogarch_batch` and :func:`stationary_draws` go through
 :func:`analysis.run_replications`, so tracing tools count one replication
 per replication; the recursions run outside it.  A replication makes
@@ -68,8 +68,9 @@ by the first of its uniforms, one per kept mark.  A single bundle is not a
 replication and is not counted; it draws its drivers through
 :func:`levy.simulate_levy_path`, and its components of variants 1 and 2 are
 recorded by :func:`cogarch.simulate_cogarch`, the engine's one call of it,
-so tracing tools time that bundle's recursion.  Every batch, however few its
-rows, records on :func:`_steps`.
+so tracing tools time that bundle's recursion.  That record and
+:func:`cogarch.evolve_value` are :func:`_steps` at one row: it is the one
+loop that steps a COGARCH, however few the rows.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import run_replications
 from .cogarch import (
-    MARK_BLOCK, CogarchParams, MomentDivergesError, _exp_decays, _lefts, default_burn_in,
-    simulate_cogarch, stationary_start,
+    CogarchParams, MomentDivergesError, _exp_decays, default_burn_in, simulate_cogarch, stationary_start,
 )
 from .levy import (
     CompoundPoisson, JumpPath, LevyModel, _check_marks, _check_window, _raw_marks, _tidy_marks, substreams,
@@ -94,20 +94,19 @@ from .superpos import Mixture, Variant, _require_stationary, _weighted, sup1_mea
 
 __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
 
-#: replications per engine call in :func:`chunked`; bounds the memory of a
-#: batch's paths and of its queries
+#: the most replications of an engine call (:func:`_calls`) and of a burn-in
+#: chunk; bounds the memory of a batch's paths and of its queries
 ROWS_PER_CALL = 1024
-#: a burn-in chunk holds at most _CHUNK_ROWS replications (by then the
-#: rank-major stepper's per-rank overhead is amortized), also the most rows
-#: of a ``verify.q_columns`` call, and about _CHUNK_MARKS drawn marks a
-#: driver: 2^18 takes 256 rows of 1,000 marks (its drivers are padded, each
-#: raw row copied once, and burned in one at a time); calls and chunks split
-#: their rows evenly (:func:`_parts`)
-_CHUNK_ROWS = 256
+#: a burn-in chunk holds about _CHUNK_MARKS drawn marks a driver at most:
+#: 2^18 takes 262 rows of 1,000 marks (its drivers are padded, each raw row
+#: copied once, and burned in one at a time); calls and chunks split their
+#: rows evenly (:func:`_parts`)
 _CHUNK_MARKS = 1 << 18
-#: mark ranks per block of :func:`_steps`: _RANK_BLOCK up to 128 rows, then
-#: 16 MARK_BLOCK // rows, so a block's scratch (rows x ranks) stops growing
-#: with the rows; MARK_BLOCK // rows below 8 rows
+#: mark ranks per block of :func:`_steps`: MARK_BLOCK // rows below 8 rows
+#: (bounding the row-major stepper's per-mark lists), _RANK_BLOCK up to 128
+#: rows, then 16 MARK_BLOCK // rows, so a block's scratch (rows x ranks)
+#: stops growing with the rows
+MARK_BLOCK = 2048
 _RANK_BLOCK = 256
 #: fewer rows step row by row, where the per-rank numpy overhead would
 #: lose: components burn in rank by rank from 64 rows x components on,
@@ -124,6 +123,12 @@ def _parts(n: int, cap: int) -> list[range]:
     rows, whose lengths differ by at most one."""
     k = -(-n // max(cap, 1))
     return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _calls(n: int) -> list[range]:
+    """The engine calls of replications 0 .. n - 1 (:func:`chunked`,
+    ``verify.q_columns``): the even ranges of at most ROWS_PER_CALL rows."""
+    return _parts(n, ROWS_PER_CALL)
 
 
 def _rank(times: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
@@ -281,6 +286,18 @@ def _by_rank(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> Non
             out.left[:, :m, j], out.post[:, :m, j] = left, v[:, :m]
 
 
+def _lefts(level: float, v: float, decays: list[float], factors: list[float]) -> list[float]:
+    """The steps of :func:`_relax_marks`, returning the left limit at each
+    mark; the state after mark k is ``lefts[k] * factors[k]``."""
+    out: list[float] = []
+    append = out.append
+    for d, f in zip(decays, factors):
+        v = level + (v - level) * d
+        append(v)
+        v *= f
+    return out
+
+
 def _relax_marks(level: float, v: float, decays: list[float], factors: list[float]) -> float:
     """Exact steps from state v: relax toward ``level`` by each decay, then
     jump by each factor 1 + phi dS; returns the state after the last mark."""
@@ -303,7 +320,7 @@ def _agg_lefts(level: float, v: float, decays: list[float], jumps: list[float]) 
 
 def _by_row(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> None:
     """The row-major stepper of :func:`_steps`: each state of each row steps
-    one tight loop (:func:`_relax_marks`, :func:`cogarch._lefts`,
+    one tight loop (:func:`_relax_marks`, :func:`_lefts`,
     :func:`_agg_lefts`) through the block as Python lists."""
     ks = valid.sum(axis=1).tolist()  # marks a row
     dl, fl = [decays[end - k: end].tolist() for k, end in zip(ks, accumulate(ks))], fac.tolist()
@@ -414,7 +431,7 @@ def _simulate(
     t_start, t0, t1 = window
     size = len(phis) // n_drivers
     groups = [slice(d * size, (d + 1) * size) for d in range(n_drivers)]
-    cap = min(_CHUNK_ROWS, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
+    cap = min(ROWS_PER_CALL, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
 
     def draw(seeds: Sequence[ISeedSequence]) -> tuple:
         if draw_path is None:
@@ -643,7 +660,6 @@ def stationary_draws(
 
 
 def chunked(sample: Callable[[int, int], np.ndarray], n: int) -> np.ndarray:
-    """``sample(first, count)`` over the even ranges of at most ROWS_PER_CALL
-    replications (:func:`_parts`), stacked into the (n, q) samples of
-    replications 0 .. n - 1."""
-    return np.concatenate([sample(part.start, len(part)) for part in _parts(n, ROWS_PER_CALL)])
+    """``sample(first, count)`` over the engine calls (:func:`_calls`),
+    stacked into the (n, q) samples of replications 0 .. n - 1."""
+    return np.concatenate([sample(part.start, len(part)) for part in _calls(n)])

@@ -165,12 +165,6 @@ class PathRecord:
         return min(lo, self.v0, self.final_value())
 
 
-#: marks per block of the Python-list loop of ``simulate_cogarch`` and, over
-#: the rows, of ``batch._steps`` (which ``evolve_value`` runs at one row),
-#: which bounds their per-mark lists
-MARK_BLOCK = 2048
-
-
 def _exp_decays(eta: float, gaps: np.ndarray) -> np.ndarray:
     """exp(-eta * gap) for each gap with ``math.exp``'s bits, the one decay
     rule of every recursion: complex128 ``np.exp`` at x + 0j calls the C
@@ -181,53 +175,36 @@ def _exp_decays(eta: float, gaps: np.ndarray) -> np.ndarray:
     return np.exp(z, out=z).real
 
 
-def _lefts(level: float, v: float, decays: list[float], factors: list[float]) -> list[float]:
-    """The steps of :func:`batch._relax_marks`, returning the left limit at
-    each mark; the state after mark k is ``lefts[k] * factors[k]``."""
-    out: list[float] = []
-    append = out.append
-    for d, f in zip(decays, factors):
-        v = level + (v - level) * d
-        append(v)
-        v *= f
-    return out
-
-
-def evolve_value(
-    params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float
-) -> float:
-    """Exact evolution through the marks of ``s_path`` from ``t_start``,
-    relaxed up to ``t_end``; returns V(t_end).  The engine's burn-in
-    (:func:`batch._steps`) on ``s_path`` as a one-row batch, so each draw of
-    :func:`batch.stationary_draws` equals it on that draw's path."""
+def _one_row(params: CogarchParams, s_path: JumpPath, v: float, t_start: float, record: bool, t_end: float | None):
+    """:func:`batch._steps`, the engine's one stepping loop, on the marks of
+    ``s_path`` as a one-row batch from state ``v`` at ``t_start``."""
     from . import batch  # batch builds on this module
 
     times, sizes = batch._pad([s_path.times], math.inf), batch._pad([s_path.sizes], 0.0)
-    got = batch._steps(params.beta, params.eta, (params.phi,), np.full((1, 1), float(v)), None,
-                       np.full(1, float(t_start)), times, sizes, np.full(1, len(s_path)), None, False, t_end)
-    return float(got[0][0, 0])
+    return batch._steps(params.beta, params.eta, (params.phi,), np.full((1, 1), float(v)), None,
+                        np.full(1, float(t_start)), times, sizes, np.full(1, len(s_path)), None, record, t_end)
+
+
+def evolve_value(params: CogarchParams, s_path: JumpPath, v: float, t_start: float, t_end: float) -> float:
+    """Exact evolution through the marks of ``s_path`` from ``t_start``,
+    relaxed up to ``t_end``; returns V(t_end).  The engine's burn-in on
+    ``s_path`` at one row (:func:`_one_row`), so each draw of
+    :func:`batch.stationary_draws` equals it on that draw's path."""
+    return float(_one_row(params, s_path, v, t_start, False, t_end)[0][0, 0])
 
 
 def simulate_cogarch(params: CogarchParams, s_path: JumpPath, v0: float) -> PathRecord:
     """Exact path of the COGARCH driven by the subordinator path ``s_path``.
 
     Deterministic exponential relaxation toward beta/eta between marks and
-    the multiplicative update V -> V * (1 + phi * dS) at each mark.
+    the multiplicative update V -> V * (1 + phi * dS) at each mark: the
+    engine's record of the live window at one row (:func:`_one_row`).
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be > 0, got {v0}")
-    times, fac = s_path.times, 1.0 + params.phi * s_path.sizes
-    gaps = times - np.concatenate(([s_path.t0], times[:-1]))
-    left, v = np.empty(times.size), v0
-    for lo in range(0, times.size, MARK_BLOCK):
-        factors = fac[lo: lo + MARK_BLOCK].tolist()
-        decays = _exp_decays(params.eta, gaps[lo: lo + MARK_BLOCK]).tolist()
-        left[lo: lo + len(factors)] = block = _lefts(params.level, v, decays, factors)
-        v = block[-1] * factors[-1]
-    post = left * fac
-    return PathRecord(
-        s_path.t0, s_path.t1, v0, params.beta, params.eta, s_path.times.copy(), left, post
-    )
+    rec = _one_row(params, s_path, v0, s_path.t0, True, None)[3]
+    left, post = rec.left[0, 0, : len(s_path)], rec.post[0, 0, : len(s_path)]
+    return PathRecord(s_path.t0, s_path.t1, v0, params.beta, params.eta, s_path.times.copy(), left, post)
 
 
 def moment_gate(model: LevyModel, eta: float, phis: Sequence[float], order: float) -> list[float]:

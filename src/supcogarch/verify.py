@@ -47,7 +47,7 @@ from .analysis import (
     mc_second_moment,
     mc_variance,
 )
-from .batch import _CHUNK_ROWS, _parts, chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
+from .batch import _calls, chunked, simulate_batch, simulate_cogarch_batch, stationary_draws
 from .cogarch import COGARCH_MOMENTS, CogarchParams, _try, cross_acov, cross_cov, stationary_variance_alt
 from .config import ExperimentConfig
 from .csvio import G17, analytic_cell, csv_text
@@ -313,8 +313,9 @@ def _price_samples(
 def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
     """q samples, jump tallies and q-bound violations of the ``q_paths``
     bundles on the stream ``(Stream.Q, vi)``, which ``qstats`` and the q
-    family share.  A call of the engine takes at most a burn-in chunk's rows
-    (``_CHUNK_ROWS``, split evenly): one rank loop a driver, if the marks fit."""
+    family share, over the engine calls of :func:`batch.chunked`
+    (:func:`batch._calls`); a call's paths burn in as one chunk, one rank
+    loop a driver, where their marks fit."""
     mix = cfg.mixture()
     return QColumns.concat([
         extract_q_batch(
@@ -324,7 +325,7 @@ def q_columns(cfg: ExperimentConfig, variant: Variant, vi: int) -> QColumns:
             ),
             variant, mix,
         )
-        for part in _parts(cfg.q_paths, _CHUNK_ROWS)
+        for part in _calls(cfg.q_paths)
     ])
 
 

@@ -222,31 +222,36 @@ def test_bundle_batch_matches_every_path(variant):
 
 
 BIG = 1 << 30
-#: (ROWS_PER_CALL or verify's _CHUNK_ROWS, _CHUNK_MARKS, _CHUNK_ROWS, the block
-#: width (_RANK_BLOCK and the engine's MARK_BLOCK), the row-major crossovers,
-#: rows): the engine's splits, forced small
+#: (ROWS_PER_CALL, _CHUNK_MARKS, the block width (_RANK_BLOCK and the
+#: engine's MARK_BLOCK), the row-major crossovers, rows): the engine's splits,
+#: forced small
 CHUNKING = {
-    "several_calls": (7, BIG, BIG, 256, 1, None),
-    "several_burn_in_chunks": (BIG, 2000, BIG, 256, 1, None),
-    "scalar_burn_in": (BIG, 2000, BIG, 256, BIG, None),
-    "rank_block_of_one": (BIG, BIG, BIG, 1, 1, None),
+    "several_calls": (7, BIG, 256, 1, None),
+    "several_burn_in_chunks": (BIG, 2000, 256, 1, None),
+    "scalar_burn_in": (BIG, 2000, 256, BIG, None),
+    "rank_block_of_one": (BIG, BIG, 1, 1, None),
     # rows of about 45 burn-in marks: blocks end inside every row
-    "short_rank_blocks": (BIG, BIG, BIG, 7, 1, None),
+    "short_rank_blocks": (BIG, BIG, 7, 1, None),
     # 129 rows: three calls of 43, each burned in as chunks of 14, 14 and 15
-    "uneven_split": (64, BIG, 16, 256, 1, 129),
+    # (800 marks take 15 or 16 of the rows of CASES, about 50 drawn marks
+    # each; the q paths draw about 134, so a call takes nine chunks of 4 or 5)
+    "uneven_split": (64, 800, 256, 1, 129),
 }
 
 
-def _force_chunking(monkeypatch, module, name, case) -> int | None:
-    rows, chunk_marks, chunk_rows, rank_block, min_rows, n = CHUNKING[case]
-    monkeypatch.setattr(module, name, rows)
+def _force_chunking(monkeypatch, case) -> tuple[int | None, list[int]]:
+    """The case's splits, and the list the rows of each burn-in chunk drawn
+    are appended to."""
+    rows, chunk_marks, rank_block, min_rows, n = CHUNKING[case]
+    chunks: list[int] = []
+    monkeypatch.setattr(batch, "run_replications", lambda fn, k: chunks.append(k) or run_replications(fn, k))
+    monkeypatch.setattr(batch, "ROWS_PER_CALL", rows)
     monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
-    monkeypatch.setattr(batch, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(batch, "_RANK_BLOCK", rank_block)
     monkeypatch.setattr(batch, "MARK_BLOCK", rank_block)
     monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
     monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
-    return n
+    return n, chunks
 
 
 @pytest.mark.parametrize("case", list(CHUNKING))
@@ -255,7 +260,7 @@ def test_chunking_matches_serial(monkeypatch, case):
     (two of 30 replications), the row-major burn-in, rank blocks of one
     and of fewer ranks than a row's marks, and rows that split unevenly all
     give the serial numbers."""
-    n = _force_chunking(monkeypatch, batch, "ROWS_PER_CALL", case)
+    n, chunks = _force_chunking(monkeypatch, case)
     cfg = CASES["cp_default_burn"]
     cfg = cfg if n is None else replace(cfg, replications=n)
     lags = _lags(cfg)
@@ -266,6 +271,10 @@ def test_chunking_matches_serial(monkeypatch, case):
     )
     assert np.array_equal(verify._cross_samples(cfg, 0.06, 0.12, lags), oracle_cross(cfg, 0.06, 0.12, lags))
     assert np.array_equal(verify._cogarch_samples(cfg, 0, lags), oracle_cogarch(cfg, 0, lags))
+    # rows of each burn-in chunk drawn, per family
+    split = {"several_calls": [6, 7, 7] * 3, "several_burn_in_chunks": [30, 30], "scalar_burn_in": [30, 30],
+             "uneven_split": [14, 14, 15] * 3}
+    assert chunks == split.get(case, [60]) * (len(Variant) + 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -480,7 +489,7 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     takes (no other test reaches it)."""
     monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
     monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
-    block, n = cogarch.MARK_BLOCK, 10
+    block, n = batch.MARK_BLOCK, 10
     per_row = max(batch._RANK_BLOCK, block // n)  # the block length of ten rows at once
     counts = np.array([0, 1, 2, per_row - 1, per_row, per_row + 1, block - 1, block, block + 1, 2 * block + 3])
     beta, t_lo, t_hi = 1.3 * eta, -1.0, 14.0
@@ -579,16 +588,20 @@ def test_stationary_draws_match_serial(case):
         assert np.all(got == params.level)
 
 
-@pytest.mark.parametrize("marks", [0, 1, cogarch.MARK_BLOCK, 2 * cogarch.MARK_BLOCK + 3])
+@pytest.mark.parametrize("marks", [0, 1, batch.MARK_BLOCK, 2 * batch.MARK_BLOCK + 3])
 def test_evolve_value_matches_serial_loop(marks):
-    """cogarch.evolve_value, a one-row burn-in of batch._steps in blocks of
-    MARK_BLOCK marks, has the serial loop's bits within and across blocks."""
+    """cogarch.evolve_value and cogarch.simulate_cogarch, a one-row burn-in
+    and record of batch._steps in blocks of MARK_BLOCK marks, have the
+    serial loops' bits within and across blocks."""
     params = CogarchParams(1.0, 0.05, 0.045)
     drawn = squared_jumps(simulate_levy_path(VarianceGamma(1.0, 1.0, grid_step=2.0**-6), (-80.0, 0.0), 62))
     assert len(drawn) >= marks
     path = JumpPath(-80.0, 0.0, drawn.times[:marks], drawn.sizes[:marks])
     want = serial_oracle.evolve_value(params, path, 1.1, -80.0, 0.5)
     assert cogarch.evolve_value(params, path, 1.1, -80.0, 0.5) == want
+    got, want = cogarch.simulate_cogarch(params, path, 1.1), serial_oracle.simulate_cogarch(params, path, 1.1)
+    assert len(got) == marks
+    assert np.array_equal(got.left, want.left) and np.array_equal(got.post, want.post)
 
 
 def test_stationary_cases_cover_both_kernels():
@@ -642,14 +655,17 @@ def test_q_cases_cover_empty_windows_and_price_only_jumps():
 
 @pytest.mark.parametrize("case", list(CHUNKING))
 def test_q_chunking_matches_serial(monkeypatch, case):
-    """q_columns splits its paths into engine calls by _CHUNK_ROWS, the
-    burn-in chunk's row cap, which verify imports: patched there apart from
-    batch's, the calls and the burn-in chunks split as the case says."""
-    n = _force_chunking(monkeypatch, verify, "_CHUNK_ROWS", case)
+    """q_columns splits its paths into engine calls by ROWS_PER_CALL, the
+    one row cap of engine calls and burn-in chunks, read from batch at each
+    call: the calls and the burn-in chunks split as the case says."""
+    n, chunks = _force_chunking(monkeypatch, case)
     cfg = Q_CASES["zero_atom"]
     cfg = cfg if n is None else replace(cfg, q_paths=n)
     for variant in Variant:
         assert_q_matches_serial(cfg, variant, 0)
+    split = {"several_calls": [7] * 10, "several_burn_in_chunks": [14] * 5, "scalar_burn_in": [14] * 5,
+             "uneven_split": [4, 5, 5, 5, 4, 5, 5, 5, 5] * 3}
+    assert chunks == split.get(case, [70]) * len(Variant)
 
 
 def test_q_bound_violations_counted_as_serial(monkeypatch):
