@@ -491,7 +491,8 @@ def _simulate(
             rec = _Record.zeros(v.shape, times.shape, vb is not None)
         elif draw_path is None or vb is not None:
             rec = _steps(beta, eta, phis[group], v, vb, t, times, l_sizes**2, counts, pk, True, None)[3]
-        else:  # one bundle's components: tracing tools time its cogarch.recursion span
+        else:  # instrumentation only: simulate_cogarch is the same one-row _steps record, one call a
+            # component, kept so that tracing tools time one bundle's cogarch.recursion span
             c, rec = int(counts[0]), _Record.zeros(v.shape, times.shape, False)
             path = JumpPath(float(t[0]), t1, times[0, :c], l_sizes[0, :c] ** 2)
             for a, phi in enumerate(phis[group]):
