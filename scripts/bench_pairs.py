@@ -22,8 +22,11 @@ quartiles, ``statistics.quantiles`` inclusive, the change of the medians
 in percent, ``change_better_pairs``: the pairs in which the change beat
 the parent, ties counting for neither, and ``within_bound``: whether the
 change's median is worse than the parent's by at most the metric's
-``bound``, a fraction of the parent's median, in the direction ``better``),
-the workload's ``failed_runs`` (command runs that failed, both sides),
+``bound``, a fraction of the parent's median, in the direction ``better``,
+and ``gain_rule_met``: whether the change won at least nine tenths of all
+the pairs run, ties and failed pairs counting for neither side, and its
+median beats the parent's by more than the parent's quartile spread), the
+workload's ``failed_runs`` (command runs that failed, both sides),
 every run, and ``layers``: per workload and side, the traced run's
 per-layer metric values (None when it failed).  A summary is also
 printed, one line per workload and metric, and the traced CSV export
@@ -88,6 +91,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         row["median_change_pct"] = 100.0 * (row["change_median"] / row["parent_median"] - 1.0)
         limit = row["parent_median"] * (1.0 + m["bound"] if lower else 1.0 - m["bound"])
         row["within_bound"] = row["change_median"] <= limit if lower else row["change_median"] >= limit
+        gain = (row["parent_median"] - row["change_median"]) * (1.0 if lower else -1.0)
+        q1, q3 = row["parent_quartiles"]
+        row["gain_rule_met"] = 10 * won >= 9 * len({r["pair"] for r in runs}) and gain > q3 - q1
         out[name] = row
     out["failed_runs"] = sum(r["result"]["failed"] if r["result"] else 1 for r in runs)
     return out
@@ -133,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} {name}: {row['parent_median']:.6g} -> {row['change_median']:.6g} "
                       f"({row['median_change_pct']:+.1f}%), change better in {row['change_better_pairs']}"
                       f"/{row['pairs']} pairs, parent quartiles {row['parent_quartiles']}, "
-                      f"within bound: {row['within_bound']}")
+                      f"within bound: {row['within_bound']}, gain rule met: {row['gain_rule_met']}")
         print(f"{workload} failed_runs: {summary[workload]['failed_runs']}")
         layers[workload] = {}
         for side in ("parent", "change"):

@@ -123,6 +123,14 @@ def mc_second_moment(x: np.ndarray) -> tuple[float, float]:
     return mc_mean(np.asarray(x, dtype=float) ** 2)
 
 
+def _cov(x: np.ndarray, y: np.ndarray) -> float:
+    """``np.cov(x, y, ddof=1)[0, 1]`` bit for bit, by its own steps: means over
+    axis 1, centred in place, ``X @ X.T`` (BLAS syrk), times 1 / (n - 1)."""
+    xy = np.array((x, y), dtype=float)
+    xy -= xy.mean(axis=1)[:, None]
+    return float((xy @ xy.T)[0, 1] * (np.float64(1.0) / max(xy.shape[1] - 1, 0)))
+
+
 def mc_covariance(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Unbiased sample covariance and its delete-one jackknife standard error."""
     x = np.asarray(x, dtype=float)
@@ -130,32 +138,33 @@ def mc_covariance(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if x.shape != y.shape:
         raise ValueError("covariance needs equally shaped samples")
     n = x.size
-    est = float(np.cov(x, y, ddof=1)[0, 1])
+    est = _cov(x, y)
     if n < 3:
         return est, 0.0
     return est, jackknife_se(_loo_covariance(x, y))
 
 
 def grouped_jackknife(
-    stat: Callable[..., float], arrays: Sequence[np.ndarray], n_groups: int = 50
-) -> tuple[float, float]:
+    stat: Callable[..., float | Sequence[float]], arrays: Sequence[np.ndarray], n_groups: int = 50
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Delete-group jackknife for a statistic of several aligned sample
     arrays: recompute with each of ``n_groups`` contiguous blocks removed.
-    Returns (full-sample statistic, standard error)."""
+    Returns (full-sample statistic, standard error): arrays for a ``stat`` of
+    several values (one split of the groups), each as from its own call."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("grouped jackknife needs aligned arrays")
     g = min(n_groups, n)
-    full = float(stat(*arrays))
+    full = np.asarray(stat(*arrays), dtype=float)
     edges = np.linspace(0, n, g + 1).astype(int)
-    loo = np.empty(g)
+    loo = np.empty((g, full.size))
     for i in range(g):
         mask = np.ones(n, dtype=bool)
         mask[edges[i]:edges[i + 1]] = False
         loo[i] = stat(*(a[mask] for a in arrays))
-    se = math.sqrt((g - 1) / g * float(np.sum((loo - loo.mean()) ** 2)))
-    return full, se
+    se = np.array([jackknife_se(c) for c in np.ascontiguousarray(loo.T)])
+    return (float(full), float(se[0])) if full.ndim == 0 else (full, se)
 
 
 def reports_to_csv(reports: Sequence[MomentReport]) -> str:

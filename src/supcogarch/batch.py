@@ -59,12 +59,13 @@ row nor, past 128 rows, with the rows: a block of :func:`_steps` holds
 _RANK_BLOCK ranks up to there, then 16 MARK_BLOCK // rows.  The draws of :func:`simulate_batch`,
 :func:`simulate_cogarch_batch` and :func:`stationary_draws` go through
 :func:`analysis.run_replications`, so tracing tools count one replication
-per replication; the recursions run outside it.  A replication makes
-generator calls only (its raw marks, variant 3's uniforms for them), so its
-span times those alone; a chunk is then padded (:func:`_pad`), tidied in
-place (:func:`levy._tidy_marks`), checked and burned in one driver at a
-time, each replication's raw arrays dropped once copied, row r picking atoms
-by the first of its uniforms, one per kept mark.  A single bundle is not a
+per replication; the recursions run outside it.  A replication (one row
+function a call) makes generator calls only (the call's
+:func:`levy._drawer`, variant 3's uniforms), so its span times those alone;
+a chunk is then padded (:func:`_pad`), tidied in place
+(:func:`levy._tidy_marks`), checked and burned in one driver at a time,
+each replication's raw arrays dropped once copied, row r picking atoms by
+the first of its uniforms, one per kept mark.  A single bundle is not a
 replication and is not counted; it draws its drivers through
 :func:`levy.simulate_levy_path`, and its components of variants 1 and 2 are
 recorded by :func:`cogarch.simulate_cogarch`, the engine's one call of it,
@@ -77,10 +78,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import run_replications
@@ -88,7 +91,7 @@ from .cogarch import (
     CogarchParams, MomentDivergesError, _exp_decays, default_burn_in, simulate_cogarch, stationary_start,
 )
 from .levy import (
-    CompoundPoisson, JumpPath, LevyModel, _check_marks, _check_window, _raw_marks, _tidy_marks, substreams,
+    CompoundPoisson, JumpPath, LevyModel, _check_marks, _check_window, _drawer, _tidy_marks, substreams,
 )
 from .superpos import Mixture, Variant, _require_stationary, _weighted, sup1_mean
 
@@ -433,34 +436,39 @@ def _simulate(
     groups = [slice(d * size, (d + 1) * size) for d in range(n_drivers)]
     cap = min(ROWS_PER_CALL, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
 
-    def draw(seeds: Sequence[ISeedSequence]) -> tuple:
-        if draw_path is None:
-            marks = [_raw_marks(model, t_start, t1, np.random.default_rng(s)) for s in seeds[:n_drivers]]
-        else:
-            marks = [(p.times, p.sizes) for p in (draw_path(model, (t_start, t1), s) for s in seeds[:n_drivers])]
-        u = None if picks is None else np.random.default_rng(seeds[n_drivers]).random(len(marks[0][0]))
-        return (*chain.from_iterable(marks), u)
+    if draw_path is None:  # a generator straight from the row's seed words
+        draw = lambda seed, _raw=_drawer(model, t_start, t1): _raw(Generator(PCG64(seed)))
+    else:
+        draw = lambda seed: attrgetter("times", "sizes")(draw_path(model, (t_start, t1), seed))
+
+    def row(i: int) -> None:  # row i's draws (variant 3: one driver, then its uniforms) into the chunk's lists
+        for seeds, add_times, add_sizes in sinks:
+            times, sizes = draw(seeds[i])
+            add_times(times), add_sizes(sizes)
+        if picks is not None:
+            add_uniforms(Generator(PCG64(uniforms[i])).random(times.size))
 
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in range(n_drivers)]
     for part in _parts(n, cap):
         rows = len(part)
-        seeds = list(zip(*(s[part.start: part.stop] for s in streams)))
+        # per driver its rows' times and L sizes, then the uniforms, each row dropped once
+        # padded: a driver is padded, tidied and burned in before the next
+        items: list[list] = [[] for _ in range(2 * n_drivers + 1)]
+        chunk = [list(s[part.start: part.stop]) for s in streams]
+        sinks = [(chunk[d], items[2 * d].append, items[2 * d + 1].append) for d in range(n_drivers)]
+        uniforms, add_uniforms = chunk[-1], items[-1].append
         if draw_path is None:
-            drawn = run_replications(lambda i, _seeds=seeds: draw(_seeds[i]), rows)
-        else:
-            drawn = map(draw, seeds)
-        # item j of every draw (times and L sizes per driver, the uniforms), each row
-        # dropped once padded: a driver is padded, tidied and burned in before the next
-        items = dict(enumerate(map(list, zip(*drawn))))
-        del drawn
+            run_replications(row, rows)
+        else:  # one bundle is not a replication
+            row(0)
         for d in range(n_drivers):
             counts = np.array([len(x) for x in items[2 * d]])
-            times, l_sizes = _pad(items.pop(2 * d), math.inf), _pad(items.pop(2 * d + 1), 0.0)
+            times, l_sizes = _pad(items[2 * d], math.inf), _pad(items[2 * d + 1], 0.0)
             if draw_path is None:
                 times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, counts)
                 _check_marks(times, counts, t_start, t1)
-            pk = None if picks is None or d else picks(_pad(items.pop(2 * n_drivers), 0.0)[:, : times.shape[1]])
+            pk = None if picks is None or d else picks(_pad(items[-1], 0.0)[:, : times.shape[1]])
             n_burn = np.count_nonzero(times <= t0, axis=1)
             n_live = counts - n_burn
             live[d].append((

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import charexp
-from .csvio import columns_to_csv, event_columns, off_events
+from .csvio import columns_to_csv, event_columns, export_grid, off_events
 from .levy import JumpPath, LevyModel, s_moments
 
 __all__ = [
@@ -342,7 +342,7 @@ def path_to_csv(record: PathRecord, grid_step: float | None = None) -> str:
     alone without ``grid_step``) except points that are event times, and the
     events, each with two rows (left limit then post-jump value)."""
     if grid_step is not None:
-        grid = np.arange(record.t0 + grid_step, record.t1 + 1e-12, grid_step)
+        grid = export_grid(record.t0, record.t1, grid_step)
     else:
         grid = np.array([record.t1])
     grid = off_events(grid, record.times)

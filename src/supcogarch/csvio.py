@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["G17", "csv_text", "analytic_cell", "columns_to_csv", "off_events", "event_columns"]
+__all__ = ["G17", "csv_text", "analytic_cell", "columns_to_csv", "export_grid", "off_events", "event_columns"]
 
 G17 = "%.17g"
 
@@ -119,6 +119,13 @@ def columns_to_csv(header: str, *columns) -> str:
         cells[:, -1, -1] = ord("\n")
         parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
+
+
+def export_grid(t0: float, t1: float, step: float) -> np.ndarray:
+    """t0 + step, t0 + 2 step, ... on (t0, t1] (``np.arange``'s points), the last
+    t1 itself where (t1 - t0) / step is a whole number up to rounding."""
+    k, grid = (t1 - t0) / step, np.arange(t0 + step, t1 + 2.0 * step, step)
+    return np.append(grid[: round(k) - 1], t1) if abs(k - round(k)) <= 1e-12 * k else grid[: int(k)]
 
 
 def off_events(grid: np.ndarray, event_t: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ key, so one bundle per replication and the batched engine draw identical
 numbers.  The engine derives a call's streams in one pass with
 :func:`substreams`, the SeedSequence algorithm on uint32 columns; a test
 pins each of them to :func:`substream` bit for bit.  A draw is the
-generator calls of :func:`_raw_marks`, then :func:`_tidy_marks` on its rows.
+generator calls of :func:`_drawer`, then :func:`_tidy_marks` on its rows.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ class _Words(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:  # PCG64 passes np.uint64
             raise ValueError(f"holds generate_state(4, uint64) only, asked for ({n_words}, {dtype})")
         return self.words
 
@@ -307,17 +307,20 @@ def substreams(
     return _Streams(out)
 
 
-def _raw_marks(
-    model: LevyModel, t0: float, t1: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The generator calls of a draw on (t0, t1], in their fixed order: they
-    define the stream.  Compound Poisson: Poisson count, unsorted uniform
-    times, i.i.d. sizes.  Variance gamma: one mark per ``model.grid_step``
-    (the last may be shorter), a difference of two gamma variables."""
+def _drawer(model: LevyModel, t0: float, t1: float) -> Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]:
+    """The draw on (t0, t1] as a function of the generator, built once for
+    any number of draws; its generator calls, in their fixed order, define
+    the stream.  Compound Poisson: Poisson count, unsorted uniform times,
+    i.i.d. sizes.  Variance gamma: one mark per ``model.grid_step`` (the last
+    may be shorter), a difference of two gamma variables, on one edges array."""
     length = t1 - t0
     if isinstance(model, CompoundPoisson):
-        n = int(rng.poisson(model.rate * length))
-        return rng.uniform(t0, t1, size=n), np.asarray(model.jumps.sample(rng, n), dtype=float)
+        mean, sample = model.rate * length, model.jumps.sample
+
+        def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+            n = int(rng.poisson(mean))
+            return rng.uniform(t0, t1, size=n), np.asarray(sample(rng, n), dtype=float)
+        return draw
 
     if isinstance(model, VarianceGamma):
         step = model.grid_step
@@ -326,10 +329,14 @@ def _raw_marks(
         edges[-1] = t1
         shape = np.diff(edges, prepend=t0) / model.nu
         scale = model.sigma * math.sqrt(model.nu / 2.0)
-        up = rng.gamma(shape, scale)
-        return edges, up - rng.gamma(shape, scale)
+        return lambda rng: (edges, rng.gamma(shape, scale) - rng.gamma(shape, scale))
 
     raise TypeError(f"unsupported Levy model: {model!r}")
+
+
+def _raw_marks(model: LevyModel, t0: float, t1: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One draw of :func:`_drawer`: the raw marks on (t0, t1]."""
+    return _drawer(model, t0, t1)(rng)
 
 
 def _tidy_marks(

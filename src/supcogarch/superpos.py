@@ -46,7 +46,7 @@ from .cogarch import (
     stationary_mean,
     stationary_variance,
 )
-from .csvio import columns_to_csv, event_columns, off_events
+from .csvio import columns_to_csv, event_columns, export_grid, off_events
 from .levy import JumpPath, LevyModel, _check_window, simulate_levy_path, substream
 
 __all__ = [
@@ -371,7 +371,7 @@ def bundle_to_csv(bundle: SupPathBundle, grid_step: float | None = None) -> str:
     agg = bundle.aggregate
     plain = np.array([agg.t0])
     if grid_step is not None:
-        grid = np.arange(agg.t0 + grid_step, agg.t1 + 1e-12, grid_step)
+        grid = export_grid(agg.t0, agg.t1, grid_step)
         plain = np.concatenate([plain, off_events(grid, agg.times)])
     columns = [(agg.values(plain), agg.left, agg.post)] + [
         (c.values(plain), c.left_limits(agg.times), c.values(agg.times))

@@ -35,6 +35,7 @@ from . import charexp
 from .analysis import (
     MomentReport,
     QColumns,
+    _cov,
     default_hill_k,
     extract_q_batch,
     grouped_jackknife,
@@ -434,22 +435,20 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
                 if closed is not None:
                     emit(rows.flag(f"{tag}.sq_increment_cov_positive[h={h:g}]", closed > 0.0), h)
             continue
-        # variant 3 has no closed form: its rows check the conditional one
+        # variant 3 has no closed form: its rows check the conditional one, every lag
+        # jackknifed on one split of the groups, the inner covariances made once a group
         gated = _try(sq_increment_cov_sup3, *args, max(hs) if hs else r, 0.0, [0.0] * len(comps_r))
-        for h in hs:
-            name = f"{tag}.sq_increment_cov_consistency[h={h:g}]"
-            if gated is None:
-                emit(rows.skip(name, order=2), h)
-                continue
+        if gated is not None and hs:
 
-            def diff(_x0sq: np.ndarray, _xhsq: np.ndarray, _vbar: np.ndarray, *_comps: np.ndarray, _h=h) -> float:
-                inner_agg = float(np.cov(_x0sq, _vbar, ddof=1)[0, 1])
-                inner_atoms = [float(np.cov(_x0sq, c, ddof=1)[0, 1]) for c in _comps]
-                pred = sq_increment_cov_sup3(*args, _h, inner_agg, inner_atoms)
-                return pred - float(np.cov(_x0sq, _xhsq, ddof=1)[0, 1])
+            def diffs(_x0sq: np.ndarray, _vbar: np.ndarray, *cols: np.ndarray) -> list[float]:
+                inner_agg, inner_atoms = _cov(_x0sq, _vbar), [_cov(_x0sq, c) for c in cols[: len(comps_r)]]
+                return [sq_increment_cov_sup3(*args, h, inner_agg, inner_atoms) - _cov(_x0sq, xhsq)
+                        for h, xhsq in zip(hs, cols[len(comps_r):])]
 
-            jackknife = lambda *cols: grouped_jackknife(diff, cols)
-            emit(rows.compare(name, 0.0, jackknife, x0sq, incs[h] ** 2, vbar_r, *comps_r, order=2), h)
+            est, se = grouped_jackknife(diffs, [x0sq, vbar_r, *comps_r, *(incs[h] ** 2 for h in hs)])
+        for j, h in enumerate(hs):
+            name, jackknifed = f"{tag}.sq_increment_cov_consistency[h={h:g}]", lambda _: (float(est[j]), float(se[j]))
+            emit(rows.skip(name, order=2) if gated is None else rows.compare(name, 0.0, jackknifed, x0sq, order=2), h)
         if gated is not None and hs:
             # direct estimate must be positive up to sampling noise
             est, se = mc_covariance(x0sq, incs[hs[0]] ** 2)

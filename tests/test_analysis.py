@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from supcogarch.analysis import (
     MomentReport,
+    _cov,
     check_q_bounds,
     default_hill_k,
     extract_q,
@@ -71,6 +74,33 @@ def test_jackknife_se_shrinks_like_sqrt_n():
     _, se_4n = mc_variance(x)
     ratio = se_n / se_4n
     assert 1.5 < ratio < 2.7  # ~2 expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 400))
+def test_cov_is_np_cov_bit_for_bit(data, n):
+    """The covariance helper is ``np.cov(x, y, ddof=1)[0, 1]`` to the bit,
+    also where one sample leaves no degree of freedom (nan in both)."""
+    samples = hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
+    x, y = data.draw(samples), data.draw(samples)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.cov(x, y, ddof=1)[0, 1]
+        got = _cov(x, y)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_grouped_jackknife_of_several_statistics_is_each_alone():
+    """A statistic returning several values is jackknifed on one split of
+    the groups: each (estimate, standard error) is that of a call on the
+    value alone, bit for bit."""
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal(203), rng.standard_normal(203)
+    stats = [lambda a, b: float(np.mean(a * b)), lambda a, b: _cov(a, b ** 2), lambda a, b: float(np.var(a))]
+    est, se = grouped_jackknife(lambda a, b: [f(a, b) for f in stats], [x, y], n_groups=40)
+    assert est.shape == se.shape == (3,)
+    for j, f in enumerate(stats):
+        assert (est[j], se[j]) == grouped_jackknife(f, [x, y], n_groups=40)
 
 
 def test_grouped_jackknife_mean_agrees_with_classic():

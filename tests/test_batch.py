@@ -821,6 +821,33 @@ def test_pick_draws_are_generator_choice(weights, size):
         assert np.array_equal(batch._picks(weights)(u), want)
 
 
+@pytest.mark.parametrize("variant", [Variant.SUP1, Variant.SUP3])
+@pytest.mark.parametrize("model", [CompoundPoisson(1.0), VarianceGamma(1.0, 1.0, grid_step=0.25)], ids=["cp", "vg"])
+def test_engine_rows_draw_the_raw_marks(monkeypatch, model, variant):
+    """Each replication's raw marks, as the engine pads them, are
+    ``levy._raw_marks`` on ``np.random.default_rng`` of the row's stream bit
+    for bit, and variant 3's uniforms ``Generator.random`` on its pi-draw
+    stream, one a raw mark, across burn-in chunks of one or two rows."""
+    padded: list[list] = []
+    pad = batch._pad
+    monkeypatch.setattr(batch, "_pad", lambda rows, fill, dtype=float: padded.append(list(rows)) or pad(rows, fill, dtype))
+    monkeypatch.setattr(batch, "_CHUNK_MARKS", 20)
+    mix = Mixture.from_atoms([(0.12, 0.6), (0.06, 0.4)])
+    seed, key, n, first, b, t1 = 11, (4, 2), 7, 3, 5.0, 2.0
+    simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, t1), seed, key, n, b, first)
+    # per chunk: each driver's times and sizes, then variant 3's uniforms
+    items = 3 if variant is Variant.SUP3 else 2 * len(mix)
+    assert len(padded) > items and len(padded) % items == 0
+    got = [sum(padded[j::items], []) for j in range(items)]
+    for row, r in enumerate(range(first, first + n)):
+        for d in range(items // 2):
+            times, sizes = levy._raw_marks(model, -b, t1, np.random.default_rng(substream(seed, *key, r, d)))
+            assert np.array_equal(got[2 * d][row], times) and np.array_equal(got[2 * d + 1][row], sizes)
+        if variant is Variant.SUP3:
+            u = np.random.default_rng(substream(seed, *key, r, 1)).random(got[0][row].size)
+            assert np.array_equal(got[2][row], u)
+
+
 def test_engine_derives_the_streams_once_per_call(monkeypatch):
     """However many burn-in chunks a call draws, it derives its streams in
     one levy.substreams call per driver and one for the pi-draws."""

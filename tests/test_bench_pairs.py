@@ -60,6 +60,34 @@ def test_within_bound_judges_each_median_in_its_direction():
     assert within(0.5, 89.0) == (True, False)
 
 
+def test_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_quartiles():
+    """A gain needs the change to win at least 9 of 10 pairs, ties and
+    failed runs counting for neither side, and its median to beat the
+    parent's by more than the parent's quartile spread."""
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.98 .. 1.02
+
+    def met(change, lost=()):
+        runs = []
+        for i, (p, c) in enumerate(zip(parent, change)):
+            runs += [_run(i, "parent", p, 1 / p), _run(i, "change", None if i in lost else c, None if i in lost else 1 / c)]
+        got = bench_pairs.summarize(runs, METRICS)
+        return got["wall_s"]["gain_rule_met"], got["replications_per_s"]["gain_rule_met"]
+
+    faster = [p - 0.1 for p in parent]
+    assert met(faster) == (True, True)
+    # one loss of ten is allowed, two are not; a tie counts as no win
+    assert met(faster[:9] + [1.05]) == (True, True)
+    assert met(faster[:8] + [1.05, 1.05]) == (False, False)
+    assert met(faster[:9] + [parent[9]]) == (True, True)
+    assert met(faster[:8] + [parent[8], parent[9]]) == (False, False)
+    # a failed run is a pair the change did not win
+    assert met(faster, lost=(3, 7)) == (False, False)
+    # winning every pair by less than the parent's quartile spread is no gain
+    assert met([p - 0.01 for p in parent]) == (False, False)
+    # a change that is slower in every pair never meets the rule
+    assert met([p + 0.1 for p in parent]) == (False, False)
+
+
 def test_layer_values_keep_each_traced_metric_or_none():
     traced = {"result": {"failed": 0, "metrics": {
         "cli.csv_self_s": {"value": 0.1, "unit": "s"}, "cli.csv_rows_per_s": {"value": 1e6, "unit": "1/s"},

@@ -105,6 +105,32 @@ def test_bundle_csv_matches_scalar_exporter_when_grid_hits_events(variant, grid_
         assert path_to_csv(c, grid_step) == scalar_path_to_csv(c, grid_step)
 
 
+@pytest.mark.parametrize("t0, t1, step, n", [
+    (0.0, 20000.0, 2.0, 10000),  # t1 + 1e-12 == t1: arange alone stops at 19,998
+    (0.0, 30.0, 0.1, 300),  # arange's 300th point is 30.000000000000004, past t1
+    (-3.0, 30.0, 0.1, 330),
+    (0.0, 50.0, 0.5, 100),
+    (0.0, 1.2, 0.5, 2),  # not a whole number of steps: t1 is not a point
+    (0.0, 0.3, 0.5, 0),
+])
+def test_export_grid_ends_at_t1_exactly(t0, t1, step, n):
+    grid = csvio.export_grid(t0, t1, step)
+    assert grid.size == n and np.all(grid <= t1) and np.all(np.diff(grid) > 0.0)
+    # every point but a last t1 is np.arange's, so grids that already ended at t1 keep their bytes
+    assert np.array_equal(grid[: n - 1], np.arange(t0 + step, t1 + 2.0 * step, step)[: max(n - 1, 0)])
+    if n and math.isclose((t1 - t0) / step, n):
+        assert grid[-1] == t1
+
+
+@pytest.mark.parametrize("t1, step", [(20000.0, 2.0), (30.0, 0.1)])
+def test_exports_end_at_t1(t1, step):
+    """Neither export stops short of t1 nor queries past it."""
+    rec = simulate_cogarch(CogarchParams(1.0, 1.0, 0.5), JumpPath(0.0, t1, [t1 / 3], [0.5]), 1.0)
+    last = lambda text: float(text.rstrip("\n").rsplit("\n", 1)[1].split(",")[0])
+    assert last(path_to_csv(rec, step)) == t1
+    assert last(bundle_to_csv(_bundle(Variant.SUP2, CP, (0.0, t1), 3, 1.0), step)) == t1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 40), max_size=30), st.lists(st.integers(0, 40), max_size=30))
 def test_off_events_is_the_isin_filter(grid, events):

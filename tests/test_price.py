@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supcogarch import charexp, verify
+from supcogarch.analysis import grouped_jackknife
 from supcogarch.cogarch import MomentDivergesError, _try
 from supcogarch.config import ExperimentConfig
 from supcogarch.levy import CompoundPoisson
@@ -125,6 +126,33 @@ def test_increment_mean_needs_a_finite_root_moment():
     verify._price_family(cfg, reports, [])
     means = [rep for rep in reports if rep.name.endswith(".increment_mean")]
     assert len(means) == 3 and all(rep.analytic is None and rep.passed is None for rep in means)
+
+
+def test_sup3_consistency_rows_split_the_groups_once():
+    """verify's variant-3 consistency rows jackknife every lag on one split
+    of the groups; each row's estimate and standard error are those of a
+    per-lag ``grouped_jackknife`` on ``np.cov``, bit for bit."""
+    cfg = ExperimentConfig(phis=(0.12, 0.06), weights=(0.6, 0.4), replications=120, burn_in=20.0)
+    reports: list = []
+    verify._price_family(cfg, reports, [])
+    rows = {rep.name: rep for rep in reports if ".sq_increment_cov_consistency" in rep.name}
+    r = cfg.increments[0]
+    hs = sorted({h for h in cfg.lags if h >= r})
+    args = (cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), r)
+    vi = cfg.variant_list().index(Variant.SUP3)
+    vals = verify._price_samples(cfg, Variant.SUP3, vi, r, hs)
+    x0sq, vbar, comps = vals[:, 0] ** 2, vals[:, 1 + len(hs)], list(vals[:, 2 + len(hs):].T)
+    assert len(rows) == len(hs) > 1
+    for j, h in enumerate(hs):
+
+        def diff(a, b, v, *cs, _h=h):
+            inner = [float(np.cov(a, c, ddof=1)[0, 1]) for c in cs]
+            pred = sq_increment_cov_sup3(*args, _h, float(np.cov(a, v, ddof=1)[0, 1]), inner)
+            return pred - float(np.cov(a, b, ddof=1)[0, 1])
+
+        want = grouped_jackknife(diff, [x0sq, vals[:, 1 + j] ** 2, vbar, *comps])
+        rep = rows[f"sup3.sq_increment_cov_consistency[h={h:g}]"]
+        assert (rep.estimate, rep.std_error) == want
 
 
 def test_lag_kernel_limits():
