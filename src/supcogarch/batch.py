@@ -47,29 +47,28 @@ number equals that of the serial simulators in ``tests/serial_oracle.py``:
 
 Padded arrays hold replication r in row r; columns past a row's mark count
 hold +inf times, so they sort after every query, and zero sizes.  A batch
-holds every replication's live window, so callers bound memory by simulating
-ranges of replications (:func:`chunked`, ``verify.q_columns``); within a
-call, they are drawn and burned in by chunks.  One rule splits rows
-(:func:`_parts`): the fewest even ranges under a cap, and one cap,
+holds every replication's live window, so callers bound memory by
+simulating ranges of replications (:func:`chunked`, ``verify.q_columns``);
+within a call, they are drawn and burned in by chunks.  One rule splits
+rows (:func:`_parts`): the fewest even ranges under a cap, and one cap,
 ROWS_PER_CALL, bounds the rows of both an engine call (:func:`_calls`) and
-a burn-in chunk, which also holds about _CHUNK_MARKS drawn marks a driver at
-most, so a call's rows burn in as one chunk, one rank loop a driver, where
-their marks fit.  The recursion's scratch grows neither with the marks a
-row nor, past 128 rows, with the rows: a block of :func:`_steps` holds
-_RANK_BLOCK ranks up to there, then 16 MARK_BLOCK // rows.  The draws of :func:`simulate_batch`,
-:func:`simulate_cogarch_batch` and :func:`stationary_draws` go through
-:func:`analysis.run_replications`, so tracing tools count one replication
-per replication; the recursions run outside it.  A replication (one row
-function a call) makes generator calls only (the call's
-:func:`levy._drawer`, variant 3's uniforms), so its span times those alone;
-a chunk is then padded (:func:`_pad`), tidied in place
-(:func:`levy._tidy_marks`), checked and burned in one driver at a time,
-each replication's raw arrays dropped once copied, row r picking atoms by
-the first of its uniforms, one per kept mark.  A single bundle is not a
-replication and is not counted; it draws its drivers through
-:func:`levy.simulate_levy_path`, and its components of variants 1 and 2 are
-recorded by :func:`cogarch.simulate_cogarch`, the engine's one call of it,
-so tracing tools time that bundle's recursion.  That record and
+a burn-in chunk, which also holds about _CHUNK_MARKS drawn marks a driver
+at most, so a call's rows burn in as one chunk, one rank loop a driver,
+where their marks fit.  The recursion's scratch grows neither with the
+marks a row nor, past 128 rows, with the rows: a block of :func:`_steps`
+holds _RANK_BLOCK ranks up to there, then 16 MARK_BLOCK // rows.  The draws
+of :func:`simulate_batch`, :func:`simulate_cogarch_batch` and
+:func:`stationary_draws` go through :func:`analysis.run_replications`, so
+tracing tools count one replication per replication; the recursions run
+outside it.  A replication (one row function a call) builds its generators
+and draws its raw mark counts, so its span times those alone; then each
+driver is drawn straight into the chunk's padded arrays (:func:`_draws`),
+tidied in place, checked and burned in before the next one's exist, row r
+picking atoms by the first of its uniforms, one per kept mark.  A single
+bundle is not a replication and is not counted; it draws its drivers
+through :func:`levy.simulate_levy_path`, and its components of variants 1
+and 2 are recorded by :func:`cogarch.simulate_cogarch`, the engine's one
+call of it, so tracing tools time that bundle's recursion.  That record and
 :func:`cogarch.evolve_value` are :func:`_steps` at one row: it is the one
 loop that steps a COGARCH, however few the rows.
 """
@@ -79,7 +78,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,8 +99,8 @@ __all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch
 #: chunk; bounds the memory of a batch's paths and of its queries
 ROWS_PER_CALL = 1024
 #: a burn-in chunk holds about _CHUNK_MARKS drawn marks a driver at most:
-#: 2^18 takes 262 rows of 1,000 marks (its drivers are padded, each raw row
-#: copied once, and burned in one at a time); calls and chunks split their
+#: 2^18 takes 262 rows of 1,000 marks (its drivers are drawn into their
+#: padded arrays and burned in one at a time); calls and chunks split their
 #: rows evenly (:func:`_parts`)
 _CHUNK_MARKS = 1 << 18
 #: mark ranks per block of :func:`_steps`: MARK_BLOCK // rows below 8 rows
@@ -226,14 +224,27 @@ class BundleBatch:
 
 
 def _pad(rows: list[np.ndarray], fill: float, dtype=float) -> np.ndarray:
-    """Rows of unequal length as one (len(rows), max(1, longest)) array,
-    copied row by row; each item of ``rows`` is set to None once copied, so
-    a raw row the caller holds nowhere else is freed as it goes."""
+    """Rows of unequal length (a single bundle's, a one-row record's) as one
+    (len(rows), max(1, longest)) array, copied row by row; each item of
+    ``rows`` is set to None once copied, so it is freed as it goes."""
     out = np.full((len(rows), max(1, max(map(len, rows), default=0))), fill, dtype=dtype)
     for r, x in enumerate(rows):
         out[r, : len(x)] = x
         rows[r] = None
     return out
+
+
+def _draws(fill: Callable, rngs: Sequence[Generator], counts: Sequence[int], pis: Sequence[Generator] = ()):
+    """A driver's raw marks of a chunk, straight into padded arrays: row r's
+    counts[r] times and sizes by ``fill(rngs[r], ...)`` (:func:`levy._drawer`;
+    +inf, 0 past them), given variant 3's ``pis`` as many uniforms (else None)."""
+    shape = (len(counts), max(1, max(counts)))
+    times, sizes, u = np.full(shape, math.inf), np.zeros(shape), np.zeros(shape) if pis else None
+    for r, (rng, k) in enumerate(zip(rngs, counts)):
+        fill(rng, times[r, :k], sizes[r, :k])
+    for r, (rng, k) in enumerate(zip(pis, counts)):
+        rng.random(out=u[r, :k])
+    return times, sizes, u
 
 
 def _stack(blocks: Sequence[np.ndarray], fill: float) -> np.ndarray:
@@ -426,8 +437,8 @@ def _simulate(
     and states, the aggregate state, their record, and the live L marks of
     every driver.  ``streams`` lists the n streams of the rows per driver,
     then with ``picks`` those of the pi-draws (see :func:`_picks`).
-    The draws go through :func:`analysis.run_replications`, unless
-    ``draw_path(model, horizon, seed)`` draws each driver as a checked
+    The draws go through :func:`analysis.run_replications` and :func:`_draws`,
+    unless ``draw_path(model, horizon, seed)`` draws each driver as a checked
     :class:`levy.JumpPath`: one bundle is not a replication."""
     if n < 1:
         raise ValueError(f"need at least one replication, got n={n}")
@@ -436,39 +447,34 @@ def _simulate(
     groups = [slice(d * size, (d + 1) * size) for d in range(n_drivers)]
     cap = min(ROWS_PER_CALL, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
 
-    if draw_path is None:  # a generator straight from the row's seed words
-        draw = lambda seed, _raw=_drawer(model, t_start, t1): _raw(Generator(PCG64(seed)))
-    else:
-        draw = lambda seed: attrgetter("times", "sizes")(draw_path(model, (t_start, t1), seed))
+    if draw_path is None:  # one bundle draws its paths through draw_path alone
+        count, fill = _drawer(model, t_start, t1)
 
-    def row(i: int) -> None:  # row i's draws (variant 3: one driver, then its uniforms) into the chunk's lists
-        for seeds, add_times, add_sizes in sinks:
-            times, sizes = draw(seeds[i])
-            add_times(times), add_sizes(sizes)
-        if picks is not None:
-            add_uniforms(Generator(PCG64(uniforms[i])).random(times.size))
+    def row(i: int) -> None:  # row i's generators (its drivers', then its pi-draws') and drivers' raw counts
+        for rngs, seeds in zip(gens, chunk):
+            rngs.append(Generator(PCG64(seeds[i])))
+        for counts, rngs in zip(raw, gens):
+            counts.append(count(rngs[-1]))
 
     live: list[list[tuple]] = [[] for _ in range(n_drivers)]
     states: list[list[tuple]] = [[] for _ in range(n_drivers)]
     for part in _parts(n, cap):
         rows = len(part)
-        # per driver its rows' times and L sizes, then the uniforms, each row dropped once
-        # padded: a driver is padded, tidied and burned in before the next
-        items: list[list] = [[] for _ in range(2 * n_drivers + 1)]
         chunk = [list(s[part.start: part.stop]) for s in streams]
-        sinks = [(chunk[d], items[2 * d].append, items[2 * d + 1].append) for d in range(n_drivers)]
-        uniforms, add_uniforms = chunk[-1], items[-1].append
+        gens, raw = [[] for _ in chunk], [[] for _ in range(n_drivers)]
         if draw_path is None:
             run_replications(row, rows)
-        else:  # one bundle is not a replication
-            row(0)
-        for d in range(n_drivers):
-            counts = np.array([len(x) for x in items[2 * d]])
-            times, l_sizes = _pad(items[2 * d], math.inf), _pad(items[2 * d + 1], 0.0)
+        for d in range(n_drivers):  # drawn, tidied and burned in before the next driver's arrays exist
             if draw_path is None:
-                times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, counts)
+                times, l_sizes, u = _draws(fill, gens[d], raw[d], gens[-1] if picks else ())
+                times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, np.array(raw[d]))
                 _check_marks(times, counts, t_start, t1)
-            pk = None if picks is None or d else picks(_pad(items[-1], 0.0)[:, : times.shape[1]])
+            else:  # one bundle is not a replication; _pad drops each of its path's arrays once copied
+                path = draw_path(model, (t_start, t1), chunk[d][0])
+                counts, marks, path = np.array([len(path)]), [[path.times], [path.sizes]], None
+                times, l_sizes = _pad(marks[0], math.inf), _pad(marks[1], 0.0)
+                u = None if picks is None else _pad([Generator(PCG64(chunk[-1][0])).random(counts[0])], 0.0)
+            pk, u = None if picks is None else picks(u[:, : times.shape[1]]), None  # u freed before the burn-in
             n_burn = np.count_nonzero(times <= t0, axis=1)
             n_live = counts - n_burn
             live[d].append((
@@ -482,7 +488,7 @@ def _simulate(
                 beta, eta, phis[groups[d]], v, vb, np.full(rows, t_start), times, l_sizes, n_burn, pk, False,
                 t0 if relax else None,
             ))
-            del times, l_sizes, pk  # freed before the next driver or chunk is padded
+            del times, l_sizes, pk  # freed before the next driver or chunk is drawn
 
     drivers = [
         (_stack([c[0] for c in live[d]], math.inf), _stack([c[1] for c in live[d]], 0.0),

@@ -108,13 +108,13 @@ def columns_to_csv(header: str, *columns) -> str:
     """Equal-length numeric columns, every cell printed with ``G17``; a None
     column prints empty cells."""
     cols = [c if c is None else np.asarray(c, dtype=float) for c in columns]
-    (rows,) = {len(c) for c in cols if c is not None}  # a ValueError unless one length
-    step, empty = max(1, _CHUNK // len(cols)), [i for i, c in enumerate(cols) if c is None]
+    nums, empty = [c for c in cols if c is not None], [i for i, c in enumerate(cols) if c is None]
+    (rows,), step = {len(c) for c in nums}, max(1, _CHUNK // len(cols))  # a ValueError unless one length
     parts = [header + "\n"]
     for r0 in range(0, rows, step):
-        table = np.column_stack([np.ones(min(rows - r0, step)) if c is None else c[r0:r0 + step] for c in cols])
-        cells = _g17_cells(table.ravel()).reshape(len(table), len(cols), _W)
-        cells[:, empty] = 0  # a None column's placeholder, 1.0, is one the kernel prints fast
+        cells = _g17_cells(np.column_stack([c[r0:r0 + step] for c in nums]).ravel()).reshape(-1, len(nums), _W)
+        if empty:  # a None column's cells: NUL up to the separator
+            cells = np.insert(cells, [i - j for j, i in enumerate(empty)], 0, axis=1)
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
         parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))

@@ -307,36 +307,43 @@ def substreams(
     return _Streams(out)
 
 
-def _drawer(model: LevyModel, t0: float, t1: float) -> Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]:
-    """The draw on (t0, t1] as a function of the generator, built once for
-    any number of draws; its generator calls, in their fixed order, define
-    the stream.  Compound Poisson: Poisson count, unsorted uniform times,
-    i.i.d. sizes.  Variance gamma: one mark per ``model.grid_step`` (the last
-    may be shorter), a difference of two gamma variables, on one edges array."""
-    length = t1 - t0
+def _drawer(model: LevyModel, t0: float, t1: float) -> tuple[Callable[[np.random.Generator], int], Callable]:
+    """The draw on (t0, t1], built once for any number of draws: ``count(rng)``
+    then ``fill(rng, times, sizes)``, the raw marks into length-count arrays;
+    their generator calls, in this order, define the stream.  Compound
+    Poisson: Poisson count, uniforms on [0, 1) (mapped to times by
+    :func:`_tidy_marks`), i.i.d. sizes.  Variance gamma: the grid edges, one
+    per ``model.grid_step`` (the last may be shorter), differences of two gammas."""
     if isinstance(model, CompoundPoisson):
-        mean, sample = model.rate * length, model.jumps.sample
+        mean, sample = model.rate * (t1 - t0), model.jumps.sample
 
-        def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-            n = int(rng.poisson(mean))
-            return rng.uniform(t0, t1, size=n), np.asarray(sample(rng, n), dtype=float)
-        return draw
+        def fill(rng: np.random.Generator, times: np.ndarray, sizes: np.ndarray) -> None:
+            rng.random(out=times)
+            sizes[:] = sample(rng, times.size)
+        return lambda rng: int(rng.poisson(mean)), fill
 
     if isinstance(model, VarianceGamma):
         step = model.grid_step
-        n_steps = int(math.ceil(length / step - 1e-12))
+        n_steps = int(math.ceil((t1 - t0) / step - 1e-12))
         edges = t0 + step * np.arange(1, n_steps + 1)
         edges[-1] = t1
         shape = np.diff(edges, prepend=t0) / model.nu
         scale = model.sigma * math.sqrt(model.nu / 2.0)
-        return lambda rng: (edges, rng.gamma(shape, scale) - rng.gamma(shape, scale))
+
+        def fill(rng: np.random.Generator, times: np.ndarray, sizes: np.ndarray) -> None:
+            times[:], sizes[:] = edges, rng.gamma(shape, scale)  # one gamma array alive at a time
+            sizes -= rng.gamma(shape, scale)
+        return lambda rng: n_steps, fill
 
     raise TypeError(f"unsupported Levy model: {model!r}")
 
 
 def _raw_marks(model: LevyModel, t0: float, t1: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of :func:`_drawer`: the raw marks on (t0, t1]."""
-    return _drawer(model, t0, t1)(rng)
+    """One draw of :func:`_drawer`: the raw marks on (t0, t1], compound Poisson times as uniforms."""
+    count, fill = _drawer(model, t0, t1)
+    times, sizes = np.empty(n := count(rng)), np.empty(n)
+    fill(rng, times, sizes)
+    return times, sizes
 
 
 def _tidy_marks(
@@ -344,14 +351,16 @@ def _tidy_marks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rest of a draw on (t0, t1], on (rows, width) raw marks padded with
     +inf times and zero sizes past ``counts``.  Compound Poisson, in place on
-    ``times``: move a time drawn on t0 to t1 (``Generator.uniform`` draws on
-    [t0, t1); this maps a uniform of 0 to 1), sort each row's times (the
-    i.i.d. sizes keep their order), drop zero sizes, then ties (times no
-    later than the last kept one before them: the time before, sorted, when
-    no size is zero, else a running maximum over the kept times).  Variance
-    gamma: drop increments whose square would be subnormal.  Returns the
-    kept marks left-aligned, padded alike, and their counts."""
+    ``times``: map each uniform u to t0 + (t1 - t0) u as ``Generator.uniform``
+    does, move a time on t0 to t1 (as if u = 0 were 1), sort each row's times
+    (the i.i.d. sizes keep their order), drop zero sizes, then ties (times no
+    later than the last kept one before them: the time before, sorted, when no
+    size is zero, else a running maximum over the kept times).  Variance gamma:
+    drop increments whose square would be subnormal.  Returns the kept marks
+    left-aligned, padded alike, and their counts."""
     if isinstance(model, CompoundPoisson):
+        times *= t1 - t0
+        times += t0
         times[times <= t0] = t1
         times.sort(axis=1)
         keep = sizes != 0.0  # false on the padding too

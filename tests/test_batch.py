@@ -14,6 +14,7 @@ approximately.
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -821,31 +822,63 @@ def test_pick_draws_are_generator_choice(weights, size):
         assert np.array_equal(batch._picks(weights)(u), want)
 
 
-@pytest.mark.parametrize("variant", [Variant.SUP1, Variant.SUP3])
+@pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("model", [CompoundPoisson(1.0), VarianceGamma(1.0, 1.0, grid_step=0.25)], ids=["cp", "vg"])
 def test_engine_rows_draw_the_raw_marks(monkeypatch, model, variant):
-    """Each replication's raw marks, as the engine pads them, are
-    ``levy._raw_marks`` on ``np.random.default_rng`` of the row's stream bit
-    for bit, and variant 3's uniforms ``Generator.random`` on its pi-draw
-    stream, one a raw mark, across burn-in chunks of one or two rows."""
-    padded: list[list] = []
-    pad = batch._pad
-    monkeypatch.setattr(batch, "_pad", lambda rows, fill, dtype=float: padded.append(list(rows)) or pad(rows, fill, dtype))
-    monkeypatch.setattr(batch, "_CHUNK_MARKS", 20)
+    """Each replication's raw marks, as the engine draws them into a
+    chunk's padded arrays, are ``levy._raw_marks`` on
+    ``np.random.default_rng`` of the row's stream bit for bit (+inf times
+    and zero sizes past them), and variant 3's uniforms ``Generator.random``
+    on its pi-draw stream, one a raw mark, zero past them, across calls and
+    burn-in chunks that split unevenly."""
+    n, chunks = _force_chunking(monkeypatch, "uneven_split")
+    raws, uniforms = [], []
+    tidy, pick = batch._tidy_marks, batch._picks
+    monkeypatch.setattr(batch, "_tidy_marks", lambda m, t0, t1, times, sizes, counts: raws.append(
+        (times.copy(), sizes.copy(), counts.copy())) or tidy(m, t0, t1, times, sizes, counts))
+    monkeypatch.setattr(batch, "_picks", lambda w: lambda u, _p=pick(w): uniforms.append(u.copy()) or _p(u))
     mix = Mixture.from_atoms([(0.12, 0.6), (0.06, 0.4)])
-    seed, key, n, first, b, t1 = 11, (4, 2), 7, 3, 5.0, 2.0
+    seed, key, first, b, t1 = 11, (4, 2), 3, 5.0, 2.0
     simulate_batch(variant, mix, 1.0, 1.0, model, (0.0, t1), seed, key, n, b, first)
-    # per chunk: each driver's times and sizes, then variant 3's uniforms
-    items = 3 if variant is Variant.SUP3 else 2 * len(mix)
-    assert len(padded) > items and len(padded) % items == 0
-    got = [sum(padded[j::items], []) for j in range(items)]
-    for row, r in enumerate(range(first, first + n)):
-        for d in range(items // 2):
-            times, sizes = levy._raw_marks(model, -b, t1, np.random.default_rng(substream(seed, *key, r, d)))
-            assert np.array_equal(got[2 * d][row], times) and np.array_equal(got[2 * d + 1][row], sizes)
-        if variant is Variant.SUP3:
-            u = np.random.default_rng(substream(seed, *key, r, 1)).random(got[0][row].size)
-            assert np.array_equal(got[2][row], u)
+    drivers = len(mix) if variant is Variant.SUP1 else 1
+    assert len(chunks) > 1 and len(raws) == drivers * len(chunks) and sum(chunks) == n
+    assert len(uniforms) == (len(chunks) if variant is Variant.SUP3 else 0)
+    for j, (lo, rows) in enumerate(zip(accumulate(chunks, initial=first), chunks)):
+        for d in range(drivers):
+            times, sizes, counts = raws[drivers * j + d]  # chunk j's driver d, its raw marks padded
+            assert len(counts) == rows
+            for row, r in enumerate(range(lo, lo + rows)):
+                want_t, want_s = levy._raw_marks(model, -b, t1, np.random.default_rng(substream(seed, *key, r, d)))
+                k = counts[row]
+                assert k == want_t.size and np.isinf(times[row, k:]).all() and not sizes[row, k:].any()
+                assert np.array_equal(times[row, :k], want_t) and np.array_equal(sizes[row, :k], want_s)
+                if variant is Variant.SUP3:
+                    u = uniforms[j][row]
+                    assert np.array_equal(u[:k], np.random.default_rng(substream(seed, *key, r, 1)).random(k))
+                    assert u.size == times.shape[1] and not u[k:].any()
+
+
+@pytest.mark.parametrize("pi_draws", [False, True], ids=["drivers", "with_pi_draws"])
+@pytest.mark.parametrize("model", [CompoundPoisson(45.0), VarianceGamma(1.0, 1.0, grid_step=0.02)], ids=["cp", "vg"])
+def test_draws_hold_no_row_arrays(model, pi_draws):
+    """A driver's chunk is drawn straight into its padded times and sizes
+    (and variant 3's uniforms): the traced peak of the fill, above its
+    generators, is about those arrays (no per-row arrays kept for a later
+    copy, about 1.5 times as much when every row was drawn into its own
+    arrays and then padded)."""
+    count, fill = levy._drawer(model, -15.0, 5.0)  # about 900 marks a row
+    rngs = [np.random.default_rng(substream(5, r)) for r in range(200)]
+    pis = [np.random.default_rng(substream(6, r)) for r in range(200)] if pi_draws else ()
+    counts = [count(rng) for rng in rngs]
+    assert min(counts) < max(counts) if isinstance(model, CompoundPoisson) else counts[0] == 1000
+    tracemalloc.start()
+    try:
+        times, sizes, u = batch._draws(fill, rngs, counts, pis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (u is not None) == pi_draws
+    assert peak <= 1.1 * (times.nbytes + sizes.nbytes + (u.nbytes if pi_draws else 0))
 
 
 def test_engine_derives_the_streams_once_per_call(monkeypatch):
@@ -949,7 +982,8 @@ def test_a_draw_on_t0_moves_to_t1_on_both_routes():
     times, sizes, counts, _ = _engine_draws(model, t0, t1, 3, n)
     on_t0 = 0
     for r in range(n):
-        on_t0 += np.count_nonzero(levy._raw_marks(model, t0, t1, np.random.default_rng(substream(3, r, 0)))[0] == t0)
+        u = levy._raw_marks(model, t0, t1, np.random.default_rng(substream(3, r, 0)))[0]
+        on_t0 += np.count_nonzero(t0 + (t1 - t0) * u == t0)
         path = simulate_levy_path(model, (t0, t1), substream(3, r, 0))
         c = int(counts[r])
         assert np.array_equal(times[r, :c], path.times) and np.array_equal(sizes[r, :c], path.sizes)

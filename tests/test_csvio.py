@@ -251,6 +251,19 @@ def test_kernel_on_empty_and_single_rows():
         columns_to_csv("a,b", [1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("layout", ["N..", ".N.", "..N", "NN.", ".NN", "N.N."])
+def test_none_columns_print_empty_cells(layout):
+    """None columns first, in the middle, last and side by side print empty
+    cells, each numeric cell ``G17`` of its value, across several chunks of
+    the kernel (which formats the numeric columns only)."""
+    rng = np.random.default_rng(len(layout))
+    rows = 3 * csvio._CHUNK // len(layout) + 5
+    cols = [None if c == "N" else rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows) for c in layout]
+    next(c for c in cols if c is not None)[:3] = 0.0, -0.0, 1.0  # the kernel's fallback and its old placeholder
+    want = ["h", *(",".join("" if c is None else G17 % c[r] for c in cols) for r in range(rows)), ""]
+    assert columns_to_csv("h", *cols).split("\n") == want
+
+
 @pytest.mark.parametrize("shift", [-0.25, 0.25])
 def test_kernel_falls_back_where_log10_is_off_by_one(monkeypatch, shift):
     """E comes from float64 log10.  Where E is one too small or too large,

@@ -108,6 +108,25 @@ def test_substreams_answer_only_the_pcg64_request():
             s.generate_state(*args)
 
 
+#: (t0, t1, n): negative t0, the burn-in start -800, wide, narrow, no draw
+UNIFORM_WINDOWS = [(-20.0, 5.0, 400), (-800.0, 40.0, 400), (-1e6, 3e6, 400), (1.0, 1.0 + 1e-13, 400), (0.0, 1.0, 0)]
+
+
+@pytest.mark.parametrize("t0, t1, n", UNIFORM_WINDOWS)
+def test_uniform_is_the_mapped_random(t0, t1, n):
+    """The compound Poisson draw takes ``Generator.random`` uniforms and
+    maps them to t0 + (t1 - t0) u in ``levy._tidy_marks``; that equals
+    ``Generator.uniform(t0, t1, n)`` bit for bit because numpy's
+    ``random_uniform`` computes ``low + range * next_double`` with range =
+    high - low, two IEEE operations that its X86_V2 baseline build (no FMA)
+    does not contract into one.  A numpy or platform that rounds otherwise
+    fails here by name instead of moving the output bytes."""
+    for seed in (0, 1, 7, 2013, 2**40 + 3):
+        want = np.random.default_rng(substream(seed, 3)).uniform(t0, t1, n)
+        got = np.random.default_rng(substream(seed, 3)).random(n)
+        assert np.array_equal(want, t0 + (t1 - t0) * got)
+
+
 def test_poisson_count_matches_rate():
     # horizon length 100, 1000 seeds: mean count within 3*sqrt(100/1000)*sqrt(100)
     counts = [len(simulate_levy_path(CPP, (0.0, 100.0), s)) for s in range(1000)]
