@@ -37,8 +37,8 @@ number equals that of the serial simulators in ``tests/serial_oracle.py``:
   that driver;
 * jump factors 1 + phi dS and variant 3's jump terms phi_j V^j_{T-} dS are
   the serial loops' products, computed column-wise;
-* path queries repeat ``PathRecord._piecewise``: ``np.exp`` from the
-  previous post-jump value, also at event times of variant 1's union;
+* path queries are ``PathRecord._piecewise``'s arc :func:`cogarch._relax`
+  from the previous post-jump value, also at event times of variant 1's union;
 * sums over atoms accumulate from zeros in atom order
   (:func:`superpos._weighted`);
 * price levels are a cumulative sum along each replication's row;
@@ -62,15 +62,16 @@ of :func:`simulate_batch`, :func:`simulate_cogarch_batch` and
 tracing tools count one replication per replication; the recursions run
 outside it.  A replication (one row function a call) builds its generators
 and draws its raw mark counts, so its span times those alone; then each
-driver is drawn straight into the chunk's padded arrays (:func:`_draws`),
-tidied in place, checked and burned in before the next one's exist, row r
-picking atoms by the first of its uniforms, one per kept mark.  A single
-bundle is not a replication and is not counted; it draws its drivers
-through :func:`levy.simulate_levy_path`, and its components of variants 1
-and 2 are recorded by :func:`cogarch.simulate_cogarch`, the engine's one
-call of it, so tracing tools time that bundle's recursion.  That record and
-:func:`cogarch.evolve_value` are :func:`_steps` at one row: it is the one
-loop that steps a COGARCH, however few the rows.
+driver is drawn straight into the chunk's padded arrays (:func:`levy._draws`),
+its generators (and variant 3's pi-draw ones) freed, then tidied in place,
+checked and burned in before the next one's exist, row r picking atoms by
+the first of its uniforms, one per kept mark.  A single bundle is not a
+replication and is not counted; it draws its drivers through
+:func:`levy.simulate_levy_path`, the same draw at one row, and its
+components of variants 1 and 2 are recorded by :func:`cogarch.simulate_cogarch`,
+the engine's one call of it, so tracing tools time that bundle's recursion.
+That record and :func:`cogarch.evolve_value` are :func:`_steps` at one row:
+it is the one loop that steps a COGARCH, however few the rows.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import run_replications
 from .cogarch import (
-    CogarchParams, MomentDivergesError, _exp_decays, default_burn_in, simulate_cogarch, stationary_start,
+    CogarchParams, MomentDivergesError, _exp_decays, _relax, default_burn_in, simulate_cogarch, stationary_start,
 )
 from .levy import (
-    CompoundPoisson, JumpPath, LevyModel, _check_marks, _check_window, _drawer, _tidy_marks, substreams,
+    CompoundPoisson, JumpPath, LevyModel, _check_marks, _check_window, _drawer, _draws, _tidy_marks, substreams,
 )
 from .superpos import Mixture, Variant, _require_stationary, _weighted, sup1_mean
 
@@ -176,7 +177,7 @@ class PathBatch:
         prev = np.maximum(idx - 1, 0)
         base_v = np.where(idx > 0, _take(self.post, prev), self.v0[:, None])
         base_t = np.where(idx > 0, _take(self.times, prev), self.t0[:, None])
-        return self.level + (base_v - self.level) * np.exp(-self.eta * (ts - base_t))
+        return _relax(self.level, self.eta, base_v, ts - base_t)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """(n, q) cadlag values at finite query times (see _per_row)."""
@@ -232,19 +233,6 @@ def _pad(rows: list[np.ndarray], fill: float, dtype=float) -> np.ndarray:
         out[r, : len(x)] = x
         rows[r] = None
     return out
-
-
-def _draws(fill: Callable, rngs: Sequence[Generator], counts: Sequence[int], pis: Sequence[Generator] = ()):
-    """A driver's raw marks of a chunk, straight into padded arrays: row r's
-    counts[r] times and sizes by ``fill(rngs[r], ...)`` (:func:`levy._drawer`;
-    +inf, 0 past them), given variant 3's ``pis`` as many uniforms (else None)."""
-    shape = (len(counts), max(1, max(counts)))
-    times, sizes, u = np.full(shape, math.inf), np.zeros(shape), np.zeros(shape) if pis else None
-    for r, (rng, k) in enumerate(zip(rngs, counts)):
-        fill(rng, times[r, :k], sizes[r, :k])
-    for r, (rng, k) in enumerate(zip(pis, counts)):
-        rng.random(out=u[r, :k])
-    return times, sizes, u
 
 
 def _stack(blocks: Sequence[np.ndarray], fill: float) -> np.ndarray:
@@ -437,7 +425,7 @@ def _simulate(
     and states, the aggregate state, their record, and the live L marks of
     every driver.  ``streams`` lists the n streams of the rows per driver,
     then with ``picks`` those of the pi-draws (see :func:`_picks`).
-    The draws go through :func:`analysis.run_replications` and :func:`_draws`,
+    The draws go through :func:`analysis.run_replications` and :func:`levy._draws`,
     unless ``draw_path(model, horizon, seed)`` draws each driver as a checked
     :class:`levy.JumpPath`: one bundle is not a replication."""
     if n < 1:
@@ -467,6 +455,7 @@ def _simulate(
         for d in range(n_drivers):  # drawn, tidied and burned in before the next driver's arrays exist
             if draw_path is None:
                 times, l_sizes, u = _draws(fill, gens[d], raw[d], gens[-1] if picks else ())
+                gens[-1], gens[d] = gens[-1] if picks is None else None, None  # drawn: generators freed
                 times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, np.array(raw[d]))
                 _check_marks(times, counts, t_start, t1)
             else:  # one bundle is not a replication; _pad drops each of its path's arrays once copied

@@ -131,17 +131,14 @@ class PathRecord:
     def level(self) -> float:
         return self.beta / self.eta
 
-    def _relax(self, v: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        return self.level + (v - self.level) * np.exp(-self.eta * dt)
-
     def _piecewise(self, ts: np.ndarray, side: str) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if self.times.size == 0:
-            return self._relax(np.full(ts.shape, self.v0), ts - self.t0)
+            return _relax(self.level, self.eta, np.full(ts.shape, self.v0), ts - self.t0)
         idx = np.searchsorted(self.times, ts, side=side)
         base_v = np.where(idx > 0, self.post[np.maximum(idx - 1, 0)], self.v0)
         base_t = np.where(idx > 0, self.times[np.maximum(idx - 1, 0)], self.t0)
-        return self._relax(base_v, ts - base_t)
+        return _relax(self.level, self.eta, base_v, ts - base_t)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Cadlag values at query times (post-jump value exactly at an event)."""
@@ -163,6 +160,12 @@ class PathRecord:
     def min_value(self) -> float:
         lo = min(float(np.min(self.left)), float(np.min(self.post))) if len(self) else self.v0
         return min(lo, self.v0, self.final_value())
+
+
+def _relax(level: float, eta: float, v: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """The exact arc between marks: state v relaxed toward ``level`` = beta/eta
+    for a time dt, the one formula of every path query (float64 ``np.exp``)."""
+    return level + (v - level) * np.exp(-eta * dt)
 
 
 def _exp_decays(eta: float, gaps: np.ndarray) -> np.ndarray:

@@ -16,8 +16,9 @@ word naming the consumer (:class:`Stream`).  A stream depends only on its
 key, so one bundle per replication and the batched engine draw identical
 numbers.  The engine derives a call's streams in one pass with
 :func:`substreams`, the SeedSequence algorithm on uint32 columns; a test
-pins each of them to :func:`substream` bit for bit.  A draw is the
-generator calls of :func:`_drawer`, then :func:`_tidy_marks` on its rows.
+pins each of them to :func:`substream` bit for bit.  A draw, of engine
+rows and of a single path alike, is :func:`_drawer`'s count and fill into
+the padded rows of :func:`_draws`, then :func:`_tidy_marks` on those rows.
 """
 
 from __future__ import annotations
@@ -338,12 +339,17 @@ def _drawer(model: LevyModel, t0: float, t1: float) -> tuple[Callable[[np.random
     raise TypeError(f"unsupported Levy model: {model!r}")
 
 
-def _raw_marks(model: LevyModel, t0: float, t1: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of :func:`_drawer`: the raw marks on (t0, t1], compound Poisson times as uniforms."""
-    count, fill = _drawer(model, t0, t1)
-    times, sizes = np.empty(n := count(rng)), np.empty(n)
-    fill(rng, times, sizes)
-    return times, sizes
+def _draws(fill: Callable, rngs: Sequence[np.random.Generator], counts: Sequence[int], pis: Sequence = ()):
+    """Rows of raw marks straight into padded arrays: row r's counts[r] times
+    and sizes by ``fill(rngs[r], ...)`` of :func:`_drawer` (+inf, 0 past
+    them), given variant 3's ``pis`` as many uniforms (else None)."""
+    shape = (len(counts), max(1, max(counts)))
+    times, sizes, u = np.full(shape, math.inf), np.zeros(shape), np.zeros(shape) if pis else None
+    for r, (rng, k) in enumerate(zip(rngs, counts)):
+        fill(rng, times[r, :k], sizes[r, :k])
+    for r, (rng, k) in enumerate(zip(pis, counts)):
+        rng.random(out=u[r, :k])
+    return times, sizes, u
 
 
 def _tidy_marks(
@@ -381,26 +387,21 @@ def _tidy_marks(
     return out_t, out_s, kept
 
 
-def _draw_marks(
-    model: LevyModel, t0: float, t1: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The marks of :func:`_raw_marks`, tidied by :func:`_tidy_marks` as one row."""
-    times, sizes = _raw_marks(model, t0, t1, rng)
-    times, sizes, [n] = _tidy_marks(model, t0, t1, times[None], sizes[None], np.array([times.size]))
-    return times[0, :n], sizes[0, :n]
-
-
 def simulate_levy_path(
     model: LevyModel,
     horizon: tuple[float, float],
     seed: int | np.random.SeedSequence,
 ) -> JumpPath:
-    """Simulate the driver L on ``horizon`` as a stream of jump marks (see
-    :func:`_draw_marks`).  Deterministic given (model, horizon, seed)."""
+    """Simulate the driver L on ``horizon`` as a stream of jump marks: the
+    engine's draw at one row.  Deterministic given (model, horizon, seed)."""
     t0, t1 = float(horizon[0]), float(horizon[1])
     _check_window(t0, t1)
-    times, sizes = _draw_marks(model, t0, t1, rng_from(seed))
-    return JumpPath(t0, t1, times, sizes)
+    rng, (count, fill) = rng_from(seed), _drawer(model, t0, t1)
+    counts = [count(rng)]
+    times, sizes, _ = _draws(fill, [rng], counts)
+    fill = None  # the drawer (variance gamma grid edges and cell shapes) is freed before the tidy
+    times, sizes, [n] = _tidy_marks(model, t0, t1, times, sizes, np.array(counts))
+    return JumpPath(t0, t1, times[0, :n], sizes[0, :n])
 
 
 def squared_jumps(path: JumpPath) -> JumpPath:

@@ -98,12 +98,7 @@ class PricePath:
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Cadlag piecewise-constant level of G at query times."""
-        ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self.times, ts, side="right")
-        out = np.zeros(ts.shape)
-        nz = idx > 0
-        out[nz] = self.values[idx[nz] - 1]
-        return out
+        return np.append(0.0, self.values)[np.searchsorted(self.times, ts, side="right")]
 
     def value_at(self, t: float) -> float:
         return float(self.values_at(np.array([t]))[0])

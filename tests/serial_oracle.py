@@ -15,6 +15,9 @@ the ``analysis`` result types, so their results compare under ``==``.
 
 ``draw_marks`` is the per-row draw as it was before ``levy`` split it into
 generator calls and one tidying pass over a chunk of rows (sort, filter).
+``raw_marks`` is one row's generator calls of ``levy._drawer`` into arrays
+of its own, as a single path drew them before it shared the engine's padded
+fill, ``levy._draws``.
 
 The start rules (the stationarity check, the default burn-in and the
 component and aggregate starts) are frozen copies too, written from the
@@ -32,7 +35,8 @@ from supcogarch import analysis, charexp
 from supcogarch.analysis import JumpTally, QBoundsReport, QSample, QViolation
 from supcogarch.cogarch import CogarchParams, NonStationaryError, PathRecord
 from supcogarch.levy import (
-    CompoundPoisson, JumpPath, LevyModel, VarianceGamma, rng_from, simulate_levy_path, squared_jumps, substream,
+    CompoundPoisson, JumpPath, LevyModel, VarianceGamma, _drawer, rng_from, simulate_levy_path, squared_jumps,
+    substream,
 )
 from supcogarch.price import PricePath
 from supcogarch.superpos import Mixture, SupPathBundle, Variant
@@ -117,6 +121,14 @@ def draw_marks(
         return edges[keep], sizes[keep]
 
     raise TypeError(f"unsupported Levy model: {model!r}")
+
+
+def raw_marks(model: LevyModel, t0: float, t1: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One draw of :func:`_drawer`: the raw marks on (t0, t1], compound Poisson times as uniforms."""
+    count, fill = _drawer(model, t0, t1)
+    times, sizes = np.empty(n := count(rng)), np.empty(n)
+    fill(rng, times, sizes)
+    return times, sizes
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from supcogarch.batch import simulate_batch
 from supcogarch.cogarch import CogarchParams, NonStationaryError, default_burn_in
 from supcogarch.config import ExperimentConfig
 from supcogarch.levy import (
-    CompoundPoisson, JumpDistribution, JumpPath, Stream, VarianceGamma, _draw_marks, rng_from, simulate_levy_path,
+    CompoundPoisson, JumpDistribution, JumpPath, Stream, VarianceGamma, rng_from, simulate_levy_path,
     squared_jumps, substream, substreams,
 )
 from supcogarch.price import price_to_csv, simulate_price
@@ -495,7 +495,7 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     counts = np.array([0, 1, 2, per_row - 1, per_row, per_row + 1, block - 1, block, block + 1, 2 * block + 3])
     beta, t_lo, t_hi = 1.3 * eta, -1.0, 14.0
     level = beta / eta
-    drawn = [_draw_marks(model, t_lo, t_hi, rng_from(substream(9, r))) for r in range(n)]
+    drawn = [(p.times, p.sizes) for p in (simulate_levy_path(model, (t_lo, t_hi), substream(9, r)) for r in range(n))]
     assert all(len(ts) >= c for (ts, _), c in zip(drawn, counts))
     times = batch._pad([ts[:c] for (ts, _), c in zip(drawn, counts)], math.inf)
     sizes = batch._pad([ls[:c] ** 2 for (_, ls), c in zip(drawn, counts)], 0.0)
@@ -826,7 +826,7 @@ def test_pick_draws_are_generator_choice(weights, size):
 @pytest.mark.parametrize("model", [CompoundPoisson(1.0), VarianceGamma(1.0, 1.0, grid_step=0.25)], ids=["cp", "vg"])
 def test_engine_rows_draw_the_raw_marks(monkeypatch, model, variant):
     """Each replication's raw marks, as the engine draws them into a
-    chunk's padded arrays, are ``levy._raw_marks`` on
+    chunk's padded arrays, are ``serial_oracle.raw_marks`` on
     ``np.random.default_rng`` of the row's stream bit for bit (+inf times
     and zero sizes past them), and variant 3's uniforms ``Generator.random``
     on its pi-draw stream, one a raw mark, zero past them, across calls and
@@ -848,7 +848,8 @@ def test_engine_rows_draw_the_raw_marks(monkeypatch, model, variant):
             times, sizes, counts = raws[drivers * j + d]  # chunk j's driver d, its raw marks padded
             assert len(counts) == rows
             for row, r in enumerate(range(lo, lo + rows)):
-                want_t, want_s = levy._raw_marks(model, -b, t1, np.random.default_rng(substream(seed, *key, r, d)))
+                rng = np.random.default_rng(substream(seed, *key, r, d))
+                want_t, want_s = serial_oracle.raw_marks(model, -b, t1, rng)
                 k = counts[row]
                 assert k == want_t.size and np.isinf(times[row, k:]).all() and not sizes[row, k:].any()
                 assert np.array_equal(times[row, :k], want_t) and np.array_equal(sizes[row, :k], want_s)
@@ -873,7 +874,7 @@ def test_draws_hold_no_row_arrays(model, pi_draws):
     assert min(counts) < max(counts) if isinstance(model, CompoundPoisson) else counts[0] == 1000
     tracemalloc.start()
     try:
-        times, sizes, u = batch._draws(fill, rngs, counts, pis)
+        times, sizes, u = levy._draws(fill, rngs, counts, pis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -952,14 +953,15 @@ def test_tidy_pass_matches_the_per_row_draw(case):
     for r in range(n):
         want_t, want_s = serial_oracle.draw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
         want_pk = np.random.default_rng(substream(seed, r, 1)).choice(3, size=want_t.size, p=np.array(PICK_WEIGHTS))
-        lost += len(levy._raw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))[0]) - want_t.size
+        raw_t, _ = serial_oracle.raw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
+        lost += raw_t.size - want_t.size
         c = int(counts[r])
         assert c == want_t.size
         assert np.array_equal(times[r, :c], want_t) and np.isinf(times[r, c:]).all()
         assert np.array_equal(sizes[r, :c], want_s) and not sizes[r, c:].any()
         assert np.array_equal(picks[r, :c], want_pk) and not picks[r, c:].any()
-        one = _draw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
-        assert np.array_equal(one[0], want_t) and np.array_equal(one[1], want_s)
+        one = simulate_levy_path(model, (t0, t1), substream(seed, r, 0))
+        assert np.array_equal(one.times, want_t) and np.array_equal(one.sizes, want_s)
     assert lost > 0
 
 
@@ -971,7 +973,8 @@ def test_a_chunk_that_keeps_no_mark():
     assert not counts.any() and times.shape == (6, 1) and np.isinf(times).all() and not sizes.any()
     with pytest.raises(IndexError):
         serial_oracle.draw_marks(zero, 0.0, 4.0, np.random.default_rng(substream(17, 0, 0)))
-    assert all(x.size == 0 for x in _draw_marks(zero, 0.0, 4.0, np.random.default_rng(substream(17, 0, 0))))
+    path = simulate_levy_path(zero, (0.0, 4.0), substream(17, 0, 0))
+    assert path.times.size == 0 and path.sizes.size == 0
 
 
 def test_a_draw_on_t0_moves_to_t1_on_both_routes():
@@ -982,7 +985,7 @@ def test_a_draw_on_t0_moves_to_t1_on_both_routes():
     times, sizes, counts, _ = _engine_draws(model, t0, t1, 3, n)
     on_t0 = 0
     for r in range(n):
-        u = levy._raw_marks(model, t0, t1, np.random.default_rng(substream(3, r, 0)))[0]
+        u = serial_oracle.raw_marks(model, t0, t1, np.random.default_rng(substream(3, r, 0)))[0]
         on_t0 += np.count_nonzero(t0 + (t1 - t0) * u == t0)
         path = simulate_levy_path(model, (t0, t1), substream(3, r, 0))
         c = int(counts[r])

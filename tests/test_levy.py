@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import serial_oracle
 from supcogarch.levy import (
     CompoundPoisson,
     JumpDistribution,
     JumpPath,
     VarianceGamma,
-    _draw_marks,
     jump_path_to_csv,
     l_moments,
     s_moments,
@@ -96,9 +97,27 @@ def test_substreams_over_several_row_blocks():
 @pytest.mark.parametrize("model", [CPP, VarianceGamma(1.0, 1.0, grid_step=0.25)], ids=["cp", "vg"])
 def test_substreams_draw_the_substream_marks(model):
     for r, s in zip(range(3, 9), substreams(11, (4, 2), range(3, 9), 1)):
-        want = _draw_marks(model, 0.0, 20.0, np.random.default_rng(substream(11, 4, 2, r, 1)))
-        got = _draw_marks(model, 0.0, 20.0, np.random.default_rng(s))
-        assert len(got[0]) and all(np.array_equal(a, b) for a, b in zip(got, want))
+        want = simulate_levy_path(model, (0.0, 20.0), substream(11, 4, 2, r, 1))
+        got = serial_oracle.draw_marks(model, 0.0, 20.0, np.random.default_rng(s))
+        assert len(got[0]) and all(np.array_equal(a, b) for a, b in zip(got, (want.times, want.sizes)))
+
+
+def test_a_long_vg_path_holds_few_path_arrays():
+    """A single path is the engine's draw at one row.  On a long variance
+    gamma path that loses marks to underflow, its traced peak stays at about
+    five path-length arrays: the drawer (grid edges and cell shapes) is freed
+    before the tidy, and the one row's kept marks are gathered at their own
+    length, not left-aligned into new padded arrays (each costs about one
+    array more)."""
+    model = VarianceGamma(1.0, 1.0, grid_step=2.0**-8)
+    tracemalloc.start()
+    try:
+        path = simulate_levy_path(model, (-480.0, 30.0), substream(20260810, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 110_000 < len(path) < 510 * 2**8  # the tidy dropped some of the grid's increments
+    assert peak <= 5.5 * path.times.nbytes
 
 
 def test_substreams_answer_only_the_pcg64_request():
