@@ -205,14 +205,12 @@ def default_hill_k(n: int) -> int:
     return int(round(n ** 0.6))
 
 
-def hill_sweep(samples: np.ndarray, ks: Sequence[int] | None = None) -> list[tuple[int, float]]:
-    """Hill estimates over a stability sweep of k (default: 10 geometric
-    points between n^0.4 and n^0.7)."""
+def hill_sweep(samples: np.ndarray) -> list[tuple[int, float]]:
+    """Hill estimates over a stability sweep of k: 10 geometric points
+    between n^0.4 and n^0.7, duplicates merged."""
     x = np.asarray(samples, dtype=float)
-    n = x.size
-    if ks is None:
-        lo, hi = n ** 0.4, n ** 0.7
-        ks = sorted({int(round(lo * (hi / lo) ** (i / 9))) for i in range(10)})
+    lo, hi = x.size ** 0.4, x.size ** 0.7
+    ks = sorted({int(round(lo * (hi / lo) ** (i / 9))) for i in range(10)})
     return [(k, hill_estimator(x, k)) for k in ks]
 
 

@@ -10,18 +10,18 @@ integrals against the subordinator Levy measure nu_S, evaluated per driver:
 * compound Poisson with standard normal jumps: Gauss-Hermite quadrature,
   node count doubled until the value is stable to ~1e-11 relative (the
   rules ship in ``hermite_rules.npy``, see scripts/make_hermite_rules.py);
-* compound Poisson with a custom jump law: a Gauss rule matched to the
-  supplied raw moments (exact through polynomial degree 7, a documented
-  approximation for non-integer u);
 * variance gamma: exp-sinh quadrature (Takahasi & Mori 1974) against the
   closed-form Levy density, step halved from 1/4 to 1/128 until stable.
 
 One loop refines every driver's rules and raises DivergentIntegralError on
 a value that is not finite.  For u in {1, 2} the exact closed forms in
-(E[S_1], Var[S_1]) override quadrature.  The stationarity gate
-:func:`is_stationary` needs no integral inside the first-moment region.
-Root finding is plain bisection after geometric bracket expansion; the
-bracketed functions are monotone or convex where roots are sought.
+(E[S_1], Var[S_1]) override quadrature.  A compound Poisson driver with any
+other jump law gets only these closed forms (psi at u in {0, 1, 2} and
+h_cross); every integral against its nu_S raises ValueError.  The
+stationarity gate :func:`is_stationary` needs no integral inside the
+first-moment region.  Root finding is plain bisection after geometric
+bracket expansion; the bracketed functions are monotone or convex where
+roots are sought.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .levy import CompoundPoisson, JumpDistribution, LevyModel, VarianceGamma, s_moments
+from .levy import CompoundPoisson, LevyModel, VarianceGamma, s_moments
 
 __all__ = [
     "ExponentContext",
@@ -94,26 +94,6 @@ def _hermite_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple((math.sqrt(2.0) * x, w / math.sqrt(math.pi)) for x, w in levels)
 
 
-@lru_cache(maxsize=None)
-def _moment_rule(moments: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule matched to raw moments m_1..m_8 (Golub-Welsch via the
-    Hankel moment matrix).  Exact for polynomials up to degree 7."""
-    m = np.array((1.0,) + moments, dtype=float)
-    n = (len(m) - 1) // 2  # 4 nodes from 9 moments
-    hankel = np.array([[m[i + j] for j in range(n + 1)] for i in range(n + 1)])
-    r = np.linalg.cholesky(hankel).T
-    alpha = np.empty(n)
-    beta = np.empty(n - 1)
-    for k in range(n):
-        alpha[k] = r[k, k + 1] / r[k, k] - (r[k - 1, k] / r[k - 1, k - 1] if k else 0.0)
-        if k:
-            beta[k - 1] = r[k, k] / r[k - 1, k - 1]
-    jacobi = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    nodes, vecs = np.linalg.eigh(jacobi)
-    weights = m[0] * vecs[0, :] ** 2
-    return nodes, weights
-
-
 def _refined(values: Iterable[float]) -> float:
     """Pick the converged value from a refinement sequence; detect blow-up.
     Later values are not computed once two agree."""
@@ -152,12 +132,13 @@ def _s_integral(model: LevyModel, f: Callable[[np.ndarray], np.ndarray]) -> floa
     with the integral ~ scale * sum(w * f(y^2)) per level.  f must vanish at
     0 and grow at most polynomially where E[S_1^u] is finite; both shipped
     drivers then give convergent integrals.  A value that overflows a
-    double counts as divergent.
+    double counts as divergent.  Compound Poisson integrates only standard
+    normal jumps (Gauss-Hermite); any other jump law raises ValueError.
     """
     if isinstance(model, CompoundPoisson):
-        jumps: JumpDistribution = model.jumps
-        normal = jumps is not None and jumps.name == "standard_normal"
-        scale, rules = model.rate, _hermite_rules() if normal else [_moment_rule(jumps.raw_moments)]
+        if model.jumps.name != "standard_normal":
+            raise ValueError(f"no integral rule against nu_S for jump law '{model.jumps.name}'")
+        scale, rules = model.rate, _hermite_rules()
     elif isinstance(model, VarianceGamma):
         # nu_L(dy) = (1/(nu |y|)) exp(-c |y|) dy with c = sqrt(2/nu)/sigma, both signs
         scale, rules = 2.0 / model.nu, _exp_sinh_rules(math.sqrt(2.0 / model.nu) / model.sigma)

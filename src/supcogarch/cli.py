@@ -217,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, NonStationaryError, charexp.NoRootError, charexp.DivergentIntegralError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"validation error: a closed form overflowed a double: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

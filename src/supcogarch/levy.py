@@ -55,9 +55,8 @@ __all__ = [
 
 DEFAULT_VG_GRID_STEP = 2.0 ** -8
 
-# Raw moments E[Y^k], k = 1..8, needed for the moment-matched quadrature
-# used by the exponent module; order 8 covers E[S_1^4] sanity checks.
-_N_REQUIRED_MOMENTS = 8
+# Raw moments E[Y^k], k = 1..4: s_moments reads orders 2 and 4, l_moments order 3.
+_N_REQUIRED_MOMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,9 @@ class JumpDistribution:
     """Jump-size law of a compound Poisson driver.
 
     ``sample(rng, n)`` draws n i.i.d. jump sizes; ``raw_moments`` are
-    E[Y^k] for k = 1..8 and must all be supplied (construction error
-    otherwise).
+    E[Y^k] for k = 1..4 and must all be supplied (construction error
+    otherwise).  Only the name ``standard_normal`` has an integral rule in
+    ``charexp``; any other law gets the closed forms in these moments.
     """
 
     name: str
@@ -90,7 +90,7 @@ class JumpDistribution:
 STANDARD_NORMAL = JumpDistribution(
     name="standard_normal",
     sample=lambda rng, n: rng.standard_normal(n),
-    raw_moments=(0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0),
+    raw_moments=(0.0, 1.0, 0.0, 3.0),
 )
 
 

@@ -344,10 +344,10 @@ def _moment_battery(
     if mean is None:
         rows.skip(f"{prefix}.mean")
         return
+    target = _try(moments[second], *args)  # before sampling: an overflow here fails fast
     vals = sample()
     v0 = vals[:, 0]
     rows.compare(f"{prefix}.mean", mean, mc_mean, v0)
-    target = _try(moments[second], *args)
     estimator = mc_second_moment if second == "second_moment" else mc_variance
     rows.compare(f"{prefix}.{second}", target, estimator, v0, order=2)
     if alt is not None and target is not None:

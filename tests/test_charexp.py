@@ -27,12 +27,12 @@ from supcogarch.charexp import (
     phi_max_kappa,
     psi,
 )
-from supcogarch.levy import CompoundPoisson, JumpDistribution, VarianceGamma
+from supcogarch.levy import CompoundPoisson, JumpDistribution, VarianceGamma, l_moments, s_moments
 
 CTX = ExponentContext(CompoundPoisson(1.0), 1.0)
 VG_CTX = ExponentContext(VarianceGamma(1.0, 1.0), 1.0)
 
-NORMAL_MOMENTS = (0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0)
+NORMAL_MOMENTS = (0.0, 1.0, 0.0, 3.0)
 
 
 def test_psi_closed_forms():
@@ -199,15 +199,23 @@ def test_integral_that_overflows_raises(ctx, u):
         psi(ctx, u, 0.5)
 
 
-def test_custom_moment_rule_matches_hermite_for_low_degree():
-    # 4-node moment rule is exact through degree 7, so psi at u = 3 agrees
-    custom = JumpDistribution(
-        "custom_normal", lambda rng, n: rng.standard_normal(n), NORMAL_MOMENTS
-    )
+def test_custom_jump_law_keeps_closed_forms_and_refuses_integrals():
+    """A law other than standard_normal, even with the normal law's moments,
+    gets every closed form bit for bit and no integral against nu_S."""
+    custom = JumpDistribution("custom_normal", lambda rng, n: rng.standard_normal(n), NORMAL_MOMENTS)
     ctx_custom = ExponentContext(CompoundPoisson(1.0, custom), 1.0)
-    assert psi(ctx_custom, 3.0, 0.7) == pytest.approx(psi(CTX, 3.0, 0.7), abs=1e-9)
-    # non-polynomial integrands are only approximated by the 4-node rule
-    assert log_moment(ctx_custom, 0.5) == pytest.approx(log_moment(CTX, 0.5), abs=0.02)
+    for u in (0.0, 1.0, 2.0):
+        assert psi(ctx_custom, u, 0.5) == psi(CTX, u, 0.5)
+    assert h_cross(ctx_custom, 0.5, 0.2) == h_cross(CTX, 0.5, 0.2)
+    assert s_moments(ctx_custom.model) == s_moments(CTX.model)
+    assert l_moments(ctx_custom.model) == l_moments(CTX.model)
+    assert is_stationary(ctx_custom, 0.5) is is_stationary(CTX, 0.5) is True
+    for call in (lambda: psi(ctx_custom, 2.5, 0.5), lambda: psi(ctx_custom, 3.0, 0.5),
+                 lambda: log_moment(ctx_custom, 0.5), lambda: kappa_of_phi(ctx_custom, 0.5),
+                 lambda: phi_max(ctx_custom), lambda: phi_max_kappa(ctx_custom, 3.0),
+                 lambda: h_kappa(ctx_custom, 2.0, 0.5, 0.2)):
+        with pytest.raises(ValueError, match="custom_normal"):
+            call()
 
 
 #: sha256 of the shipped rules' float64 table (hermite_rules.npy's data, C order)

@@ -294,6 +294,37 @@ def test_cli_analytics_out_of_reach_is_validation_error(tmp_path, capsys, key, v
     assert "Traceback" not in err
 
 
+def _overflow_config(tmp_path: Path, case: str) -> Path:
+    """beta = 1e300 squares past a double in the stationary second moment;
+    a VG sigma = 1e80 does so in sigma**4 of s_moments."""
+    bad = tmp_path / f"{case}.cfg"
+    if case == "beta":
+        bad.write_text(LIGHT_CFG.replace("beta = 1.0", "beta = 1e300"))
+    else:
+        vg = (REPO / "configs" / "vg_slow_reversion.cfg").read_text()
+        bad.write_text(vg.replace("sigma = 1.0", "sigma = 1e80"))
+    return bad
+
+
+@pytest.mark.parametrize("case,command", [
+    ("beta", "analytics"), ("beta", "verify"),
+    ("sigma", "simulate"), ("sigma", "analytics"), ("sigma", "verify"), ("sigma", "qstats"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow comes before any sampling
+def test_cli_closed_form_overflow_is_validation_error(tmp_path, capsys, case, command):
+    bad = _overflow_config(tmp_path, case)
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: a closed form overflowed a double")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "qstats"])
+def test_cli_huge_beta_still_simulates(tmp_path, command):
+    bad = _overflow_config(tmp_path, "beta")
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "analytics"])
 def test_cli_non_finite_horizon_is_config_error(tmp_path, capsys, command):
     bad = tmp_path / "inf.cfg"

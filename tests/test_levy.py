@@ -34,9 +34,11 @@ def test_model_validation():
         VarianceGamma(1.0, -1.0)
 
 
-def test_custom_jump_distribution_requires_eight_moments():
+def test_custom_jump_distribution_requires_four_moments():
     with pytest.raises(ValueError):
         JumpDistribution("short", lambda rng, n: rng.standard_normal(n), (0.0, 1.0, 0.0))
+    four = JumpDistribution("four", lambda rng, n: rng.standard_normal(n), (0.0, 1.0, 0.0, 3.0))
+    assert [four.moment(k) for k in range(5)] == [1.0, 0.0, 1.0, 0.0, 3.0]
 
 
 def test_determinism_bit_identical():
