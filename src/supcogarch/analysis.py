@@ -46,6 +46,7 @@ __all__ = [
     "extract_q_batch",
     "histogram",
     "histogram_to_csv",
+    "logq_histogram",
     "has_interior_gap",
     "run_replications",
 ]
@@ -54,6 +55,8 @@ _T = TypeVar("_T")
 
 #: relative slack for the path-wise jump-ratio bounds (pure roundoff)
 _Q_BOUND_RTOL = 1e-9
+#: contiguous blocks of :func:`grouped_jackknife` (fewer for fewer samples)
+_JACKKNIFE_GROUPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +148,17 @@ def mc_covariance(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def grouped_jackknife(
-    stat: Callable[..., float | Sequence[float]], arrays: Sequence[np.ndarray], n_groups: int = 50
+    stat: Callable[..., float | Sequence[float]], arrays: Sequence[np.ndarray]
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Delete-group jackknife for a statistic of several aligned sample
-    arrays: recompute with each of ``n_groups`` contiguous blocks removed.
+    arrays: recompute with each of _JACKKNIFE_GROUPS contiguous blocks removed.
     Returns (full-sample statistic, standard error): arrays for a ``stat`` of
     several values (one split of the groups), each as from its own call."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("grouped jackknife needs aligned arrays")
-    g = min(n_groups, n)
+    g = min(_JACKKNIFE_GROUPS, n)
     full = np.asarray(stat(*arrays), dtype=float)
     edges = np.linspace(0, n, g + 1).astype(int)
     loo = np.empty((g, full.size))
@@ -436,6 +439,11 @@ def histogram(values: Sequence[float], bins: int) -> list[tuple[float, float, in
 
 def histogram_to_csv(rows: Sequence[tuple[float, float, int]]) -> str:
     return columns_to_csv("bin_left,bin_right,count", *np.array(rows, dtype=float).reshape(-1, 3).T)
+
+
+def logq_histogram(q: np.ndarray) -> list[tuple[float, float, int]]:
+    """The log-q histogram of ``qstats`` and of verify's q family: 50 bins."""
+    return histogram(values=np.log(q), bins=50)
 
 
 def has_interior_gap(counts: Sequence[int]) -> bool:

@@ -25,8 +25,8 @@ names.  The streams of a call come from one :func:`levy.substreams` pass
 per driver and one for the pi-draws, not from a SeedSequence per
 replication.  The exact recursions then run in one loop over blocks of mark
 ranks (:func:`_steps`), each block's per-mark arrays built once and stepped
-rank by rank across the replications or, when there are too few rows for
-the per-rank numpy overhead to pay off, row by row on Python lists.  Both
+rank by rank across the replications or, below one crossover of
+_MIN_BATCH_ROWS rows whatever is stepped, row by row on Python lists.  Both
 do one replication's floating-point operations in the same order, so no
 number depends on which runs or on the number of replications, and every
 number equals that of the serial simulators in ``tests/serial_oracle.py``:
@@ -111,13 +111,12 @@ _CHUNK_MARKS = 1 << 18
 MARK_BLOCK = 2048
 _RANK_BLOCK = 256
 #: fewer rows step row by row, where the per-rank numpy overhead would
-#: lose: components burn in rank by rank from 64 rows x components on,
-#: variant 3 from 32 rows (the measured crossovers on variance gamma draws
-#: of 1000 marks a row); components record the live window so from 2/3 as
-#: many rows, variant 3 from as many (measured on compound Poisson windows
-#: of 100 marks and variance gamma windows of 1000 marks a row)
-_MIN_BATCH_STEPS = 64
-_MIN_BATCH_ROWS_SUP3 = 32
+#: lose, whatever is stepped: the commands call _steps at 1, 6, 50, 100 and
+#: 130 or more rows (none at 7 to 49), and on rows of 45 burn-in or 5 live
+#: marks the row-major stepper wins every kind at 6 rows, the rank-major one
+#: every kind at 50 (a one-component burn-in ties there) and all but that
+#: one at 32
+_MIN_BATCH_ROWS = 32
 
 
 def _parts(n: int, cap: int) -> list[range]:
@@ -224,11 +223,11 @@ class BundleBatch:
 # padded marks and the block loop of the recursion
 
 
-def _pad(rows: list[np.ndarray], fill: float, dtype=float) -> np.ndarray:
+def _pad(rows: list[np.ndarray], fill: float) -> np.ndarray:
     """Rows of unequal length (a single bundle's, a one-row record's) as one
     (len(rows), max(1, longest)) array, copied row by row; each item of
     ``rows`` is set to None once copied, so it is freed as it goes."""
-    out = np.full((len(rows), max(1, max(map(len, rows), default=0))), fill, dtype=dtype)
+    out = np.full((len(rows), max(1, max(map(len, rows), default=0))), fill)
     for r, x in enumerate(rows):
         out[r, : len(x)] = x
         rows[r] = None
@@ -360,18 +359,17 @@ def _steps(
     max(MARK_BLOCK // n, min(_RANK_BLOCK, 16 MARK_BLOCK // n)) ranks (at
     least one) whose gaps, decays, factors
     1 + phi dS and picks are built once, then stepped by :func:`_by_rank`
-    from the crossover row count on and by :func:`_by_row` below it, with
-    the same floating-point operations.  Returns the states and the time
+    from _MIN_BATCH_ROWS rows on and by :func:`_by_row` below, with the
+    same floating-point operations.  Returns the states and the time
     after each row's last mark, plus the per-mark values when ``record``.
     ``t_end`` only ends a burn-in: given, every state relaxes to it after
     its last mark, and the time returned is ``t_end``; a record passes None."""
     n, level, agg = times.shape[0], beta / eta, vbar is not None
-    min_rows = _MIN_BATCH_ROWS_SUP3 if agg else _MIN_BATCH_STEPS / len(phis) / (1 + record / 2)
     t_last = np.where(counts > 0, _take(times, np.maximum(counts - 1, 0)[:, None])[:, 0], t)
     order, kmax = np.argsort(-counts, kind="stable"), int(counts.max(initial=0))
     v, vbar = v[:, order], vbar[order] if agg else None
     rec = _Record.zeros(v.shape, times.shape, agg) if record else None
-    phi_arr, step = np.asarray(phis, dtype=float), _by_row if n < min_rows else _by_rank
+    phi_arr, step = np.asarray(phis, dtype=float), _by_row if n < _MIN_BATCH_ROWS else _by_rank
     width = max(1, MARK_BLOCK // n, min(_RANK_BLOCK, 16 * MARK_BLOCK // n))
     for lo in range(0, kmax, width):
         rows, cols = order[: np.count_nonzero(counts > lo)], slice(lo, min(lo + width, kmax))

@@ -19,10 +19,8 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
-
 from . import charexp
-from .analysis import histogram, histogram_to_csv, reports_to_csv
+from .analysis import histogram_to_csv, logq_histogram, reports_to_csv
 from .cogarch import COGARCH_MOMENTS, CogarchParams, NonStationaryError, _try, cross_cov, cross_moment
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .csvio import G17, analytic_cell, columns_to_csv, csv_text
@@ -170,7 +168,7 @@ def cmd_qstats(cfg: ExperimentConfig) -> int:
         n = cols.q.size
         (out / f"{tag}_q.csv").write_text(columns_to_csv("time,q,chosen_phi", cols.time, cols.q, cols.chosen_phi))
         if n:
-            (out / f"{tag}_logq_hist.csv").write_text(histogram_to_csv(histogram(np.log(cols.q), bins=50)))
+            (out / f"{tag}_logq_hist.csv").write_text(histogram_to_csv(logq_histogram(cols.q)))
         t = cols.tally
         summary.append((tag, cfg.q_paths, n, t.common, t.vol_only, t.price_only))
         print(f"{tag}: {n} q samples, {t.vol_only} volatility-only, {t.price_only} price-only jumps")

@@ -7,7 +7,8 @@ by one chosen atom's Levy path (volatility jumps from other atoms produce
 no price jump); variants 2 and 3 are driven by the shared path.
 
 Second-order structure of stationary increments (r = increment length,
-h >= r the lag, e2 = E[L_1^2], psi1 = psi(1, phi)):
+h >= r the lag, e2 = E[L_1^2], psi1 = psi(1, phi)); the first three lines
+hold for every variant alike, so their functions take no variant:
 
     E[dG_r]            = 0
     E[(dG_r)^2]        = r * e2 * E[Vbar]
@@ -141,18 +142,13 @@ def simulate_price(bundle: SupPathBundle, driver_atom: int | None = None) -> Pri
 
 
 def increment_mean_and_variance(
-    variant: Variant,
-    mixture: Mixture,
-    beta: float,
-    eta: float,
-    model: LevyModel,
-    r: float,
+    mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float
 ) -> tuple[float, float]:
-    """(E[dG_r], E[(dG_r)^2]) = (0, r * E[L_1^2] * E[Vbar]); the mean
-    formula is shared by all three variants."""
+    """(E[dG_r], E[(dG_r)^2]) = (0, r * E[L_1^2] * E[Vbar]) for every
+    variant: E[Vbar] is the one mean formula of all three."""
     mean = _increment_mean(mixture, beta, eta, model, r)
     e2 = l_moments(model)[0]
-    mean_bar = sup1_mean(mixture, beta, eta, model)  # same formula for all variants
+    mean_bar = sup1_mean(mixture, beta, eta, model)
     return mean, r * e2 * mean_bar
 
 
@@ -165,15 +161,7 @@ def _increment_mean(mixture: Mixture, beta: float, eta: float, model: LevyModel,
     return 0.0
 
 
-def increment_autocov(
-    variant: Variant,
-    mixture: Mixture,
-    beta: float,
-    eta: float,
-    model: LevyModel,
-    r: float,
-    h: float,
-) -> float:
+def increment_autocov(mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float, h: float) -> float:
     """Cov of increments over disjoint windows vanishes for every variant."""
     if not r > 0.0 or h < r:
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
@@ -296,17 +284,10 @@ def sq_increment_cov_sup3(
     return e2 * total
 
 
-def _increment_second_moment(mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float) -> float:
-    return increment_mean_and_variance(Variant.SUP1, mixture, beta, eta, model, r)[1]
-
-
-def _increment_cov(mixture: Mixture, beta: float, eta: float, model: LevyModel, r: float, h: float) -> float:
-    return increment_autocov(Variant.SUP1, mixture, beta, eta, model, r, h)
-
-
 _SHARED = {
-    "increment_mean": _increment_mean, "increment_second_moment": _increment_second_moment,
-    "increment_cov": _increment_cov,
+    "increment_mean": _increment_mean,
+    "increment_second_moment": lambda *args: increment_mean_and_variance(*args)[1],
+    "increment_cov": increment_autocov,
 }
 #: the closed-form price moments of each variant, keyed by quantity:
 #: "increment_mean" and "increment_second_moment" take the increment length

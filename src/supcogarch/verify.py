@@ -42,7 +42,7 @@ from .analysis import (
     has_interior_gap,
     hill_estimator,
     hill_sweep,
-    histogram,
+    logq_histogram,
     mc_covariance,
     mc_mean,
     mc_second_moment,
@@ -470,7 +470,7 @@ def _q_family(
                 CheckRow(f"{tag}_volatility_only_jumps", float(vol_only), "> 0", vol_only > 0)
             )
         if variant is Variant.SUP3 and len(positive_atoms) >= 2 and cols.q.size:
-            counts = [c for _, _, c in histogram(np.log(cols.q), bins=50)]
+            counts = [c for _, _, c in logq_histogram(cols.q)]
             checks.append(
                 CheckRow(f"{tag}_logq_two_clusters", float(has_interior_gap(counts)),
                          "interior gap in the log-q histogram", has_interior_gap(counts))

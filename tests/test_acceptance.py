@@ -704,7 +704,7 @@ def test_criterion_6_price_second_order(price_batch):
             est, se = mc_covariance(inc0, inc[:, 1 + j])
             _within(Row(f"{tag} disjoint cov[h={h:g}]", est, se, 0.0, 4.0, degree=1, phis=MOMENT_MIX.phis),
                     failures)
-        target = increment_mean_and_variance(variant, MOMENT_MIX, BETA, ETA, MODEL, R)[1]
+        target = increment_mean_and_variance(MOMENT_MIX, BETA, ETA, MODEL, R)[1]
         est, se = mc_second_moment(inc0)
         _within(Row(f"{tag} second moment", est, se, target, 4.0, degree=1, phis=MOMENT_MIX.phis), failures)
     _criterion(6, "price increments: mean 0, disjoint cov 0, E[(dG)^2] = r e2 E[Vbar] (4 SE)", failures)

@@ -97,16 +97,16 @@ def test_grouped_jackknife_of_several_statistics_is_each_alone():
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal(203), rng.standard_normal(203)
     stats = [lambda a, b: float(np.mean(a * b)), lambda a, b: _cov(a, b ** 2), lambda a, b: float(np.var(a))]
-    est, se = grouped_jackknife(lambda a, b: [f(a, b) for f in stats], [x, y], n_groups=40)
+    est, se = grouped_jackknife(lambda a, b: [f(a, b) for f in stats], [x, y])
     assert est.shape == se.shape == (3,)
     for j, f in enumerate(stats):
-        assert (est[j], se[j]) == grouped_jackknife(f, [x, y], n_groups=40)
+        assert (est[j], se[j]) == grouped_jackknife(f, [x, y])
 
 
 def test_grouped_jackknife_mean_agrees_with_classic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=5000)
-    est, se = grouped_jackknife(lambda a: float(np.mean(a)), [x], n_groups=50)
+    est, se = grouped_jackknife(lambda a: float(np.mean(a)), [x])
     assert est == pytest.approx(x.mean())
     assert se == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=0.3)
 

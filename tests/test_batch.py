@@ -224,7 +224,7 @@ def test_bundle_batch_matches_every_path(variant):
 
 BIG = 1 << 30
 #: (ROWS_PER_CALL, _CHUNK_MARKS, the block width (_RANK_BLOCK and the
-#: engine's MARK_BLOCK), the row-major crossovers, rows): the engine's splits,
+#: engine's MARK_BLOCK), the row-major crossover, rows): the engine's splits,
 #: forced small
 CHUNKING = {
     "several_calls": (7, BIG, 256, 1, None),
@@ -250,8 +250,7 @@ def _force_chunking(monkeypatch, case) -> tuple[int | None, list[int]]:
     monkeypatch.setattr(batch, "_CHUNK_MARKS", chunk_marks)
     monkeypatch.setattr(batch, "_RANK_BLOCK", rank_block)
     monkeypatch.setattr(batch, "MARK_BLOCK", rank_block)
-    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
-    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS", min_rows)
     return n, chunks
 
 
@@ -313,7 +312,7 @@ def test_padded_burn_in_scratch_does_not_grow_with_marks():
     so a burn-in of 64 rows (the rank-major stepper) through 16,000 marks a
     row needs less than twice the traced scratch, above its inputs, of one
     through 2,000 (eight times as much when the arrays spanned all marks)."""
-    assert 64 >= batch._MIN_BATCH_STEPS / 2
+    assert 64 >= batch._MIN_BATCH_ROWS
     assert _burn_in_peak(64, 16000) < 2 * _burn_in_peak(64, 2000)
 
 
@@ -321,7 +320,7 @@ def test_row_major_burn_in_scratch_does_not_grow_with_marks():
     """One row burns in on the row-major stepper, its block's Python lists
     bounded by MARK_BLOCK marks: through 16,000 marks it needs less than
     twice the traced scratch of one through 2,000."""
-    assert 1 < batch._MIN_BATCH_STEPS / 2
+    assert 1 < batch._MIN_BATCH_ROWS
     assert _burn_in_peak(1, 16000) < 2 * _burn_in_peak(1, 2000)
 
 
@@ -409,8 +408,7 @@ def test_simulate_bundle_long_vg_row(monkeypatch, min_rows):
     simulate_cogarch, and, forced onto the rank-major stepper, with the
     same numbers."""
     if min_rows is not None:
-        monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
-        monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+        monkeypatch.setattr(batch, "_MIN_BATCH_ROWS", min_rows)
     model, mix = VarianceGamma(1.0, 1.0), BASE.mixture()
     for vi, variant in enumerate(Variant):
         args = (variant, mix, 1.0, 0.5, model, (0.0, 10.0), substream(44, vi), 10.0)
@@ -488,8 +486,7 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     3's aggregate, each number equal to the serial loops'.  The row-major
     record without an aggregate is the one every few-row component record
     takes (no other test reaches it)."""
-    monkeypatch.setattr(batch, "_MIN_BATCH_STEPS", min_rows)
-    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS_SUP3", min_rows)
+    monkeypatch.setattr(batch, "_MIN_BATCH_ROWS", min_rows)
     block, n = batch.MARK_BLOCK, 10
     per_row = max(batch._RANK_BLOCK, block // n)  # the block length of ten rows at once
     counts = np.array([0, 1, 2, per_row - 1, per_row, per_row + 1, block - 1, block, block + 1, 2 * block + 3])
@@ -500,7 +497,7 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     times = batch._pad([ts[:c] for (ts, _), c in zip(drawn, counts)], math.inf)
     sizes = batch._pad([ls[:c] ** 2 for (_, ls), c in zip(drawn, counts)], 0.0)
     rng = np.random.default_rng(10)
-    picks = batch._pad([rng.choice(3, size=c, p=[0.2, 0.5, 0.3]) for c in counts], 0, int)
+    picks = batch._pad([rng.choice(3, size=c, p=[0.2, 0.5, 0.3]) for c in counts], 0).astype(int)
     v, vbar = rng.uniform(0.5, 2.0, (3, n)), rng.uniform(0.5, 2.0, n)
     t = t_lo - rng.uniform(0.0, 1e-3, n)
     gaps = np.diff(times[-1])
@@ -557,13 +554,34 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
             check([r], record, t_end)
 
 
+@pytest.mark.parametrize("record", [False, True], ids=["burn_in", "record"])
+@pytest.mark.parametrize("phis, agg", [((0.3,), False), ((0.3, 0.7), False), ((0.3, 0.7), True)],
+                         ids=["one_component", "two_components", "variant_3"])
+def test_one_row_count_picks_the_stepper(monkeypatch, phis, agg, record):
+    """_steps steps row by row below _MIN_BATCH_ROWS rows and rank by rank
+    from there on, whatever it steps: one or two components or variant 3's
+    aggregate, burned in or recorded."""
+    taken: list[str] = []
+    for name in ("_by_row", "_by_rank"):
+        real = getattr(batch, name)
+        monkeypatch.setattr(batch, name, lambda *args, _name=name, _real=real: taken.append(_name) or _real(*args))
+    for n, want in [(batch._MIN_BATCH_ROWS - 1, "_by_row"), (batch._MIN_BATCH_ROWS, "_by_rank")]:
+        taken.clear()
+        batch._steps(
+            1.0, 1.0, phis, np.ones((len(phis), n)), np.ones(n) if agg else None, np.zeros(n),
+            np.tile(np.arange(1.0, 6.0), (n, 1)), np.full((n, 5), 0.01), np.full(n, 5),
+            np.zeros((n, 5), int) if agg else None, record, None if record else 6.0,
+        )
+        assert taken and set(taken) == {want}, (n, taken)
+
+
 # ---------------------------------------------------------------------------
 # stationary draws: the tail family on the engine
 
 STATIONARY_CASES = {
-    # at least _MIN_BATCH_STEPS rows: burned in on the rank-major stepper
+    # at least _MIN_BATCH_ROWS rows: burned in on the rank-major stepper
     "cp_padded": (CompoundPoisson(1.0), CogarchParams(1.0, 1.0, 0.5), 80, 80.0),
-    # fewer rows than the recording crossover: the row-major stepper, whose
+    # fewer than _MIN_BATCH_ROWS rows: the row-major stepper, whose
     # recording pass must be skipped on the empty live window
     "vg_scalar": (VarianceGamma(1.0, 1.0, grid_step=2.0**-6), CogarchParams(1.0, 0.05, 0.045), 20, 30.0),
     # phi = 0: every draw is the level beta/eta exactly
@@ -607,9 +625,9 @@ def test_evolve_value_matches_serial_loop(marks):
 
 def test_stationary_cases_cover_both_kernels():
     """One case burns in on the rank-major stepper, one on the row-major one
-    (a component records there below _MIN_BATCH_STEPS / 1.5 rows)."""
-    assert STATIONARY_CASES["cp_padded"][2] >= batch._MIN_BATCH_STEPS
-    assert STATIONARY_CASES["vg_scalar"][2] < batch._MIN_BATCH_STEPS / 1.5
+    (the one crossover of every kind, _MIN_BATCH_ROWS rows)."""
+    assert STATIONARY_CASES["cp_padded"][2] >= batch._MIN_BATCH_ROWS
+    assert STATIONARY_CASES["vg_scalar"][2] < batch._MIN_BATCH_ROWS
 
 
 Q_CASES = {

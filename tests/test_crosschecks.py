@@ -74,7 +74,7 @@ def test_sup1_zero_atom_mixture_and_driver_choice(driver):
     inc0 = arr[:, 3]
     _assert_within(
         mc_second_moment(inc0),
-        increment_mean_and_variance(Variant.SUP1, MIX_A, BETA_A, ETA_A, MODEL_A, 1.0)[1],
+        increment_mean_and_variance(MIX_A, BETA_A, ETA_A, MODEL_A, 1.0)[1],
     )
     x0 = inc0**2
     for j, h in enumerate(HS):

@@ -77,26 +77,22 @@ def test_empty_driver_gives_zero_price():
 
 def test_increment_moment_values():
     # point mass at 0.2: r * E[L1^2] * beta/(eta - 0.2) = 1.25
-    mean, second = increment_mean_and_variance(
-        Variant.SUP2, Mixture.dirac(0.2), 1.0, 1.0, MODEL, 1.0
-    )
+    mean, second = increment_mean_and_variance(Mixture.dirac(0.2), 1.0, 1.0, MODEL, 1.0)
     assert mean == 0.0
     assert second == pytest.approx(1.25)
     # two-atom showcase mixture: r * e2 * 6.5
-    for variant in Variant:
-        _, second = increment_mean_and_variance(variant, FIG_MIX, 1.0, 1.0, MODEL, 1.0)
-        assert second == pytest.approx(6.5)
+    _, second = increment_mean_and_variance(FIG_MIX, 1.0, 1.0, MODEL, 1.0)
+    assert second == pytest.approx(6.5)
     # scaling: doubling beta doubles the second moment
-    _, doubled = increment_mean_and_variance(Variant.SUP2, FIG_MIX, 2.0, 1.0, MODEL, 1.0)
+    _, doubled = increment_mean_and_variance(FIG_MIX, 2.0, 1.0, MODEL, 1.0)
     assert doubled == pytest.approx(13.0)
 
 
 def test_increment_autocov_is_zero():
-    for variant in Variant:
-        assert increment_autocov(variant, MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 1.0) == 0.0
-        assert increment_autocov(variant, MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 4.0) == 0.0
+    assert increment_autocov(MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 1.0) == 0.0
+    assert increment_autocov(MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 4.0) == 0.0
     with pytest.raises(ValueError):
-        increment_autocov(Variant.SUP1, MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 0.5)
+        increment_autocov(MOMENT_MIX, 1.0, 1.0, MODEL, 1.0, 0.5)
 
 
 def test_increment_autocov_needs_a_finite_mean():
@@ -105,9 +101,9 @@ def test_increment_autocov_needs_a_finite_mean():
     mix = Mixture.from_atoms([(0.12, 0.6), (1.5, 0.4)])
     ctx = charexp.ExponentContext(MODEL, 1.0)
     assert charexp.psi(ctx, 0.5, 1.5) < 0.0 < charexp.psi(ctx, 1.0, 1.5)
+    with pytest.raises(MomentDivergesError):
+        increment_autocov(mix, 1.0, 1.0, MODEL, 1.0, 2.0)
     for variant in Variant:
-        with pytest.raises(MomentDivergesError):
-            increment_autocov(variant, mix, 1.0, 1.0, MODEL, 1.0, 2.0)
         assert _try(PRICE_MOMENTS[variant]["increment_cov"], mix, 1.0, 1.0, MODEL, 1.0, 2.0) is None
 
 
@@ -220,7 +216,7 @@ def test_lattice_and_replication_estimators_agree():
     from supcogarch.batch import simulate_batch
 
     mix = Mixture.from_atoms([(0.12, 0.6), (0.06, 0.4)])
-    target = increment_mean_and_variance(Variant.SUP2, mix, 1.0, 1.0, MODEL, 1.0)[1]
+    target = increment_mean_and_variance(mix, 1.0, 1.0, MODEL, 1.0)[1]
 
     long_bundle = simulate_bundle(Variant.SUP2, mix, 1.0, 1.0, MODEL, (0.0, 4000.0), 21)
     # increments G(t + 1) - G(t) on the lattice t = 0, 1, ..., 3999
