@@ -4,8 +4,9 @@ the engine at one replication; ``qstats`` and verify's cogarch, cross,
 sup, price, q and tail families run on it, the q samples and jump tallies
 coming from :func:`analysis.extract_q_batch`.
 
-Every entry is :func:`_bundles`, and it alone decides how a row starts:
-it refuses a non-stationary atom, burns in for the given ``burn_in`` or,
+Every entry is :func:`_bundles`, one function that decides how a row
+starts, draws, burns in and records each chunk, and assembles the batch.
+It refuses a non-stationary atom, burns in for the given ``burn_in`` or,
 when that is None, the longest :func:`cogarch.default_burn_in` of the
 atoms, and starts each component at :func:`cogarch.stationary_start` and
 variant 3's aggregate at the mixture's stationary mean (beta/eta where a
@@ -223,14 +224,11 @@ class BundleBatch:
 # padded marks and the block loop of the recursion
 
 
-def _pad(rows: list[np.ndarray], fill: float) -> np.ndarray:
-    """Rows of unequal length (a single bundle's, a one-row record's) as one
-    (len(rows), max(1, longest)) array, copied row by row; each item of
-    ``rows`` is set to None once copied, so it is freed as it goes."""
-    out = np.full((len(rows), max(1, max(map(len, rows), default=0))), fill)
-    for r, x in enumerate(rows):
-        out[r, : len(x)] = x
-        rows[r] = None
+def _pad(x: np.ndarray, fill: float) -> np.ndarray:
+    """One row of marks (a single bundle's, a one-row record's) as a
+    (1, max(1, len(x))) array, ``fill`` past its end."""
+    out = np.full((1, max(1, len(x))), fill)
+    out[0, : len(x)] = x
     return out
 
 
@@ -406,103 +404,6 @@ def _expected_marks(model: LevyModel, length: float) -> float:
     return length / model.grid_step
 
 
-def _simulate(
-    model: LevyModel, beta: float, eta: float, window: tuple[float, float, float], n: int,
-    streams: Sequence[Sequence[ISeedSequence]],
-    phis: tuple[float, ...], starts: tuple[float, ...], vbar: float | None, n_drivers: int,
-    relax: bool,
-    picks: Callable[[np.ndarray], np.ndarray] | None = None,
-    draw_path: Callable[..., JumpPath] | None = None,
-):
-    """Draw n replications on (t_start, t1], run the components with scales
-    ``phis`` from ``starts`` (and, given ``vbar``, the variant-3 aggregate
-    from it) through the marks up to t0 unrecorded (relaxing to t0 when
-    ``relax``), then record the live marks (none when t1 == t0).  Driver d
-    of ``n_drivers`` carries the d-th of that many equal consecutive slices
-    of the components.  Returns per driver its components' reference times
-    and states, the aggregate state, their record, and the live L marks of
-    every driver.  ``streams`` lists the n streams of the rows per driver,
-    then with ``picks`` those of the pi-draws (see :func:`_picks`).
-    The draws go through :func:`analysis.run_replications` and :func:`levy._draws`,
-    unless ``draw_path(model, horizon, seed)`` draws each driver as a checked
-    :class:`levy.JumpPath`: one bundle is not a replication."""
-    if n < 1:
-        raise ValueError(f"need at least one replication, got n={n}")
-    t_start, t0, t1 = window
-    size = len(phis) // n_drivers
-    groups = [slice(d * size, (d + 1) * size) for d in range(n_drivers)]
-    cap = min(ROWS_PER_CALL, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
-
-    if draw_path is None:  # one bundle draws its paths through draw_path alone
-        count, fill = _drawer(model, t_start, t1)
-
-    def row(i: int) -> None:  # row i's generators (its drivers', then its pi-draws') and drivers' raw counts
-        for rngs, seeds in zip(gens, chunk):
-            rngs.append(Generator(PCG64(seeds[i])))
-        for counts, rngs in zip(raw, gens):
-            counts.append(count(rngs[-1]))
-
-    live: list[list[tuple]] = [[] for _ in range(n_drivers)]
-    states: list[list[tuple]] = [[] for _ in range(n_drivers)]
-    for part in _parts(n, cap):
-        rows = len(part)
-        chunk = [list(s[part.start: part.stop]) for s in streams]
-        gens, raw = [[] for _ in chunk], [[] for _ in range(n_drivers)]
-        if draw_path is None:
-            run_replications(row, rows)
-        for d in range(n_drivers):  # drawn, tidied and burned in before the next driver's arrays exist
-            if draw_path is None:
-                times, l_sizes, u = _draws(fill, gens[d], raw[d], gens[-1] if picks else ())
-                gens[-1], gens[d] = gens[-1] if picks is None else None, None  # drawn: generators freed
-                times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, np.array(raw[d]))
-                _check_marks(times, counts, t_start, t1)
-            else:  # one bundle is not a replication; _pad drops each of its path's arrays once copied
-                path = draw_path(model, (t_start, t1), chunk[d][0])
-                counts, marks, path = np.array([len(path)]), [[path.times], [path.sizes]], None
-                times, l_sizes = _pad(marks[0], math.inf), _pad(marks[1], 0.0)
-                u = None if picks is None else _pad([Generator(PCG64(chunk[-1][0])).random(counts[0])], 0.0)
-            pk, u = None if picks is None else picks(u[:, : times.shape[1]]), None  # u freed before the burn-in
-            n_burn = np.count_nonzero(times <= t0, axis=1)
-            n_live = counts - n_burn
-            live[d].append((
-                _shift(times, n_burn, n_live, math.inf), _shift(l_sizes, n_burn, n_live, 0.0), n_live,
-                None if pk is None else _shift(pk, n_burn, n_live, 0),
-            ))
-            l_sizes **= 2  # the squared jumps S, in place: the live L marks are copied
-            v = np.tile(np.array(starts[groups[d]])[:, None], (1, rows))
-            vb = None if vbar is None else np.full(rows, vbar)
-            states[d].append(_steps(
-                beta, eta, phis[groups[d]], v, vb, np.full(rows, t_start), times, l_sizes, n_burn, pk, False,
-                t0 if relax else None,
-            ))
-            del times, l_sizes, pk  # freed before the next driver or chunk is drawn
-
-    drivers = [
-        (_stack([c[0] for c in live[d]], math.inf), _stack([c[1] for c in live[d]], 0.0),
-         np.concatenate([c[2] for c in live[d]]),
-         None if live[d][0][3] is None else _stack([c[3] for c in live[d]], 0))
-        for d in range(n_drivers)
-    ]
-    out = []
-    for (times, l_sizes, counts, pk), group, chunks in zip(drivers, groups, states):
-        v = np.concatenate([c[0] for c in chunks], axis=1)
-        vb = None if vbar is None else np.concatenate([c[1] for c in chunks])
-        t = np.concatenate([c[2] for c in chunks])
-        if t1 <= t0:  # an empty live window has no marks to record
-            rec = _Record.zeros(v.shape, times.shape, vb is not None)
-        elif draw_path is None or vb is not None:
-            rec = _steps(beta, eta, phis[group], v, vb, t, times, l_sizes**2, counts, pk, True, None)[3]
-        else:  # instrumentation only: simulate_cogarch is the same one-row _steps record, one call a
-            # component, kept so that tracing tools time one bundle's cogarch.recursion span
-            c, rec = int(counts[0]), _Record.zeros(v.shape, times.shape, False)
-            path = JumpPath(float(t[0]), t1, times[0, :c], l_sizes[0, :c] ** 2)
-            for a, phi in enumerate(phis[group]):
-                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, 0]))
-                rec.left[a, 0, :c], rec.post[a, 0, :c] = got.left, got.post
-        out.append((t, v, vb, rec))
-    return out, drivers
-
-
 def _union_aggregate(mixture: Mixture, comps: Sequence[PathBatch], t0: float) -> PathBatch:
     """Variant 1's aggregate: its events are each row's union of the
     component events (``np.unique``), its values the weighted component
@@ -560,23 +461,26 @@ def _bundles(
     stream: Callable[[int], Sequence[ISeedSequence]], draw_path: Callable[..., JumpPath] | None = None,
     relax: bool = True,
 ) -> BundleBatch:
-    """n bundles; the replications draw driver i from the n streams
-    ``stream(i)`` and their variant-3 pi-draws from ``stream(1)`` (see
-    :func:`_simulate` for ``draw_path`` and ``relax``).  This is where every
-    engine entry decides how a row starts: it refuses a non-stationary atom,
-    burns in for ``burn_in`` or, when None, the longest
-    :func:`cogarch.default_burn_in` of the atoms, and starts each component
-    at :func:`cogarch.stationary_start` and variant 3's aggregate at the
-    mixture's stationary mean, or beta/eta where that diverges.  The live
-    window (t0, t1] may be empty: the public entries check it."""
+    """n bundles on the live window (t0, t1], the engine of every entry.
+    It starts each row as the module docstring says, burning in for b =
+    ``burn_in`` or the default; draws each driver on (t0 - b, t1], driver i
+    of the replications from the n streams ``stream(i)`` and their variant-3
+    pi-draws from ``stream(1)`` (:func:`_picks`); steps the components (one
+    driver per atom for variant 1, one shared driver otherwise) and the
+    aggregate through the marks up to t0 unrecorded, relaxing to t0 when
+    ``relax``; records the live marks (none when t1 == t0); and assembles
+    the batch.  The draws go through :func:`analysis.run_replications` and
+    :func:`levy._draws`, unless ``draw_path(model, horizon, seed)`` draws
+    each driver as a checked :class:`levy.JumpPath`: one bundle is not a
+    replication.  The live window may be empty: the public entries check it."""
     _require_stationary(mixture, eta, model)
     t0, t1 = float(horizon[0]), float(horizon[1])
     b = burn_in
     if b is None:
         b = max(default_burn_in(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
     _check_window(t0 - b, t0)
-    level = beta / eta
-    starts = tuple(stationary_start(CogarchParams(beta, eta, phi), model) for phi in mixture.phis)
+    level, phis, t_start = beta / eta, mixture.phis, t0 - b
+    starts = tuple(stationary_start(CogarchParams(beta, eta, phi), model) for phi in phis)
     vbar = picks = None
     if variant is Variant.SUP3:
         try:
@@ -584,36 +488,98 @@ def _bundles(
         except MomentDivergesError:
             vbar = level
         picks = _picks(mixture.weights)
-    n_drivers = len(starts) if variant is Variant.SUP1 else 1
-    keys = [*range(n_drivers), *([1] if picks else [])]  # the drivers, then the pi-draws
-    results, drivers = _simulate(
-        model, beta, eta, (t0 - b, t0, t1), n, [stream(i) for i in keys],
-        mixture.phis, starts, vbar, n_drivers, relax, picks, draw_path,
-    )
+    if n < 1:
+        raise ValueError(f"need at least one replication, got n={n}")
+    # driver d steps the components phis[groups[d]]: one a driver for variant 1, all on one otherwise
+    groups = [slice(a, a + 1) for a in range(len(phis))] if variant is Variant.SUP1 else [slice(None)]
+    streams = [stream(i) for i in [*range(len(groups)), *([1] if picks else [])]]  # the drivers, then the pi-draws
+    cap = min(ROWS_PER_CALL, int(_CHUNK_MARKS // max(_expected_marks(model, t1 - t_start), 1.0)))
 
-    comps = [
-        PathBatch(level, eta, t, v[a], times, rec.left[a], rec.post[a])
-        for (t, v, _, rec), (times, *_) in zip(results, drivers)
-        for a in range(v.shape[0])
+    if draw_path is None:  # one bundle draws its paths through draw_path alone
+        count, fill = _drawer(model, t_start, t1)
+
+    def row(i: int) -> None:  # row i's generators (its drivers', then its pi-draws') and drivers' raw counts
+        for rngs, seeds in zip(gens, chunk):
+            rngs.append(Generator(PCG64(seeds[i])))
+        for counts, rngs in zip(raw, gens):
+            counts.append(count(rngs[-1]))
+
+    live: list[list[tuple]] = [[] for _ in groups]
+    states: list[list[tuple]] = [[] for _ in groups]
+    for part in _parts(n, cap):
+        rows = len(part)
+        chunk = [list(s[part.start: part.stop]) for s in streams]
+        gens, raw = [[] for _ in chunk], [[] for _ in groups]
+        if draw_path is None:
+            run_replications(row, rows)
+        for d, group in enumerate(groups):  # drawn, tidied and burned in before the next driver's arrays exist
+            if draw_path is None:
+                times, l_sizes, u = _draws(fill, gens[d], raw[d], gens[-1] if picks else ())
+                gens[-1], gens[d] = gens[-1] if picks is None else None, None  # drawn: generators freed
+                times, l_sizes, counts = _tidy_marks(model, t_start, t1, times, l_sizes, np.array(raw[d]))
+                _check_marks(times, counts, t_start, t1)
+            else:  # one bundle is not a replication
+                path = draw_path(model, (t_start, t1), chunk[d][0])
+                counts, times, sizes, path = np.array([len(path)]), path.times, path.sizes, None
+                times = _pad(times, math.inf)  # the path's times freed before its sizes are padded
+                l_sizes, sizes = _pad(sizes, 0.0), None
+                u = None if picks is None else _pad(Generator(PCG64(chunk[-1][0])).random(counts[0]), 0.0)
+            pk, u = None if picks is None else picks(u[:, : times.shape[1]]), None  # u freed before the burn-in
+            n_burn = np.count_nonzero(times <= t0, axis=1)
+            n_live = counts - n_burn
+            live[d].append((
+                _shift(times, n_burn, n_live, math.inf), _shift(l_sizes, n_burn, n_live, 0.0), n_live,
+                None if pk is None else _shift(pk, n_burn, n_live, 0),
+            ))
+            l_sizes **= 2  # the squared jumps S, in place: the live L marks are copied
+            v = np.tile(np.array(starts[group])[:, None], (1, rows))
+            vb = None if vbar is None else np.full(rows, vbar)
+            states[d].append(_steps(
+                beta, eta, phis[group], v, vb, np.full(rows, t_start), times, l_sizes, n_burn, pk, False,
+                t0 if relax else None,
+            ))
+            del times, l_sizes, pk  # freed before the next driver or chunk is drawn
+
+    drivers = [
+        (_stack([c[0] for c in chunks], math.inf), _stack([c[1] for c in chunks], 0.0),
+         np.concatenate([c[2] for c in chunks]),
+         None if chunks[0][3] is None else _stack([c[3] for c in chunks], 0))
+        for chunks in live
     ]
+    comps = []
+    for (times, l_sizes, counts, pk), group, chunks in zip(drivers, groups, states):
+        v = np.concatenate([c[0] for c in chunks], axis=1)
+        vb = None if vbar is None else np.concatenate([c[1] for c in chunks])
+        t = np.concatenate([c[2] for c in chunks])
+        if t1 <= t0:  # an empty live window has no marks to record
+            rec = _Record.zeros(v.shape, times.shape, vb is not None)
+        elif draw_path is None or vb is not None:
+            rec = _steps(beta, eta, phis[group], v, vb, t, times, l_sizes**2, counts, pk, True, None)[3]
+        else:  # instrumentation only: simulate_cogarch is the same one-row _steps record, one call a
+            # component, kept so that tracing tools time one bundle's cogarch.recursion span
+            c, rec = int(counts[0]), _Record.zeros(v.shape, times.shape, False)
+            path = JumpPath(float(t[0]), t1, times[0, :c], l_sizes[0, :c] ** 2)
+            for a, phi in enumerate(phis[group]):
+                got = simulate_cogarch(CogarchParams(beta, eta, phi), path, float(v[a, 0]))
+                rec.left[a, 0, :c], rec.post[a, 0, :c] = got.left, got.post
+        comps += [PathBatch(level, eta, t, v[a], times, rec.left[a], rec.post[a]) for a in range(v.shape[0])]
+
     if variant is not Variant.SUP3:
         # simulate_cogarch's check on each component, in (replication, atom) order
         v0 = np.array([c.v0 for c in comps]).T.ravel()
         bad = v0[~(v0 > 0.0)]
         if bad.size:
             raise ValueError(f"v0 must be > 0, got {float(bad[0])}")
-    times = drivers[0][0]
     if variant is Variant.SUP1:
         aggregate = _union_aggregate(mixture, comps, t0)
     elif variant is Variant.SUP2:
         w = mixture.weights
         aggregate = PathBatch(
-            level, eta, comps[0].t0, _weighted(w, [c.v0 for c in comps]), times,
+            level, eta, comps[0].t0, _weighted(w, [c.v0 for c in comps]), comps[0].times,
             _weighted(w, [c.left for c in comps]), _weighted(w, [c.post for c in comps]),
         )
-    else:
-        t, _, vbar0, rec = results[0]
-        aggregate = PathBatch(level, eta, t, vbar0, times, rec.agg_left, rec.agg_post)
+    else:  # the one driver's aggregate state and record
+        aggregate = PathBatch(level, eta, t, vb, comps[0].times, rec.agg_left, rec.agg_post)
     return BundleBatch(aggregate, tuple(comps), *zip(*(d[:3] for d in drivers)), drivers[0][3])
 
 

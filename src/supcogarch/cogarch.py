@@ -183,7 +183,7 @@ def _one_row(params: CogarchParams, s_path: JumpPath, v: float, t_start: float, 
     ``s_path`` as a one-row batch from state ``v`` at ``t_start``."""
     from . import batch  # batch builds on this module
 
-    times, sizes = batch._pad([s_path.times], math.inf), batch._pad([s_path.sizes], 0.0)
+    times, sizes = batch._pad(s_path.times, math.inf), batch._pad(s_path.sizes, 0.0)
     return batch._steps(params.beta, params.eta, (params.phi,), np.full((1, 1), float(v)), None,
                         np.full(1, float(t_start)), times, sizes, np.full(1, len(s_path)), None, record, t_end)
 

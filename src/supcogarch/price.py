@@ -177,8 +177,10 @@ def lag_kernel(x: float, h: float, r: float) -> float:
     return (math.exp(h * x) - math.exp((h - r) * x)) / x
 
 
-def _sq_gates(mixture: Mixture, eta: float, model: LevyModel) -> None:
-    third = l_moments(model)[2]
+def _sq_gates(mixture: Mixture, eta: float, model: LevyModel) -> float:
+    """E[L_1^2]; raises MomentDivergesError where the squared-increment
+    covariances do not exist."""
+    e2, _, third = l_moments(model)
     if third != 0.0:
         raise MomentDivergesError(
             f"squared-increment covariances need a vanishing third Levy moment, got {third}"
@@ -186,6 +188,7 @@ def _sq_gates(mixture: Mixture, eta: float, model: LevyModel) -> None:
     moment_gate(model, eta, mixture.phis, 2.0)
     if len(mixture) == 1 and mixture.phis[0] == 0.0:
         raise MomentDivergesError("squared-increment covariance vanishes for a point mass at 0")
+    return e2
 
 
 def sq_increment_vol_cov(
@@ -203,8 +206,7 @@ def sq_increment_vol_cov(
         raise ValueError("variant 3 inner covariances are estimated, not closed-form")
     if not r > 0.0:
         raise ValueError(f"increment length must be > 0, got {r}")
-    _sq_gates(mixture, eta, model)
-    e2 = l_moments(model)[0]
+    e2 = _sq_gates(mixture, eta, model)
     phi_i = mixture.phis[atom_index]
     p_i = mixture.weights[atom_index]
     params_i = CogarchParams(beta, eta, phi_i)
@@ -243,9 +245,8 @@ def sq_increment_cov_closed(
     strictly positive on its domain."""
     if not r > 0.0 or h < r:
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
-    _sq_gates(mixture, eta, model)
+    e2 = _sq_gates(mixture, eta, model)
     ctx = charexp.ExponentContext(model, eta)
-    e2 = l_moments(model)[0]
     total = 0.0
     for i, (phi_i, w_i) in enumerate(mixture.atoms()):
         psi1_i = charexp.psi(ctx, 1.0, phi_i)
@@ -274,9 +275,8 @@ def sq_increment_cov_sup3(
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
     if len(inner_atoms) != len(mixture):
         raise ValueError("need one inner covariance per atom")
-    _sq_gates(mixture, eta, model)
+    e2 = _sq_gates(mixture, eta, model)
     ctx = charexp.ExponentContext(model, eta)
-    e2 = l_moments(model)[0]
     k0 = lag_kernel(-eta, h, r)
     total = k0 * inner_agg
     for (phi_i, w_i), c_i in zip(mixture.atoms(), inner_atoms):

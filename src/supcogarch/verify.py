@@ -54,7 +54,7 @@ from .config import ExperimentConfig
 from .csvio import G17, analytic_cell, csv_text
 from .levy import Stream, rng_from, substream, substreams
 from .levy import simulate_levy_path  # noqa: F401 -- perfbench/tests checks the tracer rebinds it here
-from .price import PRICE_MOMENTS, PricePath, simulate_price, sq_increment_cov_sup3
+from .price import PRICE_MOMENTS, PricePath, _sq_gates, simulate_price, sq_increment_cov_sup3
 from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, _weighted, simulate_bundle
 
 __all__ = [
@@ -404,7 +404,8 @@ def _sup_family(cfg: ExperimentConfig, reports: list[MomentReport]) -> None:
 def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows: list[PriceRow]) -> None:
     rows = _Rows(cfg.tolerance_k, reports)
     r = cfg.increments[0]
-    args = (cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), r)
+    mixture, model = cfg.mixture(), cfg.model()
+    args = (mixture, cfg.beta, cfg.eta, model, r)
     hs = sorted({h for h in cfg.lags if h >= r})
 
     def emit(report: MomentReport, h: float | None = None) -> None:
@@ -437,7 +438,7 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
             continue
         # variant 3 has no closed form: its rows check the conditional one, every lag
         # jackknifed on one split of the groups, the inner covariances made once a group
-        gated = _try(sq_increment_cov_sup3, *args, max(hs) if hs else r, 0.0, [0.0] * len(comps_r))
+        gated = _try(_sq_gates, mixture, cfg.eta, model)
         if gated is not None and hs:
 
             def diffs(_x0sq: np.ndarray, _vbar: np.ndarray, *cols: np.ndarray) -> list[float]:

@@ -331,24 +331,6 @@ def test_padded_burn_in_scratch_does_not_grow_with_rows():
     assert _burn_in_peak(512, 2000) < 2 * _burn_in_peak(128, 2000)
 
 
-def test_pad_holds_its_rows_once():
-    """_pad copies row by row into its output and drops each row it copied,
-    so its traced peak, above its inputs, is about the padded array: no
-    concatenated copy of the rows (twice the output when there was one)."""
-    rng = np.random.default_rng(5)
-    rows = [rng.standard_normal(900 - int(k)) for k in rng.integers(0, 60, 200)]
-    want = [x.copy() for x in rows]
-    tracemalloc.start()
-    try:
-        out = batch._pad(rows, math.inf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * out.nbytes and rows == [None] * 200
-    for x, row in zip(want, out):
-        assert np.array_equal(row[: x.size], x) and np.isinf(row[x.size:]).all()
-
-
 # ---------------------------------------------------------------------------
 # simulate_bundle: the engine at one replication
 
@@ -494,10 +476,11 @@ def test_steppers_match_serial_loops(monkeypatch, model, eta, min_rows):
     level = beta / eta
     drawn = [(p.times, p.sizes) for p in (simulate_levy_path(model, (t_lo, t_hi), substream(9, r)) for r in range(n))]
     assert all(len(ts) >= c for (ts, _), c in zip(drawn, counts))
-    times = batch._pad([ts[:c] for (ts, _), c in zip(drawn, counts)], math.inf)
-    sizes = batch._pad([ls[:c] ** 2 for (_, ls), c in zip(drawn, counts)], 0.0)
+    pad = lambda rows, fill: batch._stack([batch._pad(x, fill) for x in rows], fill)  # noqa: E731
+    times = pad([ts[:c] for (ts, _), c in zip(drawn, counts)], math.inf)
+    sizes = pad([ls[:c] ** 2 for (_, ls), c in zip(drawn, counts)], 0.0)
     rng = np.random.default_rng(10)
-    picks = batch._pad([rng.choice(3, size=c, p=[0.2, 0.5, 0.3]) for c in counts], 0).astype(int)
+    picks = pad([rng.choice(3, size=c, p=[0.2, 0.5, 0.3]) for c in counts], 0).astype(int)
     v, vbar = rng.uniform(0.5, 2.0, (3, n)), rng.uniform(0.5, 2.0, n)
     t = t_lo - rng.uniform(0.0, 1e-3, n)
     gaps = np.diff(times[-1])
@@ -935,16 +918,18 @@ ROUNDED_NORMAL = JumpDistribution(
 PICK_WEIGHTS = (0.2, 0.5, 0.3)
 
 
-def _engine_draws(model, t0: float, t1: float, seed: int, n: int, weights=PICK_WEIGHTS):
-    """The engine's padded marks and pi-picks of n variant-3 rows on (t0,
-    t1] with no burn-in: row r draws its driver from ``substream(seed, r,
-    0)``, its pi-draws from ``substream(seed, r, 1)``."""
-    phis = tuple(0.01 * (a + 1) for a in range(len(weights)))
-    _, [(times, sizes, counts, picks)] = batch._simulate(
-        model, 1.0, 1.0, (t0, t0, t1), n, [substreams(seed, (), range(n), i) for i in (0, 1)],
-        phis, (1.0,) * len(weights), 1.0, 1, relax=True, picks=batch._picks(weights),
+def _engine_draws(model, t0: float, t1: float, seed: int, n: int):
+    """The live window's lower end and the live marks and pi-picks of n
+    variant-3 rows of ``simulate_batch`` that burn in for one ulp u, so that
+    they draw on (t0, t1] exactly: row r draws its driver from
+    ``substream(seed, r, 0)``, its pi-draws from ``substream(seed, r, 1)``.
+    The scales are stationary on every driver of these tests."""
+    u = math.ulp(max(abs(t0), 1.0))
+    assert (t0 + u) - u == t0
+    got = simulate_batch(
+        Variant.SUP3, Mixture((0.0, 1e-20, 2e-20), PICK_WEIGHTS), 1.0, 1.0, model, (t0 + u, t1), seed, (), n, u
     )
-    return times, sizes, counts, picks
+    return t0 + u, got.driver_times[0], got.driver_sizes[0], got.driver_counts[0], got.picks
 
 
 TIDY_CASES = {
@@ -960,24 +945,25 @@ TIDY_CASES = {
 def test_tidy_pass_matches_the_per_row_draw(case):
     """The engine's padded marks and variant-3 pi-picks, tidied once per
     chunk, and the one-row draw of a single bundle equal the frozen
-    per-row draw and Generator.choice, on rows that lose marks.  The
-    compound Poisson cases reach both ways of dropping ties: ``zero_sizes``
-    the running maximum over the kept times, ``tied_times`` (no zero size)
-    the comparison with the time before."""
+    per-row draw and Generator.choice, on rows that lose marks; the
+    engine's on its live window.  The compound Poisson cases reach both
+    ways of dropping ties: ``zero_sizes`` the running maximum over the kept
+    times, ``tied_times`` (no zero size) the comparison with the time
+    before."""
     model, (t0, t1) = TIDY_CASES[case]
     seed, n = 17, 12
-    times, sizes, counts, picks = _engine_draws(model, t0, t1, seed, n)
+    lo, times, sizes, counts, picks = _engine_draws(model, t0, t1, seed, n)
     lost = 0
     for r in range(n):
         want_t, want_s = serial_oracle.draw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
         want_pk = np.random.default_rng(substream(seed, r, 1)).choice(3, size=want_t.size, p=np.array(PICK_WEIGHTS))
         raw_t, _ = serial_oracle.raw_marks(model, t0, t1, np.random.default_rng(substream(seed, r, 0)))
         lost += raw_t.size - want_t.size
-        c = int(counts[r])
-        assert c == want_t.size
-        assert np.array_equal(times[r, :c], want_t) and np.isinf(times[r, c:]).all()
-        assert np.array_equal(sizes[r, :c], want_s) and not sizes[r, c:].any()
-        assert np.array_equal(picks[r, :c], want_pk) and not picks[r, c:].any()
+        keep, c = want_t > lo, int(counts[r])
+        assert c == np.count_nonzero(keep)
+        assert np.array_equal(times[r, :c], want_t[keep]) and np.isinf(times[r, c:]).all()
+        assert np.array_equal(sizes[r, :c], want_s[keep]) and not sizes[r, c:].any()
+        assert np.array_equal(picks[r, :c], want_pk[keep]) and not picks[r, c:].any()
         one = simulate_levy_path(model, (t0, t1), substream(seed, r, 0))
         assert np.array_equal(one.times, want_t) and np.array_equal(one.sizes, want_s)
     assert lost > 0
@@ -987,7 +973,7 @@ def test_a_chunk_that_keeps_no_mark():
     """Sizes all 0: every row keeps nothing, on the engine and on one path
     (the per-row rule before the tidy pass raised IndexError on such a row)."""
     zero = CompoundPoisson(5.0, JumpDistribution("zero", lambda rng, n: 0.0 * rng.standard_normal(n), (0.0,) * 8))
-    times, sizes, counts, picks = _engine_draws(zero, 0.0, 4.0, 17, 6)
+    _, times, sizes, counts, picks = _engine_draws(zero, 0.0, 4.0, 17, 6)
     assert not counts.any() and times.shape == (6, 1) and np.isinf(times).all() and not sizes.any()
     with pytest.raises(IndexError):
         serial_oracle.draw_marks(zero, 0.0, 4.0, np.random.default_rng(substream(17, 0, 0)))
@@ -997,17 +983,18 @@ def test_a_chunk_that_keeps_no_mark():
 
 def test_a_draw_on_t0_moves_to_t1_on_both_routes():
     """A uniform that rounds to t0 is the reflection of one on t1: a single
-    path and the engine draw the same marks, all in (t0, t1]."""
+    path and the engine draw the same marks, all in (t0, t1] (the engine's
+    on its live window)."""
     model, (t0, t1) = CompoundPoisson(5e16), (1.0, 1.0 + 1e-13)  # 5000 uniforms a row, a few on t0
     n = 4
-    times, sizes, counts, _ = _engine_draws(model, t0, t1, 3, n)
+    lo, times, sizes, counts, _ = _engine_draws(model, t0, t1, 3, n)
     on_t0 = 0
     for r in range(n):
         u = serial_oracle.raw_marks(model, t0, t1, np.random.default_rng(substream(3, r, 0)))[0]
         on_t0 += np.count_nonzero(t0 + (t1 - t0) * u == t0)
         path = simulate_levy_path(model, (t0, t1), substream(3, r, 0))
-        c = int(counts[r])
-        assert np.array_equal(times[r, :c], path.times) and np.array_equal(sizes[r, :c], path.sizes)
+        live, c = path.restrict(lo, t1), int(counts[r])
+        assert np.array_equal(times[r, :c], live.times) and np.array_equal(sizes[r, :c], live.sizes)
         assert ((path.times > t0) & (path.times <= t1)).all() and path.times[-1] == t1
     assert on_t0 > 0
 
