@@ -39,7 +39,12 @@ number equals that of the serial simulators in ``tests/serial_oracle.py``:
 * jump factors 1 + phi dS and variant 3's jump terms phi_j V^j_{T-} dS are
   the serial loops' products, computed column-wise;
 * path queries are ``PathRecord._piecewise``'s arc :func:`cogarch._relax`
-  from the previous post-jump value, also at event times of variant 1's union;
+  from the previous post-jump value; variant 1's aggregate
+  (:class:`UnionBatch`) takes that value at the last component mark from
+  its components, as its union does, and builds the union only when its
+  events are read (a single bundle's record);
+* ranks within rows are ``np.searchsorted``'s, by one vectorised binary
+  search (:func:`_rank`);
 * sums over atoms accumulate from zeros in atom order
   (:func:`superpos._weighted`);
 * price levels are a cumulative sum along each replication's row;
@@ -79,6 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -95,7 +101,9 @@ from .levy import (
 )
 from .superpos import Mixture, Variant, _require_stationary, _weighted, sup1_mean
 
-__all__ = ["PathBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked"]
+__all__ = [
+    "PathBatch", "UnionBatch", "BundleBatch", "simulate_batch", "simulate_cogarch_batch", "stationary_draws", "chunked",
+]
 
 #: the most replications of an engine call (:func:`_calls`) and of a burn-in
 #: chunk; bounds the memory of a batch's paths and of its queries
@@ -134,15 +142,19 @@ def _calls(n: int) -> list[range]:
 
 
 def _rank(times: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
-    """Row-wise ``np.searchsorted(times[r], ts[r], side)``.  Complex numbers
-    sort lexicographically, so (row, time) keys keep the rows apart without
-    any arithmetic on the times."""
-    rows, width = np.arange(times.shape[0])[:, None], times.shape[1]
-    keys = np.empty(times.shape, complex)
-    keys.real, keys.imag = rows, times
-    queries = np.empty(ts.shape, complex)
-    queries.real, queries.imag = rows, ts
-    return np.searchsorted(keys.ravel(), queries.ravel(), side).reshape(ts.shape) - rows * width
+    """Row-wise ``np.searchsorted(times[r], ts[r], side)``: one branchless
+    binary search over all the padded rows at once, making searchsorted's
+    comparisons (a < q for "left", a <= q for "right"), so the ranks are the
+    same.  Each halving step probes one column a query."""
+    n, width = times.shape
+    flat, less = times.ravel(), np.less if side == "left" else np.less_equal
+    start = np.arange(0, n * width, width)[:, None]
+    base, m = start + np.zeros(ts.shape, np.intp), width
+    while m > 1:  # row r's answer lies in base .. base + m of its row
+        half = m // 2
+        base += half * less(flat[base + half], ts)
+        m -= half
+    return base + less(flat[base], ts) - start
 
 
 def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -187,16 +199,62 @@ class PathBatch:
         """(n, q) left limits at finite query times."""
         return self._piecewise(ts, "left")
 
+    def _event_lefts(self, ts: np.ndarray) -> np.ndarray:
+        """``left`` at the event times ts (+inf padded, arbitrary there)."""
+        return _take(self.left, np.minimum(_rank(self.times, ts, "left"), self.times.shape[1] - 1))
+
+
+class UnionBatch:
+    """Variant 1's aggregate sum_i p_i V^{phi_i} of n replications, queried
+    from its components: its events are each row's union of theirs, so a
+    query relaxes from the last component mark T up to (or before) it, at
+    ``_weighted(p, [c.values(T)])``, or from ``v0`` at ``t0`` before any.
+    These are the operands and operations of the materialised union,
+    :func:`_union_aggregate`, which ``times``, ``left`` and ``post`` build on
+    their first read (a single bundle's record)."""
+
+    def __init__(self, weights: Sequence[float], components: Sequence[PathBatch]) -> None:
+        c0 = components[0]
+        self.weights, self.components = weights, components
+        self.level, self.eta, self.t0 = c0.level, c0.eta, c0.t0
+        self.v0 = _weighted(weights, [c.v0 for c in components])
+
+    def _piecewise(self, ts: np.ndarray, side: str) -> np.ndarray:
+        ts, last = _per_row(ts, len(self.t0)), -math.inf
+        for c in self.components:
+            idx = _rank(c.times, ts, side)
+            last = np.maximum(last, np.where(idx > 0, _take(c.times, np.maximum(idx - 1, 0)), -math.inf))
+        none = last == -math.inf
+        base_t = np.where(none, self.t0[:, None], last)
+        base_v = _weighted(self.weights, [c.values(base_t) for c in self.components])
+        return _relax(self.level, self.eta, np.where(none, self.v0[:, None], base_v), ts - base_t)
+
+    def _event_lefts(self, ts: np.ndarray) -> np.ndarray:
+        """The union's ``left`` at the event times ts, +inf padding read at t0."""
+        qs = np.where(np.isfinite(ts), ts, self.t0[:, None])
+        return _weighted(self.weights, [c.left_limits(qs) for c in self.components])
+
+    values, left_limits = PathBatch.values, PathBatch.left_limits
+
+    @cached_property
+    def _union(self) -> PathBatch:
+        return _union_aggregate(self.weights, self.components)
+
+    times = property(lambda self: self._union.times)
+    left = property(lambda self: self._union.left)
+    post = property(lambda self: self._union.post)
+
 
 @dataclass(frozen=True)
 class BundleBatch:
-    """n simulated bundles on [t0, t1]: the aggregate and component paths,
-    each driver's live marks (times, L sizes and count per row; one driver
+    """n simulated bundles on [t0, t1]: the aggregate (for variant 1 a
+    :class:`UnionBatch` of the components) and component paths, each
+    driver's live marks (times, L sizes and count per row; one driver
     per atom for variant 1, one shared driver otherwise), and for variant 3
     the atom index drawn at each live mark.  The price runs on driver 0
     unless a variant-1 query names another."""
 
-    aggregate: PathBatch
+    aggregate: PathBatch | UnionBatch
     components: tuple[PathBatch, ...]
     driver_times: tuple[np.ndarray, ...]
     driver_sizes: tuple[np.ndarray, ...]
@@ -205,11 +263,9 @@ class BundleBatch:
 
     def vbar_left(self, driver: int = 0) -> np.ndarray:
         """Aggregate left limits at the marks of driver ``driver``, as
-        ``simulate_price(bundle, driver).vbar_left`` per row; padded columns
-        hold arbitrary values."""
-        agg = self.aggregate
-        pos = np.minimum(_rank(agg.times, self.driver_times[driver], "left"), agg.times.shape[1] - 1)
-        return _take(agg.left, pos)
+        ``simulate_price(bundle, driver).vbar_left`` per row: the aggregate's
+        ``left`` there; padded columns hold arbitrary finite values."""
+        return self.aggregate._event_lefts(self.driver_times[driver])
 
     def price_levels(self, ts: np.ndarray, driver: int = 0) -> np.ndarray:
         """(n, q) price levels G at finite query times, as
@@ -269,20 +325,22 @@ class _Record:
 
 def _by_rank(level, v, vbar, valid, decays, fac, ds, pick, phi_pick, out) -> None:
     """The rank-major stepper of :func:`_steps`: one numpy step per rank
-    across the rows running there, a leading slice of the sorted rows."""
-    dec = np.ones(valid.shape)
+    across the rows running there, a leading slice of the sorted rows.
+    Variant 3's aggregate relaxes as one more row of the state array."""
+    dec, a = np.ones(valid.shape), v.shape[0]
     dec[valid] = decays
+    s, cols = v if vbar is None else np.concatenate([v, vbar[None]]), np.arange(valid.shape[0])
     for j, m in enumerate(valid.sum(axis=0).tolist()):
-        d = dec[:m, j]
-        left = level + (v[:, :m] - level) * d
+        left = level + (s[:, :m] - level) * dec[:m, j]
+        np.multiply(left[:a], fac[:, :m, j], out=s[:a, :m])
         if vbar is not None:
-            vbar_left = level + (vbar[:m] - level) * d
-            np.add(vbar_left, phi_pick[:m, j] * left[pick[:m, j], np.arange(m)] * ds[:m, j], out=vbar[:m])
-            if out is not None:
-                out.agg_left[:m, j], out.agg_post[:m, j] = vbar_left, vbar[:m]
-        np.multiply(left, fac[:, :m, j], out=v[:, :m])
+            np.add(left[a], phi_pick[:m, j] * left[pick[:m, j], cols[:m]] * ds[:m, j], out=s[a, :m])
         if out is not None:
-            out.left[:, :m, j], out.post[:, :m, j] = left, v[:, :m]
+            out.left[:, :m, j], out.post[:, :m, j] = left[:a], s[:a, :m]
+            if vbar is not None:
+                out.agg_left[:m, j], out.agg_post[:m, j] = left[a], s[a, :m]
+    if vbar is not None:
+        v[:], vbar[:] = s[:a], s[a]
 
 
 def _lefts(level: float, v: float, decays: list[float], factors: list[float]) -> list[float]:
@@ -404,20 +462,20 @@ def _expected_marks(model: LevyModel, length: float) -> float:
     return length / model.grid_step
 
 
-def _union_aggregate(mixture: Mixture, comps: Sequence[PathBatch], t0: float) -> PathBatch:
-    """Variant 1's aggregate: its events are each row's union of the
-    component events (``np.unique``), its values the weighted component
-    queries there."""
+def _union_aggregate(weights: Sequence[float], comps: Sequence[PathBatch]) -> PathBatch:
+    """Variant 1's aggregate materialised: its events are each row's union of
+    the component events (``np.unique``), its values the weighted component
+    queries there, padded columns queried at t0."""
     cat = np.sort(np.concatenate([c.times for c in comps], axis=1), axis=1)
     cat[:, 1:][cat[:, 1:] == cat[:, :-1]] = math.inf
     cat = np.sort(cat, axis=1)
     times = cat[:, : max(1, int(np.count_nonzero(np.isfinite(cat), axis=1).max()))]
-    qs = np.where(np.isfinite(times), times, t0)
     c0 = comps[0]
+    qs = np.where(np.isfinite(times), times, c0.t0[:, None])
     return PathBatch(
-        c0.level, c0.eta, c0.t0, _weighted(mixture.weights, [c.v0 for c in comps]), times,
-        _weighted(mixture.weights, [c.left_limits(qs) for c in comps]),
-        _weighted(mixture.weights, [c.values(qs) for c in comps]),
+        c0.level, c0.eta, c0.t0, _weighted(weights, [c.v0 for c in comps]), times,
+        _weighted(weights, [c.left_limits(qs) for c in comps]),
+        _weighted(weights, [c.values(qs) for c in comps]),
     )
 
 
@@ -571,7 +629,7 @@ def _bundles(
         if bad.size:
             raise ValueError(f"v0 must be > 0, got {float(bad[0])}")
     if variant is Variant.SUP1:
-        aggregate = _union_aggregate(mixture, comps, t0)
+        aggregate = UnionBatch(mixture.weights, tuple(comps))
     elif variant is Variant.SUP2:
         w = mixture.weights
         aggregate = PathBatch(

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import serial_oracle
@@ -220,6 +220,106 @@ def test_bundle_batch_matches_every_path(variant):
                 assert np.array_equal(got.price_levels(ts, d)[rep], simulate_price(bundle, d).values_at(ts))
         count = len(price)
         assert np.array_equal(got.driver_times[0][rep, :count], price.times)
+
+
+#: few values, so that rows tie inside and across rows; +inf pads rows and
+#: is a query (vbar_left ranks padded driver times)
+_RANK_VALUES = st.one_of(st.integers(-4, 6).map(lambda k: k / 2.0), st.just(math.inf))
+
+
+@st.composite
+def _rank_cases(draw) -> tuple[np.ndarray, np.ndarray]:
+    n, width, q = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    row = st.lists(_RANK_VALUES, min_size=width, max_size=width)
+    times = np.sort(np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float), axis=1)
+    if draw(st.booleans()):  # queries shared by every row, as _per_row broadcasts them
+        return times, np.broadcast_to(np.array(draw(st.lists(_RANK_VALUES, min_size=q, max_size=q))), (n, q))
+    queries = st.lists(st.lists(_RANK_VALUES, min_size=q, max_size=q), min_size=n, max_size=n)
+    return times, np.array(draw(queries), dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_cases())
+@example((np.array([[1.0]]), np.array([[0.5, 1.0, 1.5, math.inf]])))  # one row of width 1
+@example((np.array([[math.inf]]), np.array([[0.0, math.inf]])))  # a row with no mark
+@example((np.array([[1.0, 1.0, 1.0], [1.0, 1.0, math.inf]]), np.array([[1.0, math.inf], [1.0, 0.5]])))
+def test_rank_is_row_wise_searchsorted(case):
+    """_rank's branchless search gives np.searchsorted's integers on both
+    sides, row by row."""
+    times, ts = case
+    for side in ("left", "right"):
+        want = np.array([np.searchsorted(t, q, side) for t, q in zip(times, ts)])
+        assert np.array_equal(batch._rank(times, ts, side), want)
+
+
+#: variant-1 cases (config, t1): rows with and without live marks, and VG
+#: drivers that share their grid times
+SUP1_CASES = {
+    "cp": (replace(BASE, burn_in=4.0), 3.0),
+    "cp_no_live_marks": (CASES["cp_no_live_marks"], 0.05),
+    "vg_shared_times": (CASES["vg_short"], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", [*SUP1_CASES, "empty_window"])
+def test_sup1_aggregate_is_the_union_of_its_components(case):
+    """Variant 1's aggregate, queried from its components, equals the
+    materialised union (_union_aggregate) bit for bit: at mark times,
+    between and before marks and at the window ends, at the drivers' marks
+    (vbar_left, price levels), and in v0, t0, times, left and post."""
+    if case == "empty_window":  # t1 == t0: the engine records no mark
+        t0 = t1 = 0.0
+        got = batch._bundles(
+            Variant.SUP1, BASE.mixture(), BASE.beta, BASE.eta, BASE.model(), (t0, t1), 2.0, 5,
+            lambda i: substreams(3, (), range(5), i),
+        )
+    else:
+        cfg, t1 = SUP1_CASES[case]
+        t0 = 0.0
+        got = simulate_batch(
+            Variant.SUP1, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (t0, t1), cfg.seed, (2,), 12, cfg.burn_in,
+        )
+    union = batch._union_aggregate(got.aggregate.weights, got.components)
+    counts = np.count_nonzero(np.isfinite(union.times), axis=1)
+    if case == "vg_shared_times":  # the drivers share their grid: the union drops the repeats
+        assert np.all(counts < sum(np.count_nonzero(np.isfinite(c.times), axis=1) for c in got.components))
+    if case == "cp_no_live_marks":
+        assert 0 in counts and counts.max() > 0
+    marks = np.where(np.isfinite(union.times), union.times, t1)
+    first = np.where(counts > 0, union.times[:, 0], t1)
+    ts = np.column_stack([
+        np.full(len(counts), t0), (t0 + first) / 2, marks, (marks[:, :-1] + marks[:, 1:]) / 2,
+        np.nextafter(marks, -math.inf), np.full(len(counts), t1),
+    ])
+    ts = np.clip(ts, t0, t1)
+    for query in ("values", "left_limits"):
+        assert np.array_equal(getattr(got.aggregate, query)(ts), getattr(union, query)(ts))
+    materialised = replace(got, aggregate=union)
+    for d, times in enumerate(got.driver_times):
+        valid = np.isfinite(times)
+        assert np.array_equal(got.vbar_left(d)[valid], materialised.vbar_left(d)[valid])
+        assert np.array_equal(got.price_levels(ts, d), materialised.price_levels(ts, d))
+    for name in ("v0", "t0", "times", "left", "post"):
+        assert np.array_equal(getattr(got.aggregate, name), getattr(union, name)), name
+
+
+def test_sup1_queries_build_no_union(monkeypatch):
+    """The engine's callers read variant 1's aggregate only through its
+    queries, so the q, sup and price families never materialise the union;
+    a single bundle's record does, once."""
+    cfg, real = replace(CASES["cp_burn_set"], q_paths=20, replications=20), batch._union_aggregate
+
+    def refuse(*args):
+        raise AssertionError("the union was materialised")
+
+    monkeypatch.setattr(batch, "_union_aggregate", refuse)
+    verify.q_columns(cfg, Variant.SUP1, 0)
+    verify._sup_samples(cfg, Variant.SUP1, 0, _lags(cfg))
+    verify._price_samples(cfg, Variant.SUP1, 0, cfg.increments[0], _lags(cfg))
+    calls = []
+    monkeypatch.setattr(batch, "_union_aggregate", lambda *args: calls.append(args) or real(*args))
+    superpos.simulate_bundle(Variant.SUP1, cfg.mixture(), cfg.beta, cfg.eta, cfg.model(), (0.0, 2.0), 4, 1.0)
+    assert len(calls) == 1
 
 
 BIG = 1 << 30
