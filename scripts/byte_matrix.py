@@ -16,7 +16,10 @@ own ``src``:
 Both trees read the same config text, taken from CHANGE_DIR/configs, so
 that only the code differs.  Each pair of output directories is compared
 by ``compare_outputs.py`` (next to this script), and one line per run
-prints both command exit codes and the comparison's exit code.  A run
+prints both command exit codes, both commands' peak RSS in MiB (each
+child's own ``ru_maxrss``, read by ``os.wait4``; Linux reports KiB, and
+counts in it this script's resident size at the spawn, which is smaller
+than any command's) and the comparison's exit code.  A run
 whose two command exit codes or whose stdout (with the output directory
 masked) differ counts as status 2.
 
@@ -60,15 +63,19 @@ def matrix(configs: Path) -> list[tuple[str, str, str]]:
     return runs
 
 
-def run_command(tree: Path, command: str, cfg: Path, out: Path) -> tuple[int, str]:
-    """One CLI command on ``tree``'s own src: its exit code and its stdout
-    with the output directory masked."""
+def run_command(tree: Path, command: str, cfg: Path, out: Path) -> tuple[int, str, float]:
+    """One CLI command on ``tree``'s own src: its exit code, its stdout
+    with the output directory masked, and its peak RSS in MiB."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "supcogarch.cli", command, "--config", str(cfg), "--out", str(out)],
-        cwd=cfg.parent, env=env, capture_output=True, text=True, check=False,
+        cwd=cfg.parent, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
     )
-    return proc.returncode, proc.stdout.replace(str(out), "<out>")
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage, not that of all children
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout.replace(str(out), "<out>"), usage.ru_maxrss / 1024
 
 
 def check(name: str, command: str, text: str, trees: tuple[Path, Path], work: Path) -> tuple[str, int]:
@@ -77,7 +84,7 @@ def check(name: str, command: str, text: str, trees: tuple[Path, Path], work: Pa
     run_dir.mkdir(parents=True)
     cfg = run_dir / "run.cfg"
     cfg.write_text(text)
-    (code_a, stdout_a), (code_b, stdout_b) = (
+    (code_a, stdout_a, rss_a), (code_b, stdout_b, rss_b) = (
         run_command(tree, command, cfg, run_dir / side) for tree, side in zip(trees, ("parent", "change"))
     )
     proc = subprocess.run(
@@ -86,7 +93,8 @@ def check(name: str, command: str, text: str, trees: tuple[Path, Path], work: Pa
     )
     notes = [note for note, differs in (("exit codes differ", code_a != code_b), ("stdout differs", stdout_a != stdout_b))
              if differs]
-    line = ", ".join([f"{name}: exit {code_a} / {code_b}", f"compare_outputs {proc.returncode}", *notes])
+    line = ", ".join([f"{name}: exit {code_a} / {code_b}", f"peak RSS {rss_a:.1f} / {rss_b:.1f} MiB",
+                      f"compare_outputs {proc.returncode}", *notes])
     if proc.returncode:
         line += "\n" + proc.stdout.rstrip()
     return line, 2 if notes else proc.returncode

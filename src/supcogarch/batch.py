@@ -251,8 +251,8 @@ class BundleBatch:
     :class:`UnionBatch` of the components) and component paths, each
     driver's live marks (times, L sizes and count per row; one driver
     per atom for variant 1, one shared driver otherwise), and for variant 3
-    the atom index drawn at each live mark.  The price runs on driver 0
-    unless a variant-1 query names another."""
+    the atom index drawn at each live mark (uint8 up to 256 atoms).  The
+    price runs on driver 0 unless a variant-1 query names another."""
 
     aggregate: PathBatch | UnionBatch
     components: tuple[PathBatch, ...]
@@ -506,11 +506,11 @@ def simulate_batch(
 
 
 def _picks(weights: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Variant 3's pi-draws at ``Generator.random`` uniforms: the ``p`` branch
-    of ``Generator.choice(len(weights), size, p=weights)``, its CDF built once."""
-    cdf = np.cumsum(weights)
+    """Variant 3's pi-draws at ``Generator.random`` uniforms: the ``p`` branch of ``Generator.choice(len(weights),
+    size, p=weights)``, its CDF built once, cast once a call to the smallest unsigned dtype of the atom indices."""
+    cdf, dtype = np.cumsum(weights), np.min_scalar_type(len(weights) - 1)
     cdf /= cdf[-1]
-    return lambda u: cdf.searchsorted(u, side="right")
+    return lambda u: cdf.searchsorted(u, side="right").astype(dtype)
 
 
 def _bundles(

@@ -74,6 +74,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         if variant is Variant.SUP3:
             (out / f"{tag}_chosen_phi.csv").write_text(chosen_marks_to_csv(bundle))
         print(f"wrote {tag} bundle ({len(bundle.aggregate)} events) to {out}")
+        del bundle  # freed before the next variant is simulated
     (out / "config.cfg").write_text(serialize_config(cfg))
     return 0
 

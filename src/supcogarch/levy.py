@@ -16,9 +16,9 @@ word naming the consumer (:class:`Stream`).  A stream depends only on its
 key, so one bundle per replication and the batched engine draw identical
 numbers.  The engine derives a call's streams in one pass with
 :func:`substreams`, the SeedSequence algorithm on uint32 columns; a test
-pins each of them to :func:`substream` bit for bit.  A draw, of engine
-rows and of a single path alike, is :func:`_drawer`'s count and fill into
-the padded rows of :func:`_draws`, then :func:`_tidy_marks` on those rows.
+pins each of them to :func:`substream` bit for bit.  A draw, of engine rows and of a
+single path alike, is :func:`_drawer`'s count and fill straight into the padded rows of
+:func:`_draws` (no grid kept beside them), then :func:`_tidy_marks`, in place where it can.
 """
 
 from __future__ import annotations
@@ -313,8 +313,8 @@ def _drawer(model: LevyModel, t0: float, t1: float) -> tuple[Callable[[np.random
     then ``fill(rng, times, sizes)``, the raw marks into length-count arrays;
     their generator calls, in this order, define the stream.  Compound
     Poisson: Poisson count, uniforms on [0, 1) (mapped to times by
-    :func:`_tidy_marks`), i.i.d. sizes.  Variance gamma: the grid edges, one
-    per ``model.grid_step`` (the last may be shorter), differences of two gammas."""
+    :func:`_tidy_marks`), i.i.d. sizes.  Variance gamma: the grid edges, one per ``model.grid_step``
+    (the last may be shorter), differences of two gammas drawn in place; the drawer holds no array."""
     if isinstance(model, CompoundPoisson):
         mean, sample = model.rate * (t1 - t0), model.jumps.sample
 
@@ -324,16 +324,19 @@ def _drawer(model: LevyModel, t0: float, t1: float) -> tuple[Callable[[np.random
         return lambda rng: int(rng.poisson(mean)), fill
 
     if isinstance(model, VarianceGamma):
-        step = model.grid_step
+        step, scale = model.grid_step, model.sigma * math.sqrt(model.nu / 2.0)
         n_steps = int(math.ceil((t1 - t0) / step - 1e-12))
-        edges = t0 + step * np.arange(1, n_steps + 1)
-        edges[-1] = t1
-        shape = np.diff(edges, prepend=t0) / model.nu
-        scale = model.sigma * math.sqrt(model.nu / 2.0)
 
         def fill(rng: np.random.Generator, times: np.ndarray, sizes: np.ndarray) -> None:
-            times[:], sizes[:] = edges, rng.gamma(shape, scale)  # one gamma array alive at a time
-            sizes -= rng.gamma(shape, scale)
+            np.multiply(np.arange(1, n_steps + 1), step, out=times)  # the edges t0 + step k, the last one t1
+            times += t0
+            times[-1] = t1
+            shape = times.copy()  # the cell shapes np.diff(times, prepend=t0) / nu, the fill's one scratch
+            shape[1:] -= times[:-1]
+            shape[0] -= t0
+            shape /= model.nu
+            np.multiply(rng.standard_gamma(shape, out=sizes), scale, out=sizes)  # Generator.gamma(shape, scale)
+            sizes -= np.multiply(rng.standard_gamma(shape, out=shape), scale, out=shape)
         return lambda rng: n_steps, fill
 
     raise TypeError(f"unsupported Levy model: {model!r}")
@@ -363,7 +366,7 @@ def _tidy_marks(
     later than the last kept one before them: the time before, sorted, when no
     size is zero, else a running maximum over the kept times).  Variance gamma:
     drop increments whose square would be subnormal.  Returns the kept marks
-    left-aligned, padded alike, and their counts."""
+    left-aligned (in place when all rows keep as many), padded alike, and counts."""
     if isinstance(model, CompoundPoisson):
         times *= t1 - t0
         times += t0
@@ -375,12 +378,15 @@ def _tidy_marks(
             before = np.maximum.accumulate(np.where(keep, times, -math.inf), axis=1)
         keep[:, 1:] &= times[:, 1:] > before[:, :-1]
     else:
-        keep = np.abs(sizes) > 2.0**-511
+        keep = (sizes > 2.0**-511) | (sizes < -(2.0**-511))  # |size| > 2**-511 with no |size| array
     kept = np.count_nonzero(keep, axis=1)
     if np.array_equal(kept, counts):
         return times, sizes, counts
-    if kept.min() == kept.max() > 0:  # rows of one length need no padding
-        return times[keep].reshape(len(kept), -1), sizes[keep].reshape(len(kept), -1), kept
+    if kept.min() == kept.max() > 0:  # rows of one length need no padding: compacted in place, by blocks
+        flat_t, flat_s, mask, n = times.reshape(-1), sizes.reshape(-1), keep.reshape(-1), 0
+        for at in (np.flatnonzero(mask[lo: lo + (1 << 14)]) + lo for lo in range(0, mask.size, 1 << 14)):
+            flat_t[n: n + at.size], flat_s[n: n + at.size], n = flat_t[at], flat_s[at], n + at.size
+        return flat_t[:n].reshape(len(kept), -1), flat_s[:n].reshape(len(kept), -1), kept
     left = np.arange(max(1, int(kept.max(initial=0)))) < kept[:, None]
     out_t, out_s = np.full(left.shape, math.inf), np.zeros(left.shape)
     out_t[left], out_s[left] = times[keep], sizes[keep]
@@ -399,7 +405,6 @@ def simulate_levy_path(
     rng, (count, fill) = rng_from(seed), _drawer(model, t0, t1)
     counts = [count(rng)]
     times, sizes, _ = _draws(fill, [rng], counts)
-    fill = None  # the drawer (variance gamma grid edges and cell shapes) is freed before the tidy
     times, sizes, [n] = _tidy_marks(model, t0, t1, times, sizes, np.array(counts))
     return JumpPath(t0, t1, times[0, :n], sizes[0, :n])
 

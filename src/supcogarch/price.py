@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -275,13 +276,22 @@ def sq_increment_cov_sup3(
         raise ValueError(f"need h >= r > 0, got r={r}, h={h}")
     if len(inner_atoms) != len(mixture):
         raise ValueError("need one inner covariance per atom")
-    e2 = _sq_gates(mixture, eta, model)
-    ctx = charexp.ExponentContext(model, eta)
-    k0 = lag_kernel(-eta, h, r)
-    total = k0 * inner_agg
-    for (phi_i, w_i), c_i in zip(mixture.atoms(), inner_atoms):
-        total += w_i * (lag_kernel(charexp.psi(ctx, 1.0, phi_i), h, r) - k0) * float(c_i)
-    return e2 * total
+    return _sq_cov_sup3(mixture, eta, model, r)(h, inner_agg, inner_atoms)
+
+
+def _sq_cov_sup3(mixture: Mixture, eta: float, model: LevyModel, r: float) -> Callable[..., float]:
+    """:func:`sq_increment_cov_sup3` as a function of (h, inner_agg, inner_atoms), with the same
+    floating-point operations: its gates, ``ExponentContext`` and psi(1, phi_i) built once."""
+    e2, ctx = _sq_gates(mixture, eta, model), charexp.ExponentContext(model, eta)
+    atoms = [(w_i, charexp.psi(ctx, 1.0, phi_i)) for phi_i, w_i in mixture.atoms()]
+
+    def cov(h: float, inner_agg: float, inner_atoms: Sequence[float]) -> float:
+        k0 = lag_kernel(-eta, h, r)
+        total = k0 * inner_agg
+        for (w_i, psi_i), c_i in zip(atoms, inner_atoms):
+            total += w_i * (lag_kernel(psi_i, h, r) - k0) * float(c_i)
+        return e2 * total
+    return cov
 
 
 _SHARED = {

@@ -54,7 +54,7 @@ from .config import ExperimentConfig
 from .csvio import G17, analytic_cell, csv_text
 from .levy import Stream, rng_from, substream, substreams
 from .levy import simulate_levy_path  # noqa: F401 -- perfbench/tests checks the tracer rebinds it here
-from .price import PRICE_MOMENTS, PricePath, _sq_gates, simulate_price, sq_increment_cov_sup3
+from .price import PRICE_MOMENTS, PricePath, _sq_cov_sup3, simulate_price
 from .superpos import SUP_MOMENTS, Mixture, SupPathBundle, Variant, _weighted, simulate_bundle
 
 __all__ = [
@@ -438,19 +438,18 @@ def _price_family(cfg: ExperimentConfig, reports: list[MomentReport], price_rows
             continue
         # variant 3 has no closed form: its rows check the conditional one, every lag
         # jackknifed on one split of the groups, the inner covariances made once a group
-        gated = _try(_sq_gates, mixture, cfg.eta, model)
-        if gated is not None and hs:
+        cov = _try(_sq_cov_sup3, mixture, cfg.eta, model, r)  # gated, its lag-free parts built once
+        if cov is not None and hs:
 
             def diffs(_x0sq: np.ndarray, _vbar: np.ndarray, *cols: np.ndarray) -> list[float]:
                 inner_agg, inner_atoms = _cov(_x0sq, _vbar), [_cov(_x0sq, c) for c in cols[: len(comps_r)]]
-                return [sq_increment_cov_sup3(*args, h, inner_agg, inner_atoms) - _cov(_x0sq, xhsq)
-                        for h, xhsq in zip(hs, cols[len(comps_r):])]
+                return [cov(h, inner_agg, inner_atoms) - _cov(_x0sq, xhsq) for h, xhsq in zip(hs, cols[len(comps_r):])]
 
             est, se = grouped_jackknife(diffs, [x0sq, vbar_r, *comps_r, *(incs[h] ** 2 for h in hs)])
         for j, h in enumerate(hs):
             name, jackknifed = f"{tag}.sq_increment_cov_consistency[h={h:g}]", lambda _: (float(est[j]), float(se[j]))
-            emit(rows.skip(name, order=2) if gated is None else rows.compare(name, 0.0, jackknifed, x0sq, order=2), h)
-        if gated is not None and hs:
+            emit(rows.skip(name, order=2) if cov is None else rows.compare(name, 0.0, jackknifed, x0sq, order=2), h)
+        if cov is not None and hs:
             # direct estimate must be positive up to sampling noise
             est, se = mc_covariance(x0sq, incs[hs[0]] ** 2)
             emit(rows.flag(f"{tag}.sq_increment_cov_positive[h={hs[0]:g}]", est > -rows.band(2) * se), hs[0])

@@ -983,6 +983,28 @@ def test_draws_hold_no_row_arrays(model, pi_draws):
     assert peak <= 1.1 * (times.nbytes + sizes.nbytes + (u.nbytes if pi_draws else 0))
 
 
+def test_sup3_picks_take_one_byte():
+    """Variant 3's atom picks are held in the smallest unsigned dtype of the
+    atom count, uint8 for a few atoms (uint16 past 256), with the indices
+    of the int64 CDF search; a single bundle's chosen-phi export is still
+    ``Generator.choice(len(phis), k, p=weights)`` on its pi-draw stream
+    ``substream(seed, 1)``, one draw a raw mark, at the live marks."""
+    mix, model, b, seed = ZERO_MIX, CompoundPoisson(1.0), 3.0, 9
+    got = simulate_batch(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 10.0), 5, (2,), 20, b)
+    assert got.picks.dtype == np.uint8 and got.picks.max() == len(mix) - 1
+    u = np.random.default_rng(4).random(1000)
+    for n_atoms, dtype in ((3, np.uint8), (256, np.uint8), (257, np.uint16)):
+        weights = np.random.default_rng(n_atoms).random(n_atoms)
+        picks = batch._picks(tuple(weights / weights.sum()))(u)
+        cdf = np.cumsum(weights / weights.sum())
+        assert picks.dtype == dtype and np.array_equal(picks, (cdf / cdf[-1]).searchsorted(u, side="right"))
+    bundle = superpos.simulate_bundle(Variant.SUP3, mix, 1.0, 1.0, model, (0.0, 10.0), seed, b)
+    path = simulate_levy_path(model, (-b, 10.0), substream(seed, 0))
+    k, live = len(path), np.count_nonzero(path.times > 0.0)
+    drawn = np.random.default_rng(substream(seed, 1)).choice(len(mix), k, p=mix.weights)
+    assert live > 5 and np.array_equal(bundle.chosen_phis, np.asarray(mix.phis)[drawn[k - live:]])
+
+
 def test_engine_derives_the_streams_once_per_call(monkeypatch):
     """However many burn-in chunks a call draws, it derives its streams in
     one levy.substreams call per driver and one for the pi-draws."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serial_oracle
+from supcogarch import levy
 from supcogarch.levy import (
     CompoundPoisson,
     JumpDistribution,
@@ -106,20 +107,54 @@ def test_substreams_draw_the_substream_marks(model):
 
 def test_a_long_vg_path_holds_few_path_arrays():
     """A single path is the engine's draw at one row.  On a long variance
-    gamma path that loses marks to underflow, its traced peak stays at about
-    five path-length arrays: the drawer (grid edges and cell shapes) is freed
-    before the tidy, and the one row's kept marks are gathered at their own
-    length, not left-aligned into new padded arrays (each costs about one
-    array more)."""
-    model = VarianceGamma(1.0, 1.0, grid_step=2.0**-8)
-    tracemalloc.start()
-    try:
-        path = simulate_levy_path(model, (-480.0, 30.0), substream(20260810, 0, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 110_000 < len(path) < 510 * 2**8  # the tidy dropped some of the grid's increments
-    assert peak <= 5.5 * path.times.nbytes
+    gamma path that loses marks to underflow (about 6% of them at nu = 1,
+    half at nu = 4), its traced peak is about three grid-length arrays: the
+    times and sizes, and the fill's one scratch, the cell shapes, into which
+    the second gamma array is drawn.  The drawer keeps no grid, and the tidy
+    compacts the one row's kept marks in place by blocks of 2**14.  The
+    slack is half an array for numpy's check of the gamma shapes (three
+    boolean arrays) and 512 KiB for a block's index and gathered marks.
+    The drawer that kept its grid edges and cell shapes, with a tidy that
+    gathered the kept marks into new arrays, peaked at five."""
+    grid = 510 * 2**8
+    for nu, fewest in ((1.0, 110_000), (4.0, 60_000)):
+        tracemalloc.start()
+        try:
+            path = simulate_levy_path(VarianceGamma(1.0, nu), (-480.0, 30.0), substream(20260810, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fewest < len(path) < grid  # the tidy dropped some of the grid's increments
+        assert peak <= 3.5 * 8 * grid + 2**19
+
+
+def test_vg_drawer_holds_no_array():
+    """The variance gamma drawer, built once per engine call, holds scalars
+    only: each fill writes its grid edges into the row's times."""
+    count, fill = levy._drawer(VarianceGamma(1.0, 0.5), -8000.0, 40.0)
+    cells = [cell.cell_contents for f in (count, fill) for cell in f.__closure__ or ()]
+    assert cells and not any(isinstance(x, np.ndarray) for x in cells)
+    times, sizes = np.empty(count(None)), np.empty(count(None))
+    fill(np.random.default_rng(3), times, sizes)
+    assert times[-1] == 40.0 and np.array_equal(times[:-1], -8000.0 + 2.0**-8 * np.arange(1, times.size))
+
+
+@pytest.mark.parametrize("rows, width, drop", [(1, 200_003, 70_001), (5, 30_000, 7), (3, 1, 0)])
+def test_rows_of_one_kept_length_are_compacted_in_place(rows, width, drop):
+    """When every row keeps as many marks, the tidy writes them over the
+    drawn arrays from their start (across blocks of 2**14 entries and row
+    ends): the result is ``a[keep]`` row by row, in the drawn buffers."""
+    rng = np.random.default_rng(width)
+    times = np.cumsum(rng.random((rows, width)), axis=1)
+    sizes = rng.standard_normal((rows, width))
+    for r in range(rows):
+        sizes[r, rng.choice(width, drop, replace=False)] = 2.0**-600 * rng.choice([-1.0, 1.0], drop)
+    keep = np.abs(sizes) > 2.0**-511
+    want_t, want_s = times[keep].reshape(rows, -1), sizes[keep].reshape(rows, -1)
+    got_t, got_s, kept = levy._tidy_marks(VG, 0.0, math.inf, times, sizes, np.full(rows, width))
+    assert np.array_equal(got_t, want_t) and np.array_equal(got_s, want_s)
+    assert kept.tolist() == [width - drop] * rows
+    assert drop == 0 or np.shares_memory(got_t, times) and np.shares_memory(got_s, sizes)
 
 
 def test_substreams_answer_only_the_pcg64_request():
@@ -146,6 +181,27 @@ def test_uniform_is_the_mapped_random(t0, t1, n):
         want = np.random.default_rng(substream(seed, 3)).uniform(t0, t1, n)
         got = np.random.default_rng(substream(seed, 3)).random(n)
         assert np.array_equal(want, t0 + (t1 - t0) * got)
+
+
+@pytest.mark.parametrize("nu", [0.5, 4.0])
+def test_gamma_is_the_scaled_standard_gamma(nu):
+    """The variance gamma fill draws ``Generator.standard_gamma(shape,
+    out=buf)`` and scales it in place; that equals ``Generator.gamma(shape,
+    scale)`` bit for bit because numpy's ``random_gamma`` is ``scale *
+    random_standard_gamma`` on the same stream, element by element, also
+    when ``buf`` is the shape array itself (the second draw of a fill).
+    The cell shapes here end with a short cell, as a grid's last one."""
+    t0, t1, step, scale = -3.0, 7.3, 2.0**-8, 0.7 * math.sqrt(nu / 2.0)
+    edges = t0 + step * np.arange(1, math.ceil((t1 - t0) / step) + 1)
+    edges[-1] = t1
+    shape = np.diff(edges, prepend=t0) / nu
+    assert shape[-1] < 0.9 * shape[0]
+    for seed in (0, 1, 7, 2013, 2**40 + 3):
+        want = np.random.Generator(np.random.PCG64(seed))
+        first, second = want.gamma(shape, scale), want.gamma(shape, scale)
+        rng, buf, cells = np.random.Generator(np.random.PCG64(seed)), np.empty_like(shape), shape.copy()
+        assert np.array_equal(np.multiply(rng.standard_gamma(shape, out=buf), scale, out=buf), first)
+        assert np.array_equal(np.multiply(rng.standard_gamma(cells, out=cells), scale, out=cells), second)
 
 
 def test_poisson_count_matches_rate():

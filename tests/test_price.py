@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from supcogarch import charexp, verify
+from supcogarch import charexp, price, verify
 from supcogarch.analysis import grouped_jackknife
 from supcogarch.cogarch import MomentDivergesError, _try
 from supcogarch.config import ExperimentConfig
-from supcogarch.levy import CompoundPoisson
+from supcogarch.levy import CompoundPoisson, VarianceGamma
 from supcogarch.price import (
     PRICE_MOMENTS,
     increment_autocov,
@@ -149,6 +149,34 @@ def test_sup3_consistency_rows_split_the_groups_once():
         want = grouped_jackknife(diff, [x0sq, vals[:, 1 + j] ** 2, vbar, *comps])
         rep = rows[f"sup3.sq_increment_cov_consistency[h={h:g}]"]
         assert (rep.estimate, rep.std_error) == want
+
+
+def test_sup3_statistic_is_built_once_with_the_per_call_operations(monkeypatch):
+    """``price._sq_cov_sup3`` builds the gates, ``ExponentContext`` and
+    psi(1, phi_i) once; each lag then gives the per-call formula
+    e2 (K(-eta) c_agg + sum_i w_i (K(psi(1, phi_i)) - K(-eta)) c_i) bit for
+    bit, as does ``sq_increment_cov_sup3``.  verify's variant-3 consistency
+    rows build it once (the gates ran once a lag and jackknife group)."""
+    eta, r = 1.0, 1.0
+    inner = np.random.default_rng(3).standard_normal(4)
+    for mix, model in ((MOMENT_MIX, MODEL), (Mixture.from_atoms([(0.0, 0.2), (0.1, 0.5), (0.3, 0.3)]),
+                                             VarianceGamma(0.8, 0.5))):
+        cov, ctx = price._sq_cov_sup3(mix, eta, model, r), charexp.ExponentContext(model, eta)
+        for h in (1.0, 2.0, 4.0):
+            k0 = lag_kernel(-eta, h, r)
+            total = k0 * inner[-1]
+            for (phi, w), c in zip(mix.atoms(), inner):
+                total += w * (lag_kernel(charexp.psi(ctx, 1.0, phi), h, r) - k0) * float(c)
+            want = price._sq_gates(mix, eta, model) * total
+            got = sq_increment_cov_sup3(mix, 1.0, eta, model, r, h, inner[-1], inner[: len(mix)])
+            assert cov(h, inner[-1], inner[: len(mix)]) == want == got != 0.0
+
+    gates = []
+    monkeypatch.setattr(price, "_sq_gates", lambda *args, _g=price._sq_gates: gates.append(args) or _g(*args))
+    cfg = ExperimentConfig(phis=(0.12, 0.06), weights=(0.6, 0.4), replications=120, burn_in=20.0, variants=("sup3",))
+    reports: list = []
+    verify._price_family(cfg, reports, [])
+    assert sum(".sq_increment_cov_consistency" in rep.name for rep in reports) > 1 and len(gates) == 1
 
 
 def test_lag_kernel_limits():
